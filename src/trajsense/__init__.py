@@ -35,6 +35,7 @@ from .sim import (
     inject_spatial_noise,
     inject_temporal_noise,
     rollout,
+    rollout_batch,
     step,
 )
 from .voxel import VoxelGrid, check_lemma_bound, voxel_center, voxelize_trajectory

@@ -19,7 +19,6 @@ from . import pipeline
 from .align import align_zero_crossing, classify_noise, estimate_delay
 from .config import load_config
 from .errors import ConfigError, TrajsenseError
-from .perturb import sample as sample_plan
 from .planner import PlanningProblem, plan_and_verify
 from .sensitivity import SensitivityModel
 from .sim import rollout
@@ -54,7 +53,7 @@ def cmd_run(args):
 
 def cmd_simulate(args):
     cfg = _load(args)
-    for path in pipeline.stage_simulate(cfg, args.out, workers=args.workers):
+    for path in pipeline.stage_simulate(cfg, args.out):
         print(path)
     return 0
 
@@ -62,11 +61,8 @@ def cmd_simulate(args):
 def cmd_perturb(args):
     cfg = _load(args)
     os.makedirs(os.path.join(args.out, "samples"), exist_ok=True)
-    deltas = []
-    for plan in cfg.perturbation_plans():
-        deltas.extend(sample_plan(plan))
     dest = os.path.join(args.out, "samples", "perturbations.csv")
-    tio.write_perturbations(cfg.policy.theta, deltas[: cfg.count], dest)
+    tio.write_perturbations(cfg.policy.theta, cfg.perturbation_deltas(), dest)
     print(dest)
     return 0
 
@@ -156,7 +152,7 @@ def build_parser():
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     common.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for rollouts and GP fits")
+                        help="worker processes for GP fits (rollouts are batched in one process)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def stage(name, fn, needs_config=True):

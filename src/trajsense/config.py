@@ -12,7 +12,7 @@ import numpy as np
 
 from .controllers import PolicySpec
 from .errors import ConfigError
-from .perturb import PerturbationPlan
+from .perturb import PerturbationPlan, sample as sample_plan
 from .sensitivity import PreprocessConfig
 from .sim import START_POSE, DynamicsMode, JointState, NoiseConfig
 
@@ -125,6 +125,13 @@ class ExperimentConfig:
                     for k, lam in enumerate(self.lambda_sweep)]
         return [PerturbationPlan("gaussian", self.policy.theta, count=self.count,
                                  seed=self.seed + 1, lambda_rate=self.lambda_rate)]
+
+    def perturbation_deltas(self):
+        """The first `count` deltas drawn from the plans, in recording order."""
+        deltas = []
+        for plan in self.perturbation_plans():
+            deltas.extend(sample_plan(plan))
+        return deltas[: self.count]
 
     def preprocess_config(self, gamma):
         return PreprocessConfig(align_method=self.align_method, max_lag=self.max_lag,

@@ -70,23 +70,31 @@ class PolicySpec:
 
 
 def linear_openloop(t, theta):
-    """Open-loop ramp torque u_i = w_i * t + b_i, t in seconds."""
-    theta = np.asarray(theta, dtype=float).reshape(6)
-    return theta[:3] * t + theta[3:]
+    """Open-loop ramp torque u_i = w_i * t + b_i, t in seconds.
+
+    theta is one (6,) vector or an (N, 6) stack; the torque has the matching
+    shape (3,) or (N, 3).
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1] != 6:
+        raise ConfigError("linear_openloop needs 6 parameters (w1..w3, b1..b3)")
+    return theta[..., :3] * t + theta[..., 3:]
 
 
 def sinusoidal(t, theta, joints):
     """Sinusoidal drive amp*sin(omega*t) on the given joints, zero elsewhere.
 
-    theta holds one (amp, omega) pair per driven joint; t counts timesteps.
+    theta holds one (amp, omega) pair per driven joint, or is an (N, 2k)
+    stack of such vectors; t counts timesteps.
     """
     joints = tuple(int(j) for j in joints)
     if len(joints) == 0:
         raise ConfigError("sinusoidal needs a nonempty joint set")
-    theta = np.asarray(theta, dtype=float).reshape(len(joints), 2)
-    u = np.zeros(3)
-    for (amp, omega), j in zip(theta, joints):
-        u[j - 1] = amp * np.sin(omega * t)
+    theta = np.asarray(theta, dtype=float)
+    theta = theta.reshape(theta.shape[:-1] + (len(joints), 2))
+    u = np.zeros(theta.shape[:-2] + (3,))
+    for k, j in enumerate(joints):
+        u[..., j - 1] = theta[..., k, 0] * np.sin(theta[..., k, 1] * t)
     return u
 
 
@@ -95,19 +103,24 @@ def pd_feedback(angles, velocities, theta, x_star):
 
     The proportional error is taken as (x_star - x) so the published positive
     gains drive toward the target; kd damps the approach. The P controller is
-    the kd = 0 special case.
+    the kd = 0 special case. theta may be an (N, m) stack with (N, 3) states.
     """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    kp = theta[0]
-    kd = theta[1] if theta.size > 1 else 0.0
+    theta = np.asarray(theta, dtype=float)
+    kp = theta[..., 0, None]
+    kd = theta[..., 1, None] if theta.shape[-1] > 1 else 0.0
     err = np.asarray(x_star, dtype=float) - np.asarray(angles, dtype=float)
     return kp * err - kd * np.asarray(velocities, dtype=float)
 
 
-def torque_at(policy, step_index, t_seconds, angles, velocities):
-    """Evaluate the policy's torque at one timestep (dispatch by family)."""
+def torque_at(policy, step_index, t_seconds, angles, velocities, theta=None):
+    """Evaluate the policy's torque at one timestep (dispatch by family).
+
+    theta overrides policy.theta; an (N, m) stack with (N, 3) states gives
+    the (N, 3) torques of N parameter vectors of the policy's family.
+    """
+    theta = policy.theta if theta is None else theta
     if policy.family == "linear_openloop":
-        return linear_openloop(t_seconds, policy.theta)
+        return linear_openloop(t_seconds, theta)
     if policy.family == "sinusoidal":
-        return sinusoidal(step_index, policy.theta, policy.fixed["joints"])
-    return pd_feedback(angles, velocities, policy.theta, policy.fixed["x_star"])
+        return sinusoidal(step_index, theta, policy.fixed["joints"])
+    return pd_feedback(angles, velocities, theta, policy.fixed["x_star"])

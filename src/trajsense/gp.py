@@ -105,7 +105,8 @@ class ExactGP:
 
     # -- fitting -----------------------------------------------------------
 
-    def fit(self, X, y, seed=0):
+    def _standardized(self, X, y):
+        """Validate the training data, set the input scaling, return (Xs, y)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).reshape(-1)
         if X.shape[0] != y.shape[0]:
@@ -117,10 +118,12 @@ class ExactGP:
         scale = X.std(axis=0)
         scale[scale < 1e-12] = 1.0
         self._x_scale = scale
-        Xs = (X - self._x_mean) / self._x_scale
+        return (X - self._x_mean) / self._x_scale, y
 
+    def fit(self, X, y, seed=0):
+        Xs, y = self._standardized(X, y)
         vy = float(np.var(y))
-        m = X.shape[1]
+        m = Xs.shape[1]
         if vy < _TARGET_VAR_FLOOR:
             # all-equal targets (e.g. the zero map at t=0): pin a flat prior
             self.degenerate = True
@@ -138,10 +141,32 @@ class ExactGP:
                 sn2 = max(1e-8 * vy, 1e-12) if cfg.noise_var is None else cfg.noise_var
                 phi = np.concatenate([np.full(m, np.log(cfg.lengthscale)),
                                       [np.log(sf2)], [np.log(sn2)]])
-            self.log_ls = phi[:m]
-            self.log_sf2 = float(phi[m])
-            self.log_sn2 = float(phi[m + 1])
+            self._set_phi(phi)
+        return self._factorize(Xs, y)
 
+    @classmethod
+    def from_state(cls, X, y, phi, config=None):
+        """A fitted GP rebuilt from raw training inputs, targets and the
+        log-hyperparameters [log lengthscales, log signal var, log noise var]
+        of `state()`, with one factorization and no optimization."""
+        gp = cls(config)
+        Xs, y = gp._standardized(X, y)
+        gp.degenerate = float(np.var(y)) < _TARGET_VAR_FLOOR
+        gp._set_phi(np.asarray(phi, dtype=float))
+        return gp._factorize(Xs, y)
+
+    def state(self):
+        """(raw X, y, phi): what `from_state` needs to rebuild this GP."""
+        X = self._X * self._x_scale + self._x_mean
+        return X, self._y, np.concatenate([self.log_ls, [self.log_sf2, self.log_sn2]])
+
+    def _set_phi(self, phi):
+        m = phi.size - 2
+        self.log_ls = phi[:m]
+        self.log_sf2 = float(phi[m])
+        self.log_sn2 = float(phi[m + 1])
+
+    def _factorize(self, Xs, y):
         K = self._kernel(Xs, Xs, self.log_ls, self.log_sf2)
         K += np.exp(self.log_sn2) * np.eye(Xs.shape[0])
         self._L, self.jitter = _cholesky_with_jitter(K, scale=np.exp(self.log_sf2))

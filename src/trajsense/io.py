@@ -6,6 +6,9 @@ recorded step, floats printed with 9 significant digits. The final row is the
 terminal state and carries empty torque cells. The sidecar (same path plus
 '.meta') holds policy_id, seed, dt, mode, temporal_shift, spatial_std as
 key = value lines.
+
+CSV lines end with \r\n. Trajectory, sample and perturbation CSVs are written
+and read as whole numpy blocks rather than cell by cell.
 """
 
 import csv
@@ -18,22 +21,40 @@ from .sim import Trajectory
 
 TRAJ_HEADER = ["t", "x1", "x2", "x3", "v1", "v2", "v3", "u1", "u2", "u3"]
 
+# sample rows formatted per write; bounds the Python floats held at once
+_SAMPLE_BLOCK = 4096
+
 
 def _fmt(x):
     return f"{x:.9g}"
 
 
+def _row_template(n_floats, fmt="%.9g", end="\r\n"):
+    """One CSV row: an integer index, then n_floats floats printed with fmt."""
+    return "%d" + ("," + fmt) * n_floats + end
+
+
+def _write_block(fh, template, block):
+    """Write the rows of a 2-D float block through one % template per row.
+
+    The first column holds integers stored as floats; `%d` prints them as
+    `str(int)` would.
+    """
+    fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def write_trajectory(traj, path):
+    T = traj.n_steps
+    body = np.empty((T + 1, 10))
+    body[:, 0] = np.arange(T + 1)
+    body[:, 1:4] = traj.angles
+    body[:, 4:7] = traj.velocities
+    body[:T, 7:] = traj.torques
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRAJ_HEADER)
-        T = traj.n_steps
-        for t in range(T + 1):
-            row = [str(t)]
-            row += [_fmt(v) for v in traj.angles[t]]
-            row += [_fmt(v) for v in traj.velocities[t]]
-            row += [_fmt(v) for v in traj.torques[t]] if t < T else ["", "", ""]
-            w.writerow(row)
+        fh.write(",".join(TRAJ_HEADER) + "\r\n")
+        _write_block(fh, _row_template(9), body[:T])
+        # the terminal state carries empty torque cells
+        _write_block(fh, _row_template(6, end=",,,\r\n"), body[T:, :7])
     meta = traj.meta
     spatial = meta.get("spatial_std", (0.0, 0.0, 0.0))
     with open(path + ".meta", "w") as fh:
@@ -45,21 +66,35 @@ def write_trajectory(traj, path):
         fh.write(f"spatial_std = {','.join(_fmt(s) for s in spatial)}\n")
 
 
+def _header(fh):
+    return fh.readline().rstrip("\r\n").split(",")
+
+
+def _rows(fh):
+    """The numeric rows after the header as one 2-D array, or None if there are none."""
+    start = fh.tell()
+    if not fh.readline():
+        return None
+    fh.seek(start)
+    return np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
 def read_trajectory(path):
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != TRAJ_HEADER:
-        raise ConfigError(f"{path}: not a trajectory CSV")
-    body = rows[1:]
-    n = len(body)
+        if _header(fh) != TRAJ_HEADER:
+            raise ConfigError(f"{path}: not a trajectory CSV")
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ConfigError(f"{path}: trajectory CSV has no rows")
+    n = len(lines)
     angles = np.empty((n, 3))
     velocities = np.empty((n, 3))
-    torques = np.empty((n - 1, 3))
-    for i, row in enumerate(body):
-        angles[i] = [float(v) for v in row[1:4]]
-        velocities[i] = [float(v) for v in row[4:7]]
-        if i < n - 1:
-            torques[i] = [float(v) for v in row[7:10]]
+    # every row but the terminal one carries torques
+    body = np.loadtxt(lines[:-1], delimiter=",", usecols=range(1, 10), ndmin=2)
+    angles[:-1], velocities[:-1] = body[:, 0:3], body[:, 3:6]
+    torques = np.ascontiguousarray(body[:, 6:9])
+    last = [float(v) for v in lines[-1].split(",")[1:7]]
+    angles[-1], velocities[-1] = last[:3], last[3:]
     meta = {}
     meta_path = path + ".meta"
     dt = None
@@ -90,50 +125,53 @@ def write_samples(samples, path):
     d = samples[0].delta_x.size
     header = (["t"] + [f"dtheta_{j+1}" for j in range(m)]
               + [f"dx_{i+1}" for i in range(d)] + ["dtheta_norm"])
+    template = _row_template(m + d + 1, fmt="%.17g")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for s in samples:
-            row = [str(s.t)]
-            row += [f"{v:.17g}" for v in s.delta_theta]
-            row += [f"{v:.17g}" for v in s.delta_x]
-            row.append(f"{s.magnitude:.17g}")
-            w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(samples), _SAMPLE_BLOCK):
+            chunk = samples[lo:lo + _SAMPLE_BLOCK]
+            block = np.empty((len(chunk), m + d + 2))
+            block[:, 0] = [s.t for s in chunk]
+            block[:, 1:1 + m] = [s.delta_theta for s in chunk]
+            block[:, 1 + m:1 + m + d] = [s.delta_x for s in chunk]
+            block[:, -1] = [s.magnitude for s in chunk]
+            _write_block(fh, template, block)
 
 
 def read_samples(path):
     from .sensitivity import DerivativeSample
 
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    m = sum(1 for h in header if h.startswith("dtheta_") and h != "dtheta_norm")
-    d = sum(1 for h in header if h.startswith("dx_"))
-    out = []
-    for row in rows[1:]:
-        t = int(row[0])
-        dtheta = np.array([float(v) for v in row[1:1 + m]])
-        dx = np.array([float(v) for v in row[1 + m:1 + m + d]])
-        out.append(DerivativeSample(t=t, delta_theta=dtheta, delta_x=dx,
-                                    magnitude=float(row[1 + m + d])))
-    return out
+        header = _header(fh)
+        m = sum(1 for h in header if h.startswith("dtheta_") and h != "dtheta_norm")
+        d = sum(1 for h in header if h.startswith("dx_"))
+        data = _rows(fh)
+    if data is None:
+        return []
+    ts = data[:, 0].astype(int).tolist()
+    magnitudes = data[:, 1 + m + d].tolist()
+    return [DerivativeSample(t=t, delta_theta=dtheta, delta_x=dx, magnitude=mag)
+            for t, dtheta, dx, mag in zip(ts, data[:, 1:1 + m], data[:, 1 + m:1 + m + d],
+                                          magnitudes)]
 
 
 def write_perturbations(nominal, deltas, path):
     """Absolute parameter vectors, one row per sample: sample_id, theta_*."""
     m = len(nominal)
+    thetas = np.asarray(nominal) + np.reshape(deltas, (-1, m))
+    block = np.column_stack([np.arange(len(thetas)), thetas])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id"] + [f"theta_{j+1}" for j in range(m)])
-        for i, d in enumerate(deltas):
-            w.writerow([str(i)] + [f"{v:.17g}" for v in (np.asarray(nominal) + d)])
+        fh.write(",".join(["sample_id"] + [f"theta_{j+1}" for j in range(m)]) + "\r\n")
+        _write_block(fh, _row_template(m, fmt="%.17g"), block)
 
 
 def read_perturbations(path, nominal):
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    nominal = np.asarray(nominal, dtype=float)
-    return [np.array([float(v) for v in row[1:]]) - nominal for row in rows[1:]]
+        _header(fh)
+        data = _rows(fh)
+    if data is None:
+        return []
+    return list(data[:, 1:] - np.asarray(nominal, dtype=float))
 
 
 def write_metrics(row, per_t, path_summary, path_per_t):

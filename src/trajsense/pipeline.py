@@ -21,10 +21,9 @@ import numpy as np
 from . import io as tio
 from .errors import ConfigError, DependencyError, StageError
 from .gp import GPConfig
-from .perturb import sample as sample_plan
 from .planner import PlanningProblem, plan_and_verify
 from .sensitivity import SensitivityModel, build_samples, evaluate, fit_gp, samples_by_timestep
-from .sim import NoiseConfig, rollout
+from .sim import NoiseConfig, rollout, rollout_batch
 from .voxel import VoxelGrid, voxelize_trajectory
 
 STAGES = ("simulate", "build", "fit", "evaluate", "plan")
@@ -104,11 +103,6 @@ def _pmap(fn, items, workers):
 # -- simulate -------------------------------------------------------------------
 
 
-def _rollout_task(args):
-    policy, x0, n_steps, dt, mode, noise = args
-    return rollout(policy, x0, n_steps, dt, mode, noise)
-
-
 def _per_sample_noise(cfg, index):
     """Each recording gets its own lag and noise seed, like separate runs."""
     base = cfg.noise
@@ -123,20 +117,15 @@ def _per_sample_noise(cfg, index):
                        seed=int(rng.integers(2**31)))
 
 
-def stage_simulate(cfg, out, workers=1):
+def stage_simulate(cfg, out):
+    """Roll out the source and every perturbation as one batch, then write them."""
     _ensure_dirs(out, "trajectories", "samples")
     traj_dir = os.path.join(out, "trajectories")
 
-    deltas = []
-    for plan in cfg.perturbation_plans():
-        deltas.extend(sample_plan(plan))
-    deltas = deltas[: cfg.count] if cfg.count else deltas
-
-    tasks = [(cfg.policy, cfg.x0, cfg.n_steps, cfg.dt, cfg.mode, None)]
-    tasks += [(cfg.policy.with_theta(cfg.policy.theta + d), cfg.x0, cfg.n_steps,
-               cfg.dt, cfg.mode, _per_sample_noise(cfg, i))
-              for i, d in enumerate(deltas)]
-    trajs = _pmap(_rollout_task, tasks, workers)
+    deltas = cfg.perturbation_deltas()
+    policies = [cfg.policy] + [cfg.policy.with_theta(cfg.policy.theta + d) for d in deltas]
+    noises = [None] + [_per_sample_noise(cfg, i) for i in range(len(deltas))]
+    trajs = rollout_batch(policies, cfg.x0, cfg.n_steps, cfg.dt, cfg.mode, noises)
 
     paths = []
     source_path = os.path.join(traj_dir, "source.csv")
@@ -345,7 +334,7 @@ def run_pipeline(cfg, out, workers=1):
     manifest = Manifest(out)
     fingerprint = cfg.fingerprint()
     stage_fns = {
-        "simulate": lambda: stage_simulate(cfg, out, workers),
+        "simulate": lambda: stage_simulate(cfg, out),
         "build": lambda: stage_build(cfg, out),
         "fit": lambda: stage_fit(cfg, out, workers),
         "evaluate": lambda: stage_evaluate(cfg, out),

@@ -14,7 +14,6 @@ regressors that generalize to unseen perturbation directions.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import align as align_mod
 from . import voxel as voxel_mod
@@ -23,10 +22,11 @@ from .errors import (
     DatasetError,
     DegenerateScoreError,
     InsufficientDataError,
+    LandmarkMissingError,
     UndefinedAlignmentError,
     UntrainedTimestepError,
 )
-from .gp import ExactGP, GPConfig, _cholesky_with_jitter
+from .gp import ExactGP, GPConfig
 
 _NORM_FLOOR = 1e-15
 _VAR_FLOOR = 1e-24
@@ -52,7 +52,9 @@ class DerivativeSample:
 class PreprocessConfig:
     """Alignment and voxelization applied before differencing.
 
-    align_method: 'none', 'correlation', or 'zero_crossing'.
+    align_method: 'none', 'correlation', or 'zero_crossing'; a recording
+    without a velocity zero-crossing in joint zero_dim is aligned by
+    correlation instead.
     gamma None or 0 disables voxelization.
     """
 
@@ -71,10 +73,14 @@ def _preprocessed(source, traj, cfg):
         if est.tau_star != 0:
             traj = align_mod.apply_shift(traj, est.tau_star)
     elif cfg.align_method == "zero_crossing":
-        est = align_mod.align_zero_crossing(source, traj, cfg.zero_dim)
-        # landmark lag is reported ref-minus-other; undo it on the other side
-        if est.tau_star != 0:
-            traj = align_mod.apply_shift(traj, -est.tau_star)
+        try:
+            # landmark lag is reported ref-minus-other; undo it on the other side
+            shift = -align_mod.align_zero_crossing(source, traj, cfg.zero_dim).tau_star
+        except LandmarkMissingError:
+            # no velocity zero-crossing to anchor on: fall back to correlation
+            shift = align_mod.estimate_delay(source, traj, cfg.max_lag).tau_star
+        if shift != 0:
+            traj = align_mod.apply_shift(traj, shift)
     elif cfg.align_method != "none":
         raise ConfigError(f"unknown align_method {cfg.align_method!r}")
     return traj
@@ -265,11 +271,8 @@ class SensitivityModel:
             if tm.source_angles is not None:
                 arrays[f"{key}_src"] = np.asarray(tm.source_angles)
             for i, gp in enumerate(tm.gps):
-                raw_X = gp._X * gp._x_scale + gp._x_mean
-                arrays[f"{key}_d{i}_X"] = raw_X
-                arrays[f"{key}_d{i}_y"] = gp._y
-                arrays[f"{key}_d{i}_phi"] = np.concatenate(
-                    [gp.log_ls, [gp.log_sf2, gp.log_sn2]])
+                (arrays[f"{key}_d{i}_X"], arrays[f"{key}_d{i}_y"],
+                 arrays[f"{key}_d{i}_phi"]) = gp.state()
         np.savez_compressed(path, **arrays)
 
     @classmethod
@@ -282,19 +285,9 @@ class SensitivityModel:
             for i in range(3):
                 if f"{key}_d{i}_X" not in data:
                     break
-                phi = data[f"{key}_d{i}_phi"]
-                gp = ExactGP(GPConfig(optimize=False))
-                gp.fit(data[f"{key}_d{i}_X"], data[f"{key}_d{i}_y"], seed=0)
-                # restore the trained hyperparameters, then refactorize
-                m = data[f"{key}_d{i}_X"].shape[1]
-                gp.log_ls = phi[:m]
-                gp.log_sf2 = float(phi[m])
-                gp.log_sn2 = float(phi[m + 1])
-                K = gp._kernel(gp._X, gp._X, gp.log_ls, gp.log_sf2)
-                K += np.exp(gp.log_sn2) * np.eye(gp._X.shape[0])
-                gp._L, gp.jitter = _cholesky_with_jitter(K, scale=np.exp(gp.log_sf2))
-                gp._alpha = cho_solve((gp._L, True), gp._y)
-                gps.append(gp)
+                gps.append(ExactGP.from_state(
+                    data[f"{key}_d{i}_X"], data[f"{key}_d{i}_y"], data[f"{key}_d{i}_phi"],
+                    GPConfig(optimize=False)))
             src = data[f"{key}_src"] if f"{key}_src" in data else None
             models[int(t)] = TimestepGP(t=int(t), gps=gps, source_angles=src)
         nominal = data["nominal_theta"] if "nominal_theta" in data else None

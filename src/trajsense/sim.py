@@ -141,15 +141,18 @@ def _clamp(angles, velocities):
 def _gravity_torque(angles, gravity_gain):
     # Planar chain with unit links: torque at joint i collects the gravity
     # pull of every link at or beyond i, expressed through the cumulative
-    # link angles.
-    phi = np.cumsum(angles)
-    s = np.sin(phi)
-    return gravity_gain * np.array([s[0] + s[1] + s[2], s[1] + s[2], s[2]])
+    # link angles. angles is (3,) or an (N, 3) batch.
+    s0, s1, s2 = np.sin(np.cumsum(angles, axis=-1)).T
+    return gravity_gain * np.array([s0 + s1 + s2, s1 + s2, s2]).T
 
 
-def _step_arrays(angles, velocities, torque, dt, mode):
-    """Advance raw angle/velocity arrays one step. No input validation."""
-    u = np.clip(torque, -TORQUE_CAP, TORQUE_CAP)
+def _step_arrays(angles, velocities, u, dt, mode):
+    """Advance raw angle/velocity arrays, (3,) or (N, 3), one step under the
+    torque u, already clipped to TORQUE_CAP.
+
+    Every operation is elementwise per row, so a batch row takes exactly the
+    steps of the same state advanced alone. No input validation.
+    """
     c = mode.damping
     if mode.tag == "linear":
         if c == 0.0:
@@ -184,6 +187,7 @@ def step(state, torque, dt, mode):
         raise InvalidStateError("non-finite torque")
     if not (np.all(np.isfinite(state.angles)) and np.all(np.isfinite(state.velocities))):
         raise InvalidStateError("non-finite joint state")
+    u = np.clip(u, -TORQUE_CAP, TORQUE_CAP)
     new_x, new_v = _step_arrays(state.angles, state.velocities, u, dt, mode)
     return JointState(new_x, new_v)
 
@@ -192,47 +196,82 @@ def rollout(policy, x0, n_steps, dt, mode, noise=None):
     """Roll the policy out for n_steps and return the recorded Trajectory.
 
     Deterministic given (policy, x0, n_steps, dt, mode, noise.seed): with a
-    clean NoiseConfig repeated calls give bit-identical trajectories.
+    clean NoiseConfig repeated calls give bit-identical trajectories. This is
+    rollout_batch with a batch of one.
+    """
+    return rollout_batch([policy], x0, n_steps, dt, mode, [noise])[0]
+
+
+def rollout_batch(policies, x0, n_steps, dt, mode, noises=None):
+    """Roll N policies of one family out in lockstep from the same x0.
+
+    The policies must share their family and fixed constants and differ only
+    in theta. The state is advanced as one (N, 3) array per step; each row
+    sees the same floating-point operations as a rollout of its policy alone,
+    so trajectory i equals rollout(policies[i], ...) bit for bit. noises is
+    None or one NoiseConfig (or None) per policy; noise is injected into each
+    recording after its clean rollout. Returns a list of N Trajectories.
     """
     from .controllers import torque_at  # local import: controllers import sim types
 
     if n_steps < 1:
         raise InvalidStateError("n_steps must be >= 1")
-    x = np.asarray(x0.angles, dtype=float).copy()
-    v = np.asarray(x0.velocities, dtype=float).copy()
-    if np.any(x < JOINT_LOW) or np.any(x > JOINT_HIGH):
+    policies = list(policies)
+    if not policies:
+        raise InvalidStateError("need at least one policy")
+    lead = policies[0]
+    for p in policies[1:]:
+        if p.family != lead.family or not _same_fixed(p.fixed, lead.fixed):
+            raise InvalidStateError("batched policies must share family and fixed constants")
+    noises = [None] * len(policies) if noises is None else list(noises)
+    if len(noises) != len(policies):
+        raise InvalidStateError("need one noise setting per policy")
+    x0_angles = np.asarray(x0.angles, dtype=float)
+    if np.any(x0_angles < JOINT_LOW) or np.any(x0_angles > JOINT_HIGH):
         raise InvalidStateError("initial angles outside joint limits")
 
-    angles = np.empty((n_steps + 1, 3))
-    velocities = np.empty((n_steps + 1, 3))
-    torques = np.empty((n_steps, 3))
-    angles[0] = x
-    velocities[0] = v
+    n = len(policies)
+    thetas = np.stack([p.theta for p in policies])
+    x = np.tile(x0_angles, (n, 1))
+    v = np.tile(np.asarray(x0.velocities, dtype=float), (n, 1))
+    # recording-major storage: angles[i] is recording i's contiguous (T+1, 3)
+    angles = np.empty((n, n_steps + 1, 3))
+    velocities = np.empty((n, n_steps + 1, 3))
+    torques = np.empty((n, n_steps, 3))
+    angles[:, 0] = x
+    velocities[:, 0] = v
     for k in range(n_steps):
         try:
-            u = torque_at(policy, k, k * dt, x, v)
+            u = torque_at(lead, k, k * dt, x, v, theta=thetas)
         except Exception as exc:  # noqa: BLE001 - wrap with timestep context
             raise PolicyEvalError(f"controller failed at step {k}: {exc}", timestep=k) from exc
         u = np.clip(u, -TORQUE_CAP, TORQUE_CAP)
-        torques[k] = u
+        torques[:, k] = u
         x, v = _step_arrays(x, v, u, dt, mode)
-        angles[k + 1] = x
-        velocities[k + 1] = v
+        angles[:, k + 1] = x
+        velocities[:, k + 1] = v
 
-    traj = Trajectory(dt, angles, velocities, torques, meta={
-        "policy_id": policy.policy_id(),
-        "seed": noise.seed if noise is not None else 0,
-        "dt": dt,
-        "mode": mode.tag,
-        "temporal_shift": 0,
-        "spatial_std": (0.0, 0.0, 0.0),
-    })
-    if noise is not None and not noise.is_clean:
-        if noise.temporal_shift != 0:
-            traj = inject_temporal_noise(traj, noise.temporal_shift)
-        if np.any(noise.spatial_std > 0):
-            traj = inject_spatial_noise(traj, noise.spatial_std, noise.seed)
-    return traj
+    trajs = []
+    for i, (policy, noise) in enumerate(zip(policies, noises)):
+        traj = Trajectory(dt, angles[i], velocities[i], torques[i], meta={
+            "policy_id": policy.policy_id(),
+            "seed": noise.seed if noise is not None else 0,
+            "dt": dt,
+            "mode": mode.tag,
+            "temporal_shift": 0,
+            "spatial_std": (0.0, 0.0, 0.0),
+        })
+        if noise is not None and not noise.is_clean:
+            if noise.temporal_shift != 0:
+                traj = inject_temporal_noise(traj, noise.temporal_shift)
+            if np.any(noise.spatial_std > 0):
+                traj = inject_spatial_noise(traj, noise.spatial_std, noise.seed)
+        trajs.append(traj)
+    return trajs
+
+
+def _same_fixed(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
 
 
 def inject_temporal_noise(traj, n):

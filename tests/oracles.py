@@ -2,10 +2,13 @@
 
 Everything here is computed by a different route than the library code:
 combinatorial closed-form sums instead of iterated stepping, one-shot
-exponential solutions, homogeneous matrix powers for closed-loop maps, and
-exhaustive brute-force sweeps. Keep this module free of trajsense imports so
+exponential solutions, homogeneous matrix powers for closed-loop maps,
+exhaustive brute-force sweeps, and row-by-row csv-module writers for the file
+formats. Keep this module free of trajsense imports so
 the oracles cannot inherit a library bug.
 """
+
+import csv
 
 import numpy as np
 
@@ -102,3 +105,51 @@ def brute_force_corr_peak(ref_angles, other_angles, max_lag):
         elif abs(c - best[1]) <= 1e-12 and abs(tau) < abs(best[0]):
             best = (tau, c)
     return best[0]
+
+
+# -- row-wise CSV writers -----------------------------------------------------
+# The csv-module writers the library used before it formatted whole blocks with
+# numpy; the library's writers must reproduce their bytes. Inputs are duck
+# typed (angles/velocities/torques arrays; samples with t, delta_theta, delta_x
+# and magnitude), so no trajsense type is needed.
+
+TRAJ_HEADER = ["t", "x1", "x2", "x3", "v1", "v2", "v3", "u1", "u2", "u3"]
+
+
+def csv_write_trajectory(traj, path):
+    """Trajectory CSV (no .meta sidecar): one csv row per recorded step."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(TRAJ_HEADER)
+        T = traj.torques.shape[0]
+        for t in range(T + 1):
+            row = [str(t)]
+            row += [f"{v:.9g}" for v in traj.angles[t]]
+            row += [f"{v:.9g}" for v in traj.velocities[t]]
+            row += [f"{v:.9g}" for v in traj.torques[t]] if t < T else ["", "", ""]
+            w.writerow(row)
+
+
+def csv_write_samples(samples, path):
+    m = samples[0].delta_theta.size
+    d = samples[0].delta_x.size
+    header = (["t"] + [f"dtheta_{j+1}" for j in range(m)]
+              + [f"dx_{i+1}" for i in range(d)] + ["dtheta_norm"])
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for s in samples:
+            row = [str(s.t)]
+            row += [f"{v:.17g}" for v in s.delta_theta]
+            row += [f"{v:.17g}" for v in s.delta_x]
+            row.append(f"{s.magnitude:.17g}")
+            w.writerow(row)
+
+
+def csv_write_perturbations(nominal, deltas, path):
+    m = len(nominal)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["sample_id"] + [f"theta_{j+1}" for j in range(m)])
+        for i, d in enumerate(deltas):
+            w.writerow([str(i)] + [f"{v:.17g}" for v in (np.asarray(nominal) + d)])

@@ -19,15 +19,21 @@ from trajsense import (
     reconstruct_linear,
     rollout,
 )
+from scipy.linalg import cho_solve
+
+from trajsense import gp as gp_mod
+from trajsense.align import align_zero_crossing
 from trajsense.errors import (
     ConfigError,
     DatasetError,
     DegenerateScoreError,
     InsufficientDataError,
+    LandmarkMissingError,
     UndefinedAlignmentError,
     UntrainedTimestepError,
 )
-from trajsense.gp import GPConfig
+from trajsense.gp import ExactGP, GPConfig, _cholesky_with_jitter
+from trajsense.sensitivity import SensitivityModel
 from trajsense.sim import START_POSE, inject_temporal_noise
 
 from oracles import ramp_torque_jacobian
@@ -306,6 +312,70 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.allclose(s1, s2, atol=1e-10)
     assert np.array_equal(loaded.delta_low, model.delta_low)
 
+
+
+def _restore_by_refit(X, y, phi):
+    """The former load path: a fixed-hyperparameter fit, then the stored
+    hyperparameters written into the GP and a second factorization."""
+    gp = ExactGP(GPConfig(optimize=False)).fit(X, y, seed=0)
+    m = X.shape[1]
+    gp.log_ls = phi[:m]
+    gp.log_sf2 = float(phi[m])
+    gp.log_sn2 = float(phi[m + 1])
+    K = gp._kernel(gp._X, gp._X, gp.log_ls, gp.log_sf2)
+    K += np.exp(gp.log_sn2) * np.eye(gp._X.shape[0])
+    gp._L, gp.jitter = _cholesky_with_jitter(K, scale=np.exp(gp.log_sf2))
+    gp._alpha = cho_solve((gp._L, True), gp._y)
+    return gp
+
+
+def test_model_load_factorizes_once_and_predicts_as_the_refit_did(tmp_path, monkeypatch):
+    samples, _ = linear_map_samples(n=40, seed=7)
+    # timestep 0 has all-zero targets: the degenerate flat-prior GP
+    samples += [DerivativeSample(t=0, delta_theta=s.delta_theta, delta_x=np.zeros(3))
+                for s in samples]
+    model = fit_sensitivity_model(samples, timesteps=[0, 10], nominal_theta=np.zeros(2))
+    path = tmp_path / "model.npz"
+    model.save(path)
+
+    calls = []
+    real = gp_mod._cholesky_with_jitter
+    monkeypatch.setattr(gp_mod, "_cholesky_with_jitter",
+                        lambda K, scale=1.0: calls.append(1) or real(K, scale))
+    monkeypatch.setattr(ExactGP, "fit", None)  # loading must not refit
+    loaded = SensitivityModel.load(path)
+    monkeypatch.undo()
+    assert len(calls) == 6  # 2 timesteps x 3 dims
+
+    data = np.load(path)
+    q = np.random.default_rng(8).uniform(-1, 1, size=(25, 2))
+    for t in (0, 10):
+        for i, gp in enumerate(loaded.model_at(t).gps):
+            key = f"t{t:06d}_d{i}"
+            ref = _restore_by_refit(data[f"{key}_X"], data[f"{key}_y"], data[f"{key}_phi"])
+            for a, b in zip(gp.predict(q), ref.predict(q)):
+                assert np.array_equal(a, b)
+            assert gp.degenerate == ref.degenerate == (t == 0)
+            assert gp.jitter == ref.jitter
+    assert loaded.summary_lines() == model.summary_lines()
+
+
+def test_zero_crossing_falls_back_to_correlation_without_landmark():
+    # the ramp drives joint 1 steadily toward its stop: its velocity never
+    # crosses zero within 300 steps, so there is no landmark to align on
+    source = ramp_rollout()
+    delta = np.array([0, 0, 0, 1e-3, 0, 0.0])
+    lagged = inject_temporal_noise(ramp_rollout(RAMP_THETA + delta), 8)
+    with pytest.raises(LandmarkMissingError):
+        align_zero_crossing(source, lagged, 0)
+    zero = build_samples(source, [(delta, lagged)],
+                         PreprocessConfig(align_method="zero_crossing", max_lag=20))
+    corr = build_samples(source, [(delta, lagged)],
+                         PreprocessConfig(align_method="correlation", max_lag=20))
+    assert len(zero) == len(corr) == 301
+    assert all(np.array_equal(a.delta_x, b.delta_x) for a, b in zip(zero, corr))
+    raw = build_samples(source, [(delta, lagged)])
+    assert not all(np.array_equal(a.delta_x, b.delta_x) for a, b in zip(zero, raw))
 
 # -- metrics -------------------------------------------------------------------
 

@@ -9,10 +9,12 @@ from trajsense import (
     inject_spatial_noise,
     inject_temporal_noise,
     rollout,
+    rollout_batch,
     step,
 )
-from trajsense.errors import InvalidShiftError, InvalidStateError
-from trajsense.sim import JOINT_HIGH, JOINT_LOW, START_POSE, TorqueVector
+from trajsense import controllers
+from trajsense.errors import InvalidShiftError, InvalidStateError, PolicyEvalError
+from trajsense.sim import JOINT_HIGH, JOINT_LOW, START_POSE, TORQUE_CAP, TorqueVector
 
 from oracles import damped_const_torque_state, ramp_torque_state
 
@@ -207,3 +209,116 @@ def test_repeat_noise_spread_grows_with_scale():
         spreads.append(worst)
         assert worst <= 12 * s  # two 6-sigma tails
     assert all(a < b for a, b in zip(spreads, spreads[1:]))
+
+
+# -- batched rollouts -------------------------------------------------------------
+
+PENDULUM = DynamicsMode("pendulum3", damping=0.8, gravity_gain=0.3)
+X_STAR = np.array([np.pi / 10, 3 * np.pi / 4, 7 * np.pi / 12])
+
+
+def assert_batch_equals_single(policies, mode, n_steps, noises=None, x0=None):
+    x0 = JointState(START_POSE, np.zeros(3)) if x0 is None else x0
+    batch = rollout_batch(policies, x0, n_steps, 0.01, mode, noises)
+    noises = noises or [None] * len(policies)
+    assert len(batch) == len(policies)
+    for traj, policy, noise in zip(batch, policies, noises):
+        single = rollout(policy, x0, n_steps, 0.01, mode, noise)
+        assert np.array_equal(traj.angles, single.angles)
+        assert np.array_equal(traj.velocities, single.velocities)
+        assert np.array_equal(traj.torques, single.torques)
+        assert traj.meta == single.meta
+    return batch
+
+
+def test_batch_equals_single_for_every_family():
+    ramp = ramp_policy()
+    cases = [
+        ([ramp.with_theta(ramp.theta * s) for s in (0.5, 1.0, 3.0)], LINEAR),
+        ([PolicySpec("sinusoidal", [a, w, 0.3, 0.02], {"joints": (1, 3)})
+          for a, w in ((0.5, 0.01), (0.7, 0.013), (-0.4, 0.05))], PENDULUM),
+        ([PolicySpec("p_feedback", [kp], {"x_star": X_STAR}) for kp in (0.2, 0.7, 1.5)],
+         PENDULUM),
+        ([PolicySpec("pd_feedback", [kp, kd], {"x_star": X_STAR})
+          for kp, kd in ((1.0, 0.01), (0.4, 0.3), (1.4, 0.0))], PENDULUM),
+    ]
+    for policies, mode in cases:
+        batch = assert_batch_equals_single(policies, mode, 400)
+        assert not np.array_equal(batch[0].angles, batch[1].angles)
+
+
+def test_rollout_equals_stepping_one_state():
+    # the (N, 3) batch loop against public step() on a (3,) state
+    x0 = JointState(START_POSE, np.zeros(3))
+    for policy, mode in ((PolicySpec("pd_feedback", [-0.4, 0.01], {"x_star": X_STAR}), PENDULUM),
+                         (PolicySpec("sinusoidal", [0.5, 0.01], {"joints": (2,)}), PENDULUM),
+                         (ramp_policy(), DynamicsMode("linear", damping=0.5))):
+        traj = rollout(policy, x0, 500, 0.01, mode)
+        state = x0
+        for k in range(500):
+            u = np.clip(controllers.torque_at(policy, k, k * 0.01, state.angles,
+                                              state.velocities), -TORQUE_CAP, TORQUE_CAP)
+            state = step(state, u, 0.01, mode)
+            assert np.array_equal(traj.torques[k], u)
+            assert np.array_equal(traj.angles[k + 1], state.angles)
+            assert np.array_equal(traj.velocities[k + 1], state.velocities)
+
+
+def test_batch_equals_single_in_linear_mode_with_and_without_damping():
+    policies = [PolicySpec("pd_feedback", [kp, 0.01], {"x_star": X_STAR})
+                for kp in np.linspace(0.1, 1.5, 6)]
+    for damping in (0.0, 0.5):
+        assert_batch_equals_single(policies, DynamicsMode("linear", damping=damping), 600)
+
+
+def test_batch_equals_single_across_joint_limit_hits():
+    # kp below about -0.2 tips the chain over into the joint stops
+    policies = [PolicySpec("pd_feedback", [kp, 0.01], {"x_star": X_STAR})
+                for kp in (-0.5, -0.3, 0.05, 1.0)]
+    batch = assert_batch_equals_single(policies, PENDULUM, 600)
+    at_stop = [np.any((t.angles == JOINT_LOW) | (t.angles == JOINT_HIGH)) for t in batch]
+    assert at_stop == [True, True, False, False]
+
+
+def test_batch_equals_single_with_temporal_and_spatial_noise():
+    policies = [PolicySpec("sinusoidal", [a, 0.01], {"joints": (3,)})
+                for a in (0.3, 0.45, 0.6, 0.7)]
+    noises = [None,
+              NoiseConfig(temporal_shift=7, seed=3),
+              NoiseConfig(spatial_std=np.full(3, 0.005), seed=4),
+              NoiseConfig(temporal_shift=-12, spatial_std=np.array([0.01, 0.0, 0.02]),
+                          seed=5)]
+    batch = assert_batch_equals_single(policies, PENDULUM, 500, noises)
+    assert [t.meta["temporal_shift"] for t in batch] == [0, 7, 0, -12]
+    assert batch[2].meta["spatial_sup_deviation"] > 0
+
+
+def test_batch_rejects_mixed_policies():
+    x0 = JointState(START_POSE, np.zeros(3))
+    pd = PolicySpec("pd_feedback", [1.0, 0.01], {"x_star": X_STAR})
+    with pytest.raises(InvalidStateError):
+        rollout_batch([pd, PolicySpec("pd_feedback", [1.0, 0.01], {"x_star": np.ones(3)})],
+                      x0, 10, 0.01, LINEAR)
+    with pytest.raises(InvalidStateError):
+        rollout_batch([pd, PolicySpec("p_feedback", [1.0], {"x_star": X_STAR})],
+                      x0, 10, 0.01, LINEAR)
+    with pytest.raises(InvalidStateError):
+        rollout_batch([pd, pd], x0, 10, 0.01, LINEAR, noises=[None])
+
+
+def test_controller_failure_names_the_step(monkeypatch):
+    real = controllers.pd_feedback
+
+    def failing(angles, velocities, theta, x_star):
+        if failing.calls == 7:
+            raise FloatingPointError("boom")
+        failing.calls += 1
+        return real(angles, velocities, theta, x_star)
+
+    failing.calls = 0
+    monkeypatch.setattr(controllers, "pd_feedback", failing)
+    policies = [PolicySpec("pd_feedback", [kp, 0.01], {"x_star": X_STAR}) for kp in (0.5, 1.0)]
+    with pytest.raises(PolicyEvalError) as info:
+        rollout_batch(policies, JointState(START_POSE, np.zeros(3)), 20, 0.01, LINEAR)
+    assert info.value.timestep == 7
+    assert "step 7" in str(info.value)
