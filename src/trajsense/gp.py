@@ -66,6 +66,7 @@ class ExactGP:
         self._x_mean = None
         self._x_scale = None
         self._X = None
+        self._X_raw = None
         self._y = None
         self._L = None
         self._alpha = None
@@ -114,6 +115,7 @@ class ExactGP:
         if X.shape[0] < 2:
             raise InsufficientDataError("need at least 2 samples")
 
+        self._X_raw = X
         self._x_mean = X.mean(axis=0)
         scale = X.std(axis=0)
         scale[scale < 1e-12] = 1.0
@@ -156,9 +158,8 @@ class ExactGP:
         return gp._factorize(Xs, y)
 
     def state(self):
-        """(raw X, y, phi): what `from_state` needs to rebuild this GP."""
-        X = self._X * self._x_scale + self._x_mean
-        return X, self._y, np.concatenate([self.log_ls, [self.log_sf2, self.log_sn2]])
+        """(raw X, y, phi): what `from_state` needs to rebuild this GP exactly."""
+        return self._X_raw, self._y, np.concatenate([self.log_ls, [self.log_sf2, self.log_sn2]])
 
     def _set_phi(self, phi):
         m = phi.size - 2

@@ -376,15 +376,15 @@ def emit_plot_data(out, kind):
         spread = model.delta_high - model.delta_low
         dim = int(np.argmax(spread))
         grid = np.linspace(model.delta_low[dim], model.delta_high[dim], 41)
+        queries = np.zeros((grid.size, model.delta_low.size))
+        queries[:, dim] = grid
         with open(dest, "w") as fh:
             fh.write("t,delta,mean_1,mean_2,mean_3,std_1,std_2,std_3\n")
             for t in model.timesteps:
-                for dv in grid:
-                    q = np.zeros(model.delta_low.size)
-                    q[dim] = dv
-                    mean, std = model.predict(t, q)
-                    vals = ",".join(f"{v:.9g}" for v in np.concatenate([mean, std]))
-                    fh.write(f"{t},{dv:.9g},{vals}\n")
+                mean, std = model.model_at(t).predict(queries)
+                block = np.column_stack([np.full(grid.size, t), grid, mean, std])
+                tio._write_block(fh, tio._row_template(block.shape[1] - 1, end="\n"),
+                                 block)
         return dest
 
     if kind == "cos_histogram":

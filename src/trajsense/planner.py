@@ -71,6 +71,8 @@ class PlanReport:
     source_miss: float
     improved: bool
     improvement: float
+    n_roots: int
+    extrapolated: bool
 
 
 def _gain_query(model, t, delta, gain_index, m):
@@ -81,12 +83,14 @@ def _gain_query(model, t, delta, gain_index, m):
 
 
 def _predict_curve(model, problem, deltas, dims):
+    """Predicted change of the `dims` angles along the gain grid `deltas`:
+    one block query per GP, (deltas.size, len(dims))."""
     m = model.nominal_theta.size if model.nominal_theta is not None else \
         model.delta_low.size
-    curve = np.empty((deltas.size, len(dims)))
-    for i, d in enumerate(deltas):
-        curve[i] = _gain_query(model, problem.t_constraint, d, problem.gain_index, m)[dims]
-    return curve, m
+    block = np.zeros((deltas.size, m))
+    block[:, problem.gain_index] = deltas
+    mean, _ = model.model_at(problem.t_constraint).predict(block)
+    return mean[:, dims], m
 
 
 def _bisect(f, lo, hi, f_lo, tol, max_iter):
@@ -207,4 +211,5 @@ def plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
     improvement = 0.0 if source_miss == 0 else 1.0 - miss / source_miss
     return PlanReport(kp_star=result.kp_star, achieved=achieved, target=target,
                       miss=miss, source_miss=source_miss,
-                      improved=bool(miss < source_miss), improvement=improvement)
+                      improved=bool(miss < source_miss), improvement=improvement,
+                      n_roots=result.n_roots, extrapolated=result.extrapolated)

@@ -14,8 +14,6 @@ import numpy as np
 from .errors import ConfigError
 from .sim import Trajectory
 
-GAMMA_SWEEP_DEFAULT = (0.01, 0.04, 0.16, 0.2)
-
 
 @dataclass
 class VoxelGrid:

@@ -3,14 +3,15 @@
 Everything here is computed by a different route than the library code:
 combinatorial closed-form sums instead of iterated stepping, one-shot
 exponential solutions, homogeneous matrix powers for closed-loop maps,
-exhaustive brute-force sweeps, and row-by-row csv-module writers for the file
-formats. Keep this module free of trajsense imports so
-the oracles cannot inherit a library bug.
+exhaustive brute-force sweeps, row-by-row csv-module writers for the file
+formats, and one GP query per point for the block queries. Keep this module
+free of trajsense imports so the oracles cannot inherit a library bug.
 """
 
 import csv
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 
 def ramp_torque_state(x0, v0, w, b, dt, n):
@@ -153,3 +154,61 @@ def csv_write_perturbations(nominal, deltas, path):
         w.writerow(["sample_id"] + [f"theta_{j+1}" for j in range(m)])
         for i, d in enumerate(deltas):
             w.writerow([str(i)] + [f"{v:.17g}" for v in (np.asarray(nominal) + d)])
+
+
+# -- per-point GP queries -------------------------------------------------------
+# The planner's gain curve and the gp_evolution export as they were computed
+# before both queried the GP maps in blocks: one model.predict(t, dq) per grid
+# point. `model` and `problem` are duck typed (SensitivityModel, PlanningProblem).
+
+
+def per_point_predict_curve(model, problem, deltas, dims):
+    """(curve, m) with one single-row query per gain in `deltas`."""
+    m = model.nominal_theta.size if model.nominal_theta is not None else \
+        model.delta_low.size
+    curve = np.empty((deltas.size, len(dims)))
+    for i, d in enumerate(deltas):
+        dq = np.zeros(m)
+        dq[problem.gain_index] = d
+        mean, _ = model.predict(problem.t_constraint, dq)
+        curve[i] = mean[dims]
+    return curve, m
+
+
+def per_point_gp_evolution(model, dim, grid):
+    """Rows (t, delta, mean_1..3, std_1..3) of the gp_evolution export, unformatted."""
+    rows = []
+    for t in model.timesteps:
+        for dv in grid:
+            q = np.zeros(model.delta_low.size)
+            q[dim] = dv
+            mean, std = model.predict(t, q)
+            rows.append(np.concatenate([[t, dv], mean, std]))
+    return np.array(rows)
+
+
+def posterior_error_bounds(gp, Xq):
+    """First-order rounding-error bounds (mean_bound, var_bound) of a fitted
+    GP's posterior at the rows of Xq, from the float64 unit roundoff alone.
+
+    mean = K* alpha is a length-n dot product per row: n*eps*(|K*| |alpha|).
+    var = sf2 + sn2 - |L^-1 k*|^2: a triangular solve is backward stable,
+    (L + dL) v = k* with |dL| <= n*eps*|L|, so the computed variance is exact
+    for a kernel perturbed by |dK| <= 2n*eps*|L||L^T|, which moves it by at
+    most 2n*eps*| |L^T| |w| |^2 with w = K^-1 k*; the final sum adds
+    n*eps*(sf2 + sn2 + |v|^2). A block query and a single-row query evaluate
+    the same formulas in different orders; the tests hold them to within one
+    bound of each other.
+    """
+    Xqs = (np.atleast_2d(Xq) - gp._x_mean) / gp._x_scale
+    Ks = gp._kernel(Xqs, gp._X, gp.log_ls, gp.log_sf2)
+    n = gp._y.size
+    eps = np.finfo(float).eps
+    mean_bound = n * eps * (np.abs(Ks) @ np.abs(gp._alpha))
+    V = solve_triangular(gp._L, Ks.T, lower=True)
+    W = solve_triangular(gp._L, V, lower=True, trans="T")
+    LtW = np.abs(gp._L).T @ np.abs(W)
+    var_bound = (2 * n * eps * np.sum(LtW * LtW, axis=0)
+                 + n * eps * (np.exp(gp.log_sf2) + np.exp(gp.log_sn2)
+                              + np.sum(V * V, axis=0)))
+    return mean_bound, var_bound

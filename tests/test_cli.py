@@ -5,11 +5,15 @@ import pytest
 
 from trajsense import DynamicsMode, JointState, PolicySpec, inject_temporal_noise, rollout
 from trajsense import io as tio
+from trajsense import pipeline
 from trajsense.cli import main
 from trajsense.config import load_config
 from trajsense.errors import ConfigError
 from trajsense.pipeline import emit_plot_data, run_pipeline
+from trajsense.sensitivity import SensitivityModel
 from trajsense.sim import START_POSE
+
+from oracles import per_point_gp_evolution, posterior_error_bounds
 
 SMALL_CFG = """
 [experiment]
@@ -114,6 +118,38 @@ def test_emit_plots_all_kinds(cfg_file, tmp_path):
         path = os.path.join(out, "plots", f"{kind}.csv")
         assert os.path.exists(path)
         assert len(open(path).read().splitlines()) > 1
+
+
+def test_gp_evolution_matches_per_point_queries(cfg_file, tmp_path):
+    out = str(tmp_path / "out")
+    run_pipeline(load_config(cfg_file), out)
+    path = emit_plot_data(out, "gp_evolution")
+    with open(path) as fh:
+        assert fh.readline() == "t,delta,mean_1,mean_2,mean_3,std_1,std_2,std_3\n"
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+
+    model = SensitivityModel.load(os.path.join(
+        out, "models", f"model_{pipeline._gamma_tag(pipeline.best_gamma_of(out))}.npz"))
+    dim = int(np.argmax(model.delta_high - model.delta_low))
+    grid = np.linspace(model.delta_low[dim], model.delta_high[dim], 41)
+    ref = per_point_gp_evolution(model, dim, grid)
+    assert rows.shape == ref.shape
+    # each value was printed with %.9g: half a unit in its 9th digit
+    printed = 5e-9 * np.abs(ref)
+    assert np.all(np.abs(rows[:, :2] - ref[:, :2]) <= printed[:, :2])
+
+    queries = np.zeros((grid.size, model.delta_low.size))
+    queries[:, dim] = grid
+    for k, t in enumerate(model.timesteps):
+        at_t = slice(k * grid.size, (k + 1) * grid.size)
+        for i, gp in enumerate(model.model_at(t).gps):
+            mean_bound, var_bound = posterior_error_bounds(gp, queries)
+            mean, ref_mean = rows[at_t, 2 + i], ref[at_t, 2 + i]
+            std, ref_std = rows[at_t, 5 + i], ref[at_t, 5 + i]
+            assert np.all(np.abs(mean - ref_mean) <= mean_bound + printed[at_t, 2 + i])
+            # |s - s'| = |v - v'| / (s + s')
+            assert np.all(np.abs(std - ref_std)
+                          <= var_bound / (std + ref_std) + printed[at_t, 5 + i])
 
 
 def test_emit_plots_missing_artifacts_fails(tmp_path):

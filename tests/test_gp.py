@@ -57,6 +57,16 @@ def test_deterministic_under_seed():
     assert g1.signal_var == g2.signal_var
 
 
+def test_rebuilt_from_state_predicts_exactly_as_fitted():
+    X, y = linear_data(n=40, noise=0.01, seed=6)
+    Xq = np.random.default_rng(7).uniform(-1.2, 1.2, size=(50, 2))
+    gp = ExactGP().fit(X, y, seed=6)
+    X_saved, _, _ = gp.state()
+    assert np.array_equal(X_saved, X)
+    for a, b in zip(gp.predict(Xq), ExactGP.from_state(*gp.state()).predict(Xq)):
+        assert np.array_equal(a, b)
+
+
 def test_fixed_hyperparameters_respected():
     X, y = linear_data(n=25, seed=6)
     cfg = GPConfig(optimize=False, lengthscale=2.0, signal_var=1.5, noise_var=1e-4)

@@ -13,10 +13,12 @@ from trajsense import (
     rollout,
     solve_kp,
 )
+from trajsense import planner
 from trajsense.errors import TargetUnreachableError
+from trajsense.gp import ExactGP
 from trajsense.sim import START_POSE
 
-from oracles import pd_closed_loop_angle
+from oracles import pd_closed_loop_angle, per_point_predict_curve, posterior_error_bounds
 
 DT = 0.01
 # enough viscous damping that no kp in the training range overshoots a joint
@@ -159,3 +161,67 @@ def test_second_correction_is_smaller(trained):
                                final_target=X_STAR, constraint_dim=0)
     second = solve_kp(model2, problem2)
     assert abs(second.delta_star) < abs(first.delta_star)
+
+
+# -- block queries -------------------------------------------------------------
+
+
+def _gain_grid(model, grid_n=planner.DEFAULT_GRID):
+    return np.linspace(model.delta_low[0], model.delta_high[0], grid_n)
+
+
+def test_gain_curve_matches_per_point_queries(trained):
+    model, source = trained
+    problem = problem_for(source.angles[T_CONSTRAINT])
+    deltas = _gain_grid(model)
+    dims = problem.dims()
+    curve, m = planner._predict_curve(model, problem, deltas, dims)
+    ref, m_ref = per_point_predict_curve(model, problem, deltas, dims)
+    assert m == m_ref
+    queries = np.zeros((deltas.size, m))
+    queries[:, problem.gain_index] = deltas
+    for j, d in enumerate(dims):
+        bound, _ = posterior_error_bounds(model.model_at(T_CONSTRAINT).gps[d], queries)
+        assert np.all(np.abs(curve[:, j] - ref[:, j]) <= bound)
+
+
+def test_gain_curve_is_one_predict_per_dimension(trained, monkeypatch):
+    model, source = trained
+    rows = []
+    real = ExactGP.predict
+    monkeypatch.setattr(ExactGP, "predict",
+                        lambda gp, Xq: rows.append(np.atleast_2d(Xq).shape[0])
+                        or real(gp, Xq))
+    planner._predict_curve(model, problem_for(source.angles[T_CONSTRAINT]),
+                           _gain_grid(model), [0, 1, 2])
+    assert rows == [planner.DEFAULT_GRID] * len(model.model_at(T_CONSTRAINT).gps)
+
+
+def test_solve_kp_answers_match_per_point_curve(trained, monkeypatch):
+    model, source = trained
+    problems = [problem_for(source.angles[T_CONSTRAINT], dims=0)]
+    for kp_target, dims in ((0.3, 0), (0.47, 0), (0.55, 0), (0.52, "all")):
+        target = np.array([oracle_angle_at(kp_target, dim=d) for d in range(3)])
+        problems.append(problem_for(target, dims=dims))
+    methods = ["root_search"] * len(problems) + ["fixed_point"]
+    problems.append(problem_for(
+        np.array([oracle_angle_at(0.5, dim=d) for d in range(3)]), dims=0))
+
+    block = [solve_kp(model, p, method=k) for p, k in zip(problems, methods)]
+    monkeypatch.setattr(planner, "_predict_curve", per_point_predict_curve)
+    per_point = [solve_kp(model, p, method=k) for p, k in zip(problems, methods)]
+    for a, b in zip(block, per_point):
+        assert abs(a.kp_star - b.kp_star) <= planner.DEFAULT_TOL
+        assert (a.n_roots, a.extrapolated) == (b.n_roots, b.extrapolated)
+
+
+def test_plan_report_keeps_solver_findings(trained):
+    model, _ = trained
+    inside = np.array([oracle_angle_at(0.5, dim=d) for d in range(3)])
+    outside = np.array([oracle_angle_at(0.65, dim=d) for d in range(3)])  # kp > 0.6
+    reports = [plan_and_verify(problem_for(target, dims="all"), model,
+                               pd_policy(KP_SOURCE), JointState(START_POSE, np.zeros(3)),
+                               DT, MODE, T_TOTAL)
+               for target in (inside, outside)]
+    assert [r.extrapolated for r in reports] == [False, True]
+    assert [r.n_roots for r in reports] == [1, 1]

@@ -308,8 +308,8 @@ def test_model_save_load_round_trip(tmp_path):
     q = np.array([[0.3, -0.4]])
     m1, s1 = model.model_at(10).predict(q)
     m2, s2 = loaded.model_at(10).predict(q)
-    assert np.allclose(m1, m2, atol=1e-10)
-    assert np.allclose(s1, s2, atol=1e-10)
+    assert np.array_equal(m1, m2)
+    assert np.array_equal(s1, s2)
     assert np.array_equal(loaded.delta_low, model.delta_low)
 
 
