@@ -11,15 +11,14 @@ from .controllers import PolicySpec
 from .perturb import DirectionBasis, PerturbationPlan, basis_directions, sample_gaussian, sample_uniform
 from .planner import PlanningProblem, plan_and_verify, solve_kp
 from .sensitivity import (
-    DerivativeSample,
     JacobianStack,
     MetricsRow,
     PreprocessConfig,
+    SampleSet,
     SensitivityModel,
     build_jacobian_stack,
     build_samples,
     cosine_alignment,
-    directional_derivative,
     evaluate,
     fit_gp,
     fit_sensitivity_model,

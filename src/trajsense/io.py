@@ -70,13 +70,13 @@ def _header(fh):
     return fh.readline().rstrip("\r\n").split(",")
 
 
-def _rows(fh):
+def _rows(fh, **kw):
     """The numeric rows after the header as one 2-D array, or None if there are none."""
     start = fh.tell()
     if not fh.readline():
         return None
     fh.seek(start)
-    return np.loadtxt(fh, delimiter=",", ndmin=2)
+    return np.loadtxt(fh, delimiter=",", ndmin=2, **kw)
 
 
 def read_trajectory(path):
@@ -118,41 +118,81 @@ def read_trajectory(path):
 
 
 def write_samples(samples, path):
-    """Derivative-sample dataset: t, dtheta_*, dx_*, dtheta_norm (full precision)."""
-    if not samples:
+    """A SampleSet as rows t, dtheta_*, dx_*, dtheta_norm (full precision),
+    recording after recording, each with its timesteps 0..T in order."""
+    if not len(samples):
         raise ConfigError("no samples to write")
-    m = samples[0].delta_theta.size
-    d = samples[0].delta_x.size
+    steps, d = samples.delta_x.shape[1:]
+    m = samples.delta_theta.shape[1]
+    # the norm of each recording's own row vector, as a 1-D norm computes it
+    norms = np.array([np.linalg.norm(v) for v in samples.delta_theta])
+    dx = samples.delta_x.reshape(-1, d)
     header = (["t"] + [f"dtheta_{j+1}" for j in range(m)]
               + [f"dx_{i+1}" for i in range(d)] + ["dtheta_norm"])
     template = _row_template(m + d + 1, fmt="%.17g")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(samples), _SAMPLE_BLOCK):
-            chunk = samples[lo:lo + _SAMPLE_BLOCK]
-            block = np.empty((len(chunk), m + d + 2))
-            block[:, 0] = [s.t for s in chunk]
-            block[:, 1:1 + m] = [s.delta_theta for s in chunk]
-            block[:, 1 + m:1 + m + d] = [s.delta_x for s in chunk]
-            block[:, -1] = [s.magnitude for s in chunk]
+        for lo in range(0, len(dx), _SAMPLE_BLOCK):
+            hi = min(lo + _SAMPLE_BLOCK, len(dx))
+            rec, t = np.divmod(np.arange(lo, hi), steps)
+            block = np.empty((hi - lo, m + d + 2))
+            block[:, 0] = t
+            block[:, 1:1 + m] = samples.delta_theta[rec]
+            block[:, 1 + m:1 + m + d] = dx[lo:hi]
+            block[:, -1] = norms[rec]
             _write_block(fh, template, block)
 
 
+def _recordings(path, head):
+    """Check that the (t, dtheta_*) rows form whole recordings with t = 0..T
+    in order and one dtheta each; return (n, T+1, the (n, m) dtheta rows)."""
+    t = head[:, 0]
+    last = t.max()
+    # a last t outside the file cannot be whole recordings; the check below
+    # then names the first row out of sequence
+    steps = int(last) + 1 if 0 <= last < len(t) else len(t)
+    expected = np.arange(len(t)) % steps
+    bad = np.flatnonzero(t != expected)
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(f"{path}: line {i + 2}: t = {t[i]:g}, expected {expected[i]}")
+    n = len(t) // steps
+    if n * steps != len(t):
+        raise ConfigError(f"{path}: line {n * steps + 2}: the last recording has "
+                          f"{len(t) - n * steps} of {steps} timesteps")
+    dtheta = head[:, 1:].reshape(n, steps, -1)
+    bad = np.flatnonzero(np.any(dtheta != dtheta[:, :1], axis=2))
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(f"{path}: line {i + 2}: dtheta differs from line "
+                          f"{i - i % steps + 2}, the first of its recording")
+    return n, steps, dtheta[:, 0].copy()
+
+
 def read_samples(path):
-    from .sensitivity import DerivativeSample
+    """A sample CSV as a SampleSet.
+
+    The file must hold whole recordings: rows t = 0..T in order, with one
+    dtheta row vector repeated across each recording. Anything else raises
+    ConfigError naming the file and the first bad line. The dtheta_norm
+    column is not read back.
+    """
+    from .sensitivity import SampleSet
 
     with open(path, newline="") as fh:
         header = _header(fh)
         m = sum(1 for h in header if h.startswith("dtheta_") and h != "dtheta_norm")
         d = sum(1 for h in header if h.startswith("dx_"))
-        data = _rows(fh)
-    if data is None:
-        return []
-    ts = data[:, 0].astype(int).tolist()
-    magnitudes = data[:, 1 + m + d].tolist()
-    return [DerivativeSample(t=t, delta_theta=dtheta, delta_x=dx, magnitude=mag)
-            for t, dtheta, dx, mag in zip(ts, data[:, 1:1 + m], data[:, 1 + m:1 + m + d],
-                                          magnitudes)]
+        start = fh.tell()
+        # t and dtheta first, dx in a second pass: no table wider than the result
+        head = _rows(fh, usecols=range(1 + m))
+        if head is None:
+            return SampleSet(delta_theta=np.empty((0, m)), delta_x=np.empty((0, 0, d)))
+        n, steps, delta_theta = _recordings(path, head)
+        del head
+        fh.seek(start)
+        dx = _rows(fh, usecols=range(1 + m, 1 + m + d))
+    return SampleSet(delta_theta=delta_theta, delta_x=dx.reshape(n, steps, d))
 
 
 def write_perturbations(nominal, deltas, path):

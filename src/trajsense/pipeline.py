@@ -22,7 +22,7 @@ from . import io as tio
 from .errors import ConfigError, DependencyError, StageError
 from .gp import GPConfig
 from .planner import PlanningProblem, plan_and_verify
-from .sensitivity import SensitivityModel, build_samples, evaluate, fit_gp, samples_by_timestep
+from .sensitivity import SensitivityModel, build_samples, evaluate, fit_gp
 from .sim import NoiseConfig, rollout, rollout_batch
 from .voxel import VoxelGrid, voxelize_trajectory
 
@@ -96,8 +96,9 @@ def _ensure_dirs(out, *names):
 def _pmap(fn, items, workers):
     if workers <= 1:
         return [fn(item) for item in items]
+    # one chunk per worker: arrays shared by the items are pickled once per chunk
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, items, chunksize=-(-len(items) // workers)))
 
 
 # -- simulate -------------------------------------------------------------------
@@ -184,8 +185,8 @@ def stage_build(cfg, out):
 
 
 def _fit_task(args):
-    t, at_t, gp_config, seed, src_angles = args
-    return t, fit_gp(at_t, t, config=gp_config, seed=seed, source_angles=src_angles)
+    t, samples, gp_config, seed, src_angles = args
+    return t, fit_gp(samples, t, config=gp_config, seed=seed, source_angles=src_angles)
 
 
 def _model_timesteps(cfg):
@@ -206,13 +207,12 @@ def stage_fit(cfg, out, workers=1):
         if not os.path.exists(train_path):
             raise DependencyError(f"missing training samples {train_path}")
         samples = tio.read_samples(train_path)
-        by_t = samples_by_timestep(samples)
-        deltas = np.stack([s.delta_theta for s in samples])
+        deltas = samples.delta_theta
 
         src_for = source
         if gamma > 0:
             src_for = voxelize_trajectory(source, VoxelGrid(np.full(3, gamma)))
-        tasks = [(t, by_t[t], gp_config, cfg.seed, src_for.angles[t])
+        tasks = [(t, samples, gp_config, cfg.seed, src_for.angles[t])
                  for t in _model_timesteps(cfg)]
         fitted = _pmap(_fit_task, tasks, workers)
         model = SensitivityModel(dict(fitted), nominal_theta=cfg.policy.theta,

@@ -6,9 +6,9 @@ delay-aligned and voxelized first. The state coordinate whose sensitivity is
 tracked is the angle vector (the measured quantity); velocities ride along in
 the trajectories but are not regression targets.
 
-Three views of the same map are provided: raw directional derivatives, a
-linear reconstruction from orthonormal basis probes, and per-timestep GP
-regressors that generalize to unseen perturbation directions.
+Three views of the same map are provided: the raw differences as a dense
+SampleSet, a linear reconstruction from orthonormal basis probes, and
+per-timestep GP regressors that generalize to unseen perturbation directions.
 """
 
 from dataclasses import dataclass, field
@@ -33,34 +33,38 @@ _VAR_FLOOR = 1e-24
 
 
 @dataclass
-class DerivativeSample:
-    """One training pair: parameter change and the induced angle change at t."""
+class SampleSet:
+    """Training pairs as dense arrays, one row per perturbed recording.
 
-    t: int
+    delta_theta has shape (N, m): recording i's parameter change.
+    delta_x has shape (N, T+1, d): the angle change it induced at every
+    timestep, so delta_x[:, t] holds the targets of the map at timestep t.
+    len() counts (recording, timestep) pairs, N * (T+1).
+    """
+
     delta_theta: np.ndarray
     delta_x: np.ndarray
-    magnitude: float = None
 
-    def __post_init__(self):
-        self.delta_theta = np.asarray(self.delta_theta, dtype=float).reshape(-1)
-        self.delta_x = np.asarray(self.delta_x, dtype=float).reshape(-1)
-        if self.magnitude is None:
-            self.magnitude = float(np.linalg.norm(self.delta_theta))
+    def __len__(self):
+        return self.delta_x.shape[0] * self.delta_x.shape[1]
+
+    @property
+    def n_steps(self):
+        return self.delta_x.shape[1] - 1
 
 
 @dataclass
 class PreprocessConfig:
     """Alignment and voxelization applied before differencing.
 
-    align_method: 'none', 'correlation', or 'zero_crossing'; a recording
-    without a velocity zero-crossing in joint zero_dim is aligned by
-    correlation instead.
+    align_method: 'none', 'correlation', or 'zero_crossing'; zero-crossing
+    alignment anchors on joint 0's velocity, and a recording without such a
+    zero-crossing is aligned by correlation instead.
     gamma None or 0 disables voxelization.
     """
 
     align_method: str = "none"
     max_lag: int = align_mod.DEFAULT_MAX_LAG
-    zero_dim: int = 0
     gamma: float = None
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
@@ -75,7 +79,7 @@ def _preprocessed(source, traj, cfg):
     elif cfg.align_method == "zero_crossing":
         try:
             # landmark lag is reported ref-minus-other; undo it on the other side
-            shift = -align_mod.align_zero_crossing(source, traj, cfg.zero_dim).tau_star
+            shift = -align_mod.align_zero_crossing(source, traj, 0).tau_star
         except LandmarkMissingError:
             # no velocity zero-crossing to anchor on: fall back to correlation
             shift = align_mod.estimate_delay(source, traj, cfg.max_lag).tau_star
@@ -91,7 +95,7 @@ def build_samples(source, perturbed, preprocess=None):
 
     perturbed is a list of (delta_theta, Trajectory) pairs produced by rolling
     out theta_nominal + delta_theta. All trajectories must share the source's
-    length and dt. Returns one DerivativeSample per (pair, timestep).
+    length and dt. Returns a SampleSet with one row per pair.
     """
     grid = None
     if preprocess is not None and preprocess.gamma:
@@ -99,8 +103,9 @@ def build_samples(source, perturbed, preprocess=None):
                                    origin=preprocess.origin)
     src = voxel_mod.voxelize_trajectory(source, grid) if grid else source
 
-    samples = []
-    for delta_theta, traj in perturbed:
+    thetas = []
+    delta_x = np.empty((len(perturbed),) + src.angles.shape)
+    for i, (delta_theta, traj) in enumerate(perturbed):
         delta_theta = np.asarray(delta_theta, dtype=float).reshape(-1)
         if np.linalg.norm(delta_theta) == 0.0:
             raise DatasetError("delta_theta must be nonzero")
@@ -109,26 +114,10 @@ def build_samples(source, perturbed, preprocess=None):
         traj = _preprocessed(source, traj, preprocess)
         if grid:
             traj = voxel_mod.voxelize_trajectory(traj, grid)
-        diffs = traj.angles - src.angles
-        mag = float(np.linalg.norm(delta_theta))
-        for t in range(source.n_steps + 1):
-            samples.append(DerivativeSample(t=t, delta_theta=delta_theta,
-                                            delta_x=diffs[t], magnitude=mag))
-    return samples
-
-
-def samples_by_timestep(samples):
-    by_t = {}
-    for s in samples:
-        by_t.setdefault(s.t, []).append(s)
-    return by_t
-
-
-def directional_derivative(sample):
-    """Finite-difference directional derivative: delta_x / ||delta_theta||_2."""
-    if sample.magnitude <= 0.0:
-        raise DatasetError("invalid sample: zero-norm delta_theta")
-    return sample.delta_x / sample.magnitude
+        np.subtract(traj.angles, src.angles, out=delta_x[i])
+        thetas.append(delta_theta)
+    delta_theta = np.stack(thetas) if thetas else np.empty((0, 0))
+    return SampleSet(delta_theta=delta_theta, delta_x=delta_x)
 
 
 # -- linear reconstruction from basis probes ---------------------------------
@@ -204,16 +193,15 @@ class TimestepGP:
 
 
 def fit_gp(samples, t, config=None, seed=0, pin_origin=True, source_angles=None):
-    """Fit the map delta_theta -> delta_x at one timestep.
+    """Fit the map delta_theta -> delta_x[:, t] of a SampleSet at timestep t.
 
     A (0, 0) training pair is pinned by default: applying no perturbation
     changes nothing, which anchors the small-perturbation behavior exactly.
     """
-    at_t = [s for s in samples if s.t == t]
-    if len(at_t) < 2:
+    if len(samples.delta_x) < 2 or not 0 <= t <= samples.n_steps:
         raise InsufficientDataError(f"need >= 2 samples at timestep {t}")
-    X = np.stack([s.delta_theta for s in at_t])
-    Y = np.stack([s.delta_x for s in at_t])
+    X = samples.delta_theta
+    Y = samples.delta_x[:, t]
     if pin_origin:
         X = np.vstack([np.zeros((1, X.shape[1])), X])
         Y = np.vstack([np.zeros((1, Y.shape[1])), Y])
@@ -314,22 +302,20 @@ def fit_sensitivity_model(samples, timesteps=None, stride=1, config=None, seed=0
                           source=None, nominal_theta=None):
     """Fit TimestepGPs over a timestep grid and bundle them into a model.
 
-    timesteps defaults to every stride-th step present in the samples. The
-    source trajectory, when given, stores the per-timestep nominal angles the
+    timesteps defaults to every stride-th step of the samples. The source
+    trajectory, when given, stores the per-timestep nominal angles the
     planner needs.
     """
-    by_t = samples_by_timestep(samples)
     if timesteps is None:
-        present = sorted(by_t)
-        timesteps = present[::stride]
-    deltas = np.stack([s.delta_theta for s in samples])
+        timesteps = range(0, samples.n_steps + 1, stride)
     models = {}
     for t in timesteps:
-        if t not in by_t:
+        if not 0 <= t <= samples.n_steps:
             raise ConfigError(f"no samples at requested timestep {t}")
         src_angles = source.angles[t] if source is not None else None
-        models[int(t)] = fit_gp(by_t[t], t, config=config, seed=seed,
+        models[int(t)] = fit_gp(samples, t, config=config, seed=seed,
                                 source_angles=src_angles)
+    deltas = samples.delta_theta
     return SensitivityModel(models, nominal_theta=nominal_theta,
                             delta_low=deltas.min(axis=0), delta_high=deltas.max(axis=0))
 
@@ -387,16 +373,16 @@ def evaluate(model, test_samples, label="", n_bins=20):
     ground truth is degenerate (all-zero change, fewer than 2 test samples)
     are skipped.
     """
-    if not test_samples:
+    if not len(test_samples):
         raise ConfigError("empty held-out set")
-    by_t = samples_by_timestep(test_samples)
+    n_test = len(test_samples.delta_x)
     edges = np.linspace(-1.0, 1.0, n_bins + 1)
     rows, hists = [], {}
     for t in model.timesteps:
-        if t not in by_t or len(by_t[t]) < 2:
+        if t > test_samples.n_steps or n_test < 2:
             continue
-        X = np.stack([s.delta_theta for s in by_t[t]])
-        Y = np.stack([s.delta_x for s in by_t[t]])
+        X = test_samples.delta_theta
+        Y = test_samples.delta_x[:, t]
         P, _ = model.model_at(t).predict(X)
         var = Y.var(axis=0)
         valid = var > _VAR_FLOOR
@@ -415,7 +401,7 @@ def evaluate(model, test_samples, label="", n_bins=20):
             continue
         hists[t] = np.histogram(cosines, bins=edges)[0]
         rows.append(TimestepMetrics(t=int(t), nmse=nmse, score=score,
-                                    cos_mean=float(np.mean(cosines)), n_test=len(by_t[t])))
+                                    cos_mean=float(np.mean(cosines)), n_test=n_test))
     if not rows:
         raise ConfigError("no evaluable timesteps in the held-out set")
     row = MetricsRow(label=label,

@@ -3,12 +3,14 @@
 Everything here is computed by a different route than the library code:
 combinatorial closed-form sums instead of iterated stepping, one-shot
 exponential solutions, homogeneous matrix powers for closed-loop maps,
-exhaustive brute-force sweeps, row-by-row csv-module writers for the file
-formats, and one GP query per point for the block queries. Keep this module
+exhaustive brute-force sweeps, one object per training sample,
+row-by-row csv-module writers for the file formats, and one GP query per
+point for the block queries. Keep this module
 free of trajsense imports so the oracles cannot inherit a library bug.
 """
 
 import csv
+from collections import namedtuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -106,6 +108,32 @@ def brute_force_corr_peak(ref_angles, other_angles, max_lag):
         elif abs(c - best[1]) <= 1e-12 and abs(tau) < abs(best[0]):
             best = (tau, c)
     return best[0]
+
+
+# -- one object per training sample --------------------------------------------
+# How build_samples assembled its result before samples became dense arrays:
+# one object per (recording, timestep) holding the recording's parameter
+# change, the angle difference at t and the norm of the parameter change.
+
+Sample = namedtuple("Sample", "t delta_theta delta_x magnitude")
+
+
+def object_samples(delta_thetas, diffs):
+    """Sample objects, recording after recording; diffs[i] is recording i's
+    (T+1, d) angle difference against the source."""
+    samples = []
+    for delta_theta, d in zip(delta_thetas, diffs):
+        delta_theta = np.asarray(delta_theta, dtype=float).reshape(-1)
+        mag = float(np.linalg.norm(delta_theta))
+        for t in range(len(d)):
+            samples.append(Sample(t, delta_theta, d[t], mag))
+    return samples
+
+
+def object_build_samples(source_angles, pairs):
+    """The former build_samples on (delta_theta, angles) pairs whose angles,
+    like source_angles, are already aligned and voxelized."""
+    return object_samples([d for d, _ in pairs], [a - source_angles for _, a in pairs])
 
 
 # -- row-wise CSV writers -----------------------------------------------------

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from trajsense import DynamicsMode, JointState, PolicySpec, Trajectory, rollout
 from trajsense import io as tio
 from trajsense.errors import ConfigError
-from trajsense.sensitivity import DerivativeSample
+from trajsense.sensitivity import SampleSet, build_samples
 from trajsense.sim import START_POSE
 
 import oracles
@@ -50,17 +52,14 @@ def test_read_rejects_foreign_csv(tmp_path):
 
 def test_samples_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
-    samples = [DerivativeSample(t=t, delta_theta=rng.normal(size=2),
-                                delta_x=rng.normal(size=3))
-               for t in range(5)]
+    samples = SampleSet(delta_theta=rng.normal(size=(2, 2)),
+                        delta_x=rng.normal(size=(2, 5, 3)))
     path = str(tmp_path / "samples.csv")
     tio.write_samples(samples, path)
     back = tio.read_samples(path)
-    for a, b in zip(samples, back):
-        assert a.t == b.t
-        assert np.array_equal(a.delta_theta, b.delta_theta)
-        assert np.array_equal(a.delta_x, b.delta_x)
-        assert a.magnitude == b.magnitude
+    assert np.array_equal(back.delta_theta, samples.delta_theta)
+    assert np.array_equal(back.delta_x, samples.delta_x)
+    assert len(back) == len(samples) == 10
 
 
 def test_perturbations_round_trip(tmp_path):
@@ -107,27 +106,94 @@ def test_trajectory_writer_matches_rowwise_csv_bytes(tmp_path):
         assert np.array_equal(back.torques, [[float(v) for v in c[7:10]] for c in cells[:-1]])
 
 
+def awkward_samples(n, steps, m, seed):
+    """A SampleSet whose first cells cycle through AWKWARD, then random values."""
+    rng = np.random.default_rng(seed)
+    pick = lambda k, size: np.concatenate([AWKWARD, rng.normal(size=size)])[  # noqa: E731
+        (np.arange(size) * 7 + k) % (AWKWARD.size + size)]
+    return SampleSet(delta_theta=pick(0, n * m).reshape(n, m),
+                     delta_x=pick(1, n * steps * 3).reshape(n, steps, 3))
+
+
 def test_sample_writer_matches_rowwise_csv_bytes(tmp_path):
     rng = np.random.default_rng(3)
-    samples = [DerivativeSample(t=t, delta_theta=AWKWARD[[t % 15, (t + 4) % 15]],
-                                delta_x=np.r_[AWKWARD[(t + 9) % 15], rng.normal(size=2)],
-                                magnitude=1.0 / (t + 3))
-               for t in range(50)]
-    samples.append(DerivativeSample(t=7, delta_theta=[3.0, 4.0], delta_x=[-0.0, 0.0, 1e-300]))
-    # more rows than one formatting block
-    samples += [DerivativeSample(t=t % 1501, delta_theta=rng.normal(size=2),
-                                 delta_x=rng.normal(size=3) * 1e-6) for t in range(5000)]
+    big = SampleSet(delta_theta=rng.normal(size=(4, 2)),
+                    delta_x=rng.normal(size=(4, 1501, 3)) * 1e-6)
+    sets = [awkward_samples(10, 5, 2, seed=1), awkward_samples(3, 17, 2, seed=2),
+            SampleSet(np.array([[3.0, 4.0]]), np.array([[[-0.0, 0.0, 1e-300]]])),
+            big]  # 6004 rows: more than one formatting block
     new, ref = str(tmp_path / "new.csv"), str(tmp_path / "ref.csv")
-    tio.write_samples(samples, new)
-    oracles.csv_write_samples(samples, ref)
-    assert open(new, "rb").read() == open(ref, "rb").read()
-    back = tio.read_samples(new)
-    assert len(back) == len(samples)
-    for a, b in zip(samples, back):
-        assert a.t == b.t and type(b.t) is int
-        assert np.array_equal(a.delta_theta, b.delta_theta)
-        assert np.array_equal(a.delta_x, b.delta_x)
-        assert a.magnitude == b.magnitude
+    for samples in sets:
+        tio.write_samples(samples, new)
+        oracles.csv_write_samples(oracles.object_samples(samples.delta_theta,
+                                                         samples.delta_x), ref)
+        assert open(new, "rb").read() == open(ref, "rb").read()
+        back = tio.read_samples(new)
+        assert np.array_equal(back.delta_theta, samples.delta_theta)
+        assert np.array_equal(back.delta_x, samples.delta_x)
+        assert np.array_equal(np.signbit(back.delta_x), np.signbit(samples.delta_x))
+
+
+def _sample_lines(path):
+    return open(path, newline="").read().split("\r\n")
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("short last recording", 10),
+    ("t out of order", 4),
+    ("dtheta changes inside a recording", 8),
+])
+def test_read_samples_rejects_partial_recordings(tmp_path, kind, line):
+    path = str(tmp_path / "samples.csv")
+    tio.write_samples(awkward_samples(3, 4, 2, seed=4), path)
+    lines = _sample_lines(path)  # header, 3 recordings x t = 0..3, trailing ""
+    if kind == "short last recording":
+        del lines[11:13]
+    elif kind == "t out of order":
+        lines[3], lines[4] = lines[4], lines[3]
+    else:
+        cells = lines[7].split(",")
+        cells[2] = "0.5"
+        lines[7] = ",".join(cells)
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines))
+    with pytest.raises(ConfigError, match=f"samples.csv: line {line}:"):
+        tio.read_samples(path)
+
+
+def test_read_samples_of_an_empty_file_is_empty(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("t,dtheta_1,dtheta_2,dx_1,dx_2,dx_3,dtheta_norm\r\n")
+    back = tio.read_samples(str(path))
+    assert len(back) == 0 and not back
+    assert back.delta_theta.shape == (0, 2)
+    with pytest.raises(ConfigError):
+        tio.write_samples(back, str(tmp_path / "again.csv"))
+
+
+def test_sample_build_write_read_stays_near_the_dense_size(tmp_path):
+    # 100 recordings x 1501 timesteps x 3 angles; one object per sample needs
+    # about 425 bytes each, ten times the dense 72
+    rng = np.random.default_rng(6)
+    n, steps = 100, 1501
+    source = Trajectory(0.01, rng.normal(size=(steps, 3)), np.zeros((steps, 3)),
+                        np.zeros((steps - 1, 3)), {})
+    pairs = [(rng.normal(size=2), Trajectory(0.01, rng.normal(size=(steps, 3)),
+                                             np.zeros((steps, 3)), np.zeros((steps - 1, 3)),
+                                             {}))
+             for _ in range(n)]
+    dense = n * steps * 3 * 8 + n * 2 * 8
+    path = str(tmp_path / "samples.csv")
+    tracemalloc.start()
+    try:
+        samples = build_samples(source, pairs)
+        tio.write_samples(samples, path)
+        back = tio.read_samples(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.delta_x, samples.delta_x)
+    assert peak <= 4 * dense, f"peak {peak / 1e6:.1f} MB, dense {dense / 1e6:.1f} MB"
 
 
 def test_perturbation_writer_matches_rowwise_csv_bytes(tmp_path):

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from trajsense import (
-    DerivativeSample,
     DynamicsMode,
     JointState,
     PolicySpec,
     PreprocessConfig,
+    SampleSet,
     basis_directions,
     build_jacobian_stack,
     build_samples,
     cosine_alignment,
-    directional_derivative,
     evaluate,
     fit_gp,
     fit_sensitivity_model,
@@ -34,8 +33,12 @@ from trajsense.errors import (
 )
 from trajsense.gp import ExactGP, GPConfig, _cholesky_with_jitter
 from trajsense.sensitivity import SensitivityModel
-from trajsense.sim import START_POSE, inject_temporal_noise
+from trajsense import io as tio
+from trajsense.sensitivity import _preprocessed
+from trajsense.sim import START_POSE, inject_temporal_noise, rollout_batch
+from trajsense.voxel import VoxelGrid, voxelize_trajectory
 
+import oracles
 from oracles import ramp_torque_jacobian
 
 LINEAR = DynamicsMode("linear", damping=0.0)
@@ -71,7 +74,8 @@ def test_tiny_perturbation_gives_tiny_delta():
     pert = ramp_rollout(RAMP_THETA + delta, T=100)
     samples = build_samples(source, [(delta, pert)])
     assert len(samples) == 101
-    assert max(np.max(np.abs(s.delta_x)) for s in samples) < 1e-8
+    assert samples.delta_x.shape == (1, 101, 3)
+    assert np.max(np.abs(samples.delta_x)) < 1e-8
 
 
 def test_delta_matches_analytic_jacobian():
@@ -80,9 +84,9 @@ def test_delta_matches_analytic_jacobian():
     delta = rng.normal(size=6) * 1e-3
     pert = ramp_rollout(RAMP_THETA + delta)
     samples = build_samples(source, [(delta, pert)])
-    for s in samples:
-        expect = analytic_jacobian(s.t) @ delta
-        assert np.allclose(s.delta_x, expect, atol=1e-6)
+    for t, dx in enumerate(samples.delta_x[0]):
+        expect = analytic_jacobian(t) @ delta
+        assert np.allclose(dx, expect, atol=1e-6)
 
 
 def test_build_samples_validates_inputs():
@@ -99,14 +103,13 @@ def test_build_samples_realigns_shifted_trajectory():
     pert = ramp_rollout(RAMP_THETA + delta)
     lagged = inject_temporal_noise(pert, 8)
     cfg = PreprocessConfig(align_method="correlation", max_lag=20)
-    aligned = build_samples(source, [(delta, lagged)], cfg)
-    raw = build_samples(source, [(delta, lagged)])
+    aligned = build_samples(source, [(delta, lagged)], cfg).delta_x[0]
+    raw = build_samples(source, [(delta, lagged)]).delta_x[0]
     # interior timesteps recover the un-lagged differences
-    expect = {s.t: s.delta_x for s in build_samples(source, [(delta, pert)])}
-    mid = [s for s in aligned if 20 <= s.t <= 280]
-    assert all(np.allclose(s.delta_x, expect[s.t], atol=1e-9) for s in mid)
-    raw_err = np.mean([np.abs(s.delta_x - expect[s.t]).max() for s in raw])
-    aligned_err = np.mean([np.abs(s.delta_x - expect[s.t]).max() for s in aligned])
+    expect = build_samples(source, [(delta, pert)]).delta_x[0]
+    assert np.allclose(aligned[20:281], expect[20:281], atol=1e-9)
+    raw_err = np.mean(np.abs(raw - expect).max(axis=1))
+    aligned_err = np.mean(np.abs(aligned - expect).max(axis=1))
     assert aligned_err < 0.01 * raw_err
 
 
@@ -117,32 +120,58 @@ def test_build_samples_voxelizes_when_configured():
     cfg = PreprocessConfig(gamma=0.04)
     samples = build_samples(source, [(delta, pert)], cfg)
     width = 0.08
-    for s in samples:
-        ratio = s.delta_x / width
-        assert np.allclose(ratio, np.round(ratio), atol=1e-9)
+    ratio = samples.delta_x / width
+    assert np.allclose(ratio, np.round(ratio), atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def lagged_ramps():
+    """A source and 24 perturbed ramp recordings, each lagged by up to 8 steps."""
+    rng = np.random.default_rng(11)
+    deltas = rng.normal(size=(24, 6)) * 1e-2
+    trajs = rollout_batch([ramp_policy(RAMP_THETA + d) for d in deltas],
+                          JointState(START_POSE, np.zeros(3)), 200, DT, LINEAR)
+    return ramp_rollout(T=200), [inject_temporal_noise(tr, int(rng.integers(-8, 9)))
+                                 for tr in trajs]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("pre", [
+    None,
+    PreprocessConfig(align_method="correlation", max_lag=20),
+    PreprocessConfig(gamma=0.04),
+    PreprocessConfig(align_method="correlation", max_lag=20, gamma=0.01),
+], ids=["raw", "correlation", "voxel", "correlation-voxel"])
+def test_dense_build_and_writer_match_the_object_oracle(tmp_path, lagged_ramps, m, pre):
+    source, trajs = lagged_ramps
+    # build_samples only carries delta_theta along, so any nonzero m-vectors
+    # can label the recordings; spread exponents exercise the printed digits
+    rng = np.random.default_rng(m)
+    labels = rng.normal(size=(len(trajs), m)) * 10.0 ** rng.integers(-4, 2, size=(len(trajs), 1))
+    if m >= 2:
+        # rows where a vectorized norm rounds differently from a 1-D norm
+        per_row = [np.linalg.norm(v) for v in labels]
+        assert np.any(per_row != np.linalg.norm(labels, axis=1))
+    pairs = list(zip(labels, trajs))
+    samples = build_samples(source, pairs, pre)
+
+    grid = VoxelGrid(np.full(3, pre.gamma), pre.origin) if pre and pre.gamma else None
+    prep = lambda tr: voxelize_trajectory(tr, grid) if grid else tr  # noqa: E731
+    ref = oracles.object_build_samples(
+        prep(source).angles, [(d, prep(_preprocessed(source, tr, pre)).angles)
+                              for d, tr in pairs])
+    assert len(samples) == len(ref) == 24 * 201
+    assert np.array_equal(samples.delta_x.reshape(-1, 3), [s.delta_x for s in ref])
+    assert np.array_equal(samples.delta_theta.repeat(201, axis=0),
+                          [s.delta_theta for s in ref])
+
+    new, old = str(tmp_path / "new.csv"), str(tmp_path / "old.csv")
+    tio.write_samples(samples, new)
+    oracles.csv_write_samples(ref, old)
+    assert open(new, "rb").read() == open(old, "rb").read()
 
 
 # -- directional derivative ----------------------------------------------------
-
-
-def test_directional_derivative_basics():
-    s = DerivativeSample(t=3, delta_theta=np.array([3.0, 4.0]),
-                         delta_x=np.array([1.0, 0.0, -1.0]))
-    assert np.allclose(directional_derivative(s), np.array([0.2, 0.0, -0.2]))
-    zero = DerivativeSample(t=0, delta_theta=np.array([1.0, 0.0]),
-                            delta_x=np.zeros(3))
-    assert np.allclose(directional_derivative(zero), 0.0)
-    with pytest.raises(DatasetError):
-        directional_derivative(DerivativeSample(t=0, delta_theta=np.zeros(2),
-                                                delta_x=np.zeros(3)))
-
-
-def test_directional_derivative_scale_invariant():
-    d1 = DerivativeSample(t=1, delta_theta=np.array([1.0, 2.0]),
-                          delta_x=np.array([0.5, 0.0, 0.0]))
-    d2 = DerivativeSample(t=1, delta_theta=np.array([2.0, 4.0]),
-                          delta_x=np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(directional_derivative(d1), directional_derivative(d2))
 
 
 def test_directional_derivative_matches_oracle():
@@ -152,9 +181,10 @@ def test_directional_derivative_matches_oracle():
     pert = ramp_rollout(RAMP_THETA + delta)
     samples = build_samples(source, [(delta, pert)])
     unit = delta / np.linalg.norm(delta)
-    for s in samples[::50]:
-        expect = analytic_jacobian(s.t) @ unit
-        assert np.allclose(directional_derivative(s), expect, atol=1e-6)
+    per_unit = samples.delta_x[0] / np.linalg.norm(samples.delta_theta[0])
+    for t in range(0, 301, 50):
+        expect = analytic_jacobian(t) @ unit
+        assert np.allclose(per_unit[t], expect, atol=1e-6)
 
 
 # -- linear reconstruction -----------------------------------------------------
@@ -224,20 +254,20 @@ def test_reconstruct_first_order_in_pendulum_mode():
 
 
 def linear_map_samples(n=30, t=10, seed=0):
+    """delta_x = J delta_theta at timestep t; all-zero changes before it."""
     rng = np.random.default_rng(seed)
     J = np.array([[0.5, -0.2], [0.1, 0.8], [-0.3, 0.4]])
-    out = []
-    for _ in range(n):
-        d = rng.uniform(-1, 1, size=2)
-        out.append(DerivativeSample(t=t, delta_theta=d, delta_x=J @ d))
-    return out, J
+    D = rng.uniform(-1, 1, size=(n, 2))
+    delta_x = np.zeros((n, t + 1, 3))
+    delta_x[:, t] = D @ J.T
+    return SampleSet(delta_theta=D, delta_x=delta_x), J
 
 
 def test_fit_gp_reproduces_training_targets():
     samples, _ = linear_map_samples()
     model = fit_gp(samples, t=10)
-    X = np.stack([s.delta_theta for s in samples])
-    Y = np.stack([s.delta_x for s in samples])
+    X = samples.delta_theta
+    Y = samples.delta_x[:, 10]
     pred, _ = model.predict(X)
     for i in range(3):
         assert gp_score(Y[:, i], pred[:, i]) >= 0.99
@@ -256,6 +286,9 @@ def test_fit_gp_requires_two_samples():
     samples, _ = linear_map_samples(n=1)
     with pytest.raises(InsufficientDataError):
         fit_gp(samples, t=10)
+    samples, _ = linear_map_samples(n=5)
+    with pytest.raises(InsufficientDataError):
+        fit_gp(samples, t=11)
 
 
 def test_model_predicts_held_out_perturbations():
@@ -330,10 +363,8 @@ def _restore_by_refit(X, y, phi):
 
 
 def test_model_load_factorizes_once_and_predicts_as_the_refit_did(tmp_path, monkeypatch):
-    samples, _ = linear_map_samples(n=40, seed=7)
     # timestep 0 has all-zero targets: the degenerate flat-prior GP
-    samples += [DerivativeSample(t=0, delta_theta=s.delta_theta, delta_x=np.zeros(3))
-                for s in samples]
+    samples, _ = linear_map_samples(n=40, seed=7)
     model = fit_sensitivity_model(samples, timesteps=[0, 10], nominal_theta=np.zeros(2))
     path = tmp_path / "model.npz"
     model.save(path)
@@ -373,9 +404,9 @@ def test_zero_crossing_falls_back_to_correlation_without_landmark():
     corr = build_samples(source, [(delta, lagged)],
                          PreprocessConfig(align_method="correlation", max_lag=20))
     assert len(zero) == len(corr) == 301
-    assert all(np.array_equal(a.delta_x, b.delta_x) for a, b in zip(zero, corr))
+    assert np.array_equal(zero.delta_x, corr.delta_x)
     raw = build_samples(source, [(delta, lagged)])
-    assert not all(np.array_equal(a.delta_x, b.delta_x) for a, b in zip(zero, raw))
+    assert not np.array_equal(zero.delta_x, raw.delta_x)
 
 # -- metrics -------------------------------------------------------------------
 
@@ -423,7 +454,7 @@ def test_evaluate_rejects_empty_heldout():
     samples, _ = linear_map_samples()
     model = fit_sensitivity_model(samples, timesteps=[10])
     with pytest.raises(ConfigError):
-        evaluate(model, [], label="x")
+        evaluate(model, SampleSet(np.empty((0, 2)), np.empty((0, 0, 3))), label="x")
 
 
 def test_alignment_improves_with_time_under_startup_jitter():
