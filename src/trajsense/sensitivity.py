@@ -176,7 +176,10 @@ def reconstruct_linear(stack, basis, delta_theta, t):
 
 @dataclass
 class TimestepGP:
-    """Independent scalar GPs, one per state dimension, for a single timestep."""
+    """Independent scalar GPs, one per state dimension, for a single timestep.
+
+    All of them are fitted on the same inputs, which the model file stores once.
+    """
 
     t: int
     gps: list
@@ -258,29 +261,29 @@ class SensitivityModel:
             key = f"t{t:06d}"
             if tm.source_angles is not None:
                 arrays[f"{key}_src"] = np.asarray(tm.source_angles)
-            for i, gp in enumerate(tm.gps):
-                (arrays[f"{key}_d{i}_X"], arrays[f"{key}_d{i}_y"],
-                 arrays[f"{key}_d{i}_phi"]) = gp.state()
+            states = [gp.state() for gp in tm.gps]
+            arrays[f"{key}_X"] = states[0][0]
+            arrays[f"{key}_y"] = np.column_stack([y for _, y, _ in states])
+            arrays[f"{key}_phi"] = np.stack([phi for _, _, phi in states])
         np.savez_compressed(path, **arrays)
 
     @classmethod
     def load(cls, path):
-        data = np.load(path)
         models = {}
-        for t in data["timesteps"]:
-            key = f"t{t:06d}"
-            gps = []
-            for i in range(3):
-                if f"{key}_d{i}_X" not in data:
-                    break
-                gps.append(ExactGP.from_state(
-                    data[f"{key}_d{i}_X"], data[f"{key}_d{i}_y"], data[f"{key}_d{i}_phi"],
-                    GPConfig(optimize=False)))
-            src = data[f"{key}_src"] if f"{key}_src" in data else None
-            models[int(t)] = TimestepGP(t=int(t), gps=gps, source_angles=src)
-        nominal = data["nominal_theta"] if "nominal_theta" in data else None
-        lo = data["delta_low"] if "delta_low" in data else None
-        hi = data["delta_high"] if "delta_high" in data else None
+        with np.load(path) as data:
+            for t in data["timesteps"]:
+                key = f"t{t:06d}"
+                if f"{key}_X" not in data:
+                    raise ConfigError(f"{path}: no {key}_X array; not a model file in "
+                                      "the one-X-per-timestep layout")
+                X, Y, phi = data[f"{key}_X"], data[f"{key}_y"], data[f"{key}_phi"]
+                gps = [ExactGP.from_state(X, Y[:, i], phi[i], GPConfig(optimize=False))
+                       for i in range(Y.shape[1])]
+                src = data[f"{key}_src"] if f"{key}_src" in data else None
+                models[int(t)] = TimestepGP(t=int(t), gps=gps, source_angles=src)
+            nominal = data["nominal_theta"] if "nominal_theta" in data else None
+            lo = data["delta_low"] if "delta_low" in data else None
+            hi = data["delta_high"] if "delta_high" in data else None
         return cls(models, nominal_theta=nominal, delta_low=lo, delta_high=hi)
 
     def summary_lines(self):

@@ -381,14 +381,40 @@ def test_model_load_factorizes_once_and_predicts_as_the_refit_did(tmp_path, monk
     data = np.load(path)
     q = np.random.default_rng(8).uniform(-1, 1, size=(25, 2))
     for t in (0, 10):
+        key = f"t{t:06d}"
         for i, gp in enumerate(loaded.model_at(t).gps):
-            key = f"t{t:06d}_d{i}"
-            ref = _restore_by_refit(data[f"{key}_X"], data[f"{key}_y"], data[f"{key}_phi"])
+            ref = _restore_by_refit(data[f"{key}_X"], data[f"{key}_y"][:, i],
+                                    data[f"{key}_phi"][i])
             for a, b in zip(gp.predict(q), ref.predict(q)):
                 assert np.array_equal(a, b)
             assert gp.degenerate == ref.degenerate == (t == 0)
             assert gp.jitter == ref.jitter
     assert loaded.summary_lines() == model.summary_lines()
+
+
+def test_model_file_stores_shared_inputs_once(tmp_path):
+    samples, _ = linear_map_samples(n=40, seed=7)
+    model = fit_sensitivity_model(samples, timesteps=[0, 10], nominal_theta=np.zeros(2))
+    path = tmp_path / "model.npz"
+    model.save(path)
+    with np.load(path) as data:
+        assert data["t000010_X"].shape == (41, 2)  # the pinned origin plus 40
+        assert data["t000010_y"].shape == (41, 3)
+        assert data["t000010_phi"].shape == (3, 4)
+        for i, gp in enumerate(model.model_at(10).gps):
+            X, y, phi = gp.state()
+            assert np.array_equal(data["t000010_X"], X)
+            assert np.array_equal(data["t000010_y"][:, i], y)
+            assert np.array_equal(data["t000010_phi"][i], phi)
+
+    # the former layout kept one X, y and phi per (timestep, dimension)
+    old = {"timesteps": np.array([10])}
+    for i, gp in enumerate(model.model_at(10).gps):
+        old["t000010_d%d_X" % i], old["t000010_d%d_y" % i], old["t000010_d%d_phi" % i] = gp.state()
+    old_path = tmp_path / "old_model.npz"
+    np.savez_compressed(old_path, **old)
+    with pytest.raises(ConfigError, match="old_model.npz"):
+        SensitivityModel.load(old_path)
 
 
 def test_zero_crossing_falls_back_to_correlation_without_landmark():
