@@ -144,39 +144,24 @@ def write_samples(samples, path):
 
 
 def _recordings(path, head):
-    """Check that the (t, dtheta_*) rows form whole recordings with t = 0..T
-    in order and one dtheta each; return (n, T+1, the (n, m) dtheta rows)."""
-    t = head[:, 0]
-    last = t.max()
-    # a last t outside the file cannot be whole recordings; the check below
-    # then names the first row out of sequence
-    steps = int(last) + 1 if 0 <= last < len(t) else len(t)
-    expected = np.arange(len(t)) % steps
-    bad = np.flatnonzero(t != expected)
-    if bad.size:
-        i = bad[0]
-        raise ConfigError(f"{path}: line {i + 2}: t = {t[i]:g}, expected {expected[i]}")
-    n = len(t) // steps
-    if n * steps != len(t):
-        raise ConfigError(f"{path}: line {n * steps + 2}: the last recording has "
-                          f"{len(t) - n * steps} of {steps} timesteps")
-    dtheta = head[:, 1:].reshape(n, steps, -1)
-    bad = np.flatnonzero(np.any(dtheta != dtheta[:, :1], axis=2))
-    if bad.size:
-        i = bad[0]
-        raise ConfigError(f"{path}: line {i + 2}: dtheta differs from line "
-                          f"{i - i % steps + 2}, the first of its recording")
-    return n, steps, dtheta[:, 0].copy()
+    """(n, T+1, dtheta rows) of (t, dtheta_*) rows forming whole recordings."""
+    t, dtheta = head[:, 0], head[:, 1:]
+    # T is the largest t; one outside the file cannot end a recording
+    steps = int(t.max()) + 1 if 0 <= t.max() < len(t) else len(t)
+    rows = np.arange(len(t))
+    first = rows - rows % steps  # the first row of each row's recording
+    bad = np.flatnonzero((t != rows % steps) | np.any(dtheta != dtheta[first], axis=1))
+    n, rest = divmod(len(t), steps)
+    if bad.size or rest:
+        raise ConfigError(f"{path}: line {(bad[0] if bad.size else n * steps) + 2}: not "
+                          f"a whole recording of t = 0..{steps - 1} with one dtheta")
+    return n, steps, dtheta[::steps].copy()
 
 
 def read_samples(path):
-    """A sample CSV as a SampleSet.
-
-    The file must hold whole recordings: rows t = 0..T in order, with one
-    dtheta row vector repeated across each recording. Anything else raises
-    ConfigError naming the file and the first bad line. The dtheta_norm
-    column is not read back.
-    """
+    """A sample CSV as a SampleSet. The file must hold whole recordings,
+    rows t = 0..T in order repeating one dtheta; else ConfigError names the
+    first bad line. The dtheta_norm column is not read back."""
     from .sensitivity import SampleSet
 
     with open(path, newline="") as fh:

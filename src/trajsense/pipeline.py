@@ -207,8 +207,6 @@ def stage_fit(cfg, out, workers=1):
         if not os.path.exists(train_path):
             raise DependencyError(f"missing training samples {train_path}")
         samples = tio.read_samples(train_path)
-        deltas = samples.delta_theta
-
         src_for = source
         if gamma > 0:
             src_for = voxelize_trajectory(source, VoxelGrid(np.full(3, gamma)))
@@ -216,8 +214,8 @@ def stage_fit(cfg, out, workers=1):
                  for t in _model_timesteps(cfg)]
         fitted = _pmap(_fit_task, tasks, workers)
         model = SensitivityModel(dict(fitted), nominal_theta=cfg.policy.theta,
-                                 delta_low=deltas.min(axis=0),
-                                 delta_high=deltas.max(axis=0))
+                                 delta_low=samples.delta_theta.min(axis=0),
+                                 delta_high=samples.delta_theta.max(axis=0))
         model_path = os.path.join(out, "models", f"model_{tag}.npz")
         model.save(model_path)
         summary_path = os.path.join(out, "models", f"summary_{tag}.txt")

@@ -34,13 +34,10 @@ _VAR_FLOOR = 1e-24
 
 @dataclass
 class SampleSet:
-    """Training pairs as dense arrays, one row per perturbed recording.
-
-    delta_theta has shape (N, m): recording i's parameter change.
-    delta_x has shape (N, T+1, d): the angle change it induced at every
-    timestep, so delta_x[:, t] holds the targets of the map at timestep t.
-    len() counts (recording, timestep) pairs, N * (T+1).
-    """
+    """Training pairs as dense arrays, one row per perturbed recording:
+    delta_theta (N, m) holds each parameter change and delta_x (N, T+1, d)
+    the angle change it induced, so delta_x[:, t] are the targets at timestep
+    t. len() counts the N * (T+1) (recording, timestep) pairs."""
 
     delta_theta: np.ndarray
     delta_x: np.ndarray
@@ -103,11 +100,10 @@ def build_samples(source, perturbed, preprocess=None):
                                    origin=preprocess.origin)
     src = voxel_mod.voxelize_trajectory(source, grid) if grid else source
 
-    thetas = []
+    delta_theta = np.array([np.asarray(d, dtype=float).reshape(-1) for d, _ in perturbed])
     delta_x = np.empty((len(perturbed),) + src.angles.shape)
-    for i, (delta_theta, traj) in enumerate(perturbed):
-        delta_theta = np.asarray(delta_theta, dtype=float).reshape(-1)
-        if np.linalg.norm(delta_theta) == 0.0:
+    for i, (_, traj) in enumerate(perturbed):
+        if np.linalg.norm(delta_theta[i]) == 0.0:
             raise DatasetError("delta_theta must be nonzero")
         if traj.n_steps != source.n_steps or traj.dt != source.dt:
             raise DatasetError("perturbed trajectory length/dt mismatch")
@@ -115,8 +111,6 @@ def build_samples(source, perturbed, preprocess=None):
         if grid:
             traj = voxel_mod.voxelize_trajectory(traj, grid)
         np.subtract(traj.angles, src.angles, out=delta_x[i])
-        thetas.append(delta_theta)
-    delta_theta = np.stack(thetas) if thetas else np.empty((0, 0))
     return SampleSet(delta_theta=delta_theta, delta_x=delta_x)
 
 
@@ -176,10 +170,7 @@ def reconstruct_linear(stack, basis, delta_theta, t):
 
 @dataclass
 class TimestepGP:
-    """Independent scalar GPs, one per state dimension, for a single timestep.
-
-    All of them are fitted on the same inputs, which the model file stores once.
-    """
+    """Independent scalar GPs on shared inputs, one per state dimension, at one timestep."""
 
     t: int
     gps: list
@@ -187,11 +178,7 @@ class TimestepGP:
 
     def predict(self, delta_theta):
         delta_theta = np.atleast_2d(np.asarray(delta_theta, dtype=float))
-        means, stds = [], []
-        for gp in self.gps:
-            mu, sd = gp.predict(delta_theta)
-            means.append(mu)
-            stds.append(sd)
+        means, stds = zip(*(gp.predict(delta_theta) for gp in self.gps))
         return np.stack(means, axis=1), np.stack(stds, axis=1)
 
 
@@ -261,10 +248,10 @@ class SensitivityModel:
             key = f"t{t:06d}"
             if tm.source_angles is not None:
                 arrays[f"{key}_src"] = np.asarray(tm.source_angles)
-            states = [gp.state() for gp in tm.gps]
-            arrays[f"{key}_X"] = states[0][0]
-            arrays[f"{key}_y"] = np.column_stack([y for _, y, _ in states])
-            arrays[f"{key}_phi"] = np.stack([phi for _, _, phi in states])
+            Xs, ys, phis = zip(*(gp.state() for gp in tm.gps))
+            arrays[f"{key}_X"] = Xs[0]  # every dimension's GP shares it
+            arrays[f"{key}_y"] = np.column_stack(ys)
+            arrays[f"{key}_phi"] = np.stack(phis)
         np.savez_compressed(path, **arrays)
 
     @classmethod
@@ -279,12 +266,10 @@ class SensitivityModel:
                 X, Y, phi = data[f"{key}_X"], data[f"{key}_y"], data[f"{key}_phi"]
                 gps = [ExactGP.from_state(X, Y[:, i], phi[i], GPConfig(optimize=False))
                        for i in range(Y.shape[1])]
-                src = data[f"{key}_src"] if f"{key}_src" in data else None
-                models[int(t)] = TimestepGP(t=int(t), gps=gps, source_angles=src)
-            nominal = data["nominal_theta"] if "nominal_theta" in data else None
-            lo = data["delta_low"] if "delta_low" in data else None
-            hi = data["delta_high"] if "delta_high" in data else None
-        return cls(models, nominal_theta=nominal, delta_low=lo, delta_high=hi)
+                models[int(t)] = TimestepGP(t=int(t), gps=gps,
+                                            source_angles=data.get(f"{key}_src"))
+            return cls(models, nominal_theta=data.get("nominal_theta"),
+                       delta_low=data.get("delta_low"), delta_high=data.get("delta_high"))
 
     def summary_lines(self):
         lines = []
@@ -318,9 +303,9 @@ def fit_sensitivity_model(samples, timesteps=None, stride=1, config=None, seed=0
         src_angles = source.angles[t] if source is not None else None
         models[int(t)] = fit_gp(samples, t, config=config, seed=seed,
                                 source_angles=src_angles)
-    deltas = samples.delta_theta
     return SensitivityModel(models, nominal_theta=nominal_theta,
-                            delta_low=deltas.min(axis=0), delta_high=deltas.max(axis=0))
+                            delta_low=samples.delta_theta.min(axis=0),
+                            delta_high=samples.delta_theta.max(axis=0))
 
 
 # -- metrics ------------------------------------------------------------------
