@@ -5,12 +5,19 @@ columns pass through untouched); targets are used raw so that a zero input
 with a zero target anchors the prior meaningfully. Hyperparameters are
 optimized by multi-restart marginal-likelihood ascent, or fixed via config.
 Inference is a Cholesky factorization with an escalating jitter.
+
+A constant input column (a frozen parameter: its perturbation is zero in
+every sample) adds nothing to any squared distance, so the likelihood does
+not depend on its lengthscale. The optimizer sees only the live columns'
+log-lengthscales plus log sf2 and log sn2; a frozen column's log-lengthscale
+keeps the value it had in the winning start, so `state()` still returns one
+entry per input column.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, lapack, solve_triangular
 from scipy.optimize import minimize
 
 from .errors import FitError, InsufficientDataError
@@ -55,6 +62,19 @@ def _sq_dists_per_dim(A, B):
     return (A[:, None, :] - B[None, :, :]) ** 2
 
 
+def _sq_dist_stack(X):
+    """Contiguous (m, n, n) stack: entry k is the squared differences of column k."""
+    Xt = np.ascontiguousarray(X.T)
+    return (Xt[:, :, None] - Xt[:, None, :]) ** 2
+
+
+def _starts(phi0, bounds, n_restarts, seed):
+    """phi0, then n_restarts - 1 uniform draws inside the bounds."""
+    rng = np.random.default_rng(seed)
+    return [phi0] + [np.array([rng.uniform(lo, hi) for lo, hi in bounds])
+                     for _ in range(max(0, n_restarts - 1))]
+
+
 class ExactGP:
     """One scalar GP: fit(X, y) then predict(Xq) -> (mean, std)."""
 
@@ -81,25 +101,39 @@ class ExactGP:
         return np.exp(log_sf2) * np.exp(-0.5 * d2.sum(axis=2))
 
     def _nll_and_grad(self, phi, D, y):
-        # D is the (n, n, m) tensor of squared input differences, fixed per fit
-        n, _, m = D.shape
-        inv_ls2 = np.exp(-2.0 * phi[:m])
+        # D is the (m, n, n) stack of squared input differences, fixed per fit;
+        # phi holds m log-lengthscales, then log sf2 and log sn2
+        m, n, _ = D.shape
+        ls2 = np.exp(phi[:m]) ** 2
         sf2, sn2 = np.exp(phi[m]), np.exp(phi[m + 1])
-        sf2R = sf2 * np.exp(-0.5 * (D @ inv_ls2))
-        K = sf2R + (sn2 + JITTER_START * sf2) * np.eye(n)
-        try:
-            c = cho_factor(K, lower=True)
-        except np.linalg.LinAlgError:
+        # the exponent is summed column by column, in the order `_kernel` sums
+        # it: for m < 8 the two kernels are bit-equal
+        sf2R = np.zeros((n, n))
+        for k in range(m):
+            sf2R += D[k] / ls2[k]
+        sf2R *= -0.5
+        np.exp(sf2R, out=sf2R)
+        sf2R *= sf2
+        K = sf2R.copy()
+        K.flat[::n + 1] += sn2 + JITTER_START * sf2
+        if not (np.isfinite(K).all() and np.isfinite(y).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        # LAPACK directly: K is symmetric, so its transpose is a Fortran-order
+        # view that potrf factorizes in place
+        L, info = lapack.dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
             return np.inf, np.zeros_like(phi)
-        alpha = cho_solve(c, y)
-        nll = 0.5 * y @ alpha + np.sum(np.log(np.diag(c[0]))) + 0.5 * n * np.log(2 * np.pi)
+        alpha, _ = lapack.dpotrs(L, y, lower=1)
+        nll = 0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * np.log(2 * np.pi)
 
         # dNLL/dphi_j = 0.5 tr(Q dK/dphi_j), Q = K^-1 - alpha alpha^T (GPML eq. 5.9)
-        Q = cho_solve(c, np.eye(n)) - np.outer(alpha, alpha)
+        Kinv, _ = lapack.dpotrs(L, np.eye(n, order="F"), lower=1, overwrite_b=1)
+        Q = Kinv - np.outer(alpha, alpha)
         QsR = Q * sf2R
         trQ = np.trace(Q)
         grad = np.empty_like(phi)
-        grad[:m] = 0.5 * inv_ls2 * np.einsum("ij,ijk->k", QsR, D)
+        for k in range(m):
+            grad[k] = 0.5 * np.sum(QsR * D[k]) / ls2[k]
         grad[m] = 0.5 * (np.sum(QsR) + JITTER_START * sf2 * trQ)
         grad[m + 1] = 0.5 * sn2 * trQ
         return nll, grad
@@ -114,6 +148,8 @@ class ExactGP:
             raise InsufficientDataError("X and y lengths differ")
         if X.shape[0] < 2:
             raise InsufficientDataError("need at least 2 samples")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("training inputs and targets must be finite")
 
         self._X_raw = X
         self._x_mean = X.mean(axis=0)
@@ -184,19 +220,19 @@ class ExactGP:
         bounds = ([(np.log(5e-2), np.log(3.0))] * m
                   + [(np.log(1e-4 * vy), np.log(1e4 * vy))]
                   + [(np.log(1e-12 * max(vy, 1e-8)), np.log(10.0 * vy))])
-        rng = np.random.default_rng(seed)
-        starts = [phi0]
-        for _ in range(max(0, self.config.n_restarts - 1)):
-            draw = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
-            starts.append(draw)
-        D = _sq_dists_per_dim(Xs, Xs)
+        starts = _starts(phi0, bounds, self.config.n_restarts, seed)
+        # frozen (constant) columns have no gradient: leave them out
+        live = np.flatnonzero(np.ptp(Xs, axis=0) > 0)
+        free = np.concatenate([live, [m, m + 1]])
+        D = _sq_dist_stack(Xs[:, live])
         best_phi, best_nll = phi0, np.inf
         for start in starts:
-            res = minimize(self._nll_and_grad, start, args=(D, y), jac=True,
-                           method="L-BFGS-B", bounds=bounds,
+            res = minimize(self._nll_and_grad, start[free], args=(D, y), jac=True,
+                           method="L-BFGS-B", bounds=[bounds[k] for k in free],
                            options={"maxiter": self.config.max_opt_iter})
             if res.fun < best_nll:
-                best_nll, best_phi = res.fun, res.x
+                best_nll, best_phi = res.fun, start.copy()
+                best_phi[free] = res.x
         return best_phi
 
     # -- prediction ----------------------------------------------------------

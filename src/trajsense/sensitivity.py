@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     DatasetError,
     DegenerateScoreError,
+    FitError,
     InsufficientDataError,
     LandmarkMissingError,
     UndefinedAlignmentError,
@@ -128,9 +129,6 @@ class JacobianStack:
     matrices: dict
     basis: object
 
-    def timesteps(self):
-        return sorted(self.matrices)
-
 
 def build_jacobian_stack(rollout_fn, basis, timesteps=None):
     """Probe each basis direction by finite differences.
@@ -182,24 +180,27 @@ class TimestepGP:
         return np.stack(means, axis=1), np.stack(stds, axis=1)
 
 
-def fit_gp(samples, t, config=None, seed=0, pin_origin=True, source_angles=None):
+def fit_gp(samples, t, config=None, seed=0, source_angles=None):
     """Fit the map delta_theta -> delta_x[:, t] of a SampleSet at timestep t.
 
-    A (0, 0) training pair is pinned by default: applying no perturbation
-    changes nothing, which anchors the small-perturbation behavior exactly.
+    A (0, 0) training pair is pinned: applying no perturbation changes
+    nothing, which anchors the small-perturbation behavior exactly. A
+    dimension whose GP cannot be fitted raises FitError naming the timestep
+    and the dimension.
     """
     if len(samples.delta_x) < 2 or not 0 <= t <= samples.n_steps:
         raise InsufficientDataError(f"need >= 2 samples at timestep {t}")
-    X = samples.delta_theta
-    Y = samples.delta_x[:, t]
-    if pin_origin:
-        X = np.vstack([np.zeros((1, X.shape[1])), X])
-        Y = np.vstack([np.zeros((1, Y.shape[1])), Y])
+    dtheta, dx = samples.delta_theta, samples.delta_x[:, t]
+    X = np.vstack([np.zeros((1, dtheta.shape[1])), dtheta])
+    Y = np.vstack([np.zeros((1, dx.shape[1])), dx])
     config = config or GPConfig()
     gps = []
     for i in range(Y.shape[1]):
         gp = ExactGP(config)
-        gp.fit(X, Y[:, i], seed=np.random.default_rng((seed, t, i)).integers(2**31))
+        try:
+            gp.fit(X, Y[:, i], seed=np.random.default_rng((seed, t, i)).integers(2**31))
+        except (FitError, ValueError) as exc:
+            raise FitError(f"GP fit failed at timestep {t}, dimension {i}: {exc}") from exc
         gps.append(gp)
     return TimestepGP(t=int(t), gps=gps, source_angles=source_angles)
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from trajsense import gp as gp_mod
 from trajsense.errors import FitError, InsufficientDataError
-from trajsense.gp import JITTER_START, ExactGP, GPConfig, _cholesky_with_jitter, _sq_dists_per_dim
+from trajsense.gp import JITTER_START, ExactGP, GPConfig, _cholesky_with_jitter, _sq_dist_stack
 
 
 def linear_data(n=40, m=2, noise=0.0, seed=0):
@@ -133,7 +134,7 @@ def test_likelihood_matches_gaussian_logpdf_and_finite_differences(m):
         y = rng.normal(size=n)
         phi = np.concatenate([rng.uniform(np.log(5e-2), np.log(3.0), m + 1),
                               [rng.uniform(-2.0, 2.0), rng.uniform(-9.0, -2.0)]])
-        D = _sq_dists_per_dim(Xf, Xf)
+        D = _sq_dist_stack(Xf)
         nll, grad = gp._nll_and_grad(phi, D, y)
 
         K = _kernel_by_loops(Xf, phi)
@@ -146,3 +147,51 @@ def test_likelihood_matches_gaussian_logpdf_and_finite_differences(m):
                        for e in np.eye(phi.size)])
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-5 * np.max(np.abs(fd)))
         assert grad[m] == 0.0
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_frozen_column_leaves_likelihood_bit_equal(at):
+    # a constant column adds exact zeros to the exponent and its gradient
+    rng = np.random.default_rng(30 + at)
+    n, m = 25, 2
+    X = rng.normal(size=(n, m))
+    Xf = np.insert(X, at, 0.3, axis=1)
+    y = rng.normal(size=n)
+    phi = np.array([0.2, -0.4, 0.5, -6.0])
+    phi_f = np.insert(phi, at, rng.uniform(np.log(5e-2), np.log(3.0)))
+    gp = ExactGP()
+    nll, grad = gp._nll_and_grad(phi, _sq_dist_stack(X), y)
+    nll_f, grad_f = gp._nll_and_grad(phi_f, _sq_dist_stack(Xf), y)
+    assert nll == nll_f
+    assert np.array_equal(grad, np.delete(grad_f, at))
+    assert grad_f[at] == 0.0
+
+
+def test_fit_never_optimizes_a_frozen_column(monkeypatch):
+    rng = np.random.default_rng(40)
+    X = np.column_stack([rng.uniform(-1, 1, 30), np.zeros(30), rng.uniform(-1, 1, 30)])
+    y = np.sin(2.0 * X[:, 0]) - X[:, 2]
+    starts, calls = [], []
+    real_starts, real_minimize = gp_mod._starts, gp_mod.minimize
+
+    def spy_starts(*args):
+        starts.extend(real_starts(*args))
+        return starts
+
+    def spy_minimize(fun, x0, **kwargs):
+        res = real_minimize(fun, x0, **kwargs)
+        calls.append((np.copy(x0), len(kwargs["bounds"]), res))
+        return res
+
+    monkeypatch.setattr(gp_mod, "_starts", spy_starts)
+    monkeypatch.setattr(gp_mod, "minimize", spy_minimize)
+    gp = ExactGP(GPConfig(n_restarts=4)).fit(X, y, seed=3)
+    assert len(calls) == len(starts) == 4
+    for start, (x0, n_bounds, res) in zip(starts, calls):
+        assert x0.size == n_bounds == res.x.size == 4  # 2 live columns, sf2, sn2
+        assert np.array_equal(x0, np.delete(start, 1))
+    win = int(np.argmin([res.fun for _, _, res in calls]))
+    phi = gp.state()[2]
+    assert phi[1] == starts[win][1]
+    assert np.array_equal(np.delete(phi, 1), calls[win][2].x)
+    assert len({s[1] for s in starts}) == 4  # the draws do differ in that entry

@@ -26,6 +26,7 @@ from trajsense.errors import (
     ConfigError,
     DatasetError,
     DegenerateScoreError,
+    FitError,
     InsufficientDataError,
     LandmarkMissingError,
     UndefinedAlignmentError,
@@ -289,6 +290,15 @@ def test_fit_gp_requires_two_samples():
     samples, _ = linear_map_samples(n=5)
     with pytest.raises(InsufficientDataError):
         fit_gp(samples, t=11)
+
+
+def test_fit_gp_names_the_timestep_and_dimension_that_failed():
+    samples, _ = linear_map_samples()
+    samples.delta_x[7, 10, 1] = np.nan
+    with pytest.raises(FitError, match="timestep 10, dimension 1") as info:
+        fit_gp(samples, t=10)
+    assert isinstance(info.value.__cause__, ValueError)
+    fit_gp(samples, t=9)  # the other timesteps still fit
 
 
 def test_model_predicts_held_out_perturbations():
