@@ -12,6 +12,7 @@ import numpy as np
 
 from .controllers import PolicySpec
 from .errors import ConfigError
+from .gp import N_RESTARTS
 from .perturb import PerturbationPlan, sample as sample_plan
 from .sensitivity import PreprocessConfig
 from .sim import START_POSE, DynamicsMode, JointState, NoiseConfig
@@ -79,14 +80,15 @@ class ExperimentConfig:
             pre = parser["preprocess"] if parser.has_section("preprocess") else {}
             self.align_method = pre.get("align", "none") if pre else "none"
             self.max_lag = int(pre.get("max_lag", 50)) if pre else 50
-            self.epsilon = float(pre.get("epsilon", 0.01)) if pre else 0.01
             raw_gammas = pre.get("gamma_sweep", "0") if pre else "0"
             self.gamma_sweep = tuple(_floats(raw_gammas))
 
             gp = parser["gp"] if parser.has_section("gp") else {}
             self.stride = int(gp.get("stride", 1)) if gp else 1
-            self.gp_optimize = (gp.get("optimize", "true").lower() == "true") if gp else True
-            self.n_restarts = int(gp.get("n_restarts", 2)) if gp else 2
+            if gp and gp.get("optimize", "true").lower() != "true":
+                raise ConfigError("gp.optimize: hyperparameters are always optimized; "
+                                  "only 'true' is accepted")
+            self.n_restarts = int(gp.get("n_restarts", N_RESTARTS)) if gp else N_RESTARTS
 
             ev = parser["eval"] if parser.has_section("eval") else {}
             self.holdout_fraction = float(ev.get("holdout_fraction", 0.2)) if ev else 0.2
@@ -148,9 +150,8 @@ class ExperimentConfig:
             tuple(sorted((k, str(v)) for k, v in self.policy.fixed.items())),
             self.scheme, self.count, self.ranges, self.lambda_rate,
             self.lambda_sweep, self.n_per_lambda, self.align_method, self.max_lag,
-            self.epsilon, self.gamma_sweep, self.stride, self.gp_optimize,
-            self.n_restarts, self.holdout_fraction, self.split_seed, self.plan_t,
-            self.plan_target_kps, self.plan_dims,
+            self.gamma_sweep, self.stride, self.n_restarts, self.holdout_fraction,
+            self.split_seed, self.plan_t, self.plan_target_kps, self.plan_dims,
         ]
         return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 

@@ -3,8 +3,10 @@
 Scalar-output, zero prior mean. Inputs are standardized internally (constant
 columns pass through untouched); targets are used raw so that a zero input
 with a zero target anchors the prior meaningfully. Hyperparameters are
-optimized by multi-restart marginal-likelihood ascent, or fixed via config.
-Inference is a Cholesky factorization with an escalating jitter.
+optimized by multi-restart marginal-likelihood ascent; `from_state` rebuilds
+a GP with given hyperparameters. Inference is a Cholesky factorization with
+an escalating jitter. One kernel builder serves the likelihood, the
+factorization and prediction.
 
 A constant input column (a frozen parameter: its perturbation is zero in
 every sample) adds nothing to any squared distance, so the likelihood does
@@ -13,8 +15,6 @@ log-lengthscales plus log sf2 and log sn2; a frozen column's log-lengthscale
 keeps the value it had in the winning start, so `state()` still returns one
 entry per input column.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, lapack, solve_triangular
@@ -25,19 +25,10 @@ from .errors import FitError, InsufficientDataError
 JITTER_START = 1e-8
 JITTER_MAX = 1e-4
 
+N_RESTARTS = 2
+MAX_OPT_ITER = 100
+
 _TARGET_VAR_FLOOR = 1e-20
-
-
-@dataclass
-class GPConfig:
-    optimize: bool = True
-    n_restarts: int = 2
-    max_opt_iter: int = 100
-    # used when optimize=False; lengthscale is in standardized-input units,
-    # variances default to data-derived values when left as None
-    lengthscale: float = 1.0
-    signal_var: float = None
-    noise_var: float = None
 
 
 def _cholesky_with_jitter(K, scale=1.0):
@@ -57,15 +48,24 @@ def _cholesky_with_jitter(K, scale=1.0):
     raise FitError(f"kernel matrix not positive definite up to jitter {JITTER_MAX:g}")
 
 
-def _sq_dists_per_dim(A, B):
-    # (n, p, m) tensor of per-dimension squared differences
-    return (A[:, None, :] - B[None, :, :]) ** 2
+def _sq_dist_stack(A, B=None):
+    """Contiguous (m, p, q) stack: entry k holds the squared differences between
+    column k of A (p rows) and of B (q rows; B defaults to A)."""
+    At = np.ascontiguousarray(A.T)
+    Bt = At if B is None else np.ascontiguousarray(B.T)
+    return (At[:, :, None] - Bt[:, None, :]) ** 2
 
 
-def _sq_dist_stack(X):
-    """Contiguous (m, n, n) stack: entry k is the squared differences of column k."""
-    Xt = np.ascontiguousarray(X.T)
-    return (Xt[:, :, None] - Xt[:, None, :]) ** 2
+def _kernel(D, log_ls, log_sf2):
+    """Squared-exponential ARD kernel from a squared-difference stack D (m, p, q)."""
+    ls2 = np.exp(log_ls) ** 2
+    K = np.zeros(D.shape[1:])
+    for k in range(D.shape[0]):
+        K += D[k] / ls2[k]
+    K *= -0.5
+    np.exp(K, out=K)
+    K *= np.exp(log_sf2)
+    return K
 
 
 def _starts(phi0, bounds, n_restarts, seed):
@@ -78,8 +78,8 @@ def _starts(phi0, bounds, n_restarts, seed):
 class ExactGP:
     """One scalar GP: fit(X, y) then predict(Xq) -> (mean, std)."""
 
-    def __init__(self, config=None):
-        self.config = config or GPConfig()
+    def __init__(self, n_restarts=N_RESTARTS):
+        self.n_restarts = n_restarts
         self.log_ls = None
         self.log_sf2 = None
         self.log_sn2 = None
@@ -93,12 +93,7 @@ class ExactGP:
         self.jitter = 0.0
         self.degenerate = False
 
-    # -- kernel ------------------------------------------------------------
-
-    def _kernel(self, A, B, log_ls, log_sf2):
-        ls = np.exp(log_ls)
-        d2 = _sq_dists_per_dim(A, B) / ls**2
-        return np.exp(log_sf2) * np.exp(-0.5 * d2.sum(axis=2))
+    # -- likelihood ----------------------------------------------------------
 
     def _nll_and_grad(self, phi, D, y):
         # D is the (m, n, n) stack of squared input differences, fixed per fit;
@@ -106,14 +101,7 @@ class ExactGP:
         m, n, _ = D.shape
         ls2 = np.exp(phi[:m]) ** 2
         sf2, sn2 = np.exp(phi[m]), np.exp(phi[m + 1])
-        # the exponent is summed column by column, in the order `_kernel` sums
-        # it: for m < 8 the two kernels are bit-equal
-        sf2R = np.zeros((n, n))
-        for k in range(m):
-            sf2R += D[k] / ls2[k]
-        sf2R *= -0.5
-        np.exp(sf2R, out=sf2R)
-        sf2R *= sf2
+        sf2R = _kernel(D, phi[:m], phi[m])
         K = sf2R.copy()
         K.flat[::n + 1] += sn2 + JITTER_START * sf2
         if not (np.isfinite(K).all() and np.isfinite(y).all()):
@@ -171,23 +159,15 @@ class ExactGP:
         else:
             self.degenerate = False
             phi0 = np.concatenate([np.zeros(m), [np.log(vy)], [np.log(max(1e-8 * vy, 1e-12))]])
-            if self.config.optimize:
-                phi = self._optimize(phi0, Xs, y, vy, seed)
-            else:
-                cfg = self.config
-                sf2 = vy if cfg.signal_var is None else cfg.signal_var
-                sn2 = max(1e-8 * vy, 1e-12) if cfg.noise_var is None else cfg.noise_var
-                phi = np.concatenate([np.full(m, np.log(cfg.lengthscale)),
-                                      [np.log(sf2)], [np.log(sn2)]])
-            self._set_phi(phi)
+            self._set_phi(self._optimize(phi0, Xs, y, vy, seed))
         return self._factorize(Xs, y)
 
     @classmethod
-    def from_state(cls, X, y, phi, config=None):
+    def from_state(cls, X, y, phi):
         """A fitted GP rebuilt from raw training inputs, targets and the
         log-hyperparameters [log lengthscales, log signal var, log noise var]
         of `state()`, with one factorization and no optimization."""
-        gp = cls(config)
+        gp = cls()
         Xs, y = gp._standardized(X, y)
         gp.degenerate = float(np.var(y)) < _TARGET_VAR_FLOOR
         gp._set_phi(np.asarray(phi, dtype=float))
@@ -204,7 +184,7 @@ class ExactGP:
         self.log_sn2 = float(phi[m + 1])
 
     def _factorize(self, Xs, y):
-        K = self._kernel(Xs, Xs, self.log_ls, self.log_sf2)
+        K = _kernel(_sq_dist_stack(Xs), self.log_ls, self.log_sf2)
         K += np.exp(self.log_sn2) * np.eye(Xs.shape[0])
         self._L, self.jitter = _cholesky_with_jitter(K, scale=np.exp(self.log_sf2))
         self._alpha = cho_solve((self._L, True), y)
@@ -220,7 +200,7 @@ class ExactGP:
         bounds = ([(np.log(5e-2), np.log(3.0))] * m
                   + [(np.log(1e-4 * vy), np.log(1e4 * vy))]
                   + [(np.log(1e-12 * max(vy, 1e-8)), np.log(10.0 * vy))])
-        starts = _starts(phi0, bounds, self.config.n_restarts, seed)
+        starts = _starts(phi0, bounds, self.n_restarts, seed)
         # frozen (constant) columns have no gradient: leave them out
         live = np.flatnonzero(np.ptp(Xs, axis=0) > 0)
         free = np.concatenate([live, [m, m + 1]])
@@ -229,7 +209,7 @@ class ExactGP:
         for start in starts:
             res = minimize(self._nll_and_grad, start[free], args=(D, y), jac=True,
                            method="L-BFGS-B", bounds=[bounds[k] for k in free],
-                           options={"maxiter": self.config.max_opt_iter})
+                           options={"maxiter": MAX_OPT_ITER})
             if res.fun < best_nll:
                 best_nll, best_phi = res.fun, start.copy()
                 best_phi[free] = res.x
@@ -247,7 +227,7 @@ class ExactGP:
             raise InsufficientDataError("predict before fit")
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
         Xqs = (Xq - self._x_mean) / self._x_scale
-        Ks = self._kernel(Xqs, self._X, self.log_ls, self.log_sf2)
+        Ks = _kernel(_sq_dist_stack(Xqs, self._X), self.log_ls, self.log_sf2)
         mean = Ks @ self._alpha
         V = solve_triangular(self._L, Ks.T, lower=True)
         sn2 = np.exp(self.log_sn2)

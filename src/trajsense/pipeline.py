@@ -20,7 +20,6 @@ import numpy as np
 
 from . import io as tio
 from .errors import ConfigError, DependencyError, StageError
-from .gp import GPConfig
 from .planner import PlanningProblem, plan_and_verify
 from .sensitivity import SensitivityModel, build_samples, evaluate, fit_gp
 from .sim import NoiseConfig, rollout, rollout_batch
@@ -185,8 +184,8 @@ def stage_build(cfg, out):
 
 
 def _fit_task(args):
-    t, samples, gp_config, seed, src_angles = args
-    return t, fit_gp(samples, t, config=gp_config, seed=seed, source_angles=src_angles)
+    t, samples, n_restarts, seed, src_angles = args
+    return t, fit_gp(samples, t, n_restarts=n_restarts, seed=seed, source_angles=src_angles)
 
 
 def _model_timesteps(cfg):
@@ -199,7 +198,6 @@ def _model_timesteps(cfg):
 def stage_fit(cfg, out, workers=1):
     _ensure_dirs(out, "models")
     source = tio.read_trajectory(os.path.join(out, "trajectories", "source.csv"))
-    gp_config = GPConfig(optimize=cfg.gp_optimize, n_restarts=cfg.n_restarts)
     paths = []
     for gamma in cfg.gamma_sweep:
         tag = _gamma_tag(gamma)
@@ -210,7 +208,7 @@ def stage_fit(cfg, out, workers=1):
         src_for = source
         if gamma > 0:
             src_for = voxelize_trajectory(source, VoxelGrid(np.full(3, gamma)))
-        tasks = [(t, samples, gp_config, cfg.seed, src_for.angles[t])
+        tasks = [(t, samples, cfg.n_restarts, cfg.seed, src_for.angles[t])
                  for t in _model_timesteps(cfg)]
         fitted = _pmap(_fit_task, tasks, workers)
         model = SensitivityModel(dict(fitted), nominal_theta=cfg.policy.theta,

@@ -11,6 +11,7 @@ SampleSet, a linear reconstruction from orthonormal basis probes, and
 per-timestep GP regressors that generalize to unseen perturbation directions.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     UndefinedAlignmentError,
     UntrainedTimestepError,
 )
-from .gp import ExactGP, GPConfig
+from .gp import N_RESTARTS, ExactGP
 
 _NORM_FLOOR = 1e-15
 _VAR_FLOOR = 1e-24
@@ -180,7 +181,7 @@ class TimestepGP:
         return np.stack(means, axis=1), np.stack(stds, axis=1)
 
 
-def fit_gp(samples, t, config=None, seed=0, source_angles=None):
+def fit_gp(samples, t, n_restarts=N_RESTARTS, seed=0, source_angles=None):
     """Fit the map delta_theta -> delta_x[:, t] of a SampleSet at timestep t.
 
     A (0, 0) training pair is pinned: applying no perturbation changes
@@ -193,10 +194,9 @@ def fit_gp(samples, t, config=None, seed=0, source_angles=None):
     dtheta, dx = samples.delta_theta, samples.delta_x[:, t]
     X = np.vstack([np.zeros((1, dtheta.shape[1])), dtheta])
     Y = np.vstack([np.zeros((1, dx.shape[1])), dx])
-    config = config or GPConfig()
     gps = []
     for i in range(Y.shape[1]):
-        gp = ExactGP(config)
+        gp = ExactGP(n_restarts)
         try:
             gp.fit(X, Y[:, i], seed=np.random.default_rng((seed, t, i)).integers(2**31))
         except (FitError, ValueError) as exc:
@@ -257,6 +257,8 @@ class SensitivityModel:
 
     @classmethod
     def load(cls, path):
+        if not os.path.isfile(path):
+            raise ConfigError(f"model file not found: {path}")
         models = {}
         with np.load(path) as data:
             for t in data["timesteps"]:
@@ -265,8 +267,7 @@ class SensitivityModel:
                     raise ConfigError(f"{path}: no {key}_X array; not a model file in "
                                       "the one-X-per-timestep layout")
                 X, Y, phi = data[f"{key}_X"], data[f"{key}_y"], data[f"{key}_phi"]
-                gps = [ExactGP.from_state(X, Y[:, i], phi[i], GPConfig(optimize=False))
-                       for i in range(Y.shape[1])]
+                gps = [ExactGP.from_state(X, Y[:, i], phi[i]) for i in range(Y.shape[1])]
                 models[int(t)] = TimestepGP(t=int(t), gps=gps,
                                             source_angles=data.get(f"{key}_src"))
             return cls(models, nominal_theta=data.get("nominal_theta"),
@@ -287,7 +288,7 @@ class SensitivityModel:
         return lines
 
 
-def fit_sensitivity_model(samples, timesteps=None, stride=1, config=None, seed=0,
+def fit_sensitivity_model(samples, timesteps=None, stride=1, n_restarts=N_RESTARTS, seed=0,
                           source=None, nominal_theta=None):
     """Fit TimestepGPs over a timestep grid and bundle them into a model.
 
@@ -302,7 +303,7 @@ def fit_sensitivity_model(samples, timesteps=None, stride=1, config=None, seed=0
         if not 0 <= t <= samples.n_steps:
             raise ConfigError(f"no samples at requested timestep {t}")
         src_angles = source.angles[t] if source is not None else None
-        models[int(t)] = fit_gp(samples, t, config=config, seed=seed,
+        models[int(t)] = fit_gp(samples, t, n_restarts=n_restarts, seed=seed,
                                 source_angles=src_angles)
     return SensitivityModel(models, nominal_theta=nominal_theta,
                             delta_low=samples.delta_theta.min(axis=0),

@@ -222,6 +222,30 @@ def test_invalid_config_is_config_error(tmp_path):
     assert rc == 2
 
 
+def test_gp_optimize_other_than_true_is_rejected(tmp_path):
+    off = tmp_path / "off.ini"
+    off.write_text(SMALL_CFG.replace("optimize = true", "optimize = false"))
+    with pytest.raises(ConfigError, match="optimize"):
+        load_config(str(off))
+    assert main(["run", "--config", str(off), "--out", str(tmp_path / "o")]) == 2
+    absent = tmp_path / "absent.ini"
+    absent.write_text(SMALL_CFG.replace("optimize = true\n", ""))
+    on = tmp_path / "on.ini"
+    on.write_text(SMALL_CFG)
+    assert load_config(str(absent)).fingerprint() == load_config(str(on)).fingerprint()
+
+
+@pytest.mark.parametrize("model", ["missing.npz", "models_dir"])
+def test_plan_with_a_missing_model_is_config_error(cfg_file, tmp_path, capsys, model):
+    (tmp_path / "models_dir").mkdir()
+    path = str(tmp_path / model)
+    rc = main(["plan", "--config", cfg_file, "--model", path, "--out", str(tmp_path / "p"),
+               "--t", "120", "--target", "0.3,2.3,1.8"])
+    assert rc == 2
+    expected = path if model.endswith(".npz") else os.path.join(path, "model_g0.npz")
+    assert expected in capsys.readouterr().err
+
+
 def test_preset_names_resolve():
     from trajsense.cli import _resolve_config
 

@@ -4,7 +4,8 @@ from scipy.stats import multivariate_normal
 
 from trajsense import gp as gp_mod
 from trajsense.errors import FitError, InsufficientDataError
-from trajsense.gp import JITTER_START, ExactGP, GPConfig, _cholesky_with_jitter, _sq_dist_stack
+from trajsense.gp import (JITTER_START, ExactGP, _cholesky_with_jitter, _kernel,
+                          _sq_dist_stack)
 
 
 def linear_data(n=40, m=2, noise=0.0, seed=0):
@@ -52,8 +53,8 @@ def test_variance_never_below_noise_floor():
 
 def test_deterministic_under_seed():
     X, y = linear_data(n=30, noise=0.05, seed=5)
-    g1 = ExactGP(GPConfig(n_restarts=3)).fit(X, y, seed=9)
-    g2 = ExactGP(GPConfig(n_restarts=3)).fit(X, y, seed=9)
+    g1 = ExactGP(n_restarts=3).fit(X, y, seed=9)
+    g2 = ExactGP(n_restarts=3).fit(X, y, seed=9)
     assert np.array_equal(g1.lengthscales, g2.lengthscales)
     assert g1.signal_var == g2.signal_var
 
@@ -70,8 +71,9 @@ def test_rebuilt_from_state_predicts_exactly_as_fitted():
 
 def test_fixed_hyperparameters_respected():
     X, y = linear_data(n=25, seed=6)
-    cfg = GPConfig(optimize=False, lengthscale=2.0, signal_var=1.5, noise_var=1e-4)
-    gp = ExactGP(cfg).fit(X, y)
+    phi = np.log([2.0, 2.0, 1.5, 1e-4])
+    gp = ExactGP.from_state(X, y, phi)
+    assert np.array_equal(gp.state()[2], phi)
     assert np.allclose(gp.lengthscales, 2.0)
     assert gp.signal_var == pytest.approx(1.5)
     assert gp.noise_var == pytest.approx(1e-4)
@@ -112,14 +114,18 @@ def test_constant_input_column_tolerated():
     assert np.allclose(pred, y, atol=1e-3)
 
 
-def _kernel_by_loops(X, phi):
-    n, m = X.shape
+def _kernel_by_loops(A, phi, B=None):
+    """The covariance of the targets at A (with the likelihood's noise and
+    jitter on the diagonal) or, given B, the noise-free cross kernel."""
+    cross = B is not None
+    B = B if cross else A
+    m = A.shape[1]
     ls, sf2, sn2 = np.exp(phi[:m]), np.exp(phi[m]), np.exp(phi[m + 1])
-    K = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            K[i, j] = sf2 * np.exp(-0.5 * np.sum(((X[i] - X[j]) / ls) ** 2))
-    return K + (sn2 + JITTER_START * sf2) * np.eye(n)
+    K = np.empty((A.shape[0], B.shape[0]))
+    for i in range(A.shape[0]):
+        for j in range(B.shape[0]):
+            K[i, j] = sf2 * np.exp(-0.5 * np.sum(((A[i] - B[j]) / ls) ** 2))
+    return K if cross else K + (sn2 + JITTER_START * sf2) * np.eye(A.shape[0])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -185,7 +191,7 @@ def test_fit_never_optimizes_a_frozen_column(monkeypatch):
 
     monkeypatch.setattr(gp_mod, "_starts", spy_starts)
     monkeypatch.setattr(gp_mod, "minimize", spy_minimize)
-    gp = ExactGP(GPConfig(n_restarts=4)).fit(X, y, seed=3)
+    gp = ExactGP(n_restarts=4).fit(X, y, seed=3)
     assert len(calls) == len(starts) == 4
     for start, (x0, n_bounds, res) in zip(starts, calls):
         assert x0.size == n_bounds == res.x.size == 4  # 2 live columns, sf2, sn2
@@ -195,3 +201,25 @@ def test_fit_never_optimizes_a_frozen_column(monkeypatch):
     assert phi[1] == starts[win][1]
     assert np.array_equal(np.delete(phi, 1), calls[win][2].x)
     assert len({s[1] for s in starts}) == 4  # the draws do differ in that entry
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_cross_kernel_matches_loops(m):
+    rng = np.random.default_rng(50 + m)
+    X = rng.normal(size=(23, m))
+    Xq = rng.normal(size=(17, m))
+    # an extra constant column stands in for a frozen parameter
+    Xf, Xqf = (np.column_stack([Z, np.full(len(Z), 0.3)]) for Z in (X, Xq))
+    phi = np.concatenate([rng.uniform(np.log(5e-2), np.log(3.0), m + 1),
+                          [rng.uniform(-2.0, 2.0), rng.uniform(-9.0, -2.0)]])
+    K = _kernel(_sq_dist_stack(Xqf, Xf), phi[:m + 1], phi[m + 1])
+    assert K.shape == (17, 23)
+    # the loops sum the exponent in another order and divide before squaring,
+    # so entries agree to a few ulps of the exponent: rtol 1e-12
+    assert np.allclose(K, _kernel_by_loops(Xqf, phi, Xf), rtol=1e-12, atol=0.0)
+    # the frozen column's lengthscale adds exact zeros
+    phi_f = phi.copy()
+    phi_f[m] += 1.0
+    assert np.array_equal(K, _kernel(_sq_dist_stack(Xqf, Xf), phi_f[:m + 1], phi[m + 1]))
+    # the one-argument stack is the cross stack of a set with itself
+    assert np.array_equal(_sq_dist_stack(Xf), _sq_dist_stack(Xf, Xf))

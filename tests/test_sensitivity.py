@@ -32,7 +32,7 @@ from trajsense.errors import (
     UndefinedAlignmentError,
     UntrainedTimestepError,
 )
-from trajsense.gp import ExactGP, GPConfig, _cholesky_with_jitter
+from trajsense.gp import ExactGP, _cholesky_with_jitter
 from trajsense.sensitivity import SensitivityModel
 from trajsense import io as tio
 from trajsense.sensitivity import _preprocessed
@@ -358,14 +358,22 @@ def test_model_save_load_round_trip(tmp_path):
 
 
 def _restore_by_refit(X, y, phi):
-    """The former load path: a fixed-hyperparameter fit, then the stored
-    hyperparameters written into the GP and a second factorization."""
-    gp = ExactGP(GPConfig(optimize=False)).fit(X, y, seed=0)
+    """The former load path, written out by hand: standardize the inputs,
+    write the stored hyperparameters into a GP, and factorize a kernel built
+    from the (n, n, m) tensor of squared differences."""
+    gp = ExactGP()
+    X, gp._y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    scale = X.std(axis=0)
+    scale[scale < 1e-12] = 1.0
+    gp._X_raw, gp._x_mean, gp._x_scale = X, X.mean(axis=0), scale
+    gp._X = (X - gp._x_mean) / gp._x_scale
+    gp.degenerate = float(np.var(gp._y)) < gp_mod._TARGET_VAR_FLOOR
     m = X.shape[1]
     gp.log_ls = phi[:m]
     gp.log_sf2 = float(phi[m])
     gp.log_sn2 = float(phi[m + 1])
-    K = gp._kernel(gp._X, gp._X, gp.log_ls, gp.log_sf2)
+    d2 = (gp._X[:, None, :] - gp._X[None, :, :]) ** 2 / np.exp(gp.log_ls) ** 2
+    K = np.exp(gp.log_sf2) * np.exp(-0.5 * d2.sum(axis=2))
     K += np.exp(gp.log_sn2) * np.eye(gp._X.shape[0])
     gp._L, gp.jitter = _cholesky_with_jitter(K, scale=np.exp(gp.log_sf2))
     gp._alpha = cho_solve((gp._L, True), gp._y)
