@@ -37,10 +37,36 @@ def _ranges(raw):
     return tuple(out)
 
 
+# every key each section may hold; anything else is a typo or a removed setting
+_KEYS = {
+    "experiment": {"label", "seed"},
+    "sim": {"mode", "damping", "gravity_gain", "dt", "n_steps", "x0_angles",
+            "temporal_shift", "spatial_std"},
+    "policy": {"family", "theta", "x_star", "joints"},
+    "perturbation": {"scheme", "count", "ranges", "lambda_rate", "lambda_sweep",
+                     "n_per_lambda"},
+    "preprocess": {"align", "max_lag", "gamma_sweep"},
+    "gp": {"stride", "optimize", "n_restarts"},
+    "eval": {"holdout_fraction", "split_seed"},
+    "planner": {"t_constraint", "target_kps", "dims"},
+}
+
+
+def _check_keys(parser):
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"[{section}]: unknown config section")
+        for key in parser[section]:
+            if key not in _KEYS[section]:
+                raise ConfigError(f"{section}.{key}: unknown config key")
+
+
 class ExperimentConfig:
-    """Typed view of an experiment INI file."""
+    """Typed view of an experiment INI file. Unknown sections and keys are
+    ConfigErrors, so a misspelt setting cannot fall back to its default."""
 
     def __init__(self, parser):
+        _check_keys(parser)
         try:
             exp = parser["experiment"]
             self.label = exp.get("label", "experiment")
@@ -157,7 +183,8 @@ class ExperimentConfig:
 
 
 def load_config(path):
-    parser = configparser.ConfigParser()
+    # "key = value   ; note" lines, as in the README, end at the comment
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")

@@ -7,8 +7,9 @@ terminal state and carries empty torque cells. The sidecar (same path plus
 '.meta') holds policy_id, seed, dt, mode, temporal_shift, spatial_std as
 key = value lines.
 
-CSV lines end with \r\n. Trajectory, sample and perturbation CSVs are written
-and read as whole numpy blocks rather than cell by cell.
+CSV lines end with \r\n. Trajectory and perturbation CSVs are written as whole
+numpy blocks; a sample CSV one recording at a time, its repeated t, dtheta_*
+and dtheta_norm cells formatted once. All are read as whole numpy blocks.
 """
 
 import csv
@@ -20,9 +21,6 @@ from .errors import ConfigError
 from .sim import Trajectory
 
 TRAJ_HEADER = ["t", "x1", "x2", "x3", "v1", "v2", "v3", "u1", "u2", "u3"]
-
-# sample rows formatted per write; bounds the Python floats held at once
-_SAMPLE_BLOCK = 4096
 
 
 def _fmt(x):
@@ -119,28 +117,25 @@ def read_trajectory(path):
 
 def write_samples(samples, path):
     """A SampleSet as rows t, dtheta_*, dx_*, dtheta_norm (full precision),
-    recording after recording, each with its timesteps 0..T in order."""
+    recording after recording, each with its timesteps 0..T in order. Only
+    the dx_* cells are formatted per row."""
     if not len(samples):
         raise ConfigError("no samples to write")
     steps, d = samples.delta_x.shape[1:]
     m = samples.delta_theta.shape[1]
-    # the norm of each recording's own row vector, as a 1-D norm computes it
-    norms = np.array([np.linalg.norm(v) for v in samples.delta_theta])
-    dx = samples.delta_x.reshape(-1, d)
     header = (["t"] + [f"dtheta_{j+1}" for j in range(m)]
               + [f"dx_{i+1}" for i in range(d)] + ["dtheta_norm"])
-    template = _row_template(m + d + 1, fmt="%.17g")
+    # one recording's t and dx cells, row by row: the % arguments of its rows
+    cells = np.empty((steps, 1 + d), dtype=object)
+    cells[:, 0] = [str(t) for t in range(steps)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(dx), _SAMPLE_BLOCK):
-            hi = min(lo + _SAMPLE_BLOCK, len(dx))
-            rec, t = np.divmod(np.arange(lo, hi), steps)
-            block = np.empty((hi - lo, m + d + 2))
-            block[:, 0] = t
-            block[:, 1:1 + m] = samples.delta_theta[rec]
-            block[:, 1 + m:1 + m + d] = dx[lo:hi]
-            block[:, -1] = norms[rec]
-            _write_block(fh, template, block)
+        for dtheta, dx in zip(samples.delta_theta, samples.delta_x):
+            # the norm of the recording's own row vector, as a 1-D norm computes it
+            template = ("%s," + "".join(f"{v:.17g}," for v in dtheta) + "%.17g," * d
+                        + f"{np.linalg.norm(dtheta):.17g}\r\n")
+            cells[:, 1:] = dx
+            fh.write((template * steps) % tuple(cells.ravel().tolist()))
 
 
 def _recordings(path, head):

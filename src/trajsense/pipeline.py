@@ -8,7 +8,9 @@ fixed config and seed.
 
 Noise handling mirrors a physical data collection: the source rollout is the
 clean reference, each perturbed recording gets its own temporal lag (drawn in
-the configured range) and spatial noise seed.
+the configured range) and spatial noise seed. The build stage aligns each
+recording once against the raw source, then voxelizes the aligned recordings
+for each gamma of the sweep.
 """
 
 import configparser
@@ -21,7 +23,8 @@ import numpy as np
 from . import io as tio
 from .errors import ConfigError, DependencyError, StageError
 from .planner import PlanningProblem, plan_and_verify
-from .sensitivity import SensitivityModel, build_samples, evaluate, fit_gp
+from .sensitivity import (PreprocessConfig, SensitivityModel, align_recording,
+                          build_samples, evaluate, fit_gp)
 from .sim import NoiseConfig, rollout, rollout_batch
 from .voxel import VoxelGrid, voxelize_trajectory
 
@@ -164,12 +167,13 @@ def stage_build(cfg, out):
     pairs = []
     for i, d in enumerate(deltas):
         traj = tio.read_trajectory(os.path.join(traj_dir, f"sample_{i:04d}.csv"))
-        pairs.append((d, traj))
+        # alignment does not depend on gamma: once per recording, voxels per gamma
+        pairs.append((d, align_recording(source, d, traj, cfg.preprocess_config(0))))
 
     train_idx, test_idx = _split_indices(cfg, len(pairs))
     paths = []
     for gamma in cfg.gamma_sweep:
-        pre = cfg.preprocess_config(gamma)
+        pre = PreprocessConfig(gamma=(gamma if gamma > 0 else None))
         tag = _gamma_tag(gamma)
         for name, idx in (("train", train_idx), ("test", test_idx)):
             subset = [pairs[i] for i in idx]

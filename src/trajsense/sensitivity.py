@@ -68,25 +68,28 @@ class PreprocessConfig:
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
-def _preprocessed(source, traj, cfg):
-    if cfg is None:
-        return traj
-    if cfg.align_method == "correlation":
-        est = align_mod.estimate_delay(source, traj, cfg.max_lag)
-        if est.tau_star != 0:
-            traj = align_mod.apply_shift(traj, est.tau_star)
-    elif cfg.align_method == "zero_crossing":
+def align_recording(source, delta_theta, traj, preprocess=None):
+    """One perturbed recording, checked against the source and delay-aligned
+    to it by preprocess.align_method; preprocess.gamma is not applied. A zero
+    delta_theta or a length or dt unlike the source's is a DatasetError."""
+    if np.linalg.norm(np.asarray(delta_theta, dtype=float).reshape(-1)) == 0.0:
+        raise DatasetError("delta_theta must be nonzero")
+    if traj.n_steps != source.n_steps or traj.dt != source.dt:
+        raise DatasetError("perturbed trajectory length/dt mismatch")
+    method = "none" if preprocess is None else preprocess.align_method
+    shift = 0
+    if method == "correlation":
+        shift = align_mod.estimate_delay(source, traj, preprocess.max_lag).tau_star
+    elif method == "zero_crossing":
         try:
             # landmark lag is reported ref-minus-other; undo it on the other side
             shift = -align_mod.align_zero_crossing(source, traj, 0).tau_star
         except LandmarkMissingError:
             # no velocity zero-crossing to anchor on: fall back to correlation
-            shift = align_mod.estimate_delay(source, traj, cfg.max_lag).tau_star
-        if shift != 0:
-            traj = align_mod.apply_shift(traj, shift)
-    elif cfg.align_method != "none":
-        raise ConfigError(f"unknown align_method {cfg.align_method!r}")
-    return traj
+            shift = align_mod.estimate_delay(source, traj, preprocess.max_lag).tau_star
+    elif method != "none":
+        raise ConfigError(f"unknown align_method {method!r}")
+    return align_mod.apply_shift(traj, shift) if shift != 0 else traj
 
 
 def build_samples(source, perturbed, preprocess=None):
@@ -94,7 +97,8 @@ def build_samples(source, perturbed, preprocess=None):
 
     perturbed is a list of (delta_theta, Trajectory) pairs produced by rolling
     out theta_nominal + delta_theta. All trajectories must share the source's
-    length and dt. Returns a SampleSet with one row per pair.
+    length and dt. Each goes through align_recording, then is voxelized like
+    the source. Returns a SampleSet with one row per pair.
     """
     grid = None
     if preprocess is not None and preprocess.gamma:
@@ -104,12 +108,8 @@ def build_samples(source, perturbed, preprocess=None):
 
     delta_theta = np.array([np.asarray(d, dtype=float).reshape(-1) for d, _ in perturbed])
     delta_x = np.empty((len(perturbed),) + src.angles.shape)
-    for i, (_, traj) in enumerate(perturbed):
-        if np.linalg.norm(delta_theta[i]) == 0.0:
-            raise DatasetError("delta_theta must be nonzero")
-        if traj.n_steps != source.n_steps or traj.dt != source.dt:
-            raise DatasetError("perturbed trajectory length/dt mismatch")
-        traj = _preprocessed(source, traj, preprocess)
+    for i, (d, traj) in enumerate(perturbed):
+        traj = align_recording(source, d, traj, preprocess)
         if grid:
             traj = voxel_mod.voxelize_trajectory(traj, grid)
         np.subtract(traj.angles, src.angles, out=delta_x[i])

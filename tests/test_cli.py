@@ -1,16 +1,18 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
-from trajsense import DynamicsMode, JointState, PolicySpec, inject_temporal_noise, rollout
+from trajsense import (DynamicsMode, JointState, PolicySpec, Trajectory,
+                       inject_temporal_noise, rollout)
+from trajsense import align, pipeline
 from trajsense import io as tio
-from trajsense import pipeline
 from trajsense.cli import main
 from trajsense.config import load_config
-from trajsense.errors import ConfigError
+from trajsense.errors import ConfigError, DatasetError
 from trajsense.pipeline import emit_plot_data, run_pipeline
-from trajsense.sensitivity import SensitivityModel
+from trajsense.sensitivity import SensitivityModel, build_samples
 from trajsense.sim import START_POSE
 
 from oracles import per_point_gp_evolution, posterior_error_bounds
@@ -105,6 +107,71 @@ def test_workers_do_not_change_results(cfg_file, tmp_path):
     a = open(os.path.join(out1, "metrics", "metrics.csv")).read()
     b = open(os.path.join(out2, "metrics", "metrics.csv")).read()
     assert a == b
+
+
+PD_POLICY = """family = pd_feedback
+theta = 0.4, 0.01
+x_star = 0.3141592653589793, 2.356194490192345, 1.8325957145940461
+"""
+
+
+# (align method, policy, the aligners each recording must reach exactly once):
+# the PD response has no velocity zero-crossing in joint 0, so zero_crossing
+# falls back to correlation there; the sinusoid has one
+@pytest.mark.parametrize("method, policy, aligners", [
+    ("correlation", PD_POLICY, {"estimate_delay"}),
+    ("zero_crossing", "family = sinusoidal\ntheta = 0.4, 0.05\n", {"align_zero_crossing"}),
+    ("zero_crossing", PD_POLICY, {"align_zero_crossing", "estimate_delay"}),
+], ids=["correlation", "zero_crossing", "zero_crossing_fallback"])
+def test_build_aligns_each_recording_once(tmp_path, monkeypatch, method, policy, aligners):
+    text = (SMALL_CFG.replace("align = none", f"align = {method}\nmax_lag = 10")
+            .replace(PD_POLICY, policy)
+            .replace("gamma_sweep = 0, 0.04", "gamma_sweep = 0, 0.01, 0.04")
+            .replace("n_steps = 200", "n_steps = 200\ntemporal_shift = 5\n"
+                                      "spatial_std = 0.001, 0.001, 0.001"))
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    cfg, out = load_config(str(path)), str(tmp_path / "out")
+    pipeline.stage_simulate(cfg, out)
+
+    # the former build: every (gamma, split) aligned the raw recordings anew
+    traj_dir = os.path.join(out, "trajectories")
+    source = tio.read_trajectory(os.path.join(traj_dir, "source.csv"))
+    deltas = tio.read_perturbations(os.path.join(out, "samples", "perturbations.csv"),
+                                    cfg.policy.theta)
+    pairs = [(d, tio.read_trajectory(os.path.join(traj_dir, f"sample_{i:04d}.csv")))
+             for i, d in enumerate(deltas)]
+    assert any(t.meta["temporal_shift"] != 0 for _, t in pairs)
+    splits = zip(("train", "test"), pipeline._split_indices(cfg, len(pairs)))
+    expected = {}
+    for name, idx in splits:
+        for gamma in cfg.gamma_sweep:
+            ref = str(tmp_path / "ref.csv")
+            tio.write_samples(build_samples(source, [pairs[i] for i in idx],
+                                            cfg.preprocess_config(gamma)), ref)
+            expected[f"{name}_g{gamma:g}.csv"] = open(ref, "rb").read()
+
+    calls = {"estimate_delay": [], "align_zero_crossing": []}
+    for fn in calls:
+        def spy(ref, other, *args, _fn=getattr(align, fn), _calls=calls[fn]):
+            _calls.append(other.angles.tobytes())
+            return _fn(ref, other, *args)
+        monkeypatch.setattr(align, fn, spy)
+    paths = pipeline.stage_build(cfg, out)
+    raw = sorted(t.angles.tobytes() for _, t in pairs)
+    for fn, seen in calls.items():
+        assert sorted(seen) == (raw if fn in aligners else []), fn
+    assert sorted(os.path.basename(p) for p in paths) == sorted(expected)
+    for p in paths:
+        assert open(p, "rb").read() == expected[os.path.basename(p)], p
+
+    # a recording of the wrong length is a dataset error before any alignment
+    short = tio.read_trajectory(os.path.join(traj_dir, "sample_0003.csv"))
+    short = Trajectory(short.dt, short.angles[:-1], short.velocities[:-1],
+                       short.torques[:-1], short.meta)
+    tio.write_trajectory(short, os.path.join(traj_dir, "sample_0003.csv"))
+    with pytest.raises(DatasetError, match="length"):
+        pipeline.stage_build(cfg, out)
 
 
 def test_emit_plots_all_kinds(cfg_file, tmp_path):
@@ -233,6 +300,31 @@ def test_gp_optimize_other_than_true_is_rejected(tmp_path):
     on = tmp_path / "on.ini"
     on.write_text(SMALL_CFG)
     assert load_config(str(absent)).fingerprint() == load_config(str(on)).fingerprint()
+
+
+@pytest.mark.parametrize("edit, name", [
+    (("n_restarts = 1", "n_restart = 5"), "gp.n_restart"),
+    (("gamma_sweep = 0, 0.04", "gamma_sweep = 0, 0.04\nepsilon = 0.01"), "preprocess.epsilon"),
+    (("[eval]", "[evaluate]"), "[evaluate]"),
+])
+def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
+    # a misspelt key used to load silently and run with the key's default
+    bad = tmp_path / "bad.ini"
+    bad.write_text(SMALL_CFG.replace(*edit))
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        load_config(str(bad))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("### Config format")[1].split("```ini\n")[1].split("```")[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    cfg = load_config(str(path))
+    # the inline "; ..." notes are comments, not part of the values
+    assert cfg.mode.tag == "pendulum3" and cfg.align_method == "correlation"
+    assert cfg.gamma_sweep == (0.0, 0.01, 0.04) and cfg.n_restarts == 2
 
 
 @pytest.mark.parametrize("model", ["missing.npz", "models_dir"])

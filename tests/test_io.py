@@ -120,15 +120,27 @@ def test_sample_writer_matches_rowwise_csv_bytes(tmp_path):
     rng = np.random.default_rng(3)
     big = SampleSet(delta_theta=rng.normal(size=(4, 2)),
                     delta_x=rng.normal(size=(4, 1501, 3)) * 1e-6)
+    # dtheta rows of -0.0, 17-digit values and norms that overflow to inf: the
+    # cells each recording's row template carries, for m = 1, 2 and 3
+    edge = np.array([[-0.0, 0.1 + 0.2, 1e300], [1.0 / 3.0, -0.0, -2.0 / 3.0],
+                     [np.pi, -1.7976931348623157e308, 1e-300]])
+    edge_dx = np.random.default_rng(4).normal(size=(3, 6, 3))
     sets = [awkward_samples(10, 5, 2, seed=1), awkward_samples(3, 17, 2, seed=2),
+            awkward_samples(10, 5, 1, seed=7), awkward_samples(6, 9, 3, seed=8),
             SampleSet(np.array([[3.0, 4.0]]), np.array([[[-0.0, 0.0, 1e-300]]])),
-            big]  # 6004 rows: more than one formatting block
+            SampleSet(edge, edge_dx), SampleSet(edge[:, :1], edge_dx),
+            SampleSet(edge[:, 1:2], edge_dx), SampleSet(edge[:, 1:], edge_dx),
+            big]  # 6004 rows
     new, ref = str(tmp_path / "new.csv"), str(tmp_path / "ref.csv")
     for samples in sets:
         tio.write_samples(samples, new)
         oracles.csv_write_samples(oracles.object_samples(samples.delta_theta,
                                                          samples.delta_x), ref)
-        assert open(new, "rb").read() == open(ref, "rb").read()
+        data = open(new, "rb").read()
+        assert data == open(ref, "rb").read()
+        if samples.delta_theta is edge:
+            assert b",-0," in data and b",0.30000000000000004," in data
+            assert data.count(b",inf\r\n") == 2 * 6
         back = tio.read_samples(new)
         assert np.array_equal(back.delta_theta, samples.delta_theta)
         assert np.array_equal(back.delta_x, samples.delta_x)

@@ -35,7 +35,7 @@ from trajsense.errors import (
 from trajsense.gp import ExactGP, _cholesky_with_jitter
 from trajsense.sensitivity import SensitivityModel
 from trajsense import io as tio
-from trajsense.sensitivity import _preprocessed
+from trajsense.sensitivity import align_recording
 from trajsense.sim import START_POSE, inject_temporal_noise, rollout_batch
 from trajsense.voxel import VoxelGrid, voxelize_trajectory
 
@@ -159,7 +159,7 @@ def test_dense_build_and_writer_match_the_object_oracle(tmp_path, lagged_ramps, 
     grid = VoxelGrid(np.full(3, pre.gamma), pre.origin) if pre and pre.gamma else None
     prep = lambda tr: voxelize_trajectory(tr, grid) if grid else tr  # noqa: E731
     ref = oracles.object_build_samples(
-        prep(source).angles, [(d, prep(_preprocessed(source, tr, pre)).angles)
+        prep(source).angles, [(d, prep(align_recording(source, d, tr, pre)).angles)
                               for d, tr in pairs])
     assert len(samples) == len(ref) == 24 * 201
     assert np.array_equal(samples.delta_x.reshape(-1, 3), [s.delta_x for s in ref])

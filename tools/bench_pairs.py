@@ -10,7 +10,8 @@ side on the first seed. Each run's result JSON (from the checkout's
 machine: nproc, BLAS vendor and threads, numpy and scipy versions. Per
 workload and end-to-end metric it also stores and prints each side's median
 and quartiles and the number of pairs the change won (ties count for
-neither side). Runs are sequential, so the two sides never share the CPU.
+neither side). A run whose checks fail is kept and counted per side under
+"incorrect_runs". Runs are sequential, so the two sides never share the CPU.
 """
 
 import argparse
@@ -49,12 +50,19 @@ def machine():
 def run(checkout, workload, seed, trace):
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     path = os.path.join(checkout, ".bench_out", "results",
                         f"{workload}-seed{seed}-trace{trace}.json")
-    if proc.returncode != 0 or not os.path.exists(path):
+    if os.path.exists(path):
+        os.remove(path)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    # exit 1 with a result file is a run whose checks failed: it is kept, and
+    # its "correct": false is counted; anything else stops the comparison
+    if proc.returncode not in (0, 1) or not os.path.exists(path):
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{checkout}: {workload} seed {seed} exited {proc.returncode}")
+    for line in proc.stdout.splitlines():
+        if line.startswith("CHECK FAILED"):
+            print(f"{checkout}: {workload} seed {seed}: {line}", file=sys.stderr, flush=True)
     with open(path) as fh:
         return json.load(fh)
 
@@ -99,8 +107,11 @@ def main(argv=None):
         traced = {side: run(getattr(args, side), workload, seed, 1)
                   for side in ("parent", "change")}
         summary = summarize(runs["parent"], runs["change"], better)
+        incorrect = {side: sum(not r["correct"] for r in runs[side]) for side in runs}
         result["workloads"][workload] = {"runs": runs, "traced": traced,
-                                         "summary": summary}
+                                         "summary": summary, "incorrect_runs": incorrect}
+        print(f"{workload:14s} runs whose checks failed: parent {incorrect['parent']}, "
+              f"change {incorrect['change']}", flush=True)
         for name, s in summary.items():
             print(f"{workload:14s} {name:12s} parent {s['parent']['median']:.6g} "
                   f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}]  change "
