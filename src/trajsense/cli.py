@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Subcommands cover the full workflow: `run` executes the whole pipeline from a
-config file; `simulate`, `perturb`, `fit`, `evaluate`, `plan` run single
-stages; `align` and `voxelize` operate directly on trajectory CSVs;
+config file; `simulate`, `perturb`, `build`, `fit`, `evaluate`, `plan` run
+single stages; `align` and `voxelize` operate directly on trajectory CSVs;
 `emit-plots` exports plain-data bundles for external plotting.
 
 Exit codes: 0 success, 2 configuration error, 3 stage failure.
@@ -64,6 +64,13 @@ def cmd_perturb(args):
     dest = os.path.join(args.out, "samples", "perturbations.csv")
     tio.write_perturbations(cfg.policy.theta, cfg.perturbation_deltas(), dest)
     print(dest)
+    return 0
+
+
+def cmd_build(args):
+    cfg = _load(args)
+    for path in pipeline.stage_build(cfg, args.out):
+        print(path)
     return 0
 
 
@@ -167,6 +174,7 @@ def build_parser():
     stage("run", cmd_run)
     stage("simulate", cmd_simulate)
     stage("perturb", cmd_perturb)
+    stage("build", cmd_build)
     stage("fit", cmd_fit)
     stage("evaluate", cmd_evaluate)
 

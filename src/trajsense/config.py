@@ -11,11 +11,11 @@ import hashlib
 import numpy as np
 
 from .controllers import PolicySpec
-from .errors import ConfigError
+from .errors import ConfigError, InvalidStateError
 from .gp import N_RESTARTS
 from .perturb import PerturbationPlan, sample as sample_plan
 from .sensitivity import PreprocessConfig
-from .sim import START_POSE, DynamicsMode, JointState, NoiseConfig
+from .sim import DYNAMICS_TAGS, START_POSE, DynamicsMode, JointState, NoiseConfig
 
 GAUSSIAN_RATE_SWEEP = (1, 5, 10, 50, 100, 500, 1000, 5000)
 
@@ -52,6 +52,15 @@ _KEYS = {
 }
 
 
+def _built(key, cls, *args, **kwargs):
+    """cls(*args, **kwargs), with the InvalidStateError of its own checks
+    raised as a ConfigError that names the config key at fault."""
+    try:
+        return cls(*args, **kwargs)
+    except InvalidStateError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _check_keys(parser):
     for section in parser.sections():
         if section not in _KEYS:
@@ -73,14 +82,19 @@ class ExperimentConfig:
             self.seed = exp.getint("seed", 0)
 
             sim = parser["sim"]
-            self.mode = DynamicsMode(sim.get("mode", "linear"),
-                                     damping=sim.getfloat("damping", 0.0),
-                                     gravity_gain=sim.getfloat("gravity_gain", 0.0))
+            tag = sim.get("mode", "linear")
+            if tag not in DYNAMICS_TAGS:
+                raise ConfigError(f"sim.mode: unknown dynamics mode {tag!r}, "
+                                  f"expected one of {', '.join(DYNAMICS_TAGS)}")
+            self.mode = _built("sim.damping", DynamicsMode, tag,
+                               damping=sim.getfloat("damping", 0.0),
+                               gravity_gain=sim.getfloat("gravity_gain", 0.0))
             self.dt = sim.getfloat("dt", 0.01)
             self.n_steps = sim.getint("n_steps", None)
             x0 = _floats(sim.get("x0_angles", "")) or list(START_POSE)
             self.x0 = JointState(np.array(x0), np.zeros(3))
-            self.noise = NoiseConfig(
+            self.noise = _built(
+                "sim.spatial_std", NoiseConfig,
                 temporal_shift=sim.getint("temporal_shift", 0),
                 spatial_std=np.array(_floats(sim.get("spatial_std", "0,0,0"))),
                 seed=self.seed)

@@ -1,16 +1,25 @@
 """Experiment pipeline: simulate -> build samples -> fit -> evaluate -> plan.
 
-Stages communicate through flat files inside one artifact directory and
-synchronize at file boundaries. Every output is listed in manifest.ini with a
-content hash; a stage whose fingerprint and outputs are already present is
-skipped, which makes reruns cheap and the whole pipeline idempotent for a
-fixed config and seed.
+Every stage writes its outputs as flat files inside one artifact directory,
+and every output is listed in manifest.ini with a content hash. A stage whose
+fingerprint and outputs are already present is skipped, which makes reruns
+cheap and the whole pipeline idempotent for a fixed config and seed; once a
+stage runs, every later stage runs too, so no output is older than its inputs.
+
+Hand-off rule: inside one run_pipeline call, a stage takes what an earlier
+stage of the same call built (the sample sets, the fitted models) from a dict
+keyed by artifact path, and reads the file only when the entry is absent: the
+earlier stage was skipped, or the stage runs on its own. The sample CSVs
+round-trip exactly, and a loaded model predicts as the fitted one does, so
+both paths give the same bytes. Trajectories are still read back from their
+CSVs: those hold 9 significant digits, and the build stage must see the
+rounded values a resumed run would read.
 
 Noise handling mirrors a physical data collection: the source rollout is the
 clean reference, each perturbed recording gets its own temporal lag (drawn in
-the configured range) and spatial noise seed. The build stage aligns each
-recording once against the raw source, then voxelizes the aligned recordings
-for each gamma of the sweep.
+the configured range) and spatial noise seed. The build stage reads each
+recording once, aligns it against the raw source, and writes its rows of every
+gamma's sample sets before it reads the next one.
 """
 
 import configparser
@@ -23,8 +32,10 @@ import numpy as np
 from . import io as tio
 from .errors import ConfigError, DependencyError, StageError
 from .planner import PlanningProblem, plan_and_verify
-from .sensitivity import (PreprocessConfig, SensitivityModel, align_recording,
-                          build_samples, evaluate, fit_gp)
+# build_samples is not called here; benchmark/tracing.py wraps pipeline.build_samples
+from .sensitivity import (SampleSet, SensitivityModel, align_recording,  # noqa: F401
+                          build_samples, difference_into, evaluate, fit_gp,
+                          voxelized_source)
 from .sim import NoiseConfig, rollout, rollout_batch
 from .voxel import VoxelGrid, voxelize_trajectory
 
@@ -156,7 +167,11 @@ def _split_indices(cfg, n):
     return sorted(perm[n_test:].tolist()), sorted(perm[:n_test].tolist())
 
 
-def stage_build(cfg, out):
+def stage_build(cfg, out, handoff=None):
+    """Write samples/{train,test}_g*.csv for every gamma of the sweep. Each
+    recording is read, aligned and differenced into its rows of every gamma's
+    set, then dropped, so no more than one recording is held at a time."""
+    handoff = {} if handoff is None else handoff
     traj_dir = os.path.join(out, "trajectories")
     source_path = os.path.join(traj_dir, "source.csv")
     if not os.path.exists(source_path):
@@ -164,22 +179,29 @@ def stage_build(cfg, out):
     source = tio.read_trajectory(source_path)
     deltas = tio.read_perturbations(os.path.join(out, "samples", "perturbations.csv"),
                                     cfg.policy.theta)
-    pairs = []
+    splits = dict(zip(("train", "test"), _split_indices(cfg, len(deltas))))
+    slot = {i: (name, row) for name, idx in splits.items() for row, i in enumerate(idx)}
+    grids = {gamma: voxelized_source(source, gamma if gamma > 0 else None)
+             for gamma in cfg.gamma_sweep}
+    sets = {(gamma, name): SampleSet(
+                delta_theta=np.array([deltas[i] for i in idx]),
+                delta_x=np.empty((len(idx),) + source.angles.shape))
+            for gamma in grids for name, idx in splits.items()}
+    # alignment does not depend on gamma: once per recording, voxels per gamma
+    align_cfg = cfg.preprocess_config(0)
     for i, d in enumerate(deltas):
         traj = tio.read_trajectory(os.path.join(traj_dir, f"sample_{i:04d}.csv"))
-        # alignment does not depend on gamma: once per recording, voxels per gamma
-        pairs.append((d, align_recording(source, d, traj, cfg.preprocess_config(0))))
+        traj = align_recording(source, d, traj, align_cfg)
+        name, row = slot[i]
+        for gamma, (grid, src) in grids.items():
+            difference_into(sets[gamma, name].delta_x[row], traj, src, grid)
 
-    train_idx, test_idx = _split_indices(cfg, len(pairs))
     paths = []
     for gamma in cfg.gamma_sweep:
-        pre = PreprocessConfig(gamma=(gamma if gamma > 0 else None))
-        tag = _gamma_tag(gamma)
-        for name, idx in (("train", train_idx), ("test", test_idx)):
-            subset = [pairs[i] for i in idx]
-            samples = build_samples(source, subset, pre)
-            p = os.path.join(out, "samples", f"{name}_{tag}.csv")
-            tio.write_samples(samples, p)
+        for name in splits:
+            p = os.path.join(out, "samples", f"{name}_{_gamma_tag(gamma)}.csv")
+            tio.write_samples(sets[gamma, name], p)
+            handoff[p] = sets[gamma, name]
             paths.append(p)
     return paths
 
@@ -199,19 +221,20 @@ def _model_timesteps(cfg):
     return sorted(steps)
 
 
-def stage_fit(cfg, out, workers=1):
+def stage_fit(cfg, out, workers=1, handoff=None):
+    handoff = {} if handoff is None else handoff
     _ensure_dirs(out, "models")
     source = tio.read_trajectory(os.path.join(out, "trajectories", "source.csv"))
     paths = []
     for gamma in cfg.gamma_sweep:
         tag = _gamma_tag(gamma)
         train_path = os.path.join(out, "samples", f"train_{tag}.csv")
-        if not os.path.exists(train_path):
-            raise DependencyError(f"missing training samples {train_path}")
-        samples = tio.read_samples(train_path)
-        src_for = source
-        if gamma > 0:
-            src_for = voxelize_trajectory(source, VoxelGrid(np.full(3, gamma)))
+        samples = handoff.pop(train_path, None)
+        if samples is None:
+            if not os.path.exists(train_path):
+                raise DependencyError(f"missing training samples {train_path}")
+            samples = tio.read_samples(train_path)
+        _, src_for = voxelized_source(source, gamma if gamma > 0 else None)
         tasks = [(t, samples, cfg.n_restarts, cfg.seed, src_for.angles[t])
                  for t in _model_timesteps(cfg)]
         fitted = _pmap(_fit_task, tasks, workers)
@@ -220,6 +243,7 @@ def stage_fit(cfg, out, workers=1):
                                  delta_high=samples.delta_theta.max(axis=0))
         model_path = os.path.join(out, "models", f"model_{tag}.npz")
         model.save(model_path)
+        handoff[model_path] = model
         summary_path = os.path.join(out, "models", f"summary_{tag}.txt")
         with open(summary_path, "w") as fh:
             fh.write("\n".join(model.summary_lines()))
@@ -230,7 +254,8 @@ def stage_fit(cfg, out, workers=1):
 # -- evaluate ----------------------------------------------------------------------
 
 
-def stage_evaluate(cfg, out):
+def stage_evaluate(cfg, out, handoff=None):
+    handoff = {} if handoff is None else handoff
     _ensure_dirs(out, "metrics")
     results = []
     paths = []
@@ -238,10 +263,15 @@ def stage_evaluate(cfg, out):
         tag = _gamma_tag(gamma)
         model_path = os.path.join(out, "models", f"model_{tag}.npz")
         test_path = os.path.join(out, "samples", f"test_{tag}.csv")
-        if not (os.path.exists(model_path) and os.path.exists(test_path)):
-            raise DependencyError(f"missing fit/build outputs for gamma {gamma:g}")
-        model = SensitivityModel.load(model_path)
-        test_samples = tio.read_samples(test_path)
+        model = handoff.get(model_path)  # the plan stage may want it again
+        test_samples = handoff.pop(test_path, None)
+        if model is None or test_samples is None:
+            if not (os.path.exists(model_path) and os.path.exists(test_path)):
+                raise DependencyError(f"missing fit/build outputs for gamma {gamma:g}")
+        if model is None:
+            model = SensitivityModel.load(model_path)
+        if test_samples is None:
+            test_samples = tio.read_samples(test_path)
         row, per_t, hists = evaluate(model, test_samples, label=cfg.label)
         results.append((gamma, row))
 
@@ -284,13 +314,15 @@ def best_gamma_of(out):
 # -- plan ---------------------------------------------------------------------------
 
 
-def stage_plan(cfg, out):
+def stage_plan(cfg, out, handoff=None):
     if cfg.plan_t is None:
         return []
+    handoff = {} if handoff is None else handoff
     _ensure_dirs(out, "planning")
-    gamma = best_gamma_of(out)
-    model = SensitivityModel.load(os.path.join(out, "models",
-                                               f"model_{_gamma_tag(gamma)}.npz"))
+    model_path = os.path.join(out, "models", f"model_{_gamma_tag(best_gamma_of(out))}.npz")
+    model = handoff.get(model_path)
+    if model is None:
+        model = SensitivityModel.load(model_path)
     source_kp = float(cfg.policy.theta[0])
     fixed_kd = float(cfg.policy.theta[1]) if cfg.policy.theta.size > 1 else 0.0
 
@@ -329,22 +361,26 @@ def stage_plan(cfg, out):
 
 
 def run_pipeline(cfg, out, workers=1):
-    """Run every stage, skipping the ones whose outputs are already current."""
+    """Run every stage from the first one whose outputs are not current on,
+    handing each the objects the earlier stages of this call built."""
     os.makedirs(out, exist_ok=True)
     manifest = Manifest(out)
     fingerprint = cfg.fingerprint()
+    handoff = {}  # artifact path -> the object a stage of this call wrote there
     stage_fns = {
         "simulate": lambda: stage_simulate(cfg, out),
-        "build": lambda: stage_build(cfg, out),
-        "fit": lambda: stage_fit(cfg, out, workers),
-        "evaluate": lambda: stage_evaluate(cfg, out),
-        "plan": lambda: stage_plan(cfg, out),
+        "build": lambda: stage_build(cfg, out, handoff),
+        "fit": lambda: stage_fit(cfg, out, workers, handoff),
+        "evaluate": lambda: stage_evaluate(cfg, out, handoff),
+        "plan": lambda: stage_plan(cfg, out, handoff),
     }
+    ran = False
     for stage in STAGES:
         if stage == "plan" and cfg.plan_t is None:
             continue
-        if manifest.stage_is_current(stage, fingerprint):
+        if not ran and manifest.stage_is_current(stage, fingerprint):
             continue
+        ran = True
         try:
             produced = stage_fns[stage]()
         except Exception as exc:

@@ -92,27 +92,39 @@ def align_recording(source, delta_theta, traj, preprocess=None):
     return align_mod.apply_shift(traj, shift) if shift != 0 else traj
 
 
+def voxelized_source(source, gamma, origin=(0.0, 0.0, 0.0)):
+    """(grid, source snapped to it) for voxel half-width gamma; with gamma None
+    or 0 the grid is None and the source is returned as it is."""
+    if not gamma:
+        return None, source
+    grid = voxel_mod.VoxelGrid(gamma=np.full(3, float(gamma)), origin=origin)
+    return grid, voxel_mod.voxelize_trajectory(source, grid)
+
+
+def difference_into(out, traj, src, grid):
+    """Write the angle change of an aligned recording into out (T+1, d): the
+    recording, voxelized by grid (None: as it is), minus src, the source as
+    voxelized_source returned it for the same grid."""
+    if grid:
+        traj = voxel_mod.voxelize_trajectory(traj, grid)
+    np.subtract(traj.angles, src.angles, out=out)
+
+
 def build_samples(source, perturbed, preprocess=None):
     """Difference perturbed rollouts against the source at every timestep.
 
     perturbed is a list of (delta_theta, Trajectory) pairs produced by rolling
     out theta_nominal + delta_theta. All trajectories must share the source's
-    length and dt. Each goes through align_recording, then is voxelized like
-    the source. Returns a SampleSet with one row per pair.
+    length and dt. Each goes through align_recording, then difference_into.
+    Returns a SampleSet with one row per pair.
     """
-    grid = None
-    if preprocess is not None and preprocess.gamma:
-        grid = voxel_mod.VoxelGrid(gamma=np.full(3, float(preprocess.gamma)),
-                                   origin=preprocess.origin)
-    src = voxel_mod.voxelize_trajectory(source, grid) if grid else source
-
+    if preprocess is None:
+        preprocess = PreprocessConfig()
+    grid, src = voxelized_source(source, preprocess.gamma, preprocess.origin)
     delta_theta = np.array([np.asarray(d, dtype=float).reshape(-1) for d, _ in perturbed])
     delta_x = np.empty((len(perturbed),) + src.angles.shape)
     for i, (d, traj) in enumerate(perturbed):
-        traj = align_recording(source, d, traj, preprocess)
-        if grid:
-            traj = voxel_mod.voxelize_trajectory(traj, grid)
-        np.subtract(traj.angles, src.angles, out=delta_x[i])
+        difference_into(delta_x[i], align_recording(source, d, traj, preprocess), src, grid)
     return SampleSet(delta_theta=delta_theta, delta_x=delta_x)
 
 

@@ -76,6 +76,9 @@ class NoiseConfig:
         return self.temporal_shift == 0 and not np.any(self.spatial_std > 0)
 
 
+DYNAMICS_TAGS = ("linear", "pendulum3")
+
+
 @dataclass
 class DynamicsMode:
     """Dynamics selector: 'linear' (exactly solvable) or 'pendulum3'."""
@@ -85,7 +88,7 @@ class DynamicsMode:
     gravity_gain: float = 0.0
 
     def __post_init__(self):
-        if self.tag not in ("linear", "pendulum3"):
+        if self.tag not in DYNAMICS_TAGS:
             raise InvalidStateError(f"unknown dynamics tag {self.tag!r}")
         if self.damping < 0:
             raise InvalidStateError("damping must be nonnegative")

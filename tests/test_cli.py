@@ -1,5 +1,7 @@
 import os
 import re
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +100,71 @@ def test_pipeline_resume_skips_completed_stages(cfg_file, tmp_path):
     before = os.path.getmtime(marker)
     run_pipeline(cfg, out)  # all stages current: nothing rewritten
     assert os.path.getmtime(marker) == before
+
+
+def _tree(root, *subdirs):
+    """Relative path -> bytes of every file under root's subdirs."""
+    files = {}
+    for sub in subdirs:
+        for name in sorted(os.listdir(os.path.join(root, sub))):
+            with open(os.path.join(root, sub, name), "rb") as fh:
+                files[os.path.join(sub, name)] = fh.read()
+    return files
+
+
+def test_single_stage_commands_match_run(cfg_file, tmp_path):
+    # the stages read each other's files here; inside `run` they hand objects over
+    staged, whole = str(tmp_path / "staged"), str(tmp_path / "whole")
+    for command in ("simulate", "build", "fit", "evaluate"):
+        assert main([command, "--config", cfg_file, "--out", staged]) == 0, command
+    assert main(["run", "--config", cfg_file, "--out", whole]) == 0
+    dirs = ("samples", "models", "metrics")
+    assert _tree(staged, *dirs) == _tree(whole, *dirs)
+
+
+def test_run_pipeline_hands_samples_and_models_over_in_memory(cfg_file, tmp_path,
+                                                              monkeypatch):
+    reads, loads = [], []
+    read_samples, load = tio.read_samples, SensitivityModel.load
+    monkeypatch.setattr(tio, "read_samples", lambda path: reads.append(
+        os.path.basename(path)) or read_samples(path))
+    monkeypatch.setattr(SensitivityModel, "load", staticmethod(lambda path: loads.append(
+        os.path.basename(path)) or load(path)))
+    cfg, out = load_config(cfg_file), str(tmp_path / "out")
+    run_pipeline(cfg, out)
+    assert reads == [] and loads == []
+    fresh = _tree(out, "metrics", "planning")
+
+    # a run that resumes at fit reads what build wrote, once per file; the
+    # stages after fit run again and get the refitted models in memory
+    shutil.rmtree(os.path.join(out, "models"))
+    run_pipeline(cfg, out)
+    assert sorted(reads) == sorted(f"{name}_g{g:g}.csv" for name in ("train", "test")
+                                   for g in cfg.gamma_sweep)
+    assert loads == []
+    assert _tree(out, "metrics", "planning") == fresh
+
+
+def test_build_holds_one_recording_at_a_time(tmp_path):
+    # the sample sets of every gamma are held at once; the recordings are not.
+    # 200 recordings x 201 timesteps x 3 gammas: holding every aligned
+    # recording (9 floats per step) as well took about 1.47x the dense size
+    text = (SMALL_CFG.replace("count = 24", "count = 200")
+            .replace("gamma_sweep = 0, 0.04", "gamma_sweep = 0, 0.01, 0.04"))
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    cfg, out = load_config(str(path)), str(tmp_path / "out")
+    pipeline.stage_simulate(cfg, out)
+    dense = len(cfg.gamma_sweep) * cfg.count * ((cfg.n_steps + 1) * 3 + 2) * 8
+    handoff = {}
+    tracemalloc.start()
+    try:
+        pipeline.stage_build(cfg, out, handoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(s.delta_x.nbytes + s.delta_theta.nbytes for s in handoff.values()) == dense
+    assert peak <= 1.25 * dense, f"peak {peak / 1e6:.2f} MB, dense {dense / 1e6:.2f} MB"
 
 
 def test_workers_do_not_change_results(cfg_file, tmp_path):
@@ -306,9 +373,13 @@ def test_gp_optimize_other_than_true_is_rejected(tmp_path):
     (("n_restarts = 1", "n_restart = 5"), "gp.n_restart"),
     (("gamma_sweep = 0, 0.04", "gamma_sweep = 0, 0.04\nepsilon = 0.01"), "preprocess.epsilon"),
     (("[eval]", "[evaluate]"), "[evaluate]"),
+    (("mode = linear", "mode = pendulum4"), "sim.mode"),
+    (("damping = 0.8", "damping = -0.8"), "sim.damping"),
+    (("n_steps = 200", "n_steps = 200\nspatial_std = 0.01, -0.01, 0"), "sim.spatial_std"),
 ])
 def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
-    # a misspelt key used to load silently and run with the key's default
+    # a misspelt key used to load silently and run with the key's default;
+    # an invalid [sim] value escaped as an InvalidStateError, exit code 3
     bad = tmp_path / "bad.ini"
     bad.write_text(SMALL_CFG.replace(*edit))
     with pytest.raises(ConfigError, match=re.escape(name)):
