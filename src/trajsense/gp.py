@@ -3,10 +3,13 @@
 Scalar-output, zero prior mean. Inputs are standardized internally (constant
 columns pass through untouched); targets are used raw so that a zero input
 with a zero target anchors the prior meaningfully. Hyperparameters are
-optimized by multi-restart marginal-likelihood ascent; `from_state` rebuilds
-a GP with given hyperparameters. Inference is a Cholesky factorization with
-an escalating jitter. One kernel builder serves the likelihood, the
-factorization and prediction.
+optimized by multi-restart marginal-likelihood ascent from n_restarts starts:
+a default start, then a warm start when the caller passes one (the optimum of
+a neighbouring fit, clipped into this fit's bounds), then uniform draws inside
+the bounds; the lowest NLL wins. `from_state` rebuilds a GP with given
+hyperparameters. Inference is a Cholesky factorization with an escalating
+jitter. One kernel builder serves the likelihood, the factorization and
+prediction.
 
 A constant input column (a frozen parameter: its perturbation is zero in
 every sample) adds nothing to any squared distance, so the likelihood does
@@ -29,6 +32,7 @@ N_RESTARTS = 2
 MAX_OPT_ITER = 100
 
 _TARGET_VAR_FLOOR = 1e-20
+NOISE_FLOOR = 1e-10  # lower bound of the noise variance, relative to var(y)
 
 
 def _cholesky_with_jitter(K, scale=1.0):
@@ -40,11 +44,12 @@ def _cholesky_with_jitter(K, scale=1.0):
     """
     jitter = 0.0
     while jitter <= JITTER_MAX:
-        try:
-            L = np.linalg.cholesky(K + jitter * scale * np.eye(K.shape[0]))
+        A = K + jitter * scale * np.eye(K.shape[0])
+        # A is symmetric: its transpose is a Fortran-order view for potrf
+        L, info = lapack.dpotrf(A.T, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
+        jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
     raise FitError(f"kernel matrix not positive definite up to jitter {JITTER_MAX:g}")
 
 
@@ -68,11 +73,16 @@ def _kernel(D, log_ls, log_sf2):
     return K
 
 
-def _starts(phi0, bounds, n_restarts, seed):
-    """phi0, then n_restarts - 1 uniform draws inside the bounds."""
+def _starts(phi0, bounds, n_restarts, seed, warm=None):
+    """phi0, then n_restarts - 1 uniform draws inside the bounds; a warm start,
+    clipped into the bounds, takes the place of the first draw."""
     rng = np.random.default_rng(seed)
-    return [phi0] + [np.array([rng.uniform(lo, hi) for lo, hi in bounds])
-                     for _ in range(max(0, n_restarts - 1))]
+    draws = [np.array([rng.uniform(lo, hi) for lo, hi in bounds])
+             for _ in range(max(0, n_restarts - 1))]
+    if warm is not None and draws:
+        lo, hi = np.array(bounds).T
+        draws[0] = np.clip(warm, lo, hi)
+    return [phi0] + draws
 
 
 class ExactGP:
@@ -146,7 +156,9 @@ class ExactGP:
         self._x_scale = scale
         return (X - self._x_mean) / self._x_scale, y
 
-    def fit(self, X, y, seed=0):
+    def fit(self, X, y, seed=0, warm=None):
+        """Optimize the hyperparameters and factorize. warm: log-hyperparameters
+        in the layout of `state()` to start one restart from, or None."""
         Xs, y = self._standardized(X, y)
         vy = float(np.var(y))
         m = Xs.shape[1]
@@ -159,7 +171,7 @@ class ExactGP:
         else:
             self.degenerate = False
             phi0 = np.concatenate([np.zeros(m), [np.log(vy)], [np.log(max(1e-8 * vy, 1e-12))]])
-            self._set_phi(self._optimize(phi0, Xs, y, vy, seed))
+            self._set_phi(self._optimize(phi0, Xs, y, vy, seed, warm))
         return self._factorize(Xs, y)
 
     @classmethod
@@ -192,15 +204,17 @@ class ExactGP:
         self._y = y
         return self
 
-    def _optimize(self, phi0, Xs, y, vy, seed):
+    def _optimize(self, phi0, Xs, y, vy, seed, warm=None):
         m = Xs.shape[1]
         # lengthscales live in standardized-input units; capping them at a few
         # input standard deviations keeps the kernel well conditioned and the
-        # prior mean-reverting outside the training support
+        # prior mean-reverting outside the training support. The noise floor
+        # keeps near-duplicate inputs from interpolating to a numerically
+        # singular kernel
         bounds = ([(np.log(5e-2), np.log(3.0))] * m
                   + [(np.log(1e-4 * vy), np.log(1e4 * vy))]
-                  + [(np.log(1e-12 * max(vy, 1e-8)), np.log(10.0 * vy))])
-        starts = _starts(phi0, bounds, self.n_restarts, seed)
+                  + [(np.log(NOISE_FLOOR * max(vy, 1e-8)), np.log(10.0 * vy))])
+        starts = _starts(phi0, bounds, self.n_restarts, seed, warm)
         # frozen (constant) columns have no gradient: leave them out
         live = np.flatnonzero(np.ptp(Xs, axis=0) > 0)
         free = np.concatenate([live, [m, m + 1]])

@@ -19,7 +19,9 @@ Noise handling mirrors a physical data collection: the source rollout is the
 clean reference, each perturbed recording gets its own temporal lag (drawn in
 the configured range) and spatial noise seed. The build stage reads each
 recording once, aligns it against the raw source, and writes its rows of every
-gamma's sample sets before it reads the next one.
+gamma's sample sets before it reads the next one. The fit stage fits each
+gamma's timesteps in ascending order as one warm-started chain, so `workers`
+processes run whole gammas and the results do not depend on their number.
 """
 
 import configparser
@@ -32,10 +34,11 @@ import numpy as np
 from . import io as tio
 from .errors import ConfigError, DependencyError, StageError
 from .planner import PlanningProblem, plan_and_verify
-# build_samples is not called here; benchmark/tracing.py wraps pipeline.build_samples
+# build_samples and fit_gp are not called here; they are imported only because
+# benchmark/tracing.py wraps pipeline.build_samples and pipeline.fit_gp
 from .sensitivity import (SampleSet, SensitivityModel, align_recording,  # noqa: F401
                           build_samples, difference_into, evaluate, fit_gp,
-                          voxelized_source)
+                          fit_sensitivity_model, voxelized_source)
 from .sim import NoiseConfig, rollout, rollout_batch
 from .voxel import VoxelGrid, voxelize_trajectory
 
@@ -107,11 +110,13 @@ def _ensure_dirs(out, *names):
 
 
 def _pmap(fn, items, workers):
+    """[fn(item) for item in items], in up to `workers` processes. The serial
+    path takes the items one at a time from an iterator."""
     if workers <= 1:
         return [fn(item) for item in items]
-    # one chunk per worker: arrays shared by the items are pickled once per chunk
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=-(-len(items) // workers)))
+    items = list(items)
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 # -- simulate -------------------------------------------------------------------
@@ -209,9 +214,10 @@ def stage_build(cfg, out, handoff=None):
 # -- fit --------------------------------------------------------------------------
 
 
-def _fit_task(args):
-    t, samples, n_restarts, seed, src_angles = args
-    return t, fit_gp(samples, t, n_restarts=n_restarts, seed=seed, source_angles=src_angles)
+def _fit_chain(args):
+    samples, timesteps, n_restarts, seed, source, nominal_theta = args
+    return fit_sensitivity_model(samples, timesteps, n_restarts=n_restarts, seed=seed,
+                                 source=source, nominal_theta=nominal_theta)
 
 
 def _model_timesteps(cfg):
@@ -222,25 +228,27 @@ def _model_timesteps(cfg):
 
 
 def stage_fit(cfg, out, workers=1, handoff=None):
+    """Fit one model per gamma. A gamma's timesteps form one warm-started
+    chain (fit_sensitivity_model), so the unit of parallel work is a gamma."""
     handoff = {} if handoff is None else handoff
     _ensure_dirs(out, "models")
     source = tio.read_trajectory(os.path.join(out, "trajectories", "source.csv"))
+
+    def chains():
+        for gamma in cfg.gamma_sweep:
+            train_path = os.path.join(out, "samples", f"train_{_gamma_tag(gamma)}.csv")
+            samples = handoff.pop(train_path, None)
+            if samples is None:
+                if not os.path.exists(train_path):
+                    raise DependencyError(f"missing training samples {train_path}")
+                samples = tio.read_samples(train_path)
+            _, src_for = voxelized_source(source, gamma if gamma > 0 else None)
+            yield (samples, _model_timesteps(cfg), cfg.n_restarts, cfg.seed, src_for,
+                   cfg.policy.theta)
+
     paths = []
-    for gamma in cfg.gamma_sweep:
+    for gamma, model in zip(cfg.gamma_sweep, _pmap(_fit_chain, chains(), workers)):
         tag = _gamma_tag(gamma)
-        train_path = os.path.join(out, "samples", f"train_{tag}.csv")
-        samples = handoff.pop(train_path, None)
-        if samples is None:
-            if not os.path.exists(train_path):
-                raise DependencyError(f"missing training samples {train_path}")
-            samples = tio.read_samples(train_path)
-        _, src_for = voxelized_source(source, gamma if gamma > 0 else None)
-        tasks = [(t, samples, cfg.n_restarts, cfg.seed, src_for.angles[t])
-                 for t in _model_timesteps(cfg)]
-        fitted = _pmap(_fit_task, tasks, workers)
-        model = SensitivityModel(dict(fitted), nominal_theta=cfg.policy.theta,
-                                 delta_low=samples.delta_theta.min(axis=0),
-                                 delta_high=samples.delta_theta.max(axis=0))
         model_path = os.path.join(out, "models", f"model_{tag}.npz")
         model.save(model_path)
         handoff[model_path] = model

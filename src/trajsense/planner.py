@@ -59,7 +59,6 @@ class SolveResult:
     residuals: np.ndarray
     n_roots: int = 1
     extrapolated: bool = False
-    method: str = "root_search"
 
 
 @dataclass
@@ -166,7 +165,7 @@ def solve_kp(model, problem, method="root_search", tol=DEFAULT_TOL,
     achieved_change = _gain_query(model, t, delta, problem.gain_index, m)[dims]
     return SolveResult(kp_star=float(problem.source_kp + delta), delta_star=float(delta),
                        residuals=achieved_change - required, n_roots=n_roots,
-                       extrapolated=extrapolated, method=method)
+                       extrapolated=extrapolated)
 
 
 def _fixed_point(model, problem, required, dims, lo, hi, m, tol, max_iter):

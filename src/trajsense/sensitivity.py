@@ -193,13 +193,14 @@ class TimestepGP:
         return np.stack(means, axis=1), np.stack(stds, axis=1)
 
 
-def fit_gp(samples, t, n_restarts=N_RESTARTS, seed=0, source_angles=None):
+def fit_gp(samples, t, n_restarts=N_RESTARTS, seed=0, source_angles=None, warm=None):
     """Fit the map delta_theta -> delta_x[:, t] of a SampleSet at timestep t.
 
     A (0, 0) training pair is pinned: applying no perturbation changes
-    nothing, which anchors the small-perturbation behavior exactly. A
-    dimension whose GP cannot be fitted raises FitError naming the timestep
-    and the dimension.
+    nothing, which anchors the small-perturbation behavior exactly. warm, a
+    TimestepGP fitted on the same samples, lends each dimension's optimum as a
+    warm start; a degenerate (flat) predecessor lends none. A dimension whose
+    GP cannot be fitted raises FitError naming the timestep and the dimension.
     """
     if len(samples.delta_x) < 2 or not 0 <= t <= samples.n_steps:
         raise InsufficientDataError(f"need >= 2 samples at timestep {t}")
@@ -209,8 +210,10 @@ def fit_gp(samples, t, n_restarts=N_RESTARTS, seed=0, source_angles=None):
     gps = []
     for i in range(Y.shape[1]):
         gp = ExactGP(n_restarts)
+        lend = warm is not None and not warm.gps[i].degenerate
         try:
-            gp.fit(X, Y[:, i], seed=np.random.default_rng((seed, t, i)).integers(2**31))
+            gp.fit(X, Y[:, i], seed=np.random.default_rng((seed, t, i)).integers(2**31),
+                   warm=warm.gps[i].state()[2] if lend else None)
         except (FitError, ValueError) as exc:
             raise FitError(f"GP fit failed at timestep {t}, dimension {i}: {exc}") from exc
         gps.append(gp)
@@ -220,13 +223,11 @@ def fit_gp(samples, t, n_restarts=N_RESTARTS, seed=0, source_angles=None):
 class SensitivityModel:
     """The family of per-timestep GP maps plus training metadata."""
 
-    def __init__(self, models, nominal_theta=None, delta_low=None, delta_high=None,
-                 meta=None):
+    def __init__(self, models, nominal_theta=None, delta_low=None, delta_high=None):
         self.models = dict(models)
         self.nominal_theta = None if nominal_theta is None else np.asarray(nominal_theta, float)
         self.delta_low = None if delta_low is None else np.asarray(delta_low, float)
         self.delta_high = None if delta_high is None else np.asarray(delta_high, float)
-        self.meta = dict(meta or {})
 
     @property
     def timesteps(self):
@@ -304,19 +305,21 @@ def fit_sensitivity_model(samples, timesteps=None, stride=1, n_restarts=N_RESTAR
                           source=None, nominal_theta=None):
     """Fit TimestepGPs over a timestep grid and bundle them into a model.
 
-    timesteps defaults to every stride-th step of the samples. The source
-    trajectory, when given, stores the per-timestep nominal angles the
-    planner needs.
+    timesteps defaults to every stride-th step of the samples. They are fitted
+    in ascending order as one chain: each fit starts one restart from the
+    previous timestep's optimum (fit_gp's warm), since neighbouring maps are
+    close. The source trajectory, when given, stores the per-timestep nominal
+    angles the planner needs.
     """
     if timesteps is None:
         timesteps = range(0, samples.n_steps + 1, stride)
-    models = {}
-    for t in timesteps:
+    models, prev = {}, None
+    for t in sorted({int(t) for t in timesteps}):
         if not 0 <= t <= samples.n_steps:
             raise ConfigError(f"no samples at requested timestep {t}")
         src_angles = source.angles[t] if source is not None else None
-        models[int(t)] = fit_gp(samples, t, n_restarts=n_restarts, seed=seed,
-                                source_angles=src_angles)
+        prev = models[t] = fit_gp(samples, t, n_restarts=n_restarts, seed=seed,
+                                  source_angles=src_angles, warm=prev)
     return SensitivityModel(models, nominal_theta=nominal_theta,
                             delta_low=samples.delta_theta.min(axis=0),
                             delta_high=samples.delta_theta.max(axis=0))

@@ -14,7 +14,7 @@ from trajsense.cli import main
 from trajsense.config import load_config
 from trajsense.errors import ConfigError, DatasetError
 from trajsense.pipeline import emit_plot_data, run_pipeline
-from trajsense.sensitivity import SensitivityModel, build_samples
+from trajsense.sensitivity import SensitivityModel, build_samples, fit_sensitivity_model
 from trajsense.sim import START_POSE
 
 from oracles import per_point_gp_evolution, posterior_error_bounds
@@ -167,13 +167,38 @@ def test_build_holds_one_recording_at_a_time(tmp_path):
     assert peak <= 1.25 * dense, f"peak {peak / 1e6:.2f} MB, dense {dense / 1e6:.2f} MB"
 
 
-def test_workers_do_not_change_results(cfg_file, tmp_path):
+def test_workers_do_not_change_results(tmp_path):
+    # two gammas: with 2 workers, each fits one gamma's warm-started chain
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL_CFG.replace("n_restarts = 1", "n_restarts = 2"))
     out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
-    run_pipeline(load_config(cfg_file), out1, workers=1)
-    run_pipeline(load_config(cfg_file), out2, workers=2)
+    run_pipeline(load_config(str(path)), out1, workers=1)
+    run_pipeline(load_config(str(path)), out2, workers=2)
     a = open(os.path.join(out1, "metrics", "metrics.csv")).read()
     b = open(os.path.join(out2, "metrics", "metrics.csv")).read()
     assert a == b
+    models = {k: v for k, v in _tree(out1, "models").items() if k.endswith(".npz")}
+    assert len(models) == 2
+    assert models == {k: v for k, v in _tree(out2, "models").items() if k.endswith(".npz")}
+
+
+def test_stage_fit_runs_the_chain_of_fit_sensitivity_model(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL_CFG.replace("n_restarts = 1", "n_restarts = 2"))
+    cfg, out, handoff = load_config(str(path)), str(tmp_path / "out"), {}
+    pipeline.stage_simulate(cfg, out)
+    pipeline.stage_build(cfg, out, handoff)
+    train = {g: handoff[os.path.join(out, "samples", f"train_g{g:g}.csv")]
+             for g in cfg.gamma_sweep}
+    pipeline.stage_fit(cfg, out, 1, handoff)
+    for gamma, samples in train.items():
+        staged = handoff[os.path.join(out, "models", f"model_g{gamma:g}.npz")]
+        alone = fit_sensitivity_model(samples, pipeline._model_timesteps(cfg),
+                                      n_restarts=2, seed=cfg.seed)
+        assert staged.timesteps == alone.timesteps
+        for t in alone.timesteps:
+            for a, b in zip(staged.model_at(t).gps, alone.model_at(t).gps):
+                assert np.array_equal(a.state()[2], b.state()[2]), (gamma, t)
 
 
 PD_POLICY = """family = pd_feedback

@@ -223,3 +223,38 @@ def test_cross_kernel_matches_loops(m):
     assert np.array_equal(K, _kernel(_sq_dist_stack(Xqf, Xf), phi_f[:m + 1], phi[m + 1]))
     # the one-argument stack is the cross stack of a set with itself
     assert np.array_equal(_sq_dist_stack(Xf), _sq_dist_stack(Xf, Xf))
+
+
+def test_warm_start_takes_the_place_of_the_first_random_draw():
+    phi0 = np.zeros(4)
+    bounds = [(-3.0, 1.0)] * 2 + [(-2.0, 2.0), (-20.0, 0.0)]
+    warm = np.array([0.5, 4.0, -1.0, -30.0])
+    cold = gp_mod._starts(phi0, bounds, 3, 7)
+    starts = gp_mod._starts(phi0, bounds, 3, 7, warm)
+    assert len(starts) == 3 and starts[0] is phi0
+    assert np.array_equal(starts[1], [0.5, 1.0, -1.0, -20.0])  # clipped into the bounds
+    assert np.array_equal(starts[2], cold[2])  # further draws are as without it
+    # one restart: the default start alone, warm or not
+    assert len(gp_mod._starts(phi0, bounds, 1, 7, warm)) == 1
+
+
+def test_noise_floor_keeps_near_duplicate_inputs_from_a_singular_fit(monkeypatch):
+    # 60 gains, two of them 5e-5 apart, plus the origin; the target spans
+    # about 20 and steps steeply at 0, so a restart can win with a signal
+    # variance hundreds of times var(y) and the noise variance at its bound
+    def f(x):
+        return np.expm1(2.0 * x) + np.tanh(30.0 * x)
+
+    x = np.random.default_rng(4).uniform(-0.5, 1.5, 60)
+    x[1] = x[0] + 5e-5
+    X = np.vstack([np.zeros((1, 2)), np.column_stack([x, np.zeros(60)])])
+    q = -0.3925  # inside the training range, where the singular fit swings
+    errors = {}
+    for floor in (1e-12, gp_mod.NOISE_FLOOR):  # the former bound, then the current one
+        monkeypatch.setattr(gp_mod, "NOISE_FLOOR", floor)
+        gp = ExactGP(n_restarts=2).fit(X, f(X[:, 0]), seed=4)
+        assert gp.noise_var >= 0.999 * floor * np.var(f(X[:, 0]))
+        errors[floor] = abs(gp.predict([[q, 0.0]])[0][0] - f(q))
+    # with the former bound the fit predicts about -38.5 against a true -1.54
+    assert errors[1e-12] > 10.0
+    assert errors[gp_mod.NOISE_FLOOR] < 0.05

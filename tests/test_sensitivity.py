@@ -301,6 +301,55 @@ def test_fit_gp_names_the_timestep_and_dimension_that_failed():
     fit_gp(samples, t=9)  # the other timesteps still fit
 
 
+def test_fit_gp_warm_starts_from_its_predecessor_unless_that_is_degenerate(monkeypatch):
+    samples, _ = linear_map_samples()
+    flat = fit_gp(samples, t=0)  # the all-zero map
+    assert all(gp.degenerate for gp in flat.gps)
+    cold = fit_gp(samples, t=10)
+    # a degenerate predecessor lends nothing: the random draw stays
+    for a, b in zip(cold.gps, fit_gp(samples, t=10, warm=flat).gps):
+        assert np.array_equal(a.state()[2], b.state()[2])
+    warms, real_starts = [], gp_mod._starts
+    monkeypatch.setattr(gp_mod, "_starts", lambda *args: warms.append(args[4])
+                        or real_starts(*args))
+    fit_gp(samples, t=10, warm=cold)
+    assert len(warms) == 3
+    for w, gp in zip(warms, cold.gps):
+        assert np.array_equal(w, gp.state()[2])
+
+
+def pd_samples(n=30, T=300):
+    """Kp-perturbed PD rollouts of the 3-link pendulum, differenced against the
+    unperturbed one: the kind of data the pipeline fits."""
+    x_star = np.array([0.3141592653589793, 2.356194490192345, 1.8325957145940461])
+    mode = DynamicsMode("pendulum3", damping=0.8, gravity_gain=0.3)
+    x0 = JointState(START_POSE, np.zeros(3))
+    deltas = np.column_stack([np.random.default_rng(3).uniform(-0.5, 1.5, n), np.zeros(n)])
+    policies = [PolicySpec("pd_feedback", np.array([1.0, 0.01]) + d, {"x_star": x_star})
+                for d in np.vstack([np.zeros((1, 2)), deltas])]
+    trajs = rollout_batch(policies, x0, T, DT, mode)
+    return build_samples(trajs[0], list(zip(deltas, trajs[1:])))
+
+
+def test_warm_chain_needs_fewer_likelihood_evaluations(monkeypatch):
+    samples = pd_samples()
+    timesteps = range(20, samples.n_steps + 1, 20)
+    calls = [0]
+    real = ExactGP._nll_and_grad
+
+    def counted(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(ExactGP, "_nll_and_grad", counted)
+    chain = fit_sensitivity_model(samples, timesteps=timesteps, n_restarts=2, seed=1)
+    warm_calls, calls[0] = calls[0], 0
+    for t in timesteps:
+        fit_gp(samples, t, n_restarts=2, seed=1)  # each timestep on its own
+    assert warm_calls < calls[0]
+    assert chain.timesteps == list(timesteps)
+
+
 def test_model_predicts_held_out_perturbations():
     samples, J = linear_map_samples(n=60, seed=4)
     model = fit_sensitivity_model(samples, timesteps=[10])
