@@ -159,8 +159,8 @@ def build_parser():
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for GP fits, one gamma each "
-                             "(rollouts are batched in one process)")
+                        help="worker processes for GP fits, one gamma each; pays "
+                             "only with OPENBLAS_NUM_THREADS=1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def stage(name, fn, needs_config=True):

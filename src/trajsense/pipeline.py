@@ -110,12 +110,11 @@ def _ensure_dirs(out, *names):
 
 
 def _pmap(fn, items, workers):
-    """[fn(item) for item in items], in up to `workers` processes. The serial
-    path takes the items one at a time from an iterator."""
+    """[fn(item) for item in items]. With workers <= 1 it runs here and takes
+    the items one at a time; otherwise the pool draws them all up front."""
     if workers <= 1:
         return [fn(item) for item in items]
-    items = list(items)
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -246,6 +245,8 @@ def stage_fit(cfg, out, workers=1, handoff=None):
             yield (samples, _model_timesteps(cfg), cfg.n_restarts, cfg.seed, src_for,
                    cfg.policy.theta)
 
+    # a process per gamma at most: one gamma fits in this process
+    workers = min(workers, len(cfg.gamma_sweep))
     paths = []
     for gamma, model in zip(cfg.gamma_sweep, _pmap(_fit_chain, chains(), workers)):
         tag = _gamma_tag(gamma)

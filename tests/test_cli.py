@@ -182,6 +182,22 @@ def test_workers_do_not_change_results(tmp_path):
     assert models == {k: v for k, v in _tree(out2, "models").items() if k.endswith(".npz")}
 
 
+def test_one_gamma_fits_in_this_process(tmp_path, monkeypatch):
+    # a gamma's chain is the unit of parallel work: one gamma starts no pool
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL_CFG.replace("gamma_sweep = 0, 0.04", "gamma_sweep = 0"))
+    cfg, out = load_config(str(path)), str(tmp_path / "out")
+    pipeline.stage_simulate(cfg, out)
+    pipeline.stage_build(cfg, out)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+    paths = pipeline.stage_fit(cfg, out, workers=4)
+    assert [os.path.basename(p) for p in paths] == ["model_g0.npz", "summary_g0.txt"]
+
+
 def test_stage_fit_runs_the_chain_of_fit_sensitivity_model(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(SMALL_CFG.replace("n_restarts = 1", "n_restarts = 2"))
