@@ -152,6 +152,9 @@ class ExperimentConfig:
             raise ConfigError("perturbation.count must be a positive integer")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError("eval.holdout_fraction must be in (0, 1)")
+        if self.plan_t is not None and not 0 < self.plan_t <= self.n_steps:
+            raise ConfigError(f"planner.t_constraint {self.plan_t} must be in "
+                              f"1..n_steps ({self.n_steps})")
 
     # -- derived objects -------------------------------------------------------
 

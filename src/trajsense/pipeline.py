@@ -339,9 +339,10 @@ def stage_plan(cfg, out, handoff=None):
     report_path = os.path.join(out, "planning", "report.txt")
     with open(report_path, "w") as fh:
         for label, target_kp in zip(("short", "medium", "long"), cfg.plan_target_kps):
+            # only the state at plan_t is read, so the target stops there
             target_traj = rollout(cfg.policy.with_theta(
                 np.concatenate([[target_kp], cfg.policy.theta[1:]])),
-                cfg.x0, cfg.n_steps, cfg.dt, cfg.mode)
+                cfg.x0, cfg.plan_t, cfg.dt, cfg.mode)
             problem = PlanningProblem(
                 source_kp=source_kp, fixed_kd=fixed_kd, t_constraint=cfg.plan_t,
                 x_target_t=target_traj.angles[cfg.plan_t],

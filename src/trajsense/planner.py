@@ -193,14 +193,19 @@ def plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
 
     The report compares the planned trajectory's distance to the target at
     t_constraint against the source trajectory's distance (improvement should
-    be positive for any solvable problem).
+    be positive for any solvable problem). n_steps is the horizon the plan
+    must fall within; the simulator is causal, so the verifying rollout stops
+    at t_constraint, the only step the report reads.
     """
+    if problem.t_constraint > n_steps:
+        raise ConfigError(f"t_constraint {problem.t_constraint} is beyond the "
+                          f"horizon n_steps {n_steps}")
     result = solve_kp(model, problem, method=method)
     dims = problem.dims()
 
     theta = policy.theta.copy()
     theta[problem.gain_index] = result.kp_star
-    planned = rollout(policy.with_theta(theta), x0, n_steps, dt, mode)
+    planned = rollout(policy.with_theta(theta), x0, problem.t_constraint, dt, mode)
     achieved = planned.angles[problem.t_constraint]
 
     source_x = np.asarray(model.source_angles_at(problem.t_constraint), dtype=float)

@@ -133,20 +133,16 @@ class Trajectory:
                           self.torques.copy(), dict(self.meta))
 
 
-def _clamp(angles, velocities):
-    clamped = np.clip(angles, JOINT_LOW, JOINT_HIGH)
-    hit = clamped != angles
-    if np.any(hit):
-        velocities = np.where(hit, 0.0, velocities)
-    return clamped, velocities
-
-
 def _gravity_torque(angles, gravity_gain):
     # Planar chain with unit links: torque at joint i collects the gravity
     # pull of every link at or beyond i, expressed through the cumulative
-    # link angles. angles is (3,) or an (N, 3) batch.
-    s0, s1, s2 = np.sin(np.cumsum(angles, axis=-1)).T
-    return gravity_gain * np.array([s0 + s1 + s2, s1 + s2, s2]).T
+    # link angles: [s0 + s1 + s2, s1 + s2, s2]. angles is (3,) or an (N, 3)
+    # batch.
+    s = np.sin(np.add.accumulate(angles, axis=-1))  # np.cumsum without its dispatch
+    g = s.copy()
+    g[..., :2] += s[..., 1:]
+    g[..., 0] += s[..., 2]
+    return gravity_gain * g
 
 
 def _step_arrays(angles, velocities, u, dt, mode):
@@ -170,7 +166,10 @@ def _step_arrays(angles, velocities, u, dt, mode):
         acc = u - c * velocities - _gravity_torque(angles, mode.gravity_gain)
         new_v = velocities + dt * acc
         new_x = angles + dt * new_v
-    return _clamp(new_x, new_v)
+    # the clip method is np.clip without its dispatch; a clamped joint stops
+    clamped = new_x.clip(JOINT_LOW, JOINT_HIGH)
+    np.copyto(new_v, 0.0, where=clamped != new_x)
+    return clamped, new_v
 
 
 def step(state, torque, dt, mode):
@@ -248,7 +247,7 @@ def rollout_batch(policies, x0, n_steps, dt, mode, noises=None):
             u = torque_at(lead, k, k * dt, x, v, theta=thetas)
         except Exception as exc:  # noqa: BLE001 - wrap with timestep context
             raise PolicyEvalError(f"controller failed at step {k}: {exc}", timestep=k) from exc
-        u = np.clip(u, -TORQUE_CAP, TORQUE_CAP)
+        u = u.clip(-TORQUE_CAP, TORQUE_CAP)
         torques[:, k] = u
         x, v = _step_arrays(x, v, u, dt, mode)
         angles[:, k + 1] = x

@@ -4,8 +4,9 @@ Everything here is computed by a different route than the library code:
 combinatorial closed-form sums instead of iterated stepping, one-shot
 exponential solutions, homogeneous matrix powers for closed-loop maps,
 exhaustive brute-force sweeps, one object per training sample,
-row-by-row csv-module writers for the file formats, and one GP query per
-point for the block queries. Keep this module
+row-by-row csv-module writers for the file formats, one GP query per
+point for the block queries, the former rollout loop, and verification
+over the whole horizon. Keep this module
 free of trajsense imports so the oracles cannot inherit a library bug.
 """
 
@@ -241,3 +242,103 @@ def posterior_error_bounds(gp, Xq):
                  + n * eps * (np.exp(gp.log_sf2) + np.exp(gp.log_sn2)
                               + np.sum(V * V, axis=0)))
     return mean_bound, var_bound
+
+
+# -- the former rollout loop ------------------------------------------------------
+# rollout_batch as it stepped before it resolved the policy once per rollout:
+# one torque dispatch by family name per step, np.clip for both clips, and the
+# gravity torque assembled with np.array([...]).T. Policies and the dynamics
+# mode are duck typed (family/theta/fixed; tag/damping/gravity_gain).
+
+FORMER_JOINT_LOW = np.array([0.0, 0.0, 0.0])
+FORMER_JOINT_HIGH = np.array([np.pi, np.pi, 2.0 * np.pi])
+FORMER_TORQUE_CAP = 5.0
+
+
+def _former_torque_at(policy, step_index, t_seconds, angles, velocities, theta):
+    theta = np.asarray(theta, dtype=float)
+    if policy.family == "linear_openloop":
+        return theta[..., :3] * t_seconds + theta[..., 3:]
+    if policy.family == "sinusoidal":
+        joints = tuple(int(j) for j in policy.fixed["joints"])
+        theta = theta.reshape(theta.shape[:-1] + (len(joints), 2))
+        u = np.zeros(theta.shape[:-2] + (3,))
+        for k, j in enumerate(joints):
+            u[..., j - 1] = theta[..., k, 0] * np.sin(theta[..., k, 1] * step_index)
+        return u
+    kp = theta[..., 0, None]
+    kd = theta[..., 1, None] if theta.shape[-1] > 1 else 0.0
+    err = np.asarray(policy.fixed["x_star"], dtype=float) - np.asarray(angles, dtype=float)
+    return kp * err - kd * np.asarray(velocities, dtype=float)
+
+
+def _former_step_arrays(angles, velocities, u, dt, mode):
+    c = mode.damping
+    if mode.tag == "linear":
+        if c == 0.0:
+            new_v = velocities + u * dt
+            new_x = angles + velocities * dt + 0.5 * u * dt * dt
+        else:
+            decay = np.exp(-c * dt)
+            drift = u / c
+            new_v = velocities * decay + drift * (1.0 - decay)
+            new_x = angles + drift * dt + (velocities - drift) * (1.0 - decay) / c
+    else:
+        s0, s1, s2 = np.sin(np.cumsum(angles, axis=-1)).T
+        gravity = mode.gravity_gain * np.array([s0 + s1 + s2, s1 + s2, s2]).T
+        acc = u - c * velocities - gravity
+        new_v = velocities + dt * acc
+        new_x = angles + dt * new_v
+    clamped = np.clip(new_x, FORMER_JOINT_LOW, FORMER_JOINT_HIGH)
+    hit = clamped != new_x
+    if np.any(hit):
+        new_v = np.where(hit, 0.0, new_v)
+    return clamped, new_v
+
+
+def former_rollout_batch(policies, x0_angles, x0_velocities, n_steps, dt, mode):
+    """(angles, velocities, torques) of shapes (N, T+1, 3), (N, T+1, 3), (N, T, 3)."""
+    lead = policies[0]
+    thetas = np.stack([p.theta for p in policies])
+    n = len(policies)
+    x = np.tile(np.asarray(x0_angles, dtype=float), (n, 1))
+    v = np.tile(np.asarray(x0_velocities, dtype=float), (n, 1))
+    angles = np.empty((n, n_steps + 1, 3))
+    velocities = np.empty((n, n_steps + 1, 3))
+    torques = np.empty((n, n_steps, 3))
+    angles[:, 0] = x
+    velocities[:, 0] = v
+    for k in range(n_steps):
+        u = _former_torque_at(lead, k, k * dt, x, v, thetas)
+        u = np.clip(u, -FORMER_TORQUE_CAP, FORMER_TORQUE_CAP)
+        torques[:, k] = u
+        x, v = _former_step_arrays(x, v, u, dt, mode)
+        angles[:, k + 1] = x
+        velocities[:, k + 1] = v
+    return angles, velocities, torques
+
+
+# -- full-horizon verification ------------------------------------------------------
+# plan_and_verify as it was before its verifying rollout stopped at the
+# constraint time: the solved gain is rolled out over all n_steps. The solver
+# and the simulator are passed in, so no trajsense import is needed; the
+# report comes back as a dict of PlanReport's fields.
+
+
+def full_horizon_plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
+                                 solve_kp, rollout, method="root_search"):
+    result = solve_kp(model, problem, method=method)
+    dims = problem.dims()
+    theta = policy.theta.copy()
+    theta[problem.gain_index] = result.kp_star
+    planned = rollout(policy.with_theta(theta), x0, n_steps, dt, mode)
+    achieved = planned.angles[problem.t_constraint]
+    source_x = np.asarray(model.source_angles_at(problem.t_constraint), dtype=float)
+    target = problem.x_target_t
+    miss = float(np.linalg.norm(achieved[dims] - target[dims]))
+    source_miss = float(np.linalg.norm(source_x[dims] - target[dims]))
+    improvement = 0.0 if source_miss == 0 else 1.0 - miss / source_miss
+    return {"kp_star": result.kp_star, "achieved": achieved, "target": target,
+            "miss": miss, "source_miss": source_miss, "improved": bool(miss < source_miss),
+            "improvement": improvement, "n_roots": result.n_roots,
+            "extrapolated": result.extrapolated}

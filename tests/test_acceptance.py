@@ -23,6 +23,7 @@ from trajsense import (
     plan_and_verify,
     reconstruct_linear,
     rollout,
+    rollout_batch,
     voxel_center,
 )
 from trajsense.config import load_config
@@ -246,14 +247,19 @@ def test_criterion_6_zero_shot_planning():
     for mode, floor in ((DynamicsMode("linear", damping=0.8), 0.8),
                         (DynamicsMode("pendulum3", damping=0.8, gravity_gain=0.3),
                          0.5)):
+        def pd_policy(kp):
+            return PolicySpec("pd_feedback", [kp, KD], {"x_star": X_STAR.copy()})
+
         def pd_rollout(kp):
-            pol = PolicySpec("pd_feedback", [kp, KD], {"x_star": X_STAR.copy()})
-            return rollout(pol, JointState(START_POSE, np.zeros(3)), T, DT, mode)
+            return rollout(pd_policy(kp), JointState(START_POSE, np.zeros(3)), T, DT, mode)
 
         rng = np.random.default_rng(0)
         source = pd_rollout(KP_S)
-        perturbed = [(np.array([kp - KP_S, 0.0]), pd_rollout(kp))
-                     for kp in rng.uniform(0.2, 0.6, size=100)]
+        # one batch, bit-equal to 100 single rollouts (tests/test_sim.py)
+        kps = rng.uniform(0.2, 0.6, size=100)
+        trajs = rollout_batch([pd_policy(kp) for kp in kps],
+                              JointState(START_POSE, np.zeros(3)), T, DT, mode)
+        perturbed = [(np.array([kp - KP_S, 0.0]), traj) for kp, traj in zip(kps, trajs)]
         model = fit_sensitivity_model(build_samples(source, perturbed),
                                       timesteps=[TC], source=source,
                                       nominal_theta=np.array([KP_S, KD]))
@@ -262,9 +268,7 @@ def test_criterion_6_zero_shot_planning():
             problem = PlanningProblem(source_kp=KP_S, fixed_kd=KD, t_constraint=TC,
                                       x_target_t=target, final_target=X_STAR,
                                       constraint_dim="all")
-            rep = plan_and_verify(problem, model,
-                                  PolicySpec("pd_feedback", [KP_S, KD],
-                                             {"x_star": X_STAR.copy()}),
+            rep = plan_and_verify(problem, model, pd_policy(KP_S),
                                   JointState(START_POSE, np.zeros(3)), DT, mode, T)
             results.append((mode.tag, kp_target, rep.improvement, floor))
     elapsed = time.perf_counter() - start

@@ -382,6 +382,15 @@ def test_plan_subcommand(cfg_file, tmp_path, capsys):
                     .split("=")[1])
     assert kp_star == pytest.approx(0.5, abs=5e-3)
     assert os.path.exists(tmp_path / "plan" / "planned.csv")
+    # a constraint time past the config's horizon (n_steps = 200) is a config
+    # error; it used to fail as an untrained timestep, exit code 3
+    rc = main(["plan", "--config", cfg_file, "--out", str(tmp_path / "late"),
+               "--model", os.path.join(out, "models", "model_g0.npz"),
+               "--t", "250", "--target", target])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "t_constraint 250" in err and "n_steps 200" in err
+    assert not os.path.exists(tmp_path / "late" / "planned.csv")
 
 
 def test_missing_config_is_config_error(tmp_path):
@@ -417,10 +426,12 @@ def test_gp_optimize_other_than_true_is_rejected(tmp_path):
     (("mode = linear", "mode = pendulum4"), "sim.mode"),
     (("damping = 0.8", "damping = -0.8"), "sim.damping"),
     (("n_steps = 200", "n_steps = 200\nspatial_std = 0.01, -0.01, 0"), "sim.spatial_std"),
+    (("t_constraint = 120", "t_constraint = 250"), "planner.t_constraint"),
 ])
 def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
     # a misspelt key used to load silently and run with the key's default;
-    # an invalid [sim] value escaped as an InvalidStateError, exit code 3
+    # an invalid [sim] value escaped as an InvalidStateError, exit code 3, and
+    # a t_constraint past n_steps failed the fit stage, exit code 3
     bad = tmp_path / "bad.ini"
     bad.write_text(SMALL_CFG.replace(*edit))
     with pytest.raises(ConfigError, match=re.escape(name)):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -11,14 +13,20 @@ from trajsense import (
     fit_sensitivity_model,
     plan_and_verify,
     rollout,
+    rollout_batch,
     solve_kp,
 )
 from trajsense import planner
-from trajsense.errors import TargetUnreachableError
+from trajsense.errors import ConfigError, TargetUnreachableError
 from trajsense.gp import ExactGP
 from trajsense.sim import START_POSE
 
-from oracles import pd_closed_loop_angle, per_point_predict_curve, posterior_error_bounds
+from oracles import (
+    full_horizon_plan_and_verify,
+    pd_closed_loop_angle,
+    per_point_predict_curve,
+    posterior_error_bounds,
+)
 
 DT = 0.01
 # enough viscous damping that no kp in the training range overshoots a joint
@@ -225,3 +233,64 @@ def test_plan_report_keeps_solver_findings(trained):
                for target in (inside, outside)]
     assert [r.extrapolated for r in reports] == [False, True]
     assert [r.n_roots for r in reports] == [1, 1]
+
+
+# -- verification stops at the constraint time -------------------------------------
+
+HORIZON = 300
+
+
+@pytest.fixture(scope="module", params=["linear", "pendulum3"])
+def horizon_model(request):
+    """(mode, model) with GP maps at the first, a middle and the last step."""
+    mode = MODE if request.param == "linear" else \
+        DynamicsMode("pendulum3", damping=DAMPING, gravity_gain=0.3)
+    x0 = JointState(START_POSE, np.zeros(3))
+    kps = np.random.default_rng(2).uniform(0.2, 0.6, size=30)
+    source = rollout(pd_policy(KP_SOURCE), x0, HORIZON, DT, mode)
+    trajs = rollout_batch([pd_policy(kp) for kp in kps], x0, HORIZON, DT, mode)
+    samples = build_samples(source, [(np.array([kp - KP_SOURCE, 0.0]), traj)
+                                     for kp, traj in zip(kps, trajs)])
+    model = fit_sensitivity_model(samples, timesteps=[1, HORIZON // 2, HORIZON],
+                                  source=source, nominal_theta=np.array([KP_SOURCE, KD]))
+    return mode, model
+
+
+@pytest.mark.parametrize("dims", ["all", 0])
+def test_verification_up_to_the_constraint_matches_the_full_horizon(horizon_model, dims,
+                                                                    monkeypatch):
+    mode, model = horizon_model
+    x0 = JointState(START_POSE, np.zeros(3))
+    target = rollout(pd_policy(0.5), x0, HORIZON, DT, mode).angles
+    real = planner.rollout
+    simulated = []
+    monkeypatch.setattr(planner, "rollout", lambda policy, x, n, *rest:
+                        simulated.append(n) or real(policy, x, n, *rest))
+    fields = {f.name for f in dataclasses.fields(planner.PlanReport)}
+    for t in model.timesteps:
+        problem = PlanningProblem(source_kp=KP_SOURCE, fixed_kd=KD, t_constraint=t,
+                                  x_target_t=target[t], final_target=X_STAR,
+                                  constraint_dim=dims)
+        report = plan_and_verify(problem, model, pd_policy(KP_SOURCE), x0, DT, mode,
+                                 HORIZON)
+        ref = full_horizon_plan_and_verify(problem, model, pd_policy(KP_SOURCE), x0, DT,
+                                           mode, HORIZON, solve_kp, real)
+        assert set(ref) == fields
+        for name, value in ref.items():
+            got = getattr(report, name)
+            assert type(got) is type(value), name
+            assert np.array_equal(got, value), name
+    assert simulated == list(model.timesteps)
+
+
+@pytest.mark.parametrize("t, n_steps", [
+    (T_TOTAL + 100, T_TOTAL),             # no GP map there: was UntrainedTimestepError
+    (T_CONSTRAINT, T_CONSTRAINT - 100),   # a trained step past the rollout: was IndexError
+])
+def test_constraint_beyond_the_horizon_is_a_config_error(trained, t, n_steps):
+    model, source = trained
+    problem = PlanningProblem(source_kp=KP_SOURCE, fixed_kd=KD, t_constraint=t,
+                              x_target_t=source.angles[T_CONSTRAINT], final_target=X_STAR)
+    with pytest.raises(ConfigError, match=f"t_constraint {t} .* n_steps {n_steps}"):
+        plan_and_verify(problem, model, pd_policy(KP_SOURCE),
+                        JointState(START_POSE, np.zeros(3)), DT, MODE, n_steps)

@@ -16,7 +16,7 @@ from trajsense import controllers
 from trajsense.errors import InvalidShiftError, InvalidStateError, PolicyEvalError
 from trajsense.sim import JOINT_HIGH, JOINT_LOW, START_POSE, TORQUE_CAP, TorqueVector
 
-from oracles import damped_const_torque_state, ramp_torque_state
+from oracles import damped_const_torque_state, former_rollout_batch, ramp_torque_state
 
 LINEAR = DynamicsMode("linear", damping=0.0)
 
@@ -304,6 +304,52 @@ def test_batch_rejects_mixed_policies():
                       x0, 10, 0.01, LINEAR)
     with pytest.raises(InvalidStateError):
         rollout_batch([pd, pd], x0, 10, 0.01, LINEAR, noises=[None])
+
+
+def _bits_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# Every family pushes a joint into a stop and drives some torque to exactly
+# +-TORQUE_CAP, or past it; the -0.0 entries are the signed zeros the clips
+# must keep or drop as np.clip did.
+FORMER_LOOP_CASES = {
+    "linear_openloop": ([[-0.0, 0.0, 0.0, -0.0, TORQUE_CAP, -TORQUE_CAP],
+                         [1.0, -2.0, -0.0, -7.0, 0.3, -TORQUE_CAP]], {}),
+    "sinusoidal": ([[-0.5, 0.01, 20.0, 0.05], [0.7, 0.02, -9.0, 0.013]], {"joints": (1, 3)}),
+    "p_feedback": ([[30.0], [0.2]], {"x_star": np.array([-1.0, 1.0, 7.0])}),
+    "pd_feedback": ([[2.0, 0.5], [40.0, -0.0]], {"x_star": np.array([-0.0, 4.0, 2.0])}),
+}
+# joint 1 starts at its low stop as -0.0, joint 2 at its high stop
+STOPPED_X0 = JointState(np.array([-0.0, np.pi, 1.0]), np.array([-0.0, 0.0, -3.0]))
+
+
+@pytest.mark.parametrize("mode", [LINEAR, DynamicsMode("linear", damping=0.5), PENDULUM],
+                         ids=["linear", "linear_damped", "pendulum3"])
+@pytest.mark.parametrize("family", sorted(FORMER_LOOP_CASES))
+def test_rollout_loop_matches_the_former_loop(family, mode):
+    thetas, fixed = FORMER_LOOP_CASES[family]
+    policies = [PolicySpec(family, theta, dict(fixed)) for theta in thetas]
+    x0 = STOPPED_X0
+    angles, velocities, torques = former_rollout_batch(policies, x0.angles, x0.velocities,
+                                                       300, 0.01, mode)
+    trajs = rollout_batch(policies, x0, 300, 0.01, mode) + [
+        rollout(policies[0], x0, 300, 0.01, mode)]
+    for traj, i in zip(trajs, [*range(len(policies)), 0]):
+        assert _bits_equal(traj.angles, angles[i])
+        assert _bits_equal(traj.velocities, velocities[i])
+        assert _bits_equal(traj.torques, torques[i])
+    assert np.any(np.abs(torques) == TORQUE_CAP)
+    assert np.any((angles[:, 1:] == JOINT_LOW) | (angles[:, 1:] == JOINT_HIGH))
+
+
+def test_former_loop_cases_reach_signed_zeros():
+    # the cases above only test the clips' signed zeros if such zeros occur
+    thetas, fixed = FORMER_LOOP_CASES["linear_openloop"]
+    traj = rollout(PolicySpec("linear_openloop", thetas[0], dict(fixed)), STOPPED_X0, 300,
+                   0.01, LINEAR)
+    assert np.all(traj.torques[:, 0] == 0.0) and np.all(np.signbit(traj.torques[:, 0]))
+    assert np.signbit(traj.angles[0, 0]) and not np.signbit(traj.angles[1, 0])
 
 
 def test_controller_failure_names_the_step(monkeypatch):
