@@ -16,12 +16,10 @@ import numpy as np
 
 from . import io as tio
 from . import pipeline
-from .align import align_zero_crossing, classify_noise, estimate_delay
+from .align import DEFAULT_MAX_LAG, align_zero_crossing, classify_noise, estimate_delay
 from .config import load_config
 from .errors import ConfigError, TrajsenseError
-from .planner import PlanningProblem, plan_and_verify
 from .sensitivity import SensitivityModel
-from .sim import rollout
 from .voxel import VoxelGrid, voxelize_trajectory
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
@@ -51,9 +49,13 @@ def cmd_run(args):
     return 0
 
 
-def cmd_simulate(args):
+def cmd_stage(args):
+    """One pipeline stage by itself (simulate, build, fit or evaluate); it
+    reads the earlier stages' outputs from --out."""
     cfg = _load(args)
-    for path in pipeline.stage_simulate(cfg, args.out):
+    stage = getattr(pipeline, f"stage_{args.command}")
+    extra = {"workers": args.workers} if args.command == "fit" else {}
+    for path in stage(cfg, args.out, **extra):
         print(path)
     return 0
 
@@ -64,27 +66,6 @@ def cmd_perturb(args):
     dest = os.path.join(args.out, "samples", "perturbations.csv")
     tio.write_perturbations(cfg.policy.theta, cfg.perturbation_deltas(), dest)
     print(dest)
-    return 0
-
-
-def cmd_build(args):
-    cfg = _load(args)
-    for path in pipeline.stage_build(cfg, args.out):
-        print(path)
-    return 0
-
-
-def cmd_fit(args):
-    cfg = _load(args)
-    for path in pipeline.stage_fit(cfg, args.out, workers=args.workers):
-        print(path)
-    return 0
-
-
-def cmd_evaluate(args):
-    cfg = _load(args)
-    for path in pipeline.stage_evaluate(cfg, args.out):
-        print(path)
     return 0
 
 
@@ -123,26 +104,14 @@ def cmd_plan(args):
     model = SensitivityModel.load(os.path.join(args.model, "model_g0.npz")
                                   if os.path.isdir(args.model) else args.model)
     target = np.array([float(v) for v in args.target.split(",")])
-    dims = "all" if args.dims == "all" else [int(v) for v in args.dims.split(",")]
-    problem = PlanningProblem(
-        source_kp=float(cfg.policy.theta[0]),
-        fixed_kd=float(cfg.policy.theta[1]) if cfg.policy.theta.size > 1 else 0.0,
-        t_constraint=args.t, x_target_t=target,
-        final_target=cfg.policy.fixed.get("x_star", np.zeros(3)),
-        constraint_dim=dims)
-    report = plan_and_verify(problem, model, cfg.policy, cfg.x0, cfg.dt, cfg.mode,
-                             cfg.n_steps)
+    report = pipeline.plan_target(cfg, model, args.t, target, args.dims)
     print(f"kp_star = {report.kp_star:.10g}")
     print(f"source_miss = {report.source_miss:.10g}")
     print(f"miss = {report.miss:.10g}")
     print(f"improvement = {report.improvement:.10g}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        theta = cfg.policy.theta.copy()
-        theta[0] = report.kp_star
-        verify = rollout(cfg.policy.with_theta(theta), cfg.x0, cfg.n_steps, cfg.dt,
-                         cfg.mode)
-        tio.write_trajectory(verify, os.path.join(args.out, "planned.csv"))
+    os.makedirs(args.out, exist_ok=True)  # --out is required
+    tio.write_trajectory(pipeline.rollout_with_kp(cfg, report.kp_star, cfg.n_steps),
+                         os.path.join(args.out, "planned.csv"))
     return 0
 
 
@@ -173,16 +142,16 @@ def build_parser():
         return p
 
     stage("run", cmd_run)
-    stage("simulate", cmd_simulate)
+    stage("simulate", cmd_stage)
     stage("perturb", cmd_perturb)
-    stage("build", cmd_build)
-    stage("fit", cmd_fit)
-    stage("evaluate", cmd_evaluate)
+    stage("build", cmd_stage)
+    stage("fit", cmd_stage)
+    stage("evaluate", cmd_stage)
 
     p = sub.add_parser("align")
     p.add_argument("reference")
     p.add_argument("other")
-    p.add_argument("--max-lag", type=int, default=50)
+    p.add_argument("--max-lag", type=int, default=DEFAULT_MAX_LAG)
     p.add_argument("--method", choices=("corr", "zero"), default="corr")
     p.add_argument("--dim", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.01)

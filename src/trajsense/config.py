@@ -10,15 +10,13 @@ import hashlib
 
 import numpy as np
 
+from .align import DEFAULT_MAX_LAG
 from .controllers import PolicySpec
 from .errors import ConfigError, InvalidStateError
 from .gp import N_RESTARTS
 from .perturb import PerturbationPlan, sample as sample_plan
 from .sensitivity import PreprocessConfig
 from .sim import DYNAMICS_TAGS, START_POSE, DynamicsMode, JointState, NoiseConfig
-
-GAUSSIAN_RATE_SWEEP = (1, 5, 10, 50, 100, 500, 1000, 5000)
-
 
 def _floats(raw):
     return [float(v.strip()) for v in raw.split(",") if v.strip() != ""]
@@ -76,6 +74,9 @@ class ExperimentConfig:
 
     def __init__(self, parser):
         _check_keys(parser)
+        for section in _KEYS:  # an absent optional section reads as empty
+            if not parser.has_section(section):
+                parser.add_section(section)
         try:
             exp = parser["experiment"]
             self.label = exp.get("label", "experiment")
@@ -117,35 +118,37 @@ class ExperimentConfig:
             self.lambda_sweep = tuple(_floats(sweep)) if sweep else ()
             self.n_per_lambda = per.getint("n_per_lambda", 0)
 
-            pre = parser["preprocess"] if parser.has_section("preprocess") else {}
-            self.align_method = pre.get("align", "none") if pre else "none"
-            self.max_lag = int(pre.get("max_lag", 50)) if pre else 50
-            raw_gammas = pre.get("gamma_sweep", "0") if pre else "0"
-            self.gamma_sweep = tuple(_floats(raw_gammas))
+            pre = parser["preprocess"]
+            self.align_method = pre.get("align", "none")
+            self.max_lag = pre.getint("max_lag", DEFAULT_MAX_LAG)
+            self.gamma_sweep = tuple(_floats(pre.get("gamma_sweep", "0")))
 
-            gp = parser["gp"] if parser.has_section("gp") else {}
-            self.stride = int(gp.get("stride", 1)) if gp else 1
-            if gp and gp.get("optimize", "true").lower() != "true":
+            gp = parser["gp"]
+            self.stride = gp.getint("stride", 1)
+            if gp.get("optimize", "true").lower() != "true":
                 raise ConfigError("gp.optimize: hyperparameters are always optimized; "
                                   "only 'true' is accepted")
-            self.n_restarts = int(gp.get("n_restarts", N_RESTARTS)) if gp else N_RESTARTS
+            self.n_restarts = gp.getint("n_restarts", N_RESTARTS)
 
-            ev = parser["eval"] if parser.has_section("eval") else {}
-            self.holdout_fraction = float(ev.get("holdout_fraction", 0.2)) if ev else 0.2
-            self.split_seed = int(ev.get("split_seed", 1)) if ev else 1
+            ev = parser["eval"]
+            self.holdout_fraction = ev.getfloat("holdout_fraction", 0.2)
+            self.split_seed = ev.getint("split_seed", 1)
 
-            if parser.has_section("planner"):
-                pl = parser["planner"]
-                self.plan_t = pl.getint("t_constraint", None)
-                self.plan_target_kps = tuple(_floats(pl.get("target_kps", "")))
-                self.plan_dims = pl.get("dims", "all")
-            else:
-                self.plan_t = None
-                self.plan_target_kps = ()
-                self.plan_dims = "all"
+            pl = parser["planner"]
+            self.plan_t = pl.getint("t_constraint", None)
+            self.plan_target_kps = tuple(_floats(pl.get("target_kps", "")))
+            self.plan_dims = pl.get("dims", "all")
         except (KeyError, ValueError, TypeError, configparser.Error) as exc:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
 
+        if "," in self.label or "\n" in self.label:
+            raise ConfigError(f"experiment.label {self.label!r}: a field of metrics.csv "
+                              "holds no comma or line break")
+        tags = [f"{g:g}" for g in self.gamma_sweep]
+        if not tags or len(set(tags)) < len(tags) or \
+                not all(np.isfinite(g) and g >= 0 for g in self.gamma_sweep):
+            raise ConfigError(f"preprocess.gamma_sweep {tags}: need one or more "
+                              "distinct finite voxel sizes >= 0")
         if self.n_steps is None or self.n_steps < 1:
             raise ConfigError("sim.n_steps must be a positive integer")
         if self.count is None or self.count < 1:
@@ -180,7 +183,7 @@ class ExperimentConfig:
 
     def preprocess_config(self, gamma):
         return PreprocessConfig(align_method=self.align_method, max_lag=self.max_lag,
-                                gamma=(gamma if gamma > 0 else None))
+                                gamma=gamma)
 
     def fingerprint(self):
         """Stable hash of everything that determines the pipeline outputs."""

@@ -36,9 +36,9 @@ from .errors import ConfigError, DependencyError, StageError
 from .planner import PlanningProblem, plan_and_verify
 # build_samples and fit_gp are not called here; they are imported only because
 # benchmark/tracing.py wraps pipeline.build_samples and pipeline.fit_gp
-from .sensitivity import (SampleSet, SensitivityModel, align_recording,  # noqa: F401
-                          build_samples, difference_into, evaluate, fit_gp,
-                          fit_sensitivity_model, voxelized_source)
+from .sensitivity import (COS_BIN_EDGES, SampleSet, SensitivityModel,  # noqa: F401
+                          align_recording, build_samples, difference_into, evaluate,
+                          fit_gp, fit_sensitivity_model, voxelized_source)
 from .sim import NoiseConfig, rollout, rollout_batch
 from .voxel import VoxelGrid, voxelize_trajectory
 
@@ -185,8 +185,7 @@ def stage_build(cfg, out, handoff=None):
                                     cfg.policy.theta)
     splits = dict(zip(("train", "test"), _split_indices(cfg, len(deltas))))
     slot = {i: (name, row) for name, idx in splits.items() for row, i in enumerate(idx)}
-    grids = {gamma: voxelized_source(source, gamma if gamma > 0 else None)
-             for gamma in cfg.gamma_sweep}
+    grids = {gamma: voxelized_source(source, gamma) for gamma in cfg.gamma_sweep}
     sets = {(gamma, name): SampleSet(
                 delta_theta=np.array([deltas[i] for i in idx]),
                 delta_x=np.empty((len(idx),) + source.angles.shape))
@@ -241,7 +240,7 @@ def stage_fit(cfg, out, workers=1, handoff=None):
                 if not os.path.exists(train_path):
                     raise DependencyError(f"missing training samples {train_path}")
                 samples = tio.read_samples(train_path)
-            _, src_for = voxelized_source(source, gamma if gamma > 0 else None)
+            _, src_for = voxelized_source(source, gamma)
             yield (samples, _model_timesteps(cfg), cfg.n_restarts, cfg.seed, src_for,
                    cfg.policy.theta)
 
@@ -288,12 +287,11 @@ def stage_evaluate(cfg, out, handoff=None):
         p2 = os.path.join(out, "metrics", f"per_timestep_{tag}.csv")
         tio.write_metrics(row, per_t, p1, p2)
         p3 = os.path.join(out, "metrics", f"cos_hist_{tag}.csv")
-        edges = np.linspace(-1.0, 1.0, 21)
         with open(p3, "w") as fh:
             fh.write("t,bin_lo,bin_hi,count\n")
             for t in sorted(hists):
-                for b, count in enumerate(hists[t]):
-                    fh.write(f"{t},{edges[b]:.2f},{edges[b+1]:.2f},{count}\n")
+                for lo, hi, count in zip(COS_BIN_EDGES, COS_BIN_EDGES[1:], hists[t]):
+                    fh.write(f"{t},{lo:.2f},{hi:.2f},{count}\n")
         paths += [p1, p2, p3]
 
     best_gamma = max(results, key=lambda r: r[1].score_avg)[0]
@@ -323,6 +321,27 @@ def best_gamma_of(out):
 # -- plan ---------------------------------------------------------------------------
 
 
+def rollout_with_kp(cfg, kp, n_steps):
+    """cfg's policy with its proportional gain set to kp, rolled out n_steps."""
+    return rollout(cfg.policy.with_theta(np.concatenate([[kp], cfg.policy.theta[1:]])),
+                   cfg.x0, n_steps, cfg.dt, cfg.mode)
+
+
+def plan_target(cfg, model, t, x_target, dims):
+    """Retune the proportional gain of cfg's policy so that it reaches the
+    angles x_target at timestep t, and verify the gain by rollout. dims is
+    'all' or comma-separated angle indices, as in [planner] dims; the result
+    is plan_and_verify's PlanReport."""
+    theta = cfg.policy.theta
+    problem = PlanningProblem(
+        source_kp=float(theta[0]), fixed_kd=float(theta[1]) if theta.size > 1 else 0.0,
+        t_constraint=t, x_target_t=x_target,
+        final_target=cfg.policy.fixed.get("x_star", np.zeros(3)),
+        constraint_dim="all" if dims == "all" else [int(v) for v in dims.split(",")])
+    return plan_and_verify(problem, model, cfg.policy, cfg.x0, cfg.dt, cfg.mode,
+                           cfg.n_steps)
+
+
 def stage_plan(cfg, out, handoff=None):
     if cfg.plan_t is None:
         return []
@@ -332,24 +351,14 @@ def stage_plan(cfg, out, handoff=None):
     model = handoff.get(model_path)
     if model is None:
         model = SensitivityModel.load(model_path)
-    source_kp = float(cfg.policy.theta[0])
-    fixed_kd = float(cfg.policy.theta[1]) if cfg.policy.theta.size > 1 else 0.0
 
     paths = []
     report_path = os.path.join(out, "planning", "report.txt")
     with open(report_path, "w") as fh:
         for label, target_kp in zip(("short", "medium", "long"), cfg.plan_target_kps):
             # only the state at plan_t is read, so the target stops there
-            target_traj = rollout(cfg.policy.with_theta(
-                np.concatenate([[target_kp], cfg.policy.theta[1:]])),
-                cfg.x0, cfg.plan_t, cfg.dt, cfg.mode)
-            problem = PlanningProblem(
-                source_kp=source_kp, fixed_kd=fixed_kd, t_constraint=cfg.plan_t,
-                x_target_t=target_traj.angles[cfg.plan_t],
-                final_target=cfg.policy.fixed.get("x_star", np.zeros(3)),
-                constraint_dim=cfg.plan_dims)
-            report = plan_and_verify(problem, model, cfg.policy, cfg.x0, cfg.dt,
-                                     cfg.mode, cfg.n_steps)
+            x_target = rollout_with_kp(cfg, target_kp, cfg.plan_t).angles[cfg.plan_t]
+            report = plan_target(cfg, model, cfg.plan_t, x_target, cfg.plan_dims)
             fh.write(f"[{label}]\n")
             fh.write(f"target_kp = {target_kp:.10g}\n")
             fh.write(f"kp_star = {report.kp_star:.10g}\n")
@@ -358,11 +367,8 @@ def stage_plan(cfg, out, handoff=None):
             fh.write(f"improvement = {report.improvement:.10g}\n")
             fh.write(f"improved = {report.improved}\n\n")
 
-            verify = rollout(cfg.policy.with_theta(
-                np.concatenate([[report.kp_star], cfg.policy.theta[1:]])),
-                cfg.x0, cfg.n_steps, cfg.dt, cfg.mode)
             vp = os.path.join(out, "planning", f"planned_{label}.csv")
-            tio.write_trajectory(verify, vp)
+            tio.write_trajectory(rollout_with_kp(cfg, report.kp_star, cfg.n_steps), vp)
             paths += [vp, vp + ".meta"]
     return paths + [report_path]
 

@@ -27,7 +27,7 @@ class PlanningProblem:
 
     constraint_dim selects which angle dimensions must match: a single index,
     a list of indices, or 'all' (least-squares compromise when more than one).
-    gain_index locates the tuned gain inside the perturbation vector.
+    The tuned gain is the first entry of the perturbation vector.
     """
 
     source_kp: float
@@ -36,7 +36,6 @@ class PlanningProblem:
     x_target_t: np.ndarray
     final_target: np.ndarray
     constraint_dim: object = "all"
-    gain_index: int = 0
 
     def __post_init__(self):
         self.x_target_t = np.asarray(self.x_target_t, dtype=float).reshape(-1)
@@ -74,29 +73,21 @@ class PlanReport:
     extrapolated: bool
 
 
-def _gain_query(model, t, delta, gain_index, m):
-    dq = np.zeros(m)
-    dq[gain_index] = delta
-    mean, _ = model.predict(t, dq)
-    return mean
-
-
 def _predict_curve(model, problem, deltas, dims):
-    """Predicted change of the `dims` angles along the gain grid `deltas`:
-    one block query per GP, (deltas.size, len(dims))."""
-    m = model.nominal_theta.size if model.nominal_theta is not None else \
-        model.delta_low.size
-    block = np.zeros((deltas.size, m))
-    block[:, problem.gain_index] = deltas
+    """Predicted change of the `dims` angles along the gains `deltas` (one
+    block query per GP): (deltas.size, len(dims)). A single gain is a one-row
+    block."""
+    block = np.zeros((deltas.size, model.delta_low.size))
+    block[:, 0] = deltas
     mean, _ = model.model_at(problem.t_constraint).predict(block)
-    return mean[:, dims], m
+    return mean[:, dims]
 
 
-def _bisect(f, lo, hi, f_lo, tol, max_iter):
-    for _ in range(max_iter):
+def _bisect(f, lo, hi, f_lo):
+    for _ in range(DEFAULT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
-        if abs(f_mid) < tol or (hi - lo) < tol:
+        if abs(f_mid) < DEFAULT_TOL or (hi - lo) < DEFAULT_TOL:
             return mid
         if (f_lo < 0) == (f_mid < 0):
             lo, f_lo = mid, f_mid
@@ -105,42 +96,42 @@ def _bisect(f, lo, hi, f_lo, tol, max_iter):
     return 0.5 * (lo + hi)
 
 
-def solve_kp(model, problem, method="root_search", tol=DEFAULT_TOL,
-             max_iter=DEFAULT_MAX_ITER, grid_n=DEFAULT_GRID):
+def solve_kp(model, problem, method="root_search"):
     """Solve for the gain whose predicted state change meets the target.
 
     Single constraint dimension: bracketed root search on
     predicted_change(delta) - required_change over the trained delta range;
     with multiple sign changes the root with the smallest |delta| wins.
     Multiple dimensions: least-squares compromise, per-dim residuals reported.
+    The grid has DEFAULT_GRID gains; searches stop at DEFAULT_TOL or after
+    DEFAULT_MAX_ITER steps.
     """
-    t = problem.t_constraint
     dims = problem.dims()
-    source_x = np.asarray(model.source_angles_at(t), dtype=float)
+    source_x = np.asarray(model.source_angles_at(problem.t_constraint), dtype=float)
     required = problem.x_target_t[dims] - source_x[dims]
 
-    lo = float(model.delta_low[problem.gain_index])
-    hi = float(model.delta_high[problem.gain_index])
+    lo, hi = float(model.delta_low[0]), float(model.delta_high[0])
     if not lo < hi:
         raise ConfigError("model has no spread in the tuned gain")
-    deltas = np.linspace(lo, hi, grid_n)
-    curve, m = _predict_curve(model, problem, deltas, dims)
+    deltas = np.linspace(lo, hi, DEFAULT_GRID)
+    curve = _predict_curve(model, problem, deltas, dims)
+    change = lambda d: _predict_curve(model, problem, np.array([d]), dims)[0]
 
     extrapolated = bool(np.any(required < curve.min(axis=0) - 0.0)
                         or np.any(required > curve.max(axis=0)))
 
+    n_roots = 1
     if method == "fixed_point":
-        delta = _fixed_point(model, problem, required, dims, lo, hi, m, tol, max_iter)
-        n_roots = 1
+        delta = _fixed_point(change, required, dims, lo, hi)
     elif len(dims) == 1:
         resid = curve[:, 0] - required[0]
+        f = lambda d: change(d)[0] - required[0]
         roots = []
-        for i in range(grid_n - 1):
+        for i in range(DEFAULT_GRID - 1):
             if resid[i] == 0.0:
                 roots.append(deltas[i])
             elif (resid[i] < 0) != (resid[i + 1] < 0):
-                f = lambda d: _gain_query(model, t, d, problem.gain_index, m)[dims][0] - required[0]
-                roots.append(_bisect(f, deltas[i], deltas[i + 1], resid[i], tol, max_iter))
+                roots.append(_bisect(f, deltas[i], deltas[i + 1], resid[i]))
         if resid[-1] == 0.0:
             roots.append(deltas[-1])
         if not roots:
@@ -154,34 +145,31 @@ def solve_kp(model, problem, method="root_search", tol=DEFAULT_TOL,
         sq = np.sum((curve - required) ** 2, axis=1)
         k = int(np.argmin(sq))
         b_lo = deltas[max(0, k - 1)]
-        b_hi = deltas[min(grid_n - 1, k + 1)]
-        obj = lambda d: float(np.sum(
-            (_gain_query(model, t, d, problem.gain_index, m)[dims] - required) ** 2))
+        b_hi = deltas[min(DEFAULT_GRID - 1, k + 1)]
+        obj = lambda d: float(np.sum((change(d) - required) ** 2))
         res = minimize_scalar(obj, bounds=(b_lo, b_hi), method="bounded",
-                              options={"xatol": tol})
+                              options={"xatol": DEFAULT_TOL})
         delta = float(res.x)
-        n_roots = 1
 
-    achieved_change = _gain_query(model, t, delta, problem.gain_index, m)[dims]
+    achieved_change = change(delta)
     return SolveResult(kp_star=float(problem.source_kp + delta), delta_star=float(delta),
                        residuals=achieved_change - required, n_roots=n_roots,
                        extrapolated=extrapolated)
 
 
-def _fixed_point(model, problem, required, dims, lo, hi, m, tol, max_iter):
+def _fixed_point(change, required, dims, lo, hi):
     """Iterate the slope reading: delta <- required / (g(delta)/delta)."""
     if len(dims) != 1:
         raise ConfigError("fixed-point mode handles a single constraint dimension")
-    t = problem.t_constraint
     delta = 0.5 * (lo + hi)
     if delta == 0.0:
         delta = 0.25 * (hi - lo)
-    for _ in range(max_iter):
-        g = _gain_query(model, t, delta, problem.gain_index, m)[dims][0]
+    for _ in range(DEFAULT_MAX_ITER):
+        g = change(delta)[0]
         if abs(g) < 1e-30:
             raise TargetUnreachableError("flat sensitivity at the iterate")
         new_delta = float(np.clip(required[0] * delta / g, lo, hi))
-        if abs(new_delta - delta) < tol:
+        if abs(new_delta - delta) < DEFAULT_TOL:
             return new_delta
         delta = new_delta
     return delta
@@ -204,7 +192,7 @@ def plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
     dims = problem.dims()
 
     theta = policy.theta.copy()
-    theta[problem.gain_index] = result.kp_star
+    theta[0] = result.kp_star
     planned = rollout(policy.with_theta(theta), x0, problem.t_constraint, dt, mode)
     achieved = planned.angles[problem.t_constraint]
 

@@ -12,7 +12,7 @@ per-timestep GP regressors that generalize to unseen perturbation directions.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .gp import N_RESTARTS, ExactGP
 
 _NORM_FLOOR = 1e-15
 _VAR_FLOOR = 1e-24
+# evaluate's histogram of cos alignment: 20 bins over [-1, 1]
+COS_BIN_EDGES = np.linspace(-1.0, 1.0, 21)
 
 
 @dataclass
@@ -65,7 +67,6 @@ class PreprocessConfig:
     align_method: str = "none"
     max_lag: int = align_mod.DEFAULT_MAX_LAG
     gamma: float = None
-    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
 def align_recording(source, delta_theta, traj, preprocess=None):
@@ -92,12 +93,13 @@ def align_recording(source, delta_theta, traj, preprocess=None):
     return align_mod.apply_shift(traj, shift) if shift != 0 else traj
 
 
-def voxelized_source(source, gamma, origin=(0.0, 0.0, 0.0)):
-    """(grid, source snapped to it) for voxel half-width gamma; with gamma None
-    or 0 the grid is None and the source is returned as it is."""
+def voxelized_source(source, gamma):
+    """(grid, source snapped to it) for voxel half-width gamma, on a grid
+    anchored at zero; with gamma None or 0 the grid is None and the
+    source is returned as it is."""
     if not gamma:
         return None, source
-    grid = voxel_mod.VoxelGrid(gamma=np.full(3, float(gamma)), origin=origin)
+    grid = voxel_mod.VoxelGrid(gamma=np.full(3, float(gamma)))
     return grid, voxel_mod.voxelize_trajectory(source, grid)
 
 
@@ -120,7 +122,7 @@ def build_samples(source, perturbed, preprocess=None):
     """
     if preprocess is None:
         preprocess = PreprocessConfig()
-    grid, src = voxelized_source(source, preprocess.gamma, preprocess.origin)
+    grid, src = voxelized_source(source, preprocess.gamma)
     delta_theta = np.array([np.asarray(d, dtype=float).reshape(-1) for d, _ in perturbed])
     delta_x = np.empty((len(perturbed),) + src.angles.shape)
     for i, (d, traj) in enumerate(perturbed):
@@ -370,18 +372,17 @@ class TimestepMetrics:
     n_test: int
 
 
-def evaluate(model, test_samples, label="", n_bins=20):
+def evaluate(model, test_samples, label=""):
     """Score the model on held-out samples: normalized MSE, GP score, cos.
 
     Returns (MetricsRow, per-timestep TimestepMetrics list, histogram dict
-    t -> counts of cos alignment in n_bins bins over [-1, 1]). Timesteps whose
+    t -> counts of cos alignment in the bins of COS_BIN_EDGES). Timesteps whose
     ground truth is degenerate (all-zero change, fewer than 2 test samples)
     are skipped.
     """
     if not len(test_samples):
         raise ConfigError("empty held-out set")
     n_test = len(test_samples.delta_x)
-    edges = np.linspace(-1.0, 1.0, n_bins + 1)
     rows, hists = [], {}
     for t in model.timesteps:
         if t > test_samples.n_steps or n_test < 2:
@@ -404,7 +405,7 @@ def evaluate(model, test_samples, label="", n_bins=20):
                 continue
         if not cosines:
             continue
-        hists[t] = np.histogram(cosines, bins=edges)[0]
+        hists[t] = np.histogram(cosines, bins=COS_BIN_EDGES)[0]
         rows.append(TimestepMetrics(t=int(t), nmse=nmse, score=score,
                                     cos_mean=float(np.mean(cosines)), n_test=n_test))
     if not rows:

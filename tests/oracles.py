@@ -192,16 +192,16 @@ def csv_write_perturbations(nominal, deltas, path):
 
 
 def per_point_predict_curve(model, problem, deltas, dims):
-    """(curve, m) with one single-row query per gain in `deltas`."""
+    """The (deltas.size, len(dims)) curve, one single-row query per gain in `deltas`."""
     m = model.nominal_theta.size if model.nominal_theta is not None else \
         model.delta_low.size
     curve = np.empty((deltas.size, len(dims)))
     for i, d in enumerate(deltas):
         dq = np.zeros(m)
-        dq[problem.gain_index] = d
+        dq[0] = d
         mean, _ = model.predict(problem.t_constraint, dq)
         curve[i] = mean[dims]
-    return curve, m
+    return curve
 
 
 def per_point_gp_evolution(model, dim, grid):
@@ -330,7 +330,7 @@ def full_horizon_plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
     result = solve_kp(model, problem, method=method)
     dims = problem.dims()
     theta = policy.theta.copy()
-    theta[problem.gain_index] = result.kp_star
+    theta[0] = result.kp_star
     planned = rollout(policy.with_theta(theta), x0, n_steps, dt, mode)
     achieved = planned.angles[problem.t_constraint]
     source_x = np.asarray(model.source_angles_at(problem.t_constraint), dtype=float)

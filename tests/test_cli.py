@@ -1,3 +1,4 @@
+import configparser
 import os
 import re
 import shutil
@@ -393,6 +394,35 @@ def test_plan_subcommand(cfg_file, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "late" / "planned.csv")
 
 
+@pytest.mark.parametrize("dims", ["all", "0,2"])
+def test_plan_subcommand_matches_the_plan_stage(tmp_path, capsys, dims):
+    # both plan each [planner] target through pipeline.plan_target; a
+    # comma-separated dims used to fail the plan stage, exit code 3
+    cfg_file = tmp_path / "exp.ini"
+    cfg_file.write_text(SMALL_CFG.replace("dims = all", f"dims = {dims}"))
+    cfg_file = str(cfg_file)
+    cfg, out = load_config(cfg_file), str(tmp_path / "out")
+    run_pipeline(cfg, out)
+    model = os.path.join(out, "models", f"model_g{pipeline.best_gamma_of(out):g}.npz")
+    report = configparser.ConfigParser()
+    report.read(os.path.join(out, "planning", "report.txt"))
+    capsys.readouterr()
+    for label, target_kp in zip(("short", "medium", "long"), cfg.plan_target_kps):
+        policy = cfg.policy.with_theta(np.concatenate([[target_kp], cfg.policy.theta[1:]]))
+        target = rollout(policy, cfg.x0, cfg.n_steps, cfg.dt, cfg.mode).angles[cfg.plan_t]
+        plan_dir = tmp_path / f"plan_{label}"
+        assert main(["plan", "--config", cfg_file, "--out", str(plan_dir), "--model", model,
+                     "--t", str(cfg.plan_t), "--target", ",".join(f"{v:.17g}" for v in target),
+                     "--dims", cfg.plan_dims]) == 0
+        keys = ("kp_star", "source_miss", "miss", "improvement")
+        assert capsys.readouterr().out.splitlines() == \
+            [f"{k} = {report[label][k]}" for k in keys], label
+        for suffix in ("", ".meta"):
+            planned = open(plan_dir / f"planned.csv{suffix}", "rb").read()
+            staged = os.path.join(out, "planning", f"planned_{label}.csv{suffix}")
+            assert planned == open(staged, "rb").read(), (label, suffix)
+
+
 def test_missing_config_is_config_error(tmp_path):
     rc = main(["run", "--config", str(tmp_path / "nope.ini"),
                "--out", str(tmp_path / "o")])
@@ -427,11 +457,22 @@ def test_gp_optimize_other_than_true_is_rejected(tmp_path):
     (("damping = 0.8", "damping = -0.8"), "sim.damping"),
     (("n_steps = 200", "n_steps = 200\nspatial_std = 0.01, -0.01, 0"), "sim.spatial_std"),
     (("t_constraint = 120", "t_constraint = 250"), "planner.t_constraint"),
+    (("gamma_sweep = 0, 0.04", "gamma_sweep = -0.04, 0.04"), "preprocess.gamma_sweep"),
+    (("gamma_sweep = 0, 0.04", "gamma_sweep ="), "preprocess.gamma_sweep"),
+    (("gamma_sweep = 0, 0.04", "gamma_sweep = 0, 0"), "preprocess.gamma_sweep"),
+    (("gamma_sweep = 0, 0.04", "gamma_sweep = 0, nan"), "preprocess.gamma_sweep"),
+    (("gamma_sweep = 0, 0.04", "gamma_sweep = 0, inf"), "preprocess.gamma_sweep"),
+    (("label = cli_small", "label = cli, small"), "experiment.label"),
+    (("label = cli_small", "label = cli\n  small"), "experiment.label"),
 ])
 def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
     # a misspelt key used to load silently and run with the key's default;
     # an invalid [sim] value escaped as an InvalidStateError, exit code 3, and
-    # a t_constraint past n_steps failed the fit stage, exit code 3
+    # a t_constraint past n_steps failed the fit stage, exit code 3. A negative
+    # gamma ran unvoxelized (and could be selected), an empty sweep failed the
+    # evaluate stage, a repeated gamma was fitted twice and selected twice, and
+    # a label with a comma split its metrics.csv row so that the plan stage
+    # failed, exit code 3
     bad = tmp_path / "bad.ini"
     bad.write_text(SMALL_CFG.replace(*edit))
     with pytest.raises(ConfigError, match=re.escape(name)):

@@ -183,11 +183,11 @@ def test_gain_curve_matches_per_point_queries(trained):
     problem = problem_for(source.angles[T_CONSTRAINT])
     deltas = _gain_grid(model)
     dims = problem.dims()
-    curve, m = planner._predict_curve(model, problem, deltas, dims)
-    ref, m_ref = per_point_predict_curve(model, problem, deltas, dims)
-    assert m == m_ref
-    queries = np.zeros((deltas.size, m))
-    queries[:, problem.gain_index] = deltas
+    curve = planner._predict_curve(model, problem, deltas, dims)
+    ref = per_point_predict_curve(model, problem, deltas, dims)
+    assert curve.shape == ref.shape == (deltas.size, len(dims))
+    queries = np.zeros((deltas.size, model.delta_low.size))
+    queries[:, 0] = deltas
     for j, d in enumerate(dims):
         bound, _ = posterior_error_bounds(model.model_at(T_CONSTRAINT).gps[d], queries)
         assert np.all(np.abs(curve[:, j] - ref[:, j]) <= bound)

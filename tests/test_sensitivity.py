@@ -156,7 +156,7 @@ def test_dense_build_and_writer_match_the_object_oracle(tmp_path, lagged_ramps, 
     pairs = list(zip(labels, trajs))
     samples = build_samples(source, pairs, pre)
 
-    grid = VoxelGrid(np.full(3, pre.gamma), pre.origin) if pre and pre.gamma else None
+    grid = VoxelGrid(np.full(3, pre.gamma)) if pre and pre.gamma else None
     prep = lambda tr: voxelize_trajectory(tr, grid) if grid else tr  # noqa: E731
     ref = oracles.object_build_samples(
         prep(source).angles, [(d, prep(align_recording(source, d, tr, pre)).angles)
