@@ -101,8 +101,11 @@ def cmd_voxelize(args):
 
 def cmd_plan(args):
     cfg = _load(args)
-    model = SensitivityModel.load(os.path.join(args.model, "model_g0.npz")
-                                  if os.path.isdir(args.model) else args.model)
+    path = args.model
+    if os.path.isdir(path):  # a run's models/: the gamma its evaluate stage selected
+        gamma = pipeline.best_gamma_of(os.path.dirname(os.path.abspath(path)))
+        path = os.path.join(path, f"model_g{gamma:g}.npz")
+    model = SensitivityModel.load(path)
     target = np.array([float(v) for v in args.target.split(",")])
     report = pipeline.plan_target(cfg, model, args.t, target, args.dims)
     print(f"kp_star = {report.kp_star:.10g}")

@@ -158,6 +158,12 @@ class ExperimentConfig:
         if self.plan_t is not None and not 0 < self.plan_t <= self.n_steps:
             raise ConfigError(f"planner.t_constraint {self.plan_t} must be in "
                               f"1..n_steps ({self.n_steps})")
+        dims = [v.strip() for v in self.plan_dims.split(",")]  # distinct, each 0..2
+        if self.plan_dims != "all" and sorted(set(dims) & set("012")) != sorted(dims):
+            raise ConfigError(f"planner.dims {self.plan_dims!r}: need 'all' or distinct "
+                              "comma-separated angle indices in 0..2")
+        if len(self.plan_target_kps) > 3:
+            raise ConfigError("planner.target_kps: at most 3 targets (short, medium, long)")
 
     # -- derived objects -------------------------------------------------------
 

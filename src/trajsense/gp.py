@@ -6,10 +6,10 @@ with a zero target anchors the prior meaningfully. Hyperparameters are
 optimized by multi-restart marginal-likelihood ascent from n_restarts starts:
 a default start, then a warm start when the caller passes one (the optimum of
 a neighbouring fit, clipped into this fit's bounds), then uniform draws inside
-the bounds; the lowest NLL wins. `from_state` rebuilds a GP with given
+the bounds; the lowest NLL wins. `from_state(s)` rebuilds GPs with given
 hyperparameters. Inference is a Cholesky factorization with an escalating
-jitter. One kernel builder serves the likelihood, the factorization and
-prediction.
+jitter, on LAPACK directly (GPML alg. 2.1). One kernel builder serves the
+likelihood, the factorization and prediction.
 
 A constant input column (a frozen parameter: its perturbation is zero in
 every sample) adds nothing to any squared distance, so the likelihood does
@@ -19,8 +19,10 @@ keeps the value it had in the winning start, so `state()` still returns one
 entry per input column.
 """
 
+import copy
+
 import numpy as np
-from scipy.linalg import cho_solve, lapack, solve_triangular
+from scipy.linalg import lapack
 from scipy.optimize import minimize
 
 from .errors import FitError, InsufficientDataError
@@ -90,16 +92,9 @@ class ExactGP:
 
     def __init__(self, n_restarts=N_RESTARTS):
         self.n_restarts = n_restarts
-        self.log_ls = None
-        self.log_sf2 = None
-        self.log_sn2 = None
-        self._x_mean = None
-        self._x_scale = None
-        self._X = None
-        self._X_raw = None
-        self._y = None
-        self._L = None
-        self._alpha = None
+        self.log_ls = self.log_sf2 = self.log_sn2 = None  # set by _set_phi
+        self._X_raw = self._x_mean = self._x_scale = self._X = None  # by _set_inputs
+        self._y = self._L = self._alpha = None  # by _factorize
         self.jitter = 0.0
         self.degenerate = False
 
@@ -138,30 +133,28 @@ class ExactGP:
 
     # -- fitting -----------------------------------------------------------
 
-    def _standardized(self, X, y):
-        """Validate the training data, set the input scaling, return (Xs, y)."""
+    def _set_inputs(self, X, Y):
+        """Validate X (n, m) and Y (n,) or (n, k), standardize X once; return Y."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if X.shape[0] != y.shape[0]:
+        Y = np.asarray(Y, dtype=float)
+        if X.shape[0] != Y.shape[0]:
             raise InsufficientDataError("X and y lengths differ")
         if X.shape[0] < 2:
             raise InsufficientDataError("need at least 2 samples")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
             raise ValueError("training inputs and targets must be finite")
-
-        self._X_raw = X
-        self._x_mean = X.mean(axis=0)
         scale = X.std(axis=0)
         scale[scale < 1e-12] = 1.0
-        self._x_scale = scale
-        return (X - self._x_mean) / self._x_scale, y
+        self._X_raw, self._x_mean, self._x_scale = X, X.mean(axis=0), scale
+        self._X = (X - self._x_mean) / scale
+        return Y
 
     def fit(self, X, y, seed=0, warm=None):
         """Optimize the hyperparameters and factorize. warm: log-hyperparameters
         in the layout of `state()` to start one restart from, or None."""
-        Xs, y = self._standardized(X, y)
+        y = self._set_inputs(X, np.reshape(y, -1))
         vy = float(np.var(y))
-        m = Xs.shape[1]
+        m = self._X.shape[1]
         if vy < _TARGET_VAR_FLOOR:
             # all-equal targets (e.g. the zero map at t=0): pin a flat prior
             self.degenerate = True
@@ -171,19 +164,29 @@ class ExactGP:
         else:
             self.degenerate = False
             phi0 = np.concatenate([np.zeros(m), [np.log(vy)], [np.log(max(1e-8 * vy, 1e-12))]])
-            self._set_phi(self._optimize(phi0, Xs, y, vy, seed, warm))
-        return self._factorize(Xs, y)
+            self._set_phi(self._optimize(phi0, self._X, y, vy, seed, warm))
+        return self._factorize(_sq_dist_stack(self._X), y)
 
     @classmethod
     def from_state(cls, X, y, phi):
         """A fitted GP rebuilt from raw training inputs, targets and the
         log-hyperparameters [log lengthscales, log signal var, log noise var]
         of `state()`, with one factorization and no optimization."""
-        gp = cls()
-        Xs, y = gp._standardized(X, y)
-        gp.degenerate = float(np.var(y)) < _TARGET_VAR_FLOOR
-        gp._set_phi(np.asarray(phi, dtype=float))
-        return gp._factorize(Xs, y)
+        return cls.from_states(X, np.reshape(y, (-1, 1)), np.reshape(phi, (1, -1)))[0]
+
+    @classmethod
+    def from_states(cls, X, Y, phis):
+        """`from_state` for each Y[:, j...] with phis[j...], in C order, on one X stack."""
+        base = cls()
+        Y = base._set_inputs(X, Y)
+        D = _sq_dist_stack(base._X)
+        gps = [copy.copy(base) for _ in np.ndindex(Y.shape[1:])]
+        for gp, j in zip(gps, np.ndindex(Y.shape[1:])):
+            y = Y[(slice(None),) + j]
+            gp.degenerate = float(np.var(y)) < _TARGET_VAR_FLOOR
+            gp._set_phi(np.asarray(phis[j], dtype=float))
+            gp._factorize(D, y)
+        return gps
 
     def state(self):
         """(raw X, y, phi): what `from_state` needs to rebuild this GP exactly."""
@@ -195,12 +198,12 @@ class ExactGP:
         self.log_sf2 = float(phi[m])
         self.log_sn2 = float(phi[m + 1])
 
-    def _factorize(self, Xs, y):
-        K = _kernel(_sq_dist_stack(Xs), self.log_ls, self.log_sf2)
-        K += np.exp(self.log_sn2) * np.eye(Xs.shape[0])
+    def _factorize(self, D, y):
+        """Factorize the kernel on the training stack D and weight the targets y."""
+        K = _kernel(D, self.log_ls, self.log_sf2)
+        K += np.exp(self.log_sn2) * np.eye(K.shape[0])
         self._L, self.jitter = _cholesky_with_jitter(K, scale=np.exp(self.log_sf2))
-        self._alpha = cho_solve((self._L, True), y)
-        self._X = Xs
+        self._alpha, _ = lapack.dpotrs(self._L, y, lower=1)
         self._y = y
         return self
 
@@ -232,18 +235,23 @@ class ExactGP:
     # -- prediction ----------------------------------------------------------
 
     def predict(self, Xq):
-        """Posterior mean and standard deviation at query inputs.
+        """Posterior mean and standard deviation at query inputs; the variance
+        includes the learned noise term, so it never drops below the noise floor."""
+        return self.posterior(self.query_stack(Xq))
 
-        The variance includes the learned noise term, so it never drops below
-        the noise floor.
-        """
+    def query_stack(self, Xq):
+        """Distance stack of the standardized rows of Xq to the training inputs."""
         if self._alpha is None:
             raise InsufficientDataError("predict before fit")
-        Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-        Xqs = (Xq - self._x_mean) / self._x_scale
-        Ks = _kernel(_sq_dist_stack(Xqs, self._X), self.log_ls, self.log_sf2)
+        Xqs = (np.atleast_2d(np.asarray(Xq, dtype=float)) - self._x_mean) / self._x_scale
+        return _sq_dist_stack(Xqs, self._X)
+
+    def posterior(self, Dq):
+        """Posterior (mean, std) at the query rows of a `query_stack`."""
+        Ks = _kernel(Dq, self.log_ls, self.log_sf2)
         mean = Ks @ self._alpha
-        V = solve_triangular(self._L, Ks.T, lower=True)
+        # L's diagonal is positive, so trtrs cannot fail; Ks is not read again
+        V, _ = lapack.dtrtrs(self._L, Ks.T, lower=1, overwrite_b=1)
         sn2 = np.exp(self.log_sn2)
         var = np.exp(self.log_sf2) + sn2 - np.sum(V * V, axis=0)
         var = np.maximum(var, sn2)

@@ -7,8 +7,8 @@ tracked is the angle vector (the measured quantity); velocities ride along in
 the trajectories but are not regression targets.
 
 Three views of the same map are provided: the raw differences as a dense
-SampleSet, a linear reconstruction from orthonormal basis probes, and
-per-timestep GP regressors that generalize to unseen perturbation directions.
+SampleSet, a linear reconstruction from orthonormal basis probes, and GP maps
+per timestep that generalize to new perturbations, all trained on one X.
 """
 
 import os
@@ -190,8 +190,9 @@ class TimestepGP:
     source_angles: np.ndarray = None
 
     def predict(self, delta_theta):
-        delta_theta = np.atleast_2d(np.asarray(delta_theta, dtype=float))
-        means, stds = zip(*(gp.predict(delta_theta) for gp in self.gps))
+        """Means and stds (q, d); the d GPs share X, so they share a query stack."""
+        Dq = self.gps[0].query_stack(delta_theta)
+        means, stds = zip(*(gp.posterior(Dq) for gp in self.gps))
         return np.stack(means, axis=1), np.stack(stds, axis=1)
 
 
@@ -254,37 +255,37 @@ class SensitivityModel:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path):
-        arrays = {"timesteps": np.array(self.timesteps, dtype=int)}
-        if self.nominal_theta is not None:
-            arrays["nominal_theta"] = self.nominal_theta
-        if self.delta_low is not None:
-            arrays["delta_low"] = self.delta_low
-            arrays["delta_high"] = self.delta_high
-        for t, tm in self.models.items():
-            key = f"t{t:06d}"
-            if tm.source_angles is not None:
-                arrays[f"{key}_src"] = np.asarray(tm.source_angles)
-            Xs, ys, phis = zip(*(gp.state() for gp in tm.gps))
-            arrays[f"{key}_X"] = Xs[0]  # every dimension's GP shares it
-            arrays[f"{key}_y"] = np.column_stack(ys)
-            arrays[f"{key}_phi"] = np.stack(phis)
+        """One .npz (README: File formats) with the X all maps share stored
+        once; a map on other inputs is a DatasetError naming its timestep."""
+        tms = [self.models[t] for t in self.timesteps]
+        Xs, ys, phis = zip(*(zip(*(gp.state() for gp in tm.gps)) for tm in tms))
+        for t, X in zip(self.timesteps, Xs):
+            if not all(np.array_equal(x, Xs[0][0]) for x in X):
+                raise DatasetError(f"timestep {t}: training inputs are not the shared X")
+        arrays = {"timesteps": np.array(self.timesteps, dtype=int), "X": Xs[0][0],
+                  "y": np.array([np.column_stack(y) for y in ys]), "phi": np.array(phis)}
+        if tms[0].source_angles is not None:
+            arrays["src"] = np.array([tm.source_angles for tm in tms])
+        for key in ("nominal_theta", "delta_low", "delta_high"):
+            if getattr(self, key) is not None:
+                arrays[key] = getattr(self, key)
         np.savez_compressed(path, **arrays)
 
     @classmethod
     def load(cls, path):
+        """The model `save` wrote; a former layout is a ConfigError naming the file."""
         if not os.path.isfile(path):
             raise ConfigError(f"model file not found: {path}")
-        models = {}
         with np.load(path) as data:
-            for t in data["timesteps"]:
-                key = f"t{t:06d}"
-                if f"{key}_X" not in data:
-                    raise ConfigError(f"{path}: no {key}_X array; not a model file in "
-                                      "the one-X-per-timestep layout")
-                X, Y, phi = data[f"{key}_X"], data[f"{key}_y"], data[f"{key}_phi"]
-                gps = [ExactGP.from_state(X, Y[:, i], phi[i]) for i in range(Y.shape[1])]
-                models[int(t)] = TimestepGP(t=int(t), gps=gps,
-                                            source_angles=data.get(f"{key}_src"))
+            if "X" not in data:
+                raise ConfigError(f"{path}: no shared X; a model file of a former layout, "
+                                  "refit it (remove models/ and rerun)")
+            T, Y, phi, src = data["timesteps"], data["y"], data["phi"], data.get("src")
+            gps = ExactGP.from_states(data["X"], np.moveaxis(Y, 0, 1), phi)  # (n, T, d)
+            d = Y.shape[2]
+            models = {int(t): TimestepGP(int(t), gps[k * d:(k + 1) * d],
+                                         None if src is None else src[k])
+                      for k, t in enumerate(T)}
             return cls(models, nominal_theta=data.get("nominal_theta"),
                        delta_low=data.get("delta_low"), delta_high=data.get("delta_high"))
 

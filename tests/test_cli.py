@@ -464,6 +464,13 @@ def test_gp_optimize_other_than_true_is_rejected(tmp_path):
     (("gamma_sweep = 0, 0.04", "gamma_sweep = 0, inf"), "preprocess.gamma_sweep"),
     (("label = cli_small", "label = cli, small"), "experiment.label"),
     (("label = cli_small", "label = cli\n  small"), "experiment.label"),
+    (("dims = all", "dims = 5"), "planner.dims"),
+    (("dims = all", "dims = 0,0"), "planner.dims"),
+    (("dims = all", "dims = 1.0"), "planner.dims"),
+    (("dims = all", "dims ="), "planner.dims"),
+    (("dims = all", "dims = -1"), "planner.dims"),
+    (("target_kps = 0.45, 0.5, 0.55", "target_kps = 0.42, 0.45, 0.5, 0.55"),
+     "planner.target_kps"),
 ])
 def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
     # a misspelt key used to load silently and run with the key's default;
@@ -494,12 +501,44 @@ def test_readme_config_block_loads(tmp_path):
 @pytest.mark.parametrize("model", ["missing.npz", "models_dir"])
 def test_plan_with_a_missing_model_is_config_error(cfg_file, tmp_path, capsys, model):
     (tmp_path / "models_dir").mkdir()
+    # a models directory loads the gamma its run's metrics summary selects
+    (tmp_path / "metrics").mkdir()
+    (tmp_path / "metrics" / "metrics.csv").write_text("label,gamma,selected\nx,0,1\n")
     path = str(tmp_path / model)
     rc = main(["plan", "--config", cfg_file, "--model", path, "--out", str(tmp_path / "p"),
                "--t", "120", "--target", "0.3,2.3,1.8"])
     assert rc == 2
     expected = path if model.endswith(".npz") else os.path.join(path, "model_g0.npz")
     assert expected in capsys.readouterr().err
+
+
+def test_plan_with_a_models_dir_loads_the_selected_gamma(cfg_file, tmp_path, capsys):
+    # a models directory used to mean its model_g0.npz, whatever gamma the
+    # run's evaluate stage had selected
+    out = tmp_path / "out"
+    run_pipeline(load_config(cfg_file), str(out))
+    summary = out / "metrics" / "metrics.csv"
+    lines = summary.read_text().splitlines()
+    assert [l.split(",")[1] for l in lines[1:]] == ["0", "0.04"]
+    summary.write_text("\n".join([lines[0], lines[1][:-1] + "0", lines[2][:-1] + "1"]) + "\n")
+
+    def plan(model, name):
+        rc = main(["plan", "--config", cfg_file, "--model", str(model), "--out",
+                   str(tmp_path / name), "--t", "120", "--target", "0.3,2.3,1.8"])
+        return rc, capsys.readouterr(), tmp_path / name / "planned.csv"
+
+    rc, printed, planned = plan(out / "models", "from_dir")
+    assert rc == 0
+    rc_file, printed_file, planned_file = plan(out / "models" / "model_g0.04.npz", "from_file")
+    assert rc_file == 0
+    assert printed.out == printed_file.out
+    assert planned.read_bytes() == planned_file.read_bytes()
+    assert printed.out != plan(out / "models" / "model_g0.npz", "g0")[1].out
+
+    summary.unlink()  # no selected gamma: the plan stage's DependencyError
+    rc, printed, _ = plan(out / "models", "no_metrics")
+    assert rc == 3
+    assert "evaluate stage outputs missing" in printed.err
 
 
 def test_preset_names_resolve():

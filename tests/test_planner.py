@@ -195,14 +195,18 @@ def test_gain_curve_matches_per_point_queries(trained):
 
 def test_gain_curve_is_one_predict_per_dimension(trained, monkeypatch):
     model, source = trained
-    rows = []
-    real = ExactGP.predict
-    monkeypatch.setattr(ExactGP, "predict",
-                        lambda gp, Xq: rows.append(np.atleast_2d(Xq).shape[0])
-                        or real(gp, Xq))
+    # each GP's posterior is what ExactGP.predict computes; the query block's
+    # distance stack is built once for all of them
+    rows, stacks = [], []
+    real, real_stack = ExactGP.posterior, ExactGP.query_stack
+    monkeypatch.setattr(ExactGP, "posterior",
+                        lambda gp, Dq: rows.append(Dq.shape[1]) or real(gp, Dq))
+    monkeypatch.setattr(ExactGP, "query_stack",
+                        lambda gp, Xq: stacks.append(1) or real_stack(gp, Xq))
     planner._predict_curve(model, problem_for(source.angles[T_CONSTRAINT]),
                            _gain_grid(model), [0, 1, 2])
     assert rows == [planner.DEFAULT_GRID] * len(model.model_at(T_CONSTRAINT).gps)
+    assert len(stacks) == 1
 
 
 def test_solve_kp_answers_match_per_point_curve(trained, monkeypatch):

@@ -436,22 +436,23 @@ def test_model_load_factorizes_once_and_predicts_as_the_refit_did(tmp_path, monk
     path = tmp_path / "model.npz"
     model.save(path)
 
-    calls = []
-    real = gp_mod._cholesky_with_jitter
+    calls, stacks = [], []
+    real, real_stack = gp_mod._cholesky_with_jitter, gp_mod._sq_dist_stack
     monkeypatch.setattr(gp_mod, "_cholesky_with_jitter",
                         lambda K, scale=1.0: calls.append(1) or real(K, scale))
+    monkeypatch.setattr(gp_mod, "_sq_dist_stack",
+                        lambda A, B=None: stacks.append(B) or real_stack(A, B))
     monkeypatch.setattr(ExactGP, "fit", None)  # loading must not refit
     loaded = SensitivityModel.load(path)
     monkeypatch.undo()
     assert len(calls) == 6  # 2 timesteps x 3 dims
+    assert stacks == [None]  # one training distance stack for the whole file
 
     data = np.load(path)
     q = np.random.default_rng(8).uniform(-1, 1, size=(25, 2))
-    for t in (0, 10):
-        key = f"t{t:06d}"
+    for k, t in enumerate((0, 10)):
         for i, gp in enumerate(loaded.model_at(t).gps):
-            ref = _restore_by_refit(data[f"{key}_X"], data[f"{key}_y"][:, i],
-                                    data[f"{key}_phi"][i])
+            ref = _restore_by_refit(data["X"], data["y"][k][:, i], data["phi"][k, i])
             for a, b in zip(gp.predict(q), ref.predict(q)):
                 assert np.array_equal(a, b)
             assert gp.degenerate == ref.degenerate == (t == 0)
@@ -465,23 +466,66 @@ def test_model_file_stores_shared_inputs_once(tmp_path):
     path = tmp_path / "model.npz"
     model.save(path)
     with np.load(path) as data:
-        assert data["t000010_X"].shape == (41, 2)  # the pinned origin plus 40
-        assert data["t000010_y"].shape == (41, 3)
-        assert data["t000010_phi"].shape == (3, 4)
-        for i, gp in enumerate(model.model_at(10).gps):
-            X, y, phi = gp.state()
-            assert np.array_equal(data["t000010_X"], X)
-            assert np.array_equal(data["t000010_y"][:, i], y)
-            assert np.array_equal(data["t000010_phi"][i], phi)
+        assert sorted(data.files) == sorted(["timesteps", "X", "y", "phi", "nominal_theta",
+                                             "delta_low", "delta_high"])
+        assert data["X"].shape == (41, 2)  # the pinned origin plus 40
+        assert data["y"].shape == (2, 41, 3)
+        assert data["phi"].shape == (2, 3, 4)
+        for k, t in enumerate((0, 10)):
+            for i, gp in enumerate(model.model_at(t).gps):
+                X, y, phi = gp.state()
+                assert np.array_equal(data["X"], X)
+                assert np.array_equal(data["y"][k][:, i], y)
+                assert np.array_equal(data["phi"][k, i], phi)
 
-    # the former layout kept one X, y and phi per (timestep, dimension)
-    old = {"timesteps": np.array([10])}
+    # the two former layouts: one X, y and phi per (timestep, dimension), and
+    # one X, y and phi per timestep
+    per_dim, per_t = {"timesteps": np.array([10])}, {"timesteps": np.array([10])}
     for i, gp in enumerate(model.model_at(10).gps):
-        old["t000010_d%d_X" % i], old["t000010_d%d_y" % i], old["t000010_d%d_phi" % i] = gp.state()
-    old_path = tmp_path / "old_model.npz"
-    np.savez_compressed(old_path, **old)
-    with pytest.raises(ConfigError, match="old_model.npz"):
-        SensitivityModel.load(old_path)
+        per_dim["t000010_d%d_X" % i], per_dim["t000010_d%d_y" % i], \
+            per_dim["t000010_d%d_phi" % i] = gp.state()
+    Xs, ys, phis = zip(*(gp.state() for gp in model.model_at(10).gps))
+    per_t.update(t000010_X=Xs[0], t000010_y=np.column_stack(ys), t000010_phi=np.stack(phis))
+    for name, arrays in (("per_dim_model.npz", per_dim), ("per_t_model.npz", per_t)):
+        np.savez_compressed(tmp_path / name, **arrays)
+        with pytest.raises(ConfigError, match=name) as info:
+            SensitivityModel.load(tmp_path / name)
+        assert "refit" in str(info.value)
+
+
+def test_model_save_rejects_maps_on_other_inputs(tmp_path):
+    a, _ = linear_map_samples(n=40, seed=7)
+    b, _ = linear_map_samples(n=40, seed=8)
+    model = SensitivityModel({0: fit_gp(a, t=0), 10: fit_gp(b, t=10)})
+    with pytest.raises(DatasetError, match="timestep 10"):
+        model.save(tmp_path / "model.npz")
+    assert not (tmp_path / "model.npz").exists()
+
+
+def _with_frozen_column(samples):
+    """samples with a third parameter that no recording perturbs."""
+    frozen = np.column_stack([samples.delta_theta, np.zeros(len(samples.delta_theta))])
+    return SampleSet(delta_theta=frozen, delta_x=samples.delta_x)
+
+
+@pytest.mark.parametrize("rows", [1, 201])
+def test_timestep_predict_is_each_gps_own_predict(tmp_path, rows):
+    # one shared query stack for the d GPs changes no bit of any posterior
+    samples = _with_frozen_column(linear_map_samples(n=40, seed=7)[0])
+    model = fit_sensitivity_model(samples, timesteps=[0, 10])
+    model.save(tmp_path / "model.npz")
+    q = np.random.default_rng(rows).uniform(-1, 1, size=(rows, 3))
+    q[:, 2] = 0.0  # the frozen parameter stays frozen
+    for m in (model, SensitivityModel.load(tmp_path / "model.npz")):
+        for t in (0, 10):  # t = 0 is the degenerate flat map
+            tm = m.model_at(t)
+            assert [gp.degenerate for gp in tm.gps] == [t == 0] * 3
+            mean, std = tm.predict(q)
+            assert mean.shape == std.shape == (rows, 3)
+            for i, gp in enumerate(tm.gps):
+                own_mean, own_std = gp.predict(q)
+                assert np.array_equal(mean[:, i], own_mean)
+                assert np.array_equal(std[:, i], own_std)
 
 
 def test_zero_crossing_falls_back_to_correlation_without_landmark():

@@ -5,19 +5,55 @@
 For every workload and seed, runs `benchmark/run.py --workload <w> --seed <s>
 --seconds 0` (one round) in the parent checkout and then in the change, and
 compares the two .bench_out/<w> trees file by file. Prints one line per file
-that differs or exists on one side only, and exits 1 if there is any; prints
-nothing and exits 0 when every tree is identical. A run that exits with
-neither 0 nor 1 (1 is a failed artifact check, whose tree is still compared)
-stops the comparison.
+that differs or exists on one side only. A run that exits with neither 0 nor
+1 (1 is a failed artifact check, whose tree is still compared) stops the
+comparison.
+
+Two differences are explained rather than counted, so that a change of the
+model file layout can still show that it changes nothing else:
+- a `models/model_g*.npz` whose bytes differ is loaded on each side by that
+  checkout's own `SensitivityModel.load`, in a subprocess, and both predict
+  at every model timestep on the inputs of the parent tree's
+  `samples/train_g*.csv` and `test_g*.csv`. Equal means and stds, bit for
+  bit, print "layout differs, predictions identical"; anything else prints
+  "predictions differ" and counts;
+- a `manifest.ini` whose `[stages]` fingerprints are equal and whose
+  `[files]` hashes differ only for such model files.
+
+Exits 1 if any other difference was found, else 0.
 """
 
 import argparse
+import configparser
 import filecmp
 import os
+import re
 import subprocess
 import sys
+import tempfile
+
+import numpy as np
 
 from bench_pairs import WORKLOADS, _seeds
+
+# run inside one checkout: argv is the model, the output .npz, then sample CSVs
+PREDICT = """
+import sys
+import numpy as np
+from trajsense import io
+from trajsense.sensitivity import SensitivityModel
+
+model_path, out_path, *sample_paths = sys.argv[1:]
+model = SensitivityModel.load(model_path)
+arrays = {}
+for k, path in enumerate(sample_paths):
+    X = io.read_samples(path).delta_theta
+    for t in model.timesteps:
+        arrays[f"{k}_{t}_mean"], arrays[f"{k}_{t}_std"] = model.model_at(t).predict(X)
+np.savez(out_path, **arrays)
+"""
+
+MODEL = re.compile(r"(?:.*/)?models/model_(g[^/]*)\.npz$")
 
 
 def run(checkout, workload, seed):
@@ -47,6 +83,77 @@ def differences(a, b):
     return out
 
 
+def predictions(checkout, model, samples, out):
+    """Means and stds of `model` at its timesteps on the rows of the sample
+    CSVs, as loaded and predicted by the code of `checkout` (written to the
+    .npz file `out` on the way), or None if that fails."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    proc = subprocess.run([sys.executable, "-c", PREDICT, model, out, *samples],
+                          cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return None
+    with np.load(out) as data:
+        return {key: data[key] for key in data.files}
+
+
+def same_predictions(checkouts, trees, path):
+    """Whether the model file at `path` predicts the same on both sides."""
+    tag = MODEL.match(path).group(1)
+    round_dir = os.path.dirname(os.path.dirname(os.path.join(trees[0], path)))
+    samples = [os.path.join(round_dir, "samples", f"{split}_{tag}.csv")
+               for split in ("train", "test")]
+    if not all(os.path.isfile(s) for s in samples):
+        return False
+    with tempfile.TemporaryDirectory() as scratch:
+        a, b = (predictions(c, os.path.abspath(os.path.join(t, path)), samples,
+                            os.path.join(scratch, f"{k}.npz"))
+                for k, (c, t) in enumerate(zip(checkouts, trees)))
+    return (a is not None and b is not None and a.keys() == b.keys()
+            and all(np.array_equal(a[k], b[k]) for k in a))
+
+
+def manifest_explained(trees, path, explained):
+    """Whether two manifest.ini files differ only in the [files] hashes of
+    model files whose predictions were found identical."""
+    a, b = configparser.ConfigParser(), configparser.ConfigParser()
+    a.read(os.path.join(trees[0], path))
+    b.read(os.path.join(trees[1], path))
+    if not (a.has_section("stages") and dict(a["stages"]) == dict(b["stages"])):
+        return False
+    prefix = os.path.dirname(path)
+    fa, fb = dict(a["files"]), dict(b["files"])
+    return fa.keys() == fb.keys() and all(
+        os.path.join(prefix, k) in explained for k in fa if fa[k] != fb[k])
+
+
+def compare(checkouts, workload, seed):
+    """Print each difference of one workload and seed; return whether any
+    of them is not explained."""
+    trees = [os.path.join(c, ".bench_out", workload) for c in checkouts]
+    found, explained, manifests = False, set(), []
+    for path, what in differences(*trees):
+        if what == "differs" and MODEL.match(path):
+            if same_predictions(checkouts, trees, path):
+                explained.add(path)
+                what = "layout differs, predictions identical"
+            else:
+                what, found = "predictions differ", True
+        elif what == "differs" and os.path.basename(path) == "manifest.ini":
+            manifests.append(path)
+            continue
+        else:
+            found = True
+        print(f"{workload} seed {seed}: {path} {what}", flush=True)
+    for path in manifests:
+        if manifest_explained(trees, path, explained):
+            what = "differs in model hashes only"
+        else:
+            what, found = "differs", True
+        print(f"{workload} seed {seed}: {path} {what}", flush=True)
+    return found
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -56,11 +163,9 @@ def main(argv=None):
     found = False
     for workload in WORKLOADS:
         for seed in _seeds(args.seeds):
-            parent = run(args.parent, workload, seed)
-            change = run(args.change, workload, seed)
-            for path, what in differences(parent, change):
-                print(f"{workload} seed {seed}: {path} {what}", flush=True)
-                found = True
+            run(args.parent, workload, seed)
+            run(args.change, workload, seed)
+            found |= compare((args.parent, args.change), workload, seed)
     return 1 if found else 0
 
 
