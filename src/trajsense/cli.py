@@ -17,7 +17,7 @@ import numpy as np
 from . import io as tio
 from . import pipeline
 from .align import DEFAULT_MAX_LAG, align_zero_crossing, classify_noise, estimate_delay
-from .config import load_config
+from .config import load_config, parse_dims
 from .errors import ConfigError, TrajsenseError
 from .sensitivity import SensitivityModel
 from .voxel import VoxelGrid, voxelize_trajectory
@@ -89,10 +89,20 @@ def cmd_align(args):
     return 0
 
 
+def _three_floats(raw, flag):
+    """The 3 finite numbers of a comma-separated flag value, else a ConfigError."""
+    try:
+        values = np.array([float(v) for v in raw.split(",")])
+    except ValueError:
+        values = np.array([])
+    if values.shape != (3,) or not np.isfinite(values).all():
+        raise ConfigError(f"{flag} {raw!r}: need 3 comma-separated finite numbers")
+    return values
+
+
 def cmd_voxelize(args):
+    origin = _three_floats(args.origin, "--origin") if args.origin else np.zeros(3)
     traj = tio.read_trajectory(args.input)
-    origin = np.array([float(v) for v in args.origin.split(",")]) \
-        if args.origin else np.zeros(3)
     grid = VoxelGrid(gamma=np.full(3, args.gamma), origin=origin)
     tio.write_trajectory(voxelize_trajectory(traj, grid), args.output)
     print(args.output)
@@ -101,17 +111,16 @@ def cmd_voxelize(args):
 
 def cmd_plan(args):
     cfg = _load(args)
+    target = _three_floats(args.target, "--target")
+    dims = parse_dims(args.dims, "--dims")
     path = args.model
     if os.path.isdir(path):  # a run's models/: the gamma its evaluate stage selected
-        gamma = pipeline.best_gamma_of(os.path.dirname(os.path.abspath(path)))
-        path = os.path.join(path, f"model_g{gamma:g}.npz")
+        run = os.path.dirname(os.path.abspath(path))
+        path = os.path.join(path, os.path.basename(pipeline.selected_model(run)))
     model = SensitivityModel.load(path)
-    target = np.array([float(v) for v in args.target.split(",")])
-    report = pipeline.plan_target(cfg, model, args.t, target, args.dims)
-    print(f"kp_star = {report.kp_star:.10g}")
-    print(f"source_miss = {report.source_miss:.10g}")
-    print(f"miss = {report.miss:.10g}")
-    print(f"improvement = {report.improvement:.10g}")
+    report = pipeline.plan_target(cfg, model, args.t, target, dims)
+    for key in pipeline.REPORT_KEYS:
+        print(f"{key} = {getattr(report, key):.10g}")
     os.makedirs(args.out, exist_ok=True)  # --out is required
     tio.write_trajectory(pipeline.rollout_with_kp(cfg, report.kp_star, cfg.n_steps),
                          os.path.join(args.out, "planned.csv"))

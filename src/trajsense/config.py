@@ -22,6 +22,16 @@ def _floats(raw):
     return [float(v.strip()) for v in raw.split(",") if v.strip() != ""]
 
 
+def parse_dims(raw, key="planner.dims"):
+    """'all', or the list of distinct angle indices (each 0..2) that the
+    comma-separated raw names; anything else is a ConfigError naming key."""
+    dims = [v.strip() for v in raw.split(",")]
+    if raw != "all" and sorted(set(dims) & set("012")) != sorted(dims):
+        raise ConfigError(f"{key} {raw!r}: need 'all' or distinct comma-separated "
+                          "angle indices in 0..2")
+    return raw if raw == "all" else [int(v) for v in dims]
+
+
 def _ranges(raw):
     """Per-parameter uniform intervals: 'lo:hi' entries, '~' to freeze."""
     out = []
@@ -158,10 +168,7 @@ class ExperimentConfig:
         if self.plan_t is not None and not 0 < self.plan_t <= self.n_steps:
             raise ConfigError(f"planner.t_constraint {self.plan_t} must be in "
                               f"1..n_steps ({self.n_steps})")
-        dims = [v.strip() for v in self.plan_dims.split(",")]  # distinct, each 0..2
-        if self.plan_dims != "all" and sorted(set(dims) & set("012")) != sorted(dims):
-            raise ConfigError(f"planner.dims {self.plan_dims!r}: need 'all' or distinct "
-                              "comma-separated angle indices in 0..2")
+        parse_dims(self.plan_dims)
         if len(self.plan_target_kps) > 3:
             raise ConfigError("planner.target_kps: at most 3 targets (short, medium, long)")
 

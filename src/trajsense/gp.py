@@ -44,14 +44,15 @@ def _cholesky_with_jitter(K, scale=1.0):
     JITTER_MAX; relative scaling keeps conditioning independent of the units
     of the targets.
     """
-    jitter = 0.0
+    jitter, A = 0.0, K
     while jitter <= JITTER_MAX:
-        A = K + jitter * scale * np.eye(K.shape[0])
-        # A is symmetric: its transpose is a Fortran-order view for potrf
-        L, info = lapack.dpotrf(A.T, lower=1, clean=1, overwrite_a=1)
+        # A is symmetric: potrf factorizes a copy of its Fortran-order transpose
+        L, info = lapack.dpotrf(A.T, lower=1, clean=1)
         if info == 0:
             return L, jitter
         jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
+        A = K.copy()
+        A.flat[::A.shape[0] + 1] += jitter * scale
     raise FitError(f"kernel matrix not positive definite up to jitter {JITTER_MAX:g}")
 
 
@@ -201,7 +202,7 @@ class ExactGP:
     def _factorize(self, D, y):
         """Factorize the kernel on the training stack D and weight the targets y."""
         K = _kernel(D, self.log_ls, self.log_sf2)
-        K += np.exp(self.log_sn2) * np.eye(K.shape[0])
+        K.flat[::K.shape[0] + 1] += np.exp(self.log_sn2)
         self._L, self.jitter = _cholesky_with_jitter(K, scale=np.exp(self.log_sf2))
         self._alpha, _ = lapack.dpotrs(self._L, y, lower=1)
         self._y = y

@@ -6,14 +6,18 @@ fingerprint and outputs are already present is skipped, which makes reruns
 cheap and the whole pipeline idempotent for a fixed config and seed; once a
 stage runs, every later stage runs too, so no output is older than its inputs.
 
-Hand-off rule: inside one run_pipeline call, a stage takes what an earlier
-stage of the same call built (the sample sets, the fitted models) from a dict
-keyed by artifact path, and reads the file only when the entry is absent: the
-earlier stage was skipped, or the stage runs on its own. The sample CSVs
-round-trip exactly, and a loaded model predicts as the fitted one does, so
-both paths give the same bytes. Trajectories are still read back from their
-CSVs: those hold 9 significant digits, and the build stage must see the
-rounded values a resumed run would read.
+Every artifact belongs to the stage that writes it (WRITERS, first match
+wins), and every stage input goes through one lookup, `_input`. Inside one
+run_pipeline call it takes what an earlier stage of that call built from a
+dict keyed by artifact path (a sample set leaves it, a model stays for the
+plan stage) and reads the file only when the entry is absent: the earlier
+stage was skipped, or the stage runs on its own. A missing file is a
+DependencyError naming it and its stage. The sample CSVs round-trip exactly,
+and a loaded model predicts as the fitted one does, so both paths give the
+same bytes. Trajectories are still read back from their CSVs: those hold 9
+significant digits, and the build stage must see the rounded values a resumed
+run would read. The manifest checks each recorded file under the stage that
+wrote it, so a changed or missing file reruns from that stage.
 
 Noise handling mirrors a physical data collection: the source rollout is the
 clean reference, each perturbed recording gets its own temporal lag (drawn in
@@ -32,6 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import io as tio
+from .config import parse_dims
 from .errors import ConfigError, DependencyError, StageError
 from .planner import PlanningProblem, plan_and_verify
 # build_samples and fit_gp are not called here; they are imported only because
@@ -43,6 +48,14 @@ from .sim import NoiseConfig, rollout, rollout_batch
 from .voxel import VoxelGrid, voxelize_trajectory
 
 STAGES = ("simulate", "build", "fit", "evaluate", "plan")
+# artifact path prefix -> the stage that writes it; the first match wins
+WRITERS = (("trajectories/", "simulate"), ("samples/perturbations.csv", "simulate"),
+           ("samples/", "build"), ("models/", "fit"), ("metrics/", "evaluate"),
+           ("planning/", "plan"))
+
+
+def _writer(rel):
+    return next((stage for prefix, stage in WRITERS if rel.startswith(prefix)), None)
 
 
 def _sha256(path):
@@ -63,15 +76,10 @@ class Manifest:
     def __init__(self, root):
         self.root = root
         self.path = os.path.join(root, "manifest.ini")
-        self.stages = {}
-        self.files = {}
-        if os.path.exists(self.path):
-            parser = configparser.ConfigParser()
-            parser.read(self.path)
-            if parser.has_section("stages"):
-                self.stages = dict(parser["stages"])
-            if parser.has_section("files"):
-                self.files = dict(parser["files"])
+        parser = configparser.ConfigParser()
+        parser.read(self.path)  # no file reads as no sections
+        self.stages = dict(parser["stages"]) if parser.has_section("stages") else {}
+        self.files = dict(parser["files"]) if parser.has_section("files") else {}
 
     def save(self):
         parser = configparser.ConfigParser()
@@ -88,25 +96,36 @@ class Manifest:
         self.save()
 
     def stage_is_current(self, stage, fingerprint):
+        """Whether stage ran with fingerprint and its files (WRITERS) keep their hashes."""
         if self.stages.get(stage) != fingerprint:
             return False
-        for rel, digest in self.files.items():
-            if not rel.startswith(_stage_prefix(stage)):
-                continue
-            full = os.path.join(self.root, rel)
-            if not os.path.exists(full) or _sha256(full) != digest:
-                return False
-        return True
+        owned = [(os.path.join(self.root, rel), digest)
+                 for rel, digest in self.files.items() if _writer(rel) == stage]
+        return all(os.path.exists(p) and _sha256(p) == digest for p, digest in owned)
 
 
-def _stage_prefix(stage):
-    return {"simulate": "trajectories", "build": "samples", "fit": "models",
-            "evaluate": "metrics", "plan": "planning"}[stage] + os.sep
+def _input(out, rel, read, handoff=None, keep=False):
+    """This run's hand-off object for the artifact out/rel, else read(path);
+    the entry leaves the hand-off unless keep. A missing file is a
+    DependencyError naming it and the stage that writes it."""
+    path = os.path.join(out, rel)
+    if handoff is not None and path in handoff:
+        return handoff[path] if keep else handoff.pop(path)
+    if not os.path.exists(path):
+        raise DependencyError(f"{_writer(rel)} stage outputs missing: {rel}")
+    return read(path)
 
 
-def _ensure_dirs(out, *names):
-    for name in names:
-        os.makedirs(os.path.join(out, name), exist_ok=True)
+def _output(out, rel):
+    """The path of the artifact out/rel, its directory made."""
+    path = os.path.join(out, rel)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    return path
+
+
+def _read_text(path):
+    with open(path) as fh:
+        return fh.read()
 
 
 def _pmap(fn, items, workers):
@@ -137,24 +156,19 @@ def _per_sample_noise(cfg, index):
 
 def stage_simulate(cfg, out):
     """Roll out the source and every perturbation as one batch, then write them."""
-    _ensure_dirs(out, "trajectories", "samples")
-    traj_dir = os.path.join(out, "trajectories")
-
     deltas = cfg.perturbation_deltas()
     policies = [cfg.policy] + [cfg.policy.with_theta(cfg.policy.theta + d) for d in deltas]
     noises = [None] + [_per_sample_noise(cfg, i) for i in range(len(deltas))]
     trajs = rollout_batch(policies, cfg.x0, cfg.n_steps, cfg.dt, cfg.mode, noises)
 
     paths = []
-    source_path = os.path.join(traj_dir, "source.csv")
-    tio.write_trajectory(trajs[0], source_path)
-    paths += [source_path, source_path + ".meta"]
-    for i, traj in enumerate(trajs[1:]):
-        p = os.path.join(traj_dir, f"sample_{i:04d}.csv")
+    names = ["source"] + [f"sample_{i:04d}" for i in range(len(deltas))]
+    for name, traj in zip(names, trajs):
+        p = _output(out, f"trajectories/{name}.csv")
         tio.write_trajectory(traj, p)
         paths += [p, p + ".meta"]
 
-    pert_path = os.path.join(out, "samples", "perturbations.csv")
+    pert_path = _output(out, "samples/perturbations.csv")
     tio.write_perturbations(cfg.policy.theta, deltas, pert_path)
     return paths + [pert_path]
 
@@ -176,13 +190,9 @@ def stage_build(cfg, out, handoff=None):
     recording is read, aligned and differenced into its rows of every gamma's
     set, then dropped, so no more than one recording is held at a time."""
     handoff = {} if handoff is None else handoff
-    traj_dir = os.path.join(out, "trajectories")
-    source_path = os.path.join(traj_dir, "source.csv")
-    if not os.path.exists(source_path):
-        raise DependencyError("simulate stage outputs missing")
-    source = tio.read_trajectory(source_path)
-    deltas = tio.read_perturbations(os.path.join(out, "samples", "perturbations.csv"),
-                                    cfg.policy.theta)
+    source = _input(out, "trajectories/source.csv", tio.read_trajectory)
+    deltas = _input(out, "samples/perturbations.csv",
+                    lambda path: tio.read_perturbations(path, cfg.policy.theta))
     splits = dict(zip(("train", "test"), _split_indices(cfg, len(deltas))))
     slot = {i: (name, row) for name, idx in splits.items() for row, i in enumerate(idx)}
     grids = {gamma: voxelized_source(source, gamma) for gamma in cfg.gamma_sweep}
@@ -193,7 +203,7 @@ def stage_build(cfg, out, handoff=None):
     # alignment does not depend on gamma: once per recording, voxels per gamma
     align_cfg = cfg.preprocess_config(0)
     for i, d in enumerate(deltas):
-        traj = tio.read_trajectory(os.path.join(traj_dir, f"sample_{i:04d}.csv"))
+        traj = _input(out, f"trajectories/sample_{i:04d}.csv", tio.read_trajectory)
         traj = align_recording(source, d, traj, align_cfg)
         name, row = slot[i]
         for gamma, (grid, src) in grids.items():
@@ -202,7 +212,7 @@ def stage_build(cfg, out, handoff=None):
     paths = []
     for gamma in cfg.gamma_sweep:
         for name in splits:
-            p = os.path.join(out, "samples", f"{name}_{_gamma_tag(gamma)}.csv")
+            p = _output(out, f"samples/{name}_{_gamma_tag(gamma)}.csv")
             tio.write_samples(sets[gamma, name], p)
             handoff[p] = sets[gamma, name]
             paths.append(p)
@@ -229,17 +239,12 @@ def stage_fit(cfg, out, workers=1, handoff=None):
     """Fit one model per gamma. A gamma's timesteps form one warm-started
     chain (fit_sensitivity_model), so the unit of parallel work is a gamma."""
     handoff = {} if handoff is None else handoff
-    _ensure_dirs(out, "models")
-    source = tio.read_trajectory(os.path.join(out, "trajectories", "source.csv"))
+    source = _input(out, "trajectories/source.csv", tio.read_trajectory)
 
     def chains():
         for gamma in cfg.gamma_sweep:
-            train_path = os.path.join(out, "samples", f"train_{_gamma_tag(gamma)}.csv")
-            samples = handoff.pop(train_path, None)
-            if samples is None:
-                if not os.path.exists(train_path):
-                    raise DependencyError(f"missing training samples {train_path}")
-                samples = tio.read_samples(train_path)
+            samples = _input(out, f"samples/train_{_gamma_tag(gamma)}.csv",
+                             tio.read_samples, handoff)
             _, src_for = voxelized_source(source, gamma)
             yield (samples, _model_timesteps(cfg), cfg.n_restarts, cfg.seed, src_for,
                    cfg.policy.theta)
@@ -248,11 +253,10 @@ def stage_fit(cfg, out, workers=1, handoff=None):
     workers = min(workers, len(cfg.gamma_sweep))
     paths = []
     for gamma, model in zip(cfg.gamma_sweep, _pmap(_fit_chain, chains(), workers)):
-        tag = _gamma_tag(gamma)
-        model_path = os.path.join(out, "models", f"model_{tag}.npz")
+        model_path = _output(out, _model_rel(gamma))
         model.save(model_path)
         handoff[model_path] = model
-        summary_path = os.path.join(out, "models", f"summary_{tag}.txt")
+        summary_path = _output(out, f"models/summary_{_gamma_tag(gamma)}.txt")
         with open(summary_path, "w") as fh:
             fh.write("\n".join(model.summary_lines()))
         paths += [model_path, summary_path]
@@ -263,30 +267,19 @@ def stage_fit(cfg, out, workers=1, handoff=None):
 
 
 def stage_evaluate(cfg, out, handoff=None):
-    handoff = {} if handoff is None else handoff
-    _ensure_dirs(out, "metrics")
-    results = []
-    paths = []
+    results, paths = [], []
     for gamma in cfg.gamma_sweep:
         tag = _gamma_tag(gamma)
-        model_path = os.path.join(out, "models", f"model_{tag}.npz")
-        test_path = os.path.join(out, "samples", f"test_{tag}.csv")
-        model = handoff.get(model_path)  # the plan stage may want it again
-        test_samples = handoff.pop(test_path, None)
-        if model is None or test_samples is None:
-            if not (os.path.exists(model_path) and os.path.exists(test_path)):
-                raise DependencyError(f"missing fit/build outputs for gamma {gamma:g}")
-        if model is None:
-            model = SensitivityModel.load(model_path)
-        if test_samples is None:
-            test_samples = tio.read_samples(test_path)
+        # the plan stage may want the model again
+        model = _input(out, _model_rel(gamma), SensitivityModel.load, handoff, keep=True)
+        test_samples = _input(out, f"samples/test_{tag}.csv", tio.read_samples, handoff)
         row, per_t, hists = evaluate(model, test_samples, label=cfg.label)
         results.append((gamma, row))
 
-        p1 = os.path.join(out, "metrics", f"metrics_{tag}.csv")
-        p2 = os.path.join(out, "metrics", f"per_timestep_{tag}.csv")
+        p1 = _output(out, f"metrics/metrics_{tag}.csv")
+        p2 = _output(out, f"metrics/per_timestep_{tag}.csv")
         tio.write_metrics(row, per_t, p1, p2)
-        p3 = os.path.join(out, "metrics", f"cos_hist_{tag}.csv")
+        p3 = _output(out, f"metrics/cos_hist_{tag}.csv")
         with open(p3, "w") as fh:
             fh.write("t,bin_lo,bin_hi,count\n")
             for t in sorted(hists):
@@ -295,7 +288,7 @@ def stage_evaluate(cfg, out, handoff=None):
         paths += [p1, p2, p3]
 
     best_gamma = max(results, key=lambda r: r[1].score_avg)[0]
-    summary = os.path.join(out, "metrics", "metrics.csv")
+    summary = _output(out, "metrics/metrics.csv")
     with open(summary, "w") as fh:
         fh.write("task,gamma,mse_avg,score_avg,cos_avg,n_timesteps,selected\n")
         for gamma, row in results:
@@ -306,19 +299,27 @@ def stage_evaluate(cfg, out, handoff=None):
 
 
 def best_gamma_of(out):
-    summary = os.path.join(out, "metrics", "metrics.csv")
-    if not os.path.exists(summary):
-        raise DependencyError("evaluate stage outputs missing")
-    with open(summary) as fh:
-        rows = fh.read().strip().splitlines()[1:]
-    for line in rows:
+    for line in _input(out, "metrics/metrics.csv", _read_text).strip().splitlines()[1:]:
         parts = line.split(",")
         if parts[-1] == "1":
             return float(parts[1])
     raise DependencyError("no selected gamma in metrics summary")
 
 
+def _model_rel(gamma):
+    return f"models/model_{_gamma_tag(gamma)}.npz"
+
+
+def selected_model(out):
+    """The model file, relative to out, of the gamma that out's evaluate stage selected."""
+    return _model_rel(best_gamma_of(out))
+
+
 # -- plan ---------------------------------------------------------------------------
+
+
+# the PlanReport fields that report.txt and `trajsense plan` print, in order
+REPORT_KEYS = ("kp_star", "source_miss", "miss", "improvement")
 
 
 def rollout_with_kp(cfg, kp, n_steps):
@@ -330,14 +331,13 @@ def rollout_with_kp(cfg, kp, n_steps):
 def plan_target(cfg, model, t, x_target, dims):
     """Retune the proportional gain of cfg's policy so that it reaches the
     angles x_target at timestep t, and verify the gain by rollout. dims is
-    'all' or comma-separated angle indices, as in [planner] dims; the result
-    is plan_and_verify's PlanReport."""
+    'all' or a list of angle indices, as config.parse_dims returns them; the
+    result is plan_and_verify's PlanReport."""
     theta = cfg.policy.theta
     problem = PlanningProblem(
         source_kp=float(theta[0]), fixed_kd=float(theta[1]) if theta.size > 1 else 0.0,
         t_constraint=t, x_target_t=x_target,
-        final_target=cfg.policy.fixed.get("x_star", np.zeros(3)),
-        constraint_dim="all" if dims == "all" else [int(v) for v in dims.split(",")])
+        final_target=cfg.policy.fixed.get("x_star", np.zeros(3)), constraint_dim=dims)
     return plan_and_verify(problem, model, cfg.policy, cfg.x0, cfg.dt, cfg.mode,
                            cfg.n_steps)
 
@@ -345,29 +345,21 @@ def plan_target(cfg, model, t, x_target, dims):
 def stage_plan(cfg, out, handoff=None):
     if cfg.plan_t is None:
         return []
-    handoff = {} if handoff is None else handoff
-    _ensure_dirs(out, "planning")
-    model_path = os.path.join(out, "models", f"model_{_gamma_tag(best_gamma_of(out))}.npz")
-    model = handoff.get(model_path)
-    if model is None:
-        model = SensitivityModel.load(model_path)
-
+    model = _input(out, selected_model(out), SensitivityModel.load, handoff)
+    dims = parse_dims(cfg.plan_dims)
     paths = []
-    report_path = os.path.join(out, "planning", "report.txt")
+    report_path = _output(out, "planning/report.txt")
     with open(report_path, "w") as fh:
         for label, target_kp in zip(("short", "medium", "long"), cfg.plan_target_kps):
             # only the state at plan_t is read, so the target stops there
             x_target = rollout_with_kp(cfg, target_kp, cfg.plan_t).angles[cfg.plan_t]
-            report = plan_target(cfg, model, cfg.plan_t, x_target, cfg.plan_dims)
-            fh.write(f"[{label}]\n")
-            fh.write(f"target_kp = {target_kp:.10g}\n")
-            fh.write(f"kp_star = {report.kp_star:.10g}\n")
-            fh.write(f"source_miss = {report.source_miss:.10g}\n")
-            fh.write(f"miss = {report.miss:.10g}\n")
-            fh.write(f"improvement = {report.improvement:.10g}\n")
+            report = plan_target(cfg, model, cfg.plan_t, x_target, dims)
+            fh.write(f"[{label}]\ntarget_kp = {target_kp:.10g}\n")
+            for key in REPORT_KEYS:
+                fh.write(f"{key} = {getattr(report, key):.10g}\n")
             fh.write(f"improved = {report.improved}\n\n")
 
-            vp = os.path.join(out, "planning", f"planned_{label}.csv")
+            vp = _output(out, f"planning/planned_{label}.csv")
             tio.write_trajectory(rollout_with_kp(cfg, report.kp_star, cfg.n_steps), vp)
             paths += [vp, vp + ".meta"]
     return paths + [report_path]
@@ -416,15 +408,10 @@ def emit_plot_data(out, kind):
     """Write a plain-data bundle for one figure kind into <out>/plots/."""
     if kind not in PLOT_KINDS:
         raise ConfigError(f"unknown figure kind {kind!r}")
-    _ensure_dirs(out, "plots")
-    dest = os.path.join(out, "plots", f"{kind}.csv")
+    dest = _output(out, f"plots/{kind}.csv")
 
     if kind == "gp_evolution":
-        gamma = best_gamma_of(out)
-        model_path = os.path.join(out, "models", f"model_{_gamma_tag(gamma)}.npz")
-        if not os.path.exists(model_path):
-            raise DependencyError("fit stage outputs missing")
-        model = SensitivityModel.load(model_path)
+        model = _input(out, selected_model(out), SensitivityModel.load)
         spread = model.delta_high - model.delta_low
         dim = int(np.argmax(spread))
         grid = np.linspace(model.delta_low[dim], model.delta_high[dim], 41)
@@ -440,41 +427,31 @@ def emit_plot_data(out, kind):
         return dest
 
     if kind == "cos_histogram":
-        gamma = best_gamma_of(out)
-        src = os.path.join(out, "metrics", f"cos_hist_{_gamma_tag(gamma)}.csv")
-        if not os.path.exists(src):
-            raise DependencyError("evaluate stage outputs missing")
-        with open(src) as fh, open(dest, "w") as gh:
-            gh.write(fh.read())
+        rel = f"metrics/cos_hist_{_gamma_tag(best_gamma_of(out))}.csv"
+        text = _input(out, rel, _read_text)
+        with open(dest, "w") as fh:
+            fh.write(text)
         return dest
 
     if kind == "quiver":
-        traj_dir = os.path.join(out, "trajectories")
-        source_path = os.path.join(traj_dir, "source.csv")
-        pert_path = os.path.join(out, "samples", "perturbations.csv")
-        if not (os.path.exists(source_path) and os.path.exists(pert_path)):
-            raise DependencyError("simulate stage outputs missing")
-        source = tio.read_trajectory(source_path)
+        source = _input(out, "trajectories/source.csv", tio.read_trajectory)
+        n_samples = len([f for f in os.listdir(os.path.join(out, "trajectories"))
+                         if f.startswith("sample_") and f.endswith(".csv")])
+        steps = range(0, source.n_steps + 1, max(1, source.n_steps // 20))
         with open(dest, "w") as fh:
             fh.write("sample_id,t,src_x1,src_x2,src_x3,pert_x1,pert_x2,pert_x3,"
                      "dx_1,dx_2,dx_3\n")
-            for i in range(min(3, _count_samples(traj_dir))):
-                traj = tio.read_trajectory(os.path.join(traj_dir, f"sample_{i:04d}.csv"))
-                step = max(1, source.n_steps // 20)
-                for t in range(0, source.n_steps + 1, step):
+            for i in range(min(3, n_samples)):
+                traj = _input(out, f"trajectories/sample_{i:04d}.csv", tio.read_trajectory)
+                for t in steps:
                     delta = traj.angles[t] - source.angles[t]
                     row = np.concatenate([source.angles[t], traj.angles[t], delta])
                     fh.write(f"{i},{t}," + ",".join(f"{v:.9g}" for v in row) + "\n")
         return dest
 
     if kind == "voxel_overlap":
-        traj_dir = os.path.join(out, "trajectories")
-        source_path = os.path.join(traj_dir, "source.csv")
-        if not (os.path.exists(source_path)
-                and os.path.exists(os.path.join(traj_dir, "sample_0000.csv"))):
-            raise DependencyError("simulate stage outputs missing")
-        a = tio.read_trajectory(source_path)
-        b = tio.read_trajectory(os.path.join(traj_dir, "sample_0000.csv"))
+        a = _input(out, "trajectories/source.csv", tio.read_trajectory)
+        b = _input(out, "trajectories/sample_0000.csv", tio.read_trajectory)
         with open(dest, "w") as fh:
             fh.write("gamma,l1_gap,same_cell_fraction\n")
             for gamma in (0.01, 0.04, 0.16, 0.2):
@@ -486,20 +463,11 @@ def emit_plot_data(out, kind):
         return dest
 
     # kind == "planning"
-    report_path = os.path.join(out, "planning", "report.txt")
-    if not os.path.exists(report_path):
-        raise DependencyError("plan stage outputs missing")
     parser = configparser.ConfigParser()
-    parser.read(report_path)
+    _input(out, "planning/report.txt", parser.read)
+    keys = ("target_kp",) + REPORT_KEYS
     with open(dest, "w") as fh:
-        fh.write("scenario,target_kp,kp_star,source_miss,miss,improvement\n")
+        fh.write(",".join(("scenario",) + keys) + "\n")
         for section in parser.sections():
-            s = parser[section]
-            fh.write(f"{section},{s['target_kp']},{s['kp_star']},"
-                     f"{s['source_miss']},{s['miss']},{s['improvement']}\n")
+            fh.write(",".join([section] + [parser[section][k] for k in keys]) + "\n")
     return dest
-
-
-def _count_samples(traj_dir):
-    return len([f for f in os.listdir(traj_dir)
-                if f.startswith("sample_") and f.endswith(".csv")])

@@ -328,6 +328,93 @@ def test_gp_evolution_matches_per_point_queries(cfg_file, tmp_path):
                           <= var_bound / (std + ref_std) + printed[at_t, 5 + i])
 
 
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """(config path, artifact directory) of one whole run of SMALL_CFG."""
+    root = tmp_path_factory.mktemp("finished")
+    (root / "exp.ini").write_text(SMALL_CFG)
+    run_pipeline(load_config(str(root / "exp.ini")), str(root / "out"))
+    return str(root / "exp.ini"), str(root / "out")
+
+
+@pytest.mark.parametrize("command, rel, writer", [
+    ("fit", "trajectories/source.csv", "simulate"),
+    ("build", "samples/perturbations.csv", "simulate"),
+    ("build", "trajectories/sample_0003.csv", "simulate"),
+    ("fit", "samples/train_g0.csv", "build"),
+    ("evaluate", "samples/test_g0.csv", "build"),
+    ("evaluate", "models/model_g0.npz", "fit"),
+])
+def test_a_missing_stage_input_names_the_file_and_its_stage(finished_run, tmp_path, capsys,
+                                                            command, rel, writer):
+    # the first three used to end in a FileNotFoundError traceback, exit code 1;
+    # the others named neither the file nor the stage that writes it
+    cfg_file, done = finished_run
+    out = str(tmp_path / "out")
+    shutil.copytree(done, out)
+    os.remove(os.path.join(out, rel))
+    capsys.readouterr()
+    assert main([command, "--config", cfg_file, "--out", out]) == 3
+    assert f"{writer} stage outputs missing: {rel}" in capsys.readouterr().err
+
+
+def test_a_changed_or_missing_perturbations_file_reruns_from_simulate(cfg_file, tmp_path,
+                                                                      monkeypatch):
+    # simulate writes samples/perturbations.csv. The manifest used to check it
+    # under build, which never rehashed it: an edit reran build to plan on
+    # every run, and a deleted file failed build until trajectories/ went too
+    cfg, out = load_config(cfg_file), str(tmp_path / "out")
+    run_pipeline(cfg, out)
+    path = os.path.join(out, "samples", "perturbations.csv")
+    written = open(path).read()
+    ran = []
+    record = pipeline.Manifest.record
+    monkeypatch.setattr(pipeline.Manifest, "record", lambda self, stage, *rest: (
+        ran.append(stage), record(self, stage, *rest)))
+    for change in ("edit", "delete"):
+        if change == "edit":
+            with open(path, "a") as fh:
+                fh.write("\n")
+        else:
+            os.remove(path)
+        run_pipeline(cfg, out)
+        assert ran == list(pipeline.STAGES), change
+        assert open(path).read() == written
+        ran.clear()
+        run_pipeline(cfg, out)
+        assert ran == [], change
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["plan", "--dims", "5"], "--dims"),
+    (["plan", "--dims", "x"], "--dims"),
+    (["plan", "--dims", "0,0"], "--dims"),
+    (["plan", "--target", "0.3,2.3"], "--target"),
+    (["plan", "--target", "0.3,2.3,1.8,0.1"], "--target"),
+    (["plan", "--target", "0.3,x,1.8"], "--target"),
+    (["plan", "--target", "0.3,nan,1.8"], "--target"),
+    (["voxelize", "--origin", "1,2"], "--origin"),
+    (["voxelize", "--origin", "1,2,x"], "--origin"),
+])
+def test_bad_flag_values_are_config_errors(finished_run, tmp_path, capsys, argv, flag):
+    # a bad --dims or a 4-value or non-numeric --target used to end in a
+    # traceback (exit code 1), --dims 0,0 and a 2-value --target planned, and a
+    # 2-value --origin ended in a broadcast ValueError (exit code 1)
+    cfg_file, done = finished_run
+    command, *flags = argv
+    if command == "plan":
+        base = ["plan", "--config", cfg_file, "--out", str(tmp_path / "plan"),
+                "--model", os.path.join(done, "models", "model_g0.npz"),
+                "--t", "120", "--target", "0.3,2.3,1.8"]
+    else:
+        base = ["voxelize", os.path.join(done, "trajectories", "source.csv"),
+                str(tmp_path / "vox.csv"), "--gamma", "0.04"]
+    capsys.readouterr()
+    assert main(base + flags) == 2  # the last --target wins
+    assert f"{flag} {flags[1]!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_plots_missing_artifacts_fails(tmp_path):
     rc = main(["emit-plots", "--out", str(tmp_path), "--kind", "gp_evolution"])
     assert rc == 3

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.stats import multivariate_normal
 
 from trajsense import gp as gp_mod
@@ -102,6 +103,38 @@ def test_jitter_escalation_and_failure():
     # hopeless matrices fail after the ladder is exhausted
     with pytest.raises(FitError):
         _cholesky_with_jitter(np.full((3, 3), -1.0), scale=1.0)
+
+
+def _former_cholesky_with_jitter(K, scale=1.0):
+    """The factorization as it was, with a full identity matrix per attempt."""
+    jitter = 0.0
+    while jitter <= gp_mod.JITTER_MAX:
+        A = K + jitter * scale * np.eye(K.shape[0])
+        L, info = lapack.dpotrf(A.T, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            return L, jitter
+        jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
+    raise FitError("not positive definite")
+
+
+@pytest.mark.parametrize("log_ls, jittered", [(np.log(0.7), False), (np.log(30.0), True)])
+def test_factorization_without_identity_matrices_is_bit_identical(log_ls, jittered):
+    # the noise and the jitter go onto the diagonal in place; adding the
+    # identity's off-diagonal zeros to these non-negative kernels changed no bit
+    X, y = linear_data(n=30)
+    K = _kernel(_sq_dist_stack(X), np.full(2, log_ls), np.log(2.0))
+    before = K.copy()
+    L, jitter = _cholesky_with_jitter(K, scale=2.0)
+    assert np.array_equal(K, before)  # K is not overwritten
+    L_former, jitter_former = _former_cholesky_with_jitter(K, scale=2.0)
+    assert np.array_equal(L, L_former) and jitter == jitter_former
+    assert (jitter > 0) == jittered  # a long lengthscale needs a retry
+
+    gp = ExactGP.from_state(X, y, np.array([log_ls, log_ls, np.log(2.0), np.log(1e-6)]))
+    K = _kernel(_sq_dist_stack(gp._X), gp.log_ls, gp.log_sf2)
+    L_former, jitter_former = _former_cholesky_with_jitter(
+        K + np.exp(gp.log_sn2) * np.eye(30), scale=np.exp(gp.log_sf2))
+    assert np.array_equal(gp._L, L_former) and gp.jitter == jitter_former
 
 
 def test_constant_input_column_tolerated():
