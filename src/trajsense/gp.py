@@ -11,6 +11,11 @@ hyperparameters. Inference is a Cholesky factorization with an escalating
 jitter, on LAPACK directly (GPML alg. 2.1). One kernel builder serves the
 likelihood, the factorization and prediction.
 
+A fitted GP keeps alpha = K^-1 y, the targets and the jitter, not the n x n
+factor: a posterior mean is K* alpha alone. A variance rebuilds the factor
+the same way the fit made it, bit for bit, and drops it again, so a model of
+many maps holds O(n) floats per map, not O(n^2).
+
 A constant input column (a frozen parameter: its perturbation is zero in
 every sample) adds nothing to any squared distance, so the likelihood does
 not depend on its lengthscale. The optimizer sees only the live columns'
@@ -95,7 +100,7 @@ class ExactGP:
         self.n_restarts = n_restarts
         self.log_ls = self.log_sf2 = self.log_sn2 = None  # set by _set_phi
         self._X_raw = self._x_mean = self._x_scale = self._X = None  # by _set_inputs
-        self._y = self._L = self._alpha = None  # by _factorize
+        self._y = self._alpha = None  # by _factorize
         self.jitter = 0.0
         self.degenerate = False
 
@@ -200,13 +205,22 @@ class ExactGP:
         self.log_sn2 = float(phi[m + 1])
 
     def _factorize(self, D, y):
-        """Factorize the kernel on the training stack D and weight the targets y."""
-        K = _kernel(D, self.log_ls, self.log_sf2)
-        K.flat[::K.shape[0] + 1] += np.exp(self.log_sn2)
-        self._L, self.jitter = _cholesky_with_jitter(K, scale=np.exp(self.log_sf2))
-        self._alpha, _ = lapack.dpotrs(self._L, y, lower=1)
+        """Weight the targets y by the kernel on the training stack D; the
+        factor is dropped once alpha is solved."""
+        L, self.jitter = self._cholesky(D)
+        self._alpha, _ = lapack.dpotrs(L, y, lower=1)
         self._y = y
         return self
+
+    def _cholesky(self, D):
+        """(L, jitter) of the kernel on the training stack D plus the noise."""
+        K = _kernel(D, self.log_ls, self.log_sf2)
+        K.flat[::K.shape[0] + 1] += np.exp(self.log_sn2)
+        return _cholesky_with_jitter(K, scale=np.exp(self.log_sf2))
+
+    def _refactor(self):
+        """The factor `_factorize` made and dropped, rebuilt bit for bit."""
+        return self._cholesky(_sq_dist_stack(self._X))[0]
 
     def _optimize(self, phi0, Xs, y, vy, seed, warm=None):
         m = Xs.shape[1]
@@ -247,12 +261,15 @@ class ExactGP:
         Xqs = (np.atleast_2d(np.asarray(Xq, dtype=float)) - self._x_mean) / self._x_scale
         return _sq_dist_stack(Xqs, self._X)
 
-    def posterior(self, Dq):
-        """Posterior (mean, std) at the query rows of a `query_stack`."""
+    def posterior(self, Dq, std=True):
+        """Posterior (mean, std) at the query rows of a `query_stack`; with
+        std False, (mean, None) from alpha alone."""
         Ks = _kernel(Dq, self.log_ls, self.log_sf2)
         mean = Ks @ self._alpha
+        if not std:
+            return mean, None
         # L's diagonal is positive, so trtrs cannot fail; Ks is not read again
-        V, _ = lapack.dtrtrs(self._L, Ks.T, lower=1, overwrite_b=1)
+        V, _ = lapack.dtrtrs(self._refactor(), Ks.T, lower=1, overwrite_b=1)
         sn2 = np.exp(self.log_sn2)
         var = np.exp(self.log_sf2) + sn2 - np.sum(V * V, axis=0)
         var = np.maximum(var, sn2)

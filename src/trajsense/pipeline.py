@@ -89,7 +89,11 @@ class Manifest:
             parser.write(fh)
 
     def record(self, stage, fingerprint, paths):
+        """Record stage's fingerprint and the hashes of paths, which replace
+        every entry of a file the stage wrote before (WRITERS)."""
         self.stages[stage] = fingerprint
+        self.files = {rel: digest for rel, digest in self.files.items()
+                      if _writer(rel) != stage}
         for p in paths:
             rel = os.path.relpath(p, self.root)
             self.files[rel] = _sha256(p)
@@ -114,6 +118,13 @@ def _input(out, rel, read, handoff=None, keep=False):
     if not os.path.exists(path):
         raise DependencyError(f"{_writer(rel)} stage outputs missing: {rel}")
     return read(path)
+
+
+def _trajectory(out, rel):
+    """The trajectory out/rel; it or its .meta sidecar missing is a
+    DependencyError naming the missing file."""
+    _input(out, rel + ".meta", lambda path: None)
+    return _input(out, rel, tio.read_trajectory)
 
 
 def _output(out, rel):
@@ -190,7 +201,7 @@ def stage_build(cfg, out, handoff=None):
     recording is read, aligned and differenced into its rows of every gamma's
     set, then dropped, so no more than one recording is held at a time."""
     handoff = {} if handoff is None else handoff
-    source = _input(out, "trajectories/source.csv", tio.read_trajectory)
+    source = _trajectory(out, "trajectories/source.csv")
     deltas = _input(out, "samples/perturbations.csv",
                     lambda path: tio.read_perturbations(path, cfg.policy.theta))
     splits = dict(zip(("train", "test"), _split_indices(cfg, len(deltas))))
@@ -203,7 +214,7 @@ def stage_build(cfg, out, handoff=None):
     # alignment does not depend on gamma: once per recording, voxels per gamma
     align_cfg = cfg.preprocess_config(0)
     for i, d in enumerate(deltas):
-        traj = _input(out, f"trajectories/sample_{i:04d}.csv", tio.read_trajectory)
+        traj = _trajectory(out, f"trajectories/sample_{i:04d}.csv")
         traj = align_recording(source, d, traj, align_cfg)
         name, row = slot[i]
         for gamma, (grid, src) in grids.items():
@@ -239,7 +250,7 @@ def stage_fit(cfg, out, workers=1, handoff=None):
     """Fit one model per gamma. A gamma's timesteps form one warm-started
     chain (fit_sensitivity_model), so the unit of parallel work is a gamma."""
     handoff = {} if handoff is None else handoff
-    source = _input(out, "trajectories/source.csv", tio.read_trajectory)
+    source = _trajectory(out, "trajectories/source.csv")
 
     def chains():
         for gamma in cfg.gamma_sweep:
@@ -434,7 +445,7 @@ def emit_plot_data(out, kind):
         return dest
 
     if kind == "quiver":
-        source = _input(out, "trajectories/source.csv", tio.read_trajectory)
+        source = _trajectory(out, "trajectories/source.csv")
         n_samples = len([f for f in os.listdir(os.path.join(out, "trajectories"))
                          if f.startswith("sample_") and f.endswith(".csv")])
         steps = range(0, source.n_steps + 1, max(1, source.n_steps // 20))
@@ -442,7 +453,7 @@ def emit_plot_data(out, kind):
             fh.write("sample_id,t,src_x1,src_x2,src_x3,pert_x1,pert_x2,pert_x3,"
                      "dx_1,dx_2,dx_3\n")
             for i in range(min(3, n_samples)):
-                traj = _input(out, f"trajectories/sample_{i:04d}.csv", tio.read_trajectory)
+                traj = _trajectory(out, f"trajectories/sample_{i:04d}.csv")
                 for t in steps:
                     delta = traj.angles[t] - source.angles[t]
                     row = np.concatenate([source.angles[t], traj.angles[t], delta])
@@ -450,8 +461,8 @@ def emit_plot_data(out, kind):
         return dest
 
     if kind == "voxel_overlap":
-        a = _input(out, "trajectories/source.csv", tio.read_trajectory)
-        b = _input(out, "trajectories/sample_0000.csv", tio.read_trajectory)
+        a = _trajectory(out, "trajectories/source.csv")
+        b = _trajectory(out, "trajectories/sample_0000.csv")
         with open(dest, "w") as fh:
             fh.write("gamma,l1_gap,same_cell_fraction\n")
             for gamma in (0.01, 0.04, 0.16, 0.2):

@@ -79,7 +79,7 @@ def _predict_curve(model, problem, deltas, dims):
     block."""
     block = np.zeros((deltas.size, model.delta_low.size))
     block[:, 0] = deltas
-    mean, _ = model.model_at(problem.t_constraint).predict(block)
+    mean, _ = model.model_at(problem.t_constraint).predict(block, std=False)
     return mean[:, dims]
 
 

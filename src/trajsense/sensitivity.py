@@ -189,11 +189,12 @@ class TimestepGP:
     gps: list
     source_angles: np.ndarray = None
 
-    def predict(self, delta_theta):
-        """Means and stds (q, d); the d GPs share X, so they share a query stack."""
+    def predict(self, delta_theta, std=True):
+        """Means and stds (q, d); the d GPs share X, so they share a query stack.
+        With std False the stds are None: means need no kernel factor."""
         Dq = self.gps[0].query_stack(delta_theta)
-        means, stds = zip(*(gp.posterior(Dq) for gp in self.gps))
-        return np.stack(means, axis=1), np.stack(stds, axis=1)
+        means, stds = zip(*(gp.posterior(Dq, std) for gp in self.gps))
+        return np.stack(means, axis=1), np.stack(stds, axis=1) if std else None
 
 
 def fit_gp(samples, t, n_restarts=N_RESTARTS, seed=0, source_angles=None, warm=None):
@@ -390,7 +391,7 @@ def evaluate(model, test_samples, label=""):
             continue
         X = test_samples.delta_theta
         Y = test_samples.delta_x[:, t]
-        P, _ = model.model_at(t).predict(X)
+        P, _ = model.model_at(t).predict(X, std=False)
         var = Y.var(axis=0)
         valid = var > _VAR_FLOOR
         if not np.any(valid):

@@ -235,9 +235,10 @@ def posterior_error_bounds(gp, Xq):
     n = gp._y.size
     eps = np.finfo(float).eps
     mean_bound = n * eps * (np.abs(Ks) @ np.abs(gp._alpha))
-    V = solve_triangular(gp._L, Ks.T, lower=True)
-    W = solve_triangular(gp._L, V, lower=True, trans="T")
-    LtW = np.abs(gp._L).T @ np.abs(W)
+    L = gp._refactor()
+    V = solve_triangular(L, Ks.T, lower=True)
+    W = solve_triangular(L, V, lower=True, trans="T")
+    LtW = np.abs(L).T @ np.abs(W)
     var_bound = (2 * n * eps * np.sum(LtW * LtW, axis=0)
                  + n * eps * (np.exp(gp.log_sf2) + np.exp(gp.log_sn2)
                               + np.sum(V * V, axis=0)))

@@ -14,6 +14,7 @@ from trajsense import io as tio
 from trajsense.cli import main
 from trajsense.config import load_config
 from trajsense.errors import ConfigError, DatasetError
+from trajsense.gp import ExactGP
 from trajsense.pipeline import emit_plot_data, run_pipeline
 from trajsense.sensitivity import SensitivityModel, build_samples, fit_sensitivity_model
 from trajsense.sim import START_POSE
@@ -328,6 +329,44 @@ def test_gp_evolution_matches_per_point_queries(cfg_file, tmp_path):
                           <= var_bound / (std + ref_std) + printed[at_t, 5 + i])
 
 
+def test_only_a_variance_rebuilds_a_kernel_factor(cfg_file, tmp_path, monkeypatch):
+    # evaluate and the planner read means, K* alpha; the gp_evolution export
+    # reads stds, and each of its queries rebuilds one factor per map
+    rebuilt = []
+    refactor = ExactGP._refactor
+    monkeypatch.setattr(ExactGP, "_refactor", lambda gp: rebuilt.append(1) or refactor(gp))
+    cfg, out = load_config(cfg_file), str(tmp_path / "out")
+    run_pipeline(cfg, out)
+    pipeline.stage_evaluate(cfg, out)  # from the model files this time
+    pipeline.stage_plan(cfg, out)
+    assert rebuilt == []
+    emit_plot_data(out, "gp_evolution")
+    model = SensitivityModel.load(os.path.join(out, pipeline.selected_model(out)))
+    assert len(rebuilt) == len(model.timesteps) * 3
+
+
+def test_a_file_a_stage_no_longer_writes_leaves_the_manifest(cfg_file, tmp_path,
+                                                             monkeypatch):
+    # recording a stage drops the entries of the files it wrote before: a gamma
+    # taken out of the sweep used to stay listed, and once its model was
+    # deleted every run reran fit, evaluate and plan
+    out = str(tmp_path / "out")
+    run_pipeline(load_config(cfg_file), out)
+    one = tmp_path / "one.ini"
+    one.write_text(SMALL_CFG.replace("gamma_sweep = 0, 0.04", "gamma_sweep = 0"))
+    run_pipeline(load_config(str(one)), out)
+    os.remove(os.path.join(out, "models", "model_g0.04.npz"))
+    listed = pipeline.Manifest(out).files
+    assert "samples/train_g0.csv" in listed and "models/model_g0.npz" in listed
+    assert [rel for rel in listed if "g0.04" in rel] == []
+    ran = []
+    record = pipeline.Manifest.record
+    monkeypatch.setattr(pipeline.Manifest, "record", lambda self, stage, *rest: (
+        ran.append(stage), record(self, stage, *rest)))
+    run_pipeline(load_config(str(one)), out)
+    assert ran == []
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
     """(config path, artifact directory) of one whole run of SMALL_CFG."""
@@ -341,6 +380,8 @@ def finished_run(tmp_path_factory):
     ("fit", "trajectories/source.csv", "simulate"),
     ("build", "samples/perturbations.csv", "simulate"),
     ("build", "trajectories/sample_0003.csv", "simulate"),
+    ("build", "trajectories/sample_0003.csv.meta", "simulate"),
+    ("build", "trajectories/source.csv.meta", "simulate"),
     ("fit", "samples/train_g0.csv", "build"),
     ("evaluate", "samples/test_g0.csv", "build"),
     ("evaluate", "models/model_g0.npz", "fit"),
@@ -348,7 +389,8 @@ def finished_run(tmp_path_factory):
 def test_a_missing_stage_input_names_the_file_and_its_stage(finished_run, tmp_path, capsys,
                                                             command, rel, writer):
     # the first three used to end in a FileNotFoundError traceback, exit code 1;
-    # the others named neither the file nor the stage that writes it
+    # a missing .meta sidecar was a config error, exit code 2; the others named
+    # neither the file nor the stage that writes it
     cfg_file, done = finished_run
     out = str(tmp_path / "out")
     shutil.copytree(done, out)

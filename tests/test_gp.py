@@ -134,7 +134,45 @@ def test_factorization_without_identity_matrices_is_bit_identical(log_ls, jitter
     K = _kernel(_sq_dist_stack(gp._X), gp.log_ls, gp.log_sf2)
     L_former, jitter_former = _former_cholesky_with_jitter(
         K + np.exp(gp.log_sn2) * np.eye(30), scale=np.exp(gp.log_sf2))
-    assert np.array_equal(gp._L, L_former) and gp.jitter == jitter_former
+    assert np.array_equal(gp._refactor(), L_former) and gp.jitter == jitter_former
+
+
+def _std_from_factor(gp, L, Xq):
+    """The posterior std as `posterior` computed it from a factor it kept."""
+    Ks = _kernel(gp.query_stack(Xq), gp.log_ls, gp.log_sf2)
+    V, _ = lapack.dtrtrs(L, Ks.T, lower=1, overwrite_b=1)
+    sn2 = np.exp(gp.log_sn2)
+    return np.sqrt(np.maximum(np.exp(gp.log_sf2) + sn2 - np.sum(V * V, axis=0), sn2))
+
+
+@pytest.mark.parametrize("log_ls, jittered", [(np.log(0.7), False), (np.log(30.0), True)])
+def test_variance_from_a_rebuilt_factor_is_bit_identical(monkeypatch, log_ls, jittered):
+    # a GP keeps alpha, not its factor: a variance rebuilds the factor that
+    # from_state and fit made, and gets the std that factor gave, bit for bit
+    X, y = linear_data(n=30)
+    made = []
+    real = gp_mod._cholesky_with_jitter
+    monkeypatch.setattr(gp_mod, "_cholesky_with_jitter",
+                        lambda K, scale=1.0: made.append(real(K, scale)) or made[-1])
+    phi = np.array([log_ls, log_ls, np.log(2.0), np.log(1e-16)])
+    gps = [ExactGP.from_state(X, y, phi), ExactGP().fit(X, y, seed=3)]
+    (L_state, jitter_state), (L_fit, jitter_fit) = made[0], made[-1]
+    made.clear()
+    assert (jitter_state > 0) == jittered  # a long lengthscale needs a retry
+
+    Xq = np.random.default_rng(4).uniform(-1.5, 1.5, size=(25, 2))
+    for gp, L, jitter in zip(gps, (L_state, L_fit), (jitter_state, jitter_fit)):
+        assert all(v.size < 30 * 30 for v in vars(gp).values() if isinstance(v, np.ndarray))
+        mean, std = gp.predict(Xq)
+        assert np.array_equal(std, _std_from_factor(gp, L, Xq))
+        Ks = _kernel(gp.query_stack(Xq), gp.log_ls, gp.log_sf2)
+        assert np.array_equal(mean, Ks @ gp._alpha)
+        assert len(made) == 1 and np.array_equal(made[0][0], L) and made[0][1] == jitter
+        assert gp.jitter == jitter
+        made.clear()
+        # means alone rebuild nothing
+        mean_only, none = gp.posterior(gp.query_stack(Xq), std=False)
+        assert none is None and np.array_equal(mean_only, mean) and made == []
 
 
 def test_constant_input_column_tolerated():

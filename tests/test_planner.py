@@ -199,13 +199,14 @@ def test_gain_curve_is_one_predict_per_dimension(trained, monkeypatch):
     # distance stack is built once for all of them
     rows, stacks = [], []
     real, real_stack = ExactGP.posterior, ExactGP.query_stack
-    monkeypatch.setattr(ExactGP, "posterior",
-                        lambda gp, Dq: rows.append(Dq.shape[1]) or real(gp, Dq))
+    monkeypatch.setattr(ExactGP, "posterior", lambda gp, Dq, std=True: (
+        rows.append((Dq.shape[1], std)) or real(gp, Dq, std)))
     monkeypatch.setattr(ExactGP, "query_stack",
                         lambda gp, Xq: stacks.append(1) or real_stack(gp, Xq))
     planner._predict_curve(model, problem_for(source.angles[T_CONSTRAINT]),
                            _gain_grid(model), [0, 1, 2])
-    assert rows == [planner.DEFAULT_GRID] * len(model.model_at(T_CONSTRAINT).gps)
+    # means only: the planner reads no std, so it rebuilds no kernel factor
+    assert rows == [(planner.DEFAULT_GRID, False)] * len(model.model_at(T_CONSTRAINT).gps)
     assert len(stacks) == 1
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -424,8 +426,9 @@ def _restore_by_refit(X, y, phi):
     d2 = (gp._X[:, None, :] - gp._X[None, :, :]) ** 2 / np.exp(gp.log_ls) ** 2
     K = np.exp(gp.log_sf2) * np.exp(-0.5 * d2.sum(axis=2))
     K += np.exp(gp.log_sn2) * np.eye(gp._X.shape[0])
-    gp._L, gp.jitter = _cholesky_with_jitter(K, scale=np.exp(gp.log_sf2))
-    gp._alpha = cho_solve((gp._L, True), gp._y)
+    L, gp.jitter = _cholesky_with_jitter(K, scale=np.exp(gp.log_sf2))
+    gp._alpha = cho_solve((L, True), gp._y)
+    gp._refactor = lambda: L  # its variance reads the factor this path made
     return gp
 
 
@@ -458,6 +461,38 @@ def test_model_load_factorizes_once_and_predicts_as_the_refit_did(tmp_path, monk
             assert gp.degenerate == ref.degenerate == (t == 0)
             assert gp.jitter == ref.jitter
     assert loaded.summary_lines() == model.summary_lines()
+
+
+def test_fitted_and_loaded_maps_keep_no_kernel_factor(tmp_path):
+    # means are K* alpha; a variance rebuilds its factor on demand, so no map
+    # keeps an n x n array once alpha is solved
+    samples, _ = linear_map_samples(n=40, seed=7)
+    model = fit_sensitivity_model(samples, timesteps=[0, 10], nominal_theta=np.zeros(2))
+    model.save(tmp_path / "model.npz")
+    n = len(samples.delta_theta) + 1  # the pinned origin
+    for m in (model, SensitivityModel.load(tmp_path / "model.npz")):
+        sizes = [v.size for t in m.timesteps for gp in m.model_at(t).gps
+                 for v in vars(gp).values() if isinstance(v, np.ndarray)]
+        assert sizes and max(sizes) < n * n
+
+
+def test_a_loaded_model_retains_less_than_one_kernel_factor(tmp_path):
+    # T x d maps on n shared inputs hold alpha and y, O(T d n) floats; keeping
+    # each map's factor retained T d n^2 floats, here 24 x 0.72 MB
+    T, d, n = 8, 3, 301
+    rng = np.random.default_rng(5)
+    phi = np.tile([0.0, 0.0, 0.0, np.log(1e-4)], (T, d, 1))
+    np.savez_compressed(tmp_path / "model.npz", timesteps=10 * np.arange(T),
+                        X=rng.uniform(-1, 1, size=(n, 2)), y=rng.normal(size=(T, n, d)),
+                        phi=phi)
+    tracemalloc.start()
+    try:
+        model = SensitivityModel.load(tmp_path / "model.npz")
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert model.timesteps == list(range(0, 10 * T, 10))
+    assert retained < 8 * n * n, f"retained {retained / 1e6:.2f} MB"
 
 
 def test_model_file_stores_shared_inputs_once(tmp_path):
