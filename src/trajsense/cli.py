@@ -118,12 +118,11 @@ def cmd_plan(args):
         run = os.path.dirname(os.path.abspath(path))
         path = os.path.join(path, os.path.basename(pipeline.selected_model(run)))
     model = SensitivityModel.load(path)
-    report = pipeline.plan_target(cfg, model, args.t, target, dims)
+    report, planned = pipeline.plan_target(cfg, model, args.t, target, dims)
     for key in pipeline.REPORT_KEYS:
         print(f"{key} = {getattr(report, key):.10g}")
     os.makedirs(args.out, exist_ok=True)  # --out is required
-    tio.write_trajectory(pipeline.rollout_with_kp(cfg, report.kp_star, cfg.n_steps),
-                         os.path.join(args.out, "planned.csv"))
+    tio.write_trajectory(planned, os.path.join(args.out, "planned.csv"))
     return 0
 
 

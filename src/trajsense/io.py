@@ -9,11 +9,14 @@ key = value lines.
 
 CSV lines end with \r\n. Trajectory and perturbation CSVs are written as whole
 numpy blocks; a sample CSV one recording at a time, its repeated t, dtheta_*
-and dtheta_norm cells formatted once. All are read as whole numpy blocks.
+and dtheta_norm cells formatted once. All are read as whole numpy blocks. A
+cell that is not a number, or a row with the wrong number of cells, is a
+ConfigError naming the file and its line.
 """
 
 import csv
 import os
+import re
 
 import numpy as np
 
@@ -68,30 +71,71 @@ def _header(fh):
     return fh.readline().rstrip("\r\n").split(",")
 
 
-def _rows(fh, **kw):
-    """The numeric rows after the header as one 2-D array, or None if there are none."""
+# np.loadtxt's ValueError says where it stopped: a cell it cannot convert "at
+# row R, column C" with R counted from 0, a row whose cell count differs from
+# the first row's (or from usecols) "at row R" counted from 1
+_LOADTXT_ROW = re.compile(r"(.*?) at row (\d+)(?:, column (\d+))?")
+
+
+def _loadtxt(source, path, first_line, **kw):
+    """np.loadtxt of comma-separated rows that start at line first_line of
+    path; a row it cannot read is a ConfigError naming the file and the line."""
+    try:
+        return np.loadtxt(source, delimiter=",", ndmin=2, **kw)
+    except ValueError as exc:
+        found = _LOADTXT_ROW.match(str(exc))
+        if found is None:
+            raise ConfigError(f"{path}: {exc}") from exc
+        what, row, column = found.groups()
+        if column is None:
+            raise ConfigError(f"{path}: line {first_line + int(row) - 1}: wrong number "
+                              f"of cells") from exc
+        raise ConfigError(f"{path}: line {first_line + int(row)}, column {column}: "
+                          f"{what}") from exc
+
+
+def _check_cells(path, number, line, width):
+    """A ConfigError unless line, line number `number` of path, has width cells."""
+    if line.count(",") + 1 != width:
+        raise ConfigError(f"{path}: line {number}: wrong number of cells "
+                          f"({line.count(',') + 1}, the header has {width})")
+
+
+def _rows(fh, path, width, **kw):
+    """The numeric rows after the header as one 2-D array, or None if there
+    are none. The first must have width cells; without usecols, loadtxt holds
+    every other row to the first one's count."""
     start = fh.tell()
-    if not fh.readline():
+    first = fh.readline()
+    if not first:
         return None
+    _check_cells(path, 2, first, width)
     fh.seek(start)
-    return np.loadtxt(fh, delimiter=",", ndmin=2, **kw)
+    return _loadtxt(fh, path, 2, **kw)
 
 
 def read_trajectory(path):
+    """A trajectory CSV and its sidecar. Every row must have the header's
+    cells; else ConfigError names the first bad line."""
     with open(path, newline="") as fh:
         if _header(fh) != TRAJ_HEADER:
             raise ConfigError(f"{path}: not a trajectory CSV")
         lines = fh.read().splitlines()
-    if not lines:
-        raise ConfigError(f"{path}: trajectory CSV has no rows")
+    if len(lines) < 2:
+        raise ConfigError(f"{path}: trajectory CSV has no step (fewer than two rows)")
     n = len(lines)
+    # loadtxt holds every other row to the first one's cell count, but skips
+    # a blank row
+    blank = [lines.index("")] if "" in lines else []
+    for i in sorted([0, n - 1] + blank):
+        _check_cells(path, i + 2, lines[i], len(TRAJ_HEADER))
     angles = np.empty((n, 3))
     velocities = np.empty((n, 3))
     # every row but the terminal one carries torques
-    body = np.loadtxt(lines[:-1], delimiter=",", usecols=range(1, 10), ndmin=2)
-    angles[:-1], velocities[:-1] = body[:, 0:3], body[:, 3:6]
-    torques = np.ascontiguousarray(body[:, 6:9])
-    last = [float(v) for v in lines[-1].split(",")[1:7]]
+    body = _loadtxt(lines[:-1], path, 2)
+    angles[:-1], velocities[:-1] = body[:, 1:4], body[:, 4:7]
+    torques = np.ascontiguousarray(body[:, 7:10])
+    last = _loadtxt(lines[-1:], path, n + 1, usecols=range(1, 7))[0]
     angles[-1], velocities[-1] = last[:3], last[3:]
     meta = {}
     meta_path = path + ".meta"
@@ -165,13 +209,13 @@ def read_samples(path):
         d = sum(1 for h in header if h.startswith("dx_"))
         start = fh.tell()
         # t and dtheta first, dx in a second pass: no table wider than the result
-        head = _rows(fh, usecols=range(1 + m))
+        head = _rows(fh, path, len(header), usecols=range(1 + m))
         if head is None:
             return SampleSet(delta_theta=np.empty((0, m)), delta_x=np.empty((0, 0, d)))
         n, steps, delta_theta = _recordings(path, head)
         del head
         fh.seek(start)
-        dx = _rows(fh, usecols=range(1 + m, 1 + m + d))
+        dx = _rows(fh, path, len(header), usecols=range(1 + m, 1 + m + d))
     return SampleSet(delta_theta=delta_theta, delta_x=dx.reshape(n, steps, d))
 
 
@@ -186,9 +230,10 @@ def write_perturbations(nominal, deltas, path):
 
 
 def read_perturbations(path, nominal):
+    """The perturbation of each row of a perturbation CSV from nominal. Every
+    row must have the header's cells; else ConfigError names the first bad line."""
     with open(path, newline="") as fh:
-        _header(fh)
-        data = _rows(fh)
+        data = _rows(fh, path, len(_header(fh)))
     if data is None:
         return []
     return list(data[:, 1:] - np.asarray(nominal, dtype=float))

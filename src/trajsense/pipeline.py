@@ -37,8 +37,10 @@ import numpy as np
 
 from . import io as tio
 from .config import parse_dims
-from .errors import ConfigError, DependencyError, StageError
-from .planner import PlanningProblem, plan_and_verify
+from .errors import ConfigError, DatasetError, DependencyError, StageError
+# plan_and_verify is not called here; it is imported only because
+# benchmark/tracing.py wraps pipeline.plan_and_verify
+from .planner import PlanningProblem, plan, plan_and_verify  # noqa: F401
 # build_samples and fit_gp are not called here; they are imported only because
 # benchmark/tracing.py wraps pipeline.build_samples and pipeline.fit_gp
 from .sensitivity import (COS_BIN_EDGES, SampleSet, SensitivityModel,  # noqa: F401
@@ -214,8 +216,11 @@ def stage_build(cfg, out, handoff=None):
     # alignment does not depend on gamma: once per recording, voxels per gamma
     align_cfg = cfg.preprocess_config(0)
     for i, d in enumerate(deltas):
-        traj = _trajectory(out, f"trajectories/sample_{i:04d}.csv")
-        traj = align_recording(source, d, traj, align_cfg)
+        rel = f"trajectories/sample_{i:04d}.csv"
+        try:
+            traj = align_recording(source, d, _trajectory(out, rel), align_cfg)
+        except DatasetError as exc:
+            raise DatasetError(f"{rel}: {exc}") from exc
         name, row = slot[i]
         for gamma, (grid, src) in grids.items():
             difference_into(sets[gamma, name].delta_x[row], traj, src, grid)
@@ -262,6 +267,10 @@ def stage_fit(cfg, out, workers=1, handoff=None):
 
     # a process per gamma at most: one gamma fits in this process
     workers = min(workers, len(cfg.gamma_sweep))
+    if workers > 1:
+        # forked workers inherit scipy (gp imports it at its first fit): each
+        # importing it again added about 0.9 s to `fit --workers 2` on 2 vCPUs
+        import scipy.optimize  # noqa: F401
     paths = []
     for gamma, model in zip(cfg.gamma_sweep, _pmap(_fit_chain, chains(), workers)):
         model_path = _output(out, _model_rel(gamma))
@@ -341,16 +350,16 @@ def rollout_with_kp(cfg, kp, n_steps):
 
 def plan_target(cfg, model, t, x_target, dims):
     """Retune the proportional gain of cfg's policy so that it reaches the
-    angles x_target at timestep t, and verify the gain by rollout. dims is
-    'all' or a list of angle indices, as config.parse_dims returns them; the
-    result is plan_and_verify's PlanReport."""
+    angles x_target at timestep t, and verify the gain by one rollout over
+    cfg.n_steps. dims is 'all' or a list of angle indices, as
+    config.parse_dims returns them; the result is planner.plan's
+    (PlanReport, planned Trajectory)."""
     theta = cfg.policy.theta
     problem = PlanningProblem(
         source_kp=float(theta[0]), fixed_kd=float(theta[1]) if theta.size > 1 else 0.0,
         t_constraint=t, x_target_t=x_target,
         final_target=cfg.policy.fixed.get("x_star", np.zeros(3)), constraint_dim=dims)
-    return plan_and_verify(problem, model, cfg.policy, cfg.x0, cfg.dt, cfg.mode,
-                           cfg.n_steps)
+    return plan(problem, model, cfg.policy, cfg.x0, cfg.dt, cfg.mode, cfg.n_steps)
 
 
 def stage_plan(cfg, out, handoff=None):
@@ -364,14 +373,14 @@ def stage_plan(cfg, out, handoff=None):
         for label, target_kp in zip(("short", "medium", "long"), cfg.plan_target_kps):
             # only the state at plan_t is read, so the target stops there
             x_target = rollout_with_kp(cfg, target_kp, cfg.plan_t).angles[cfg.plan_t]
-            report = plan_target(cfg, model, cfg.plan_t, x_target, dims)
+            report, planned = plan_target(cfg, model, cfg.plan_t, x_target, dims)
             fh.write(f"[{label}]\ntarget_kp = {target_kp:.10g}\n")
             for key in REPORT_KEYS:
                 fh.write(f"{key} = {getattr(report, key):.10g}\n")
             fh.write(f"improved = {report.improved}\n\n")
 
             vp = _output(out, f"planning/planned_{label}.csv")
-            tio.write_trajectory(rollout_with_kp(cfg, report.kp_star, cfg.n_steps), vp)
+            tio.write_trajectory(planned, vp)
             paths += [vp, vp + ".meta"]
     return paths + [report_path]
 

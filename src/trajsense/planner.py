@@ -6,12 +6,14 @@ desired intermediate state at a chosen timestep, then verify by rollout.
 The relation is implicit (the map is queried at the correction being solved
 for), so the primary solver is a bracketed root search over the trained
 perturbation range; a fixed-point iteration is offered as a cross-check.
+
+scipy's `minimize_scalar` is imported only in the least-squares branch that
+uses it, so importing the package does not load scipy (see `gp`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, TargetUnreachableError
 from .sim import rollout
@@ -142,6 +144,8 @@ def solve_kp(model, problem, method="root_search"):
         delta = min(roots, key=abs)
         n_roots = len(roots)
     else:
+        from scipy.optimize import minimize_scalar
+
         sq = np.sum((curve - required) ** 2, axis=1)
         k = int(np.argmin(sq))
         b_lo = deltas[max(0, k - 1)]
@@ -175,15 +179,14 @@ def _fixed_point(change, required, dims, lo, hi):
     return delta
 
 
-def plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
-                    method="root_search"):
-    """Solve for the gain, roll it out, and report the constraint-time miss.
+def plan(problem, model, policy, x0, dt, mode, n_steps, method="root_search"):
+    """Solve for the gain, roll it out for n_steps, and report the
+    constraint-time miss: (PlanReport, planned Trajectory).
 
     The report compares the planned trajectory's distance to the target at
     t_constraint against the source trajectory's distance (improvement should
-    be positive for any solvable problem). n_steps is the horizon the plan
-    must fall within; the simulator is causal, so the verifying rollout stops
-    at t_constraint, the only step the report reads.
+    be positive for any solvable problem). A t_constraint past n_steps is a
+    ConfigError.
     """
     if problem.t_constraint > n_steps:
         raise ConfigError(f"t_constraint {problem.t_constraint} is beyond the "
@@ -193,7 +196,7 @@ def plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
 
     theta = policy.theta.copy()
     theta[0] = result.kp_star
-    planned = rollout(policy.with_theta(theta), x0, problem.t_constraint, dt, mode)
+    planned = rollout(policy.with_theta(theta), x0, n_steps, dt, mode)
     achieved = planned.angles[problem.t_constraint]
 
     source_x = np.asarray(model.source_angles_at(problem.t_constraint), dtype=float)
@@ -201,7 +204,18 @@ def plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
     miss = float(np.linalg.norm(achieved[dims] - target[dims]))
     source_miss = float(np.linalg.norm(source_x[dims] - target[dims]))
     improvement = 0.0 if source_miss == 0 else 1.0 - miss / source_miss
-    return PlanReport(kp_star=result.kp_star, achieved=achieved, target=target,
-                      miss=miss, source_miss=source_miss,
-                      improved=bool(miss < source_miss), improvement=improvement,
-                      n_roots=result.n_roots, extrapolated=result.extrapolated)
+    report = PlanReport(kp_star=result.kp_star, achieved=achieved, target=target,
+                        miss=miss, source_miss=source_miss,
+                        improved=bool(miss < source_miss), improvement=improvement,
+                        n_roots=result.n_roots, extrapolated=result.extrapolated)
+    return report, planned
+
+
+def plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
+                    method="root_search"):
+    """`plan`'s report. n_steps is the horizon the plan must fall within; the
+    simulator is causal, so the verifying rollout stops at t_constraint, the
+    only step the report reads."""
+    # past n_steps, the shorter of the two is n_steps and plan raises
+    steps = min(problem.t_constraint, n_steps)
+    return plan(problem, model, policy, x0, dt, mode, steps, method)[0]

@@ -2,14 +2,17 @@ import configparser
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import trajsense
 from trajsense import (DynamicsMode, JointState, PolicySpec, Trajectory,
                        inject_temporal_noise, rollout)
-from trajsense import align, pipeline
+from trajsense import align, pipeline, planner
 from trajsense import io as tio
 from trajsense.cli import main
 from trajsense.config import load_config
@@ -400,6 +403,76 @@ def test_a_missing_stage_input_names_the_file_and_its_stage(finished_run, tmp_pa
     assert f"{writer} stage outputs missing: {rel}" in capsys.readouterr().err
 
 
+def _cells(line, fn):
+    """An edit of a CSV's lines (the header is line 1): line's cells become fn(cells)."""
+    def edit(lines):
+        lines[line - 1] = ",".join(fn(lines[line - 1].split(",")))
+    return edit
+
+
+def _drop_last_rows(n):
+    """An edit of a CSV's lines that drops its last n rows but the terminal one."""
+    def edit(lines):
+        del lines[-2 - n:-2]  # lines[-1] is the "" after the last line end
+    return edit
+
+
+def _not_a_number(line, column):
+    """An edit of a CSV's lines: the cell at line, column (from 1) gets an x prefix."""
+    return _cells(line, lambda cells: cells[:column - 1] + ["x" + cells[column - 1]]
+                  + cells[column:])
+
+
+@pytest.mark.parametrize("command, rel, edit, code, message", [
+    pytest.param("build", "trajectories/sample_0003.csv", _not_a_number(9, 2), 2,
+                 "trajectories/sample_0003.csv: line 9, column 2: could not convert "
+                 "string 'x", id="trajectory-cell"),
+    pytest.param("build", "trajectories/sample_0003.csv",
+                 _cells(7, lambda cells: cells[:-1]), 2,
+                 "trajectories/sample_0003.csv: line 7: wrong number of cells",
+                 id="trajectory-missing-cell"),
+    pytest.param("build", "trajectories/sample_0003.csv",
+                 _cells(7, lambda cells: cells[:4] + ["0"] + cells[4:]), 2,
+                 "trajectories/sample_0003.csv: line 7: wrong number of cells",
+                 id="trajectory-extra-cell"),
+    pytest.param("build", "trajectories/sample_0003.csv", _cells(9, lambda cells: []), 2,
+                 "trajectories/sample_0003.csv: line 9: wrong number of cells (1, the "
+                 "header has 10)", id="trajectory-blank-row"),
+    pytest.param("build", "trajectories/sample_0003.csv",
+                 _cells(202, lambda cells: cells + ["0"]), 2,
+                 "trajectories/sample_0003.csv: line 202: wrong number of cells (11, the "
+                 "header has 10)",
+                 id="trajectory-terminal-extra-cell"),
+    pytest.param("build", "samples/perturbations.csv", _not_a_number(4, 2), 2,
+                 "samples/perturbations.csv: line 4, column 2: could not convert "
+                 "string 'x", id="perturbations-cell"),
+    pytest.param("evaluate", "samples/test_g0.csv", _not_a_number(30, 5), 2,
+                 "samples/test_g0.csv: line 30, column 5: could not convert string 'x",
+                 id="samples-cell"),
+    pytest.param("build", "trajectories/sample_0003.csv", _drop_last_rows(10), 3,
+                 "trajectories/sample_0003.csv: perturbed trajectory length/dt mismatch",
+                 id="trajectory-truncated"),
+])
+def test_a_malformed_stage_input_names_the_file_and_its_line(finished_run, tmp_path, capsys,
+                                                             command, rel, edit, code,
+                                                             message):
+    # a bad cell, a missing one or a blank row used to end in a traceback
+    # naming no file (exit code 1), an extra cell was read as if it were not
+    # there, and the length mismatch of a truncated recording did not name it
+    cfg_file, done = finished_run
+    out = str(tmp_path / "out")
+    shutil.copytree(done, out)
+    path = os.path.join(out, rel)
+    with open(path, newline="") as fh:
+        lines = fh.read().split("\r\n")
+    edit(lines)
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines))
+    capsys.readouterr()
+    assert main([command, "--config", cfg_file, "--out", out]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_a_changed_or_missing_perturbations_file_reruns_from_simulate(cfg_file, tmp_path,
                                                                       monkeypatch):
     # simulate writes samples/perturbations.csv. The manifest used to check it
@@ -552,6 +625,25 @@ def test_plan_subcommand_matches_the_plan_stage(tmp_path, capsys, dims):
             assert planned == open(staged, "rb").read(), (label, suffix)
 
 
+def test_each_planned_gain_is_rolled_out_once(cfg_file, tmp_path, monkeypatch):
+    # a target's rollout to plan_t, then one rollout of the planned gain over
+    # n_steps, which both the report and planned_*.csv read; the report used
+    # to roll the gain out to plan_t again first
+    cfg, out = load_config(cfg_file), str(tmp_path / "out")
+    run_pipeline(cfg, out)
+    steps = []
+    for module in (pipeline, planner):
+        monkeypatch.setattr(module, "rollout", lambda policy, x0, n, *rest,
+                            real=module.rollout: steps.append(n) or real(policy, x0, n, *rest))
+    pipeline.stage_plan(cfg, out)
+    assert steps == [cfg.plan_t, cfg.n_steps] * len(cfg.plan_target_kps)
+    steps.clear()
+    assert main(["plan", "--config", cfg_file, "--out", str(tmp_path / "plan"),
+                 "--model", os.path.join(out, "models", "model_g0.npz"),
+                 "--t", str(cfg.plan_t), "--target", "0.3,2.3,1.8"]) == 0
+    assert steps == [cfg.n_steps]
+
+
 def test_missing_config_is_config_error(tmp_path):
     rc = main(["run", "--config", str(tmp_path / "nope.ini"),
                "--out", str(tmp_path / "o")])
@@ -668,6 +760,35 @@ def test_plan_with_a_models_dir_loads_the_selected_gamma(cfg_file, tmp_path, cap
     rc, printed, _ = plan(out / "models", "no_metrics")
     assert rc == 3
     assert "evaluate stage outputs missing" in printed.err
+
+
+# run in a fresh interpreter: argv is src, a config, an artifact directory
+NO_SCIPY_SCRIPT = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+import trajsense, trajsense.cli, trajsense.pipeline
+from trajsense.config import load_config
+load_config(os.path.join(trajsense.cli.PRESET_DIR, "demo_small.ini"))
+cfg, out = sys.argv[2:]
+source = os.path.join(out, "trajectories", "source.csv")
+for argv in (["simulate", "--config", cfg, "--out", out],
+             ["build", "--config", cfg, "--out", out],
+             ["voxelize", source, os.path.join(out, "vox.csv"), "--gamma", "0.04"],
+             ["emit-plots", "--out", out, "--kind", "quiver"]):
+    assert trajsense.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_that_fit_nothing_do_not_import_scipy(cfg_file, tmp_path):
+    # scipy's import is about three quarters of a command's cold start; gp and
+    # planner import it at their first factorization or solve
+    src = os.path.dirname(os.path.dirname(trajsense.__file__))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, src, cfg_file,
+                           str(tmp_path / "out")], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_preset_names_resolve():

@@ -288,6 +288,28 @@ def test_verification_up_to_the_constraint_matches_the_full_horizon(horizon_mode
     assert simulated == list(model.timesteps)
 
 
+@pytest.mark.parametrize("dims", ["all", 0])
+def test_plan_reports_from_its_one_full_horizon_rollout(horizon_model, dims):
+    # the pipeline and `trajsense plan` write this rollout and take the report
+    # from it, where they used to roll the gain out a second time
+    mode, model = horizon_model
+    x0 = JointState(START_POSE, np.zeros(3))
+    target = rollout(pd_policy(0.5), x0, HORIZON, DT, mode).angles
+    for t in model.timesteps:
+        problem = PlanningProblem(source_kp=KP_SOURCE, fixed_kd=KD, t_constraint=t,
+                                  x_target_t=target[t], final_target=X_STAR,
+                                  constraint_dim=dims)
+        report, planned = planner.plan(problem, model, pd_policy(KP_SOURCE), x0, DT, mode,
+                                       HORIZON)
+        ref = full_horizon_plan_and_verify(problem, model, pd_policy(KP_SOURCE), x0, DT,
+                                           mode, HORIZON, solve_kp, rollout)
+        for name, value in ref.items():
+            assert np.array_equal(getattr(report, name), value), name
+        again = rollout(pd_policy(report.kp_star), x0, HORIZON, DT, mode)
+        for name in ("angles", "velocities", "torques"):
+            assert np.array_equal(getattr(planned, name), getattr(again, name)), name
+
+
 @pytest.mark.parametrize("t, n_steps", [
     (T_TOTAL + 100, T_TOTAL),             # no GP map there: was UntrainedTimestepError
     (T_CONSTRAINT, T_CONSTRAINT - 100),   # a trained step past the rollout: was IndexError

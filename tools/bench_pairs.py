@@ -9,9 +9,19 @@ side on the first seed. Each run's result JSON (from the checkout's
 .bench_out/results/) goes into the output file unchanged, next to the
 machine: nproc, BLAS vendor and threads, numpy and scipy versions. Per
 workload and end-to-end metric it also stores and prints each side's median
-and quartiles and the number of pairs the change won (ties count for
-neither side). A run whose checks fail is kept and counted per side under
-"incorrect_runs". Runs are sequential, so the two sides never share the CPU.
+and quartiles, the number of pairs the change won (ties count for neither
+side) and one verdict, read with the metric's `better` and `bound` from
+BENCHMARK.json:
+
+    gain          the change won at least 9 of 10 pairs, and the medians differ
+                  by more than the parent's interquartile range
+    worse         the change's median is worse than the parent's by more than
+                  bound x the parent's median
+    unresolved    the parent's interquartile range exceeds bound x its median
+    within bound  anything else
+
+A run whose checks fail is kept and counted per side under "incorrect_runs".
+Runs are sequential, so the two sides never share the CPU.
 """
 
 import argparse
@@ -72,16 +82,35 @@ def _quartiles(values):
     return {"median": float(med), "q1": float(q1), "q3": float(q3)}
 
 
-def summarize(parent_runs, change_runs, better):
+def verdict(summary, better, bound):
+    """gain, worse, unresolved or within bound: see the module docstring."""
+    parent, change = summary["parent"], summary["change"]
+    sign = -1.0 if better == "lower" else 1.0
+    spread = parent["q3"] - parent["q1"]
+    if (10 * summary["change_wins"] >= 9 * summary["pairs"]
+            and abs(change["median"] - parent["median"]) > spread):
+        return "gain"
+    if sign * (parent["median"] - change["median"]) > bound * abs(parent["median"]):
+        return "worse"
+    if spread > bound * abs(parent["median"]):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(parent_runs, change_runs, spec):
+    """Per metric: quartiles, pair wins and verdict; spec maps each metric's
+    name to its BENCHMARK.json entry."""
     out = {}
     for name in parent_runs[0]["metrics"]:
         a = [r["metrics"][name]["value"] for r in parent_runs]
         b = [r["metrics"][name]["value"] for r in change_runs]
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        sign = -1.0 if spec[name]["better"] == "lower" else 1.0
         out[name] = {"parent": _quartiles(a), "change": _quartiles(b),
                      "change_wins": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
                      "parent_wins": sum(sign * (x - y) > 0 for x, y in zip(a, b)),
                      "pairs": len(a)}
+        out[name]["verdict"] = verdict(out[name], spec[name]["better"],
+                                       spec[name]["bound"])
     return out
 
 
@@ -95,7 +124,7 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        spec = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     result = {"machine": machine(), "seeds": _seeds(args.seeds), "workloads": {}}
     for workload in args.workloads.split(","):
         runs = {"parent": [], "change": []}
@@ -106,7 +135,7 @@ def main(argv=None):
         seed = result["seeds"][0]
         traced = {side: run(getattr(args, side), workload, seed, 1)
                   for side in ("parent", "change")}
-        summary = summarize(runs["parent"], runs["change"], better)
+        summary = summarize(runs["parent"], runs["change"], spec)
         incorrect = {side: sum(not r["correct"] for r in runs[side]) for side in runs}
         result["workloads"][workload] = {"runs": runs, "traced": traced,
                                          "summary": summary, "incorrect_runs": incorrect}
@@ -116,8 +145,8 @@ def main(argv=None):
             print(f"{workload:14s} {name:12s} parent {s['parent']['median']:.6g} "
                   f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}]  change "
                   f"{s['change']['median']:.6g} [{s['change']['q1']:.6g}, "
-                  f"{s['change']['q3']:.6g}]  change won {s['change_wins']}/{s['pairs']}",
-                  flush=True)
+                  f"{s['change']['q3']:.6g}]  change won {s['change_wins']}/{s['pairs']}"
+                  f"  {s['verdict']}", flush=True)
         with open(args.out, "w") as fh:
             json.dump(result, fh, indent=1)
     return 0
