@@ -15,7 +15,7 @@ from .controllers import PolicySpec
 from .errors import ConfigError, InvalidStateError
 from .gp import N_RESTARTS
 from .perturb import PerturbationPlan, sample as sample_plan
-from .sensitivity import PreprocessConfig
+from .sensitivity import ALIGN_METHODS, PreprocessConfig
 from .sim import DYNAMICS_TAGS, START_POSE, DynamicsMode, JointState, NoiseConfig
 
 def _floats(raw):
@@ -163,12 +163,31 @@ class ExperimentConfig:
             raise ConfigError("sim.n_steps must be a positive integer")
         if self.count is None or self.count < 1:
             raise ConfigError("perturbation.count must be a positive integer")
+        if self.stride < 1:
+            raise ConfigError("gp.stride must be a positive integer")
+        if self.n_restarts < 1:
+            raise ConfigError("gp.n_restarts must be a positive integer")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError("eval.holdout_fraction must be in (0, 1)")
         if self.plan_t is not None and not 0 < self.plan_t <= self.n_steps:
             raise ConfigError(f"planner.t_constraint {self.plan_t} must be in "
                               f"1..n_steps ({self.n_steps})")
         parse_dims(self.plan_dims)
+        if self.scheme not in ("uniform", "gaussian"):
+            raise ConfigError(f"perturbation.scheme {self.scheme!r}: need uniform or gaussian")
+        try:  # a plan checks its ranges, or its rate, when it is built
+            self.perturbation_plans()
+        except ConfigError as exc:
+            key = ("ranges" if self.scheme == "uniform"
+                   else "lambda_sweep" if self.lambda_sweep else "lambda_rate")
+            raise ConfigError(f"perturbation.{key}: {exc}") from exc
+        if self.align_method not in ALIGN_METHODS:
+            raise ConfigError(f"preprocess.align {self.align_method!r}: need one of "
+                              f"{', '.join(ALIGN_METHODS)}")
+        # correlation alignment, and zero-crossing's fallback to it, need this
+        if self.align_method != "none" and not 1 <= self.max_lag < self.n_steps / 2:
+            raise ConfigError(f"preprocess.max_lag {self.max_lag}: need 1 <= max_lag "
+                              f"< n_steps / 2 ({self.n_steps} steps)")
         if len(self.plan_target_kps) > 3:
             raise ConfigError("planner.target_kps: at most 3 targets (short, medium, long)")
 

@@ -1,20 +1,22 @@
 """Exact Gaussian process regression with a squared-exponential ARD kernel.
 
-Scalar-output, zero prior mean. Inputs are standardized internally (constant
+Independent scalar GPs, one per target column, on one set of training inputs
+(GPML sec. 2.2), zero prior mean. Inputs are standardized once (constant
 columns pass through untouched); targets are used raw so that a zero input
-with a zero target anchors the prior meaningfully. Hyperparameters are
-optimized by multi-restart marginal-likelihood ascent from n_restarts starts:
-a default start, then a warm start when the caller passes one (the optimum of
-a neighbouring fit, clipped into this fit's bounds), then uniform draws inside
-the bounds; the lowest NLL wins. `from_state(s)` rebuilds GPs with given
-hyperparameters. Inference is a Cholesky factorization with an escalating
-jitter, on LAPACK directly (GPML alg. 2.1). One kernel builder serves the
-likelihood, the factorization and prediction.
+with a zero target anchors the prior meaningfully. Each column's
+hyperparameters are optimized by multi-restart marginal-likelihood ascent
+from n_restarts starts: a default start, then a warm start when the caller
+passes one (the optimum of a neighbouring fit, clipped into this fit's
+bounds), then uniform draws inside the bounds; the lowest NLL wins.
+`from_state(s)` rebuilds GPs with given hyperparameters. Inference is a
+Cholesky factorization with an escalating jitter, on LAPACK directly (GPML
+alg. 2.1). One kernel builder serves the likelihood, the factorization and
+prediction.
 
-A fitted GP keeps alpha = K^-1 y, the targets and the jitter, not the n x n
-factor: a posterior mean is K* alpha alone. A variance rebuilds the factor
-the same way the fit made it, bit for bit, and drops it again, so a model of
-many maps holds O(n) floats per map, not O(n^2).
+A fitted GP keeps alpha = K^-1 y per column, the targets and the jitters, not
+the n x n factors: a posterior mean is K* alpha alone. A variance rebuilds the
+column's factor the same way the fit made it, bit for bit, and drops it again,
+so a model of many maps holds O(n) floats per column, not O(n^2).
 
 A constant input column (a frozen parameter: its perturbation is zero in
 every sample) adds nothing to any squared distance, so the likelihood does
@@ -100,16 +102,23 @@ def _starts(phi0, bounds, n_restarts, seed, warm=None):
     return [phi0] + draws
 
 
+def _cholesky(D, phi):
+    """(L, jitter) of the kernel with log-hyperparameters phi on the training
+    stack D, plus the noise."""
+    K = _kernel(D, phi[:-2], phi[-2])
+    K.flat[::K.shape[0] + 1] += np.exp(phi[-1])
+    return _cholesky_with_jitter(K, scale=np.exp(phi[-2]))
+
+
 class ExactGP:
-    """One scalar GP: fit(X, y) then predict(Xq) -> (mean, std)."""
+    """Scalar GPs, one per column of the targets Y (n, k), on one X: fit(X, Y)
+    then predict(Xq) -> (mean, std). Column i's state is row i of phi (k, m+2),
+    alpha (k, n), jitter (k,) and degenerate (k,). A 1-D y gives 1-D results."""
 
     def __init__(self, n_restarts=N_RESTARTS):
         self.n_restarts = n_restarts
-        self.log_ls = self.log_sf2 = self.log_sn2 = None  # set by _set_phi
-        self._X_raw = self._x_mean = self._x_scale = self._X = None  # by _set_inputs
-        self._y = self._alpha = None  # by _factorize
-        self.jitter = 0.0
-        self.degenerate = False
+        self.phi = self.alpha = self.jitter = self.degenerate = None  # by _factorize
+        self._X_raw = self._x_mean = self._x_scale = self._X = self._y = None
 
     # -- likelihood ----------------------------------------------------------
 
@@ -148,95 +157,98 @@ class ExactGP:
 
     # -- fitting -----------------------------------------------------------
 
-    def _set_inputs(self, X, Y):
-        """Validate X (n, m) and Y (n,) or (n, k), standardize X once; return Y."""
+    def _set_inputs(self, X, n):
+        """Validate X (n, m) and standardize it once."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.asarray(Y, dtype=float)
-        if X.shape[0] != Y.shape[0]:
+        if X.shape[0] != n:
             raise InsufficientDataError("X and y lengths differ")
-        if X.shape[0] < 2:
+        if n < 2:
             raise InsufficientDataError("need at least 2 samples")
-        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-            raise ValueError("training inputs and targets must be finite")
+        if not np.isfinite(X).all():
+            raise ValueError("training inputs must be finite")
         scale = X.std(axis=0)
         scale[scale < 1e-12] = 1.0
         self._X_raw, self._x_mean, self._x_scale = X, X.mean(axis=0), scale
         self._X = (X - self._x_mean) / scale
-        return Y
 
-    def fit(self, X, y, seed=0, warm=None):
-        """Optimize the hyperparameters and factorize. warm: log-hyperparameters
-        in the layout of `state()` to start one restart from, or None."""
-        y = self._set_inputs(X, np.reshape(y, -1))
-        vy = float(np.var(y))
+    def fit(self, X, Y, seed=0, warm=None):
+        """Optimize each column's hyperparameters and factorize. Y: (n,) or
+        (n, k); seed: one int, or one per column; warm: an ExactGP fitted to
+        the same columns, whose optimum starts one restart of each column it
+        did not fit as degenerate. A column that cannot be fitted is a
+        FitError naming it."""
+        Y = np.asarray(Y, dtype=float)
+        self._set_inputs(X, len(Y))
+        cols = Y.reshape(len(Y), -1).T  # row i is the caller's column Y[:, i]
         m = self._X.shape[1]
-        if vy < _TARGET_VAR_FLOOR:
-            # all-equal targets (e.g. the zero map at t=0): pin a flat prior
-            self.degenerate = True
-            self.log_ls = np.zeros(m)
-            self.log_sf2 = np.log(_TARGET_VAR_FLOOR)
-            self.log_sn2 = np.log(1e-12)
-        else:
-            self.degenerate = False
-            phi0 = np.concatenate([np.zeros(m), [np.log(vy)], [np.log(max(1e-8 * vy, 1e-12))]])
-            self._set_phi(self._optimize(phi0, self._X, y, vy, seed, warm))
-        return self._factorize(_sq_dist_stack(self._X), y)
+        seeds = np.broadcast_to(seed, len(cols))
+        # frozen (constant) columns have no gradient: the optimizer leaves them out
+        live = np.flatnonzero(np.ptp(self._X, axis=0) > 0)
+        D_live = _sq_dist_stack(self._X[:, live])
+        phi = np.empty((len(cols), m + 2))
+        for i, y in enumerate(cols):
+            try:
+                if not np.isfinite(y).all():
+                    raise ValueError("training targets must be finite")
+                vy = float(np.var(y))
+                if vy < _TARGET_VAR_FLOOR:
+                    # all-equal targets (e.g. the zero map at t=0): pin a flat prior
+                    phi[i] = np.r_[np.zeros(m), np.log(_TARGET_VAR_FLOOR), np.log(1e-12)]
+                else:
+                    lend = warm is not None and not warm.degenerate[i]
+                    phi[i] = self._optimize(D_live, live, y, vy, seeds[i],
+                                            warm.phi[i] if lend else None)
+            except (FitError, ValueError) as exc:
+                raise FitError(f"dimension {i}: {exc}") from exc
+        return self._factorize(_sq_dist_stack(self._X), Y, phi)
 
     @classmethod
     def from_state(cls, X, y, phi):
-        """A fitted GP rebuilt from raw training inputs, targets and the
-        log-hyperparameters [log lengthscales, log signal var, log noise var]
-        of `state()`, with one factorization and no optimization."""
-        return cls.from_states(X, np.reshape(y, (-1, 1)), np.reshape(phi, (1, -1)))[0]
+        """`from_states` of one: a GP rebuilt from raw training inputs, targets
+        and each column's [log lengthscales, log signal var, log noise var]."""
+        return cls.from_states(X, [y], [phi])[0]
 
     @classmethod
-    def from_states(cls, X, Y, phis):
-        """`from_state` for each Y[:, j...] with phis[j...], in C order, on one X stack."""
+    def from_states(cls, X, Ys, phis):
+        """One fitted GP per Ys[j] with phis[j], in the layout of `state()`,
+        all on one X stack: one factorization per column, no optimization."""
+        Ys = np.asarray(Ys, dtype=float)
+        if not np.isfinite(Ys).all():
+            raise ValueError("training targets must be finite")
         base = cls()
-        Y = base._set_inputs(X, Y)
+        base._set_inputs(X, Ys.shape[1])
         D = _sq_dist_stack(base._X)
-        gps = [copy.copy(base) for _ in np.ndindex(Y.shape[1:])]
-        for gp, j in zip(gps, np.ndindex(Y.shape[1:])):
-            y = Y[(slice(None),) + j]
-            gp.degenerate = float(np.var(y)) < _TARGET_VAR_FLOOR
-            gp._set_phi(np.asarray(phis[j], dtype=float))
-            gp._factorize(D, y)
-        return gps
+        return [copy.copy(base)._factorize(D, Y, phi) for Y, phi in zip(Ys, phis)]
 
     def state(self):
-        """(raw X, y, phi): what `from_state` needs to rebuild this GP exactly."""
-        return self._X_raw, self._y, np.concatenate([self.log_ls, [self.log_sf2, self.log_sn2]])
+        """(raw X, Y, phi): what `from_state` needs to rebuild this GP exactly."""
+        return self._X_raw, self._y, self.phi[0] if self._y.ndim == 1 else self.phi
 
-    def _set_phi(self, phi):
-        m = phi.size - 2
-        self.log_ls = phi[:m]
-        self.log_sf2 = float(phi[m])
-        self.log_sn2 = float(phi[m + 1])
-
-    def _factorize(self, D, y):
-        """Weight the targets y by the kernel on the training stack D; the
-        factor is dropped once alpha is solved."""
+    def _factorize(self, D, Y, phi):
+        """Take the targets Y and each column's log-hyperparameters phi, and
+        weight each column by its kernel on the training stack D; the factors
+        are dropped once alpha is solved."""
         from scipy.linalg import lapack
 
-        L, self.jitter = self._cholesky(D)
-        self._alpha, _ = lapack.dpotrs(L, y, lower=1)
-        self._y = y
+        self._y, cols = Y, Y.reshape(len(Y), -1).T
+        self.phi = np.reshape(np.asarray(phi, dtype=float), (len(cols), -1))
+        self.alpha, self.jitter = np.empty(cols.shape), np.empty(len(cols))
+        self.degenerate = np.array([np.var(y) < _TARGET_VAR_FLOOR for y in cols])
+        for i, y in enumerate(cols):
+            try:
+                L, self.jitter[i] = _cholesky(D, self.phi[i])
+            except FitError as exc:
+                raise FitError(f"dimension {i}: {exc}") from exc
+            self.alpha[i] = lapack.dpotrs(L, y, lower=1)[0]
         return self
 
-    def _cholesky(self, D):
-        """(L, jitter) of the kernel on the training stack D plus the noise."""
-        K = _kernel(D, self.log_ls, self.log_sf2)
-        K.flat[::K.shape[0] + 1] += np.exp(self.log_sn2)
-        return _cholesky_with_jitter(K, scale=np.exp(self.log_sf2))
-
-    def _refactor(self):
-        """The factor `_factorize` made and dropped, rebuilt bit for bit."""
-        return self._cholesky(_sq_dist_stack(self._X))[0]
-
-    def _optimize(self, phi0, Xs, y, vy, seed, warm=None):
+    def _optimize(self, D, live, y, vy, seed, warm=None):
+        """The winning log-hyperparameters for the targets y; D is the
+        distance stack of the live input columns."""
         from scipy.optimize import minimize
 
-        m = Xs.shape[1]
+        m = self._X.shape[1]
+        phi0 = np.concatenate([np.zeros(m), [np.log(vy)], [np.log(max(1e-8 * vy, 1e-12))]])
         # lengthscales live in standardized-input units; capping them at a few
         # input standard deviations keeps the kernel well conditioned and the
         # prior mean-reverting outside the training support. The noise floor
@@ -246,10 +258,7 @@ class ExactGP:
                   + [(np.log(1e-4 * vy), np.log(1e4 * vy))]
                   + [(np.log(NOISE_FLOOR * max(vy, 1e-8)), np.log(10.0 * vy))])
         starts = _starts(phi0, bounds, self.n_restarts, seed, warm)
-        # frozen (constant) columns have no gradient: leave them out
-        live = np.flatnonzero(np.ptp(Xs, axis=0) > 0)
         free = np.concatenate([live, [m, m + 1]])
-        D = _sq_dist_stack(Xs[:, live])
         best_phi, best_nll = phi0, np.inf
         for start in starts:
             res = minimize(self._nll_and_grad, start[free], args=(D, y), jac=True,
@@ -262,47 +271,46 @@ class ExactGP:
 
     # -- prediction ----------------------------------------------------------
 
-    def predict(self, Xq):
-        """Posterior mean and standard deviation at query inputs; the variance
-        includes the learned noise term, so it never drops below the noise floor."""
-        return self.posterior(self.query_stack(Xq))
-
-    def query_stack(self, Xq):
-        """Distance stack of the standardized rows of Xq to the training inputs."""
-        if self._alpha is None:
+    def predict(self, Xq, std=True):
+        """Posterior means and standard deviations of the columns at the rows
+        of Xq, (q, k) each, or (q,) for a 1-D y. The rows' distance stack is
+        built once for all columns. A mean is K* alpha alone; a variance
+        rebuilds the column's factor and includes the learned noise term, so
+        it never drops below the noise floor. With std False the stds are None."""
+        if self.alpha is None:
             raise InsufficientDataError("predict before fit")
         Xqs = (np.atleast_2d(np.asarray(Xq, dtype=float)) - self._x_mean) / self._x_scale
-        return _sq_dist_stack(Xqs, self._X)
+        Dq = _sq_dist_stack(Xqs, self._X)
+        D = _sq_dist_stack(self._X) if std else None
+        means, stds = [], []
+        for phi, alpha in zip(self.phi, self.alpha):
+            Ks = _kernel(Dq, phi[:-2], phi[-2])
+            means.append(Ks @ alpha)
+            if std:
+                from scipy.linalg import lapack
 
-    def posterior(self, Dq, std=True):
-        """Posterior (mean, std) at the query rows of a `query_stack`; with
-        std False, (mean, None) from alpha alone."""
-        Ks = _kernel(Dq, self.log_ls, self.log_sf2)
-        mean = Ks @ self._alpha
-        if not std:
-            return mean, None
-        from scipy.linalg import lapack
+                # L's diagonal is positive, so trtrs cannot fail; Ks is not read again
+                V, _ = lapack.dtrtrs(_cholesky(D, phi)[0], Ks.T, lower=1, overwrite_b=1)
+                sn2 = np.exp(phi[-1])
+                var = np.exp(phi[-2]) + sn2 - np.sum(V * V, axis=0)
+                stds.append(np.sqrt(np.maximum(var, sn2)))
+        if self._y.ndim == 1:
+            return means[0], stds[0] if std else None
+        return np.stack(means, axis=1), np.stack(stds, axis=1) if std else None
 
-        # L's diagonal is positive, so trtrs cannot fail; Ks is not read again
-        V, _ = lapack.dtrtrs(self._refactor(), Ks.T, lower=1, overwrite_b=1)
-        sn2 = np.exp(self.log_sn2)
-        var = np.exp(self.log_sf2) + sn2 - np.sum(V * V, axis=0)
-        var = np.maximum(var, sn2)
-        return mean, np.sqrt(var)
-
-    # -- reporting -----------------------------------------------------------
+    # -- reporting: per column, or scalars for a 1-D y --------------------------
 
     @property
     def lengthscales(self):
-        return np.exp(self.log_ls)
+        return np.exp(self.state()[2][..., :-2])
 
     @property
     def signal_var(self):
-        return float(np.exp(self.log_sf2))
+        return np.exp(self.state()[2][..., -2])
 
     @property
     def noise_var(self):
-        return float(np.exp(self.log_sn2))
+        return np.exp(self.state()[2][..., -1])
 
     @property
     def n_train(self):

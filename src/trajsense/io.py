@@ -114,6 +114,11 @@ def _rows(fh, path, width, **kw):
     return _loadtxt(fh, path, 2, **kw)
 
 
+# the numeric keys of a trajectory's .meta sidecar and how each is read
+_META_NUMBERS = {"dt": float, "seed": int, "temporal_shift": int,
+                 "spatial_std": lambda v: tuple(float(s) for s in v.split(","))}
+
+
 def read_trajectory(path):
     """A trajectory CSV and its sidecar. Every row must have the header's
     cells; else ConfigError names the first bad line."""
@@ -147,13 +152,16 @@ def read_trajectory(path):
                     continue
                 key, val = (s.strip() for s in line.split("=", 1))
                 meta[key] = val
-        dt = float(meta.get("dt", "0") or 0) or None
-        if dt is not None:
-            meta["dt"] = dt
-        meta["seed"] = int(meta.get("seed", 0))
-        meta["temporal_shift"] = int(meta.get("temporal_shift", 0))
-        if "spatial_std" in meta:
-            meta["spatial_std"] = tuple(float(s) for s in meta["spatial_std"].split(","))
+        for key, parse in _META_NUMBERS.items():
+            if key in meta:
+                try:
+                    meta[key] = parse(meta[key])
+                except ValueError as exc:
+                    raise ConfigError(f"{meta_path}: {key} = {meta[key]!r} is not a "
+                                      "number") from exc
+        meta.setdefault("seed", 0)
+        meta.setdefault("temporal_shift", 0)
+        dt = meta.get("dt") or None
     if dt is None:
         raise ConfigError(f"{path}: missing dt in meta sidecar")
     return Trajectory(dt, angles, velocities, torques, meta)
@@ -230,13 +238,19 @@ def write_perturbations(nominal, deltas, path):
 
 
 def read_perturbations(path, nominal):
-    """The perturbation of each row of a perturbation CSV from nominal. Every
-    row must have the header's cells; else ConfigError names the first bad line."""
+    """The perturbation of each row of a perturbation CSV from nominal. The
+    header must have one theta column per entry of nominal, and every row the
+    header's cells; else ConfigError names the file (and the first bad line)."""
+    nominal = np.asarray(nominal, dtype=float)
     with open(path, newline="") as fh:
-        data = _rows(fh, path, len(_header(fh)))
+        width = len(_header(fh))
+        if width != 1 + nominal.size:
+            raise ConfigError(f"{path}: {width - 1} theta columns, the policy has "
+                              f"{nominal.size} parameters")
+        data = _rows(fh, path, width)
     if data is None:
         return []
-    return list(data[:, 1:] - np.asarray(nominal, dtype=float))
+    return list(data[:, 1:] - nominal)
 
 
 def write_metrics(row, per_t, path_summary, path_per_t):

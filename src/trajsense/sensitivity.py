@@ -8,7 +8,8 @@ the trajectories but are not regression targets.
 
 Three views of the same map are provided: the raw differences as a dense
 SampleSet, a linear reconstruction from orthonormal basis probes, and GP maps
-per timestep that generalize to new perturbations, all trained on one X.
+per timestep that generalize to new perturbations: one gp.ExactGP per
+timestep, with a column per angle dimension, all trained on one X.
 """
 
 import os
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .gp import N_RESTARTS, ExactGP
 
+ALIGN_METHODS = ("none", "correlation", "zero_crossing")
 _NORM_FLOOR = 1e-15
 _VAR_FLOOR = 1e-24
 # evaluate's histogram of cos alignment: 20 bins over [-1, 1]
@@ -181,54 +183,39 @@ def reconstruct_linear(stack, basis, delta_theta, t):
 # -- per-timestep GP maps -----------------------------------------------------
 
 
-@dataclass
-class TimestepGP:
-    """Independent scalar GPs on shared inputs, one per state dimension, at one timestep."""
-
-    t: int
-    gps: list
-    source_angles: np.ndarray = None
-
-    def predict(self, delta_theta, std=True):
-        """Means and stds (q, d); the d GPs share X, so they share a query stack.
-        With std False the stds are None: means need no kernel factor."""
-        Dq = self.gps[0].query_stack(delta_theta)
-        means, stds = zip(*(gp.posterior(Dq, std) for gp in self.gps))
-        return np.stack(means, axis=1), np.stack(stds, axis=1) if std else None
-
-
-def fit_gp(samples, t, n_restarts=N_RESTARTS, seed=0, source_angles=None, warm=None):
-    """Fit the map delta_theta -> delta_x[:, t] of a SampleSet at timestep t.
+def fit_gp(samples, t, n_restarts=N_RESTARTS, seed=0, warm=None):
+    """Fit the map delta_theta -> delta_x[:, t] of a SampleSet at timestep t:
+    one ExactGP with a column per angle dimension.
 
     A (0, 0) training pair is pinned: applying no perturbation changes
-    nothing, which anchors the small-perturbation behavior exactly. warm, a
-    TimestepGP fitted on the same samples, lends each dimension's optimum as a
-    warm start; a degenerate (flat) predecessor lends none. A dimension whose
-    GP cannot be fitted raises FitError naming the timestep and the dimension.
+    nothing, which anchors the small-perturbation behavior exactly. warm, the
+    map of another timestep fitted on the same samples, lends each
+    dimension's optimum as a warm start; a degenerate (flat) dimension lends
+    none. A dimension that cannot be fitted raises FitError naming the
+    timestep and the dimension.
     """
     if len(samples.delta_x) < 2 or not 0 <= t <= samples.n_steps:
         raise InsufficientDataError(f"need >= 2 samples at timestep {t}")
     dtheta, dx = samples.delta_theta, samples.delta_x[:, t]
     X = np.vstack([np.zeros((1, dtheta.shape[1])), dtheta])
     Y = np.vstack([np.zeros((1, dx.shape[1])), dx])
-    gps = []
-    for i in range(Y.shape[1]):
-        gp = ExactGP(n_restarts)
-        lend = warm is not None and not warm.gps[i].degenerate
-        try:
-            gp.fit(X, Y[:, i], seed=np.random.default_rng((seed, t, i)).integers(2**31),
-                   warm=warm.gps[i].state()[2] if lend else None)
-        except (FitError, ValueError) as exc:
-            raise FitError(f"GP fit failed at timestep {t}, dimension {i}: {exc}") from exc
-        gps.append(gp)
-    return TimestepGP(t=int(t), gps=gps, source_angles=source_angles)
+    seeds = [np.random.default_rng((seed, t, i)).integers(2**31) for i in range(Y.shape[1])]
+    try:
+        return ExactGP(n_restarts).fit(X, Y, seed=seeds, warm=warm)
+    except FitError as exc:
+        # the dimension's own error stays the cause
+        raise FitError(f"GP fit failed at timestep {t}, {exc}") from exc.__cause__
 
 
 class SensitivityModel:
-    """The family of per-timestep GP maps plus training metadata."""
+    """The per-timestep GP maps, t -> ExactGP with a column per angle
+    dimension, the source angles at those timesteps, t -> (d,), which the
+    planner needs, and training metadata."""
 
-    def __init__(self, models, nominal_theta=None, delta_low=None, delta_high=None):
+    def __init__(self, models, nominal_theta=None, delta_low=None, delta_high=None,
+                 source_angles=None):
         self.models = dict(models)
+        self.source_angles = dict(source_angles or {})
         self.nominal_theta = None if nominal_theta is None else np.asarray(nominal_theta, float)
         self.delta_low = None if delta_low is None else np.asarray(delta_low, float)
         self.delta_high = None if delta_high is None else np.asarray(delta_high, float)
@@ -248,25 +235,24 @@ class SensitivityModel:
         return mean[0], std[0]
 
     def source_angles_at(self, t):
-        sa = self.model_at(t).source_angles
-        if sa is None:
+        self.model_at(t)
+        if t not in self.source_angles:
             raise UntrainedTimestepError(f"no source state stored at timestep {t}")
-        return sa
+        return self.source_angles[t]
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path):
         """One .npz (README: File formats) with the X all maps share stored
         once; a map on other inputs is a DatasetError naming its timestep."""
-        tms = [self.models[t] for t in self.timesteps]
-        Xs, ys, phis = zip(*(zip(*(gp.state() for gp in tm.gps)) for tm in tms))
+        Xs, ys, phis = zip(*(self.models[t].state() for t in self.timesteps))
         for t, X in zip(self.timesteps, Xs):
-            if not all(np.array_equal(x, Xs[0][0]) for x in X):
+            if not np.array_equal(X, Xs[0]):
                 raise DatasetError(f"timestep {t}: training inputs are not the shared X")
-        arrays = {"timesteps": np.array(self.timesteps, dtype=int), "X": Xs[0][0],
-                  "y": np.array([np.column_stack(y) for y in ys]), "phi": np.array(phis)}
-        if tms[0].source_angles is not None:
-            arrays["src"] = np.array([tm.source_angles for tm in tms])
+        arrays = {"timesteps": np.array(self.timesteps, dtype=int), "X": Xs[0],
+                  "y": np.array(ys), "phi": np.array(phis)}
+        if self.source_angles:
+            arrays["src"] = np.array([self.source_angles[t] for t in self.timesteps])
         for key in ("nominal_theta", "delta_low", "delta_high"):
             if getattr(self, key) is not None:
                 arrays[key] = getattr(self, key)
@@ -281,33 +267,29 @@ class SensitivityModel:
             if "X" not in data:
                 raise ConfigError(f"{path}: no shared X; a model file of a former layout, "
                                   "refit it (remove models/ and rerun)")
-            T, Y, phi, src = data["timesteps"], data["y"], data["phi"], data.get("src")
-            gps = ExactGP.from_states(data["X"], np.moveaxis(Y, 0, 1), phi)  # (n, T, d)
-            d = Y.shape[2]
-            models = {int(t): TimestepGP(int(t), gps[k * d:(k + 1) * d],
-                                         None if src is None else src[k])
-                      for k, t in enumerate(T)}
-            return cls(models, nominal_theta=data.get("nominal_theta"),
-                       delta_low=data.get("delta_low"), delta_high=data.get("delta_high"))
+            T, src = [int(t) for t in data["timesteps"]], data.get("src")
+            return cls(dict(zip(T, ExactGP.from_states(data["X"], data["y"], data["phi"]))),
+                       nominal_theta=data.get("nominal_theta"),
+                       delta_low=data.get("delta_low"), delta_high=data.get("delta_high"),
+                       source_angles=None if src is None else dict(zip(T, src)))
 
     def summary_lines(self):
         lines = []
         for t in self.timesteps:
-            tm = self.models[t]
-            lines.append(f"[t={t}]")
-            lines.append(f"n_train = {tm.gps[0].n_train}")
-            for i, gp in enumerate(tm.gps):
-                ls = ",".join(f"{v:.6g}" for v in gp.lengthscales)
-                lines.append(f"dim{i}_lengthscales = {ls}")
-                lines.append(f"dim{i}_signal_var = {gp.signal_var:.6g}")
-                lines.append(f"dim{i}_noise_var = {gp.noise_var:.6g}")
+            gp = self.models[t]
+            lines += [f"[t={t}]", f"n_train = {gp.n_train}"]
+            for i, (ls, sf2, sn2) in enumerate(zip(gp.lengthscales, gp.signal_var,
+                                                   gp.noise_var)):
+                lines.append(f"dim{i}_lengthscales = " + ",".join(f"{v:.6g}" for v in ls))
+                lines.append(f"dim{i}_signal_var = {sf2:.6g}")
+                lines.append(f"dim{i}_noise_var = {sn2:.6g}")
             lines.append("")
         return lines
 
 
 def fit_sensitivity_model(samples, timesteps=None, stride=1, n_restarts=N_RESTARTS, seed=0,
                           source=None, nominal_theta=None):
-    """Fit TimestepGPs over a timestep grid and bundle them into a model.
+    """Fit the GP maps over a timestep grid and bundle them into a model.
 
     timesteps defaults to every stride-th step of the samples. They are fitted
     in ascending order as one chain: each fit starts one restart from the
@@ -321,12 +303,12 @@ def fit_sensitivity_model(samples, timesteps=None, stride=1, n_restarts=N_RESTAR
     for t in sorted({int(t) for t in timesteps}):
         if not 0 <= t <= samples.n_steps:
             raise ConfigError(f"no samples at requested timestep {t}")
-        src_angles = source.angles[t] if source is not None else None
-        prev = models[t] = fit_gp(samples, t, n_restarts=n_restarts, seed=seed,
-                                  source_angles=src_angles, warm=prev)
+        prev = models[t] = fit_gp(samples, t, n_restarts=n_restarts, seed=seed, warm=prev)
     return SensitivityModel(models, nominal_theta=nominal_theta,
                             delta_low=samples.delta_theta.min(axis=0),
-                            delta_high=samples.delta_theta.max(axis=0))
+                            delta_high=samples.delta_theta.max(axis=0),
+                            source_angles=None if source is None
+                            else {t: source.angles[t] for t in models})
 
 
 # -- metrics ------------------------------------------------------------------

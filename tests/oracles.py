@@ -14,7 +14,7 @@ import csv
 from collections import namedtuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
 
 def ramp_torque_state(x0, v0, w, b, dt, n):
@@ -218,7 +218,8 @@ def per_point_gp_evolution(model, dim, grid):
 
 def posterior_error_bounds(gp, Xq):
     """First-order rounding-error bounds (mean_bound, var_bound) of a fitted
-    GP's posterior at the rows of Xq, from the float64 unit roundoff alone.
+    one-column GP's posterior at the rows of Xq, from the float64 unit
+    roundoff alone.
 
     mean = K* alpha is a length-n dot product per row: n*eps*(|K*| |alpha|).
     var = sf2 + sn2 - |L^-1 k*|^2: a triangular solve is backward stable,
@@ -229,19 +230,24 @@ def posterior_error_bounds(gp, Xq):
     the same formulas in different orders; the tests hold them to within one
     bound of each other.
     """
-    Xqs = (np.atleast_2d(Xq) - gp._x_mean) / gp._x_scale
-    d2 = (Xqs[:, None, :] - gp._X[None, :, :]) ** 2 / np.exp(gp.log_ls) ** 2
-    Ks = np.exp(gp.log_sf2) * np.exp(-0.5 * d2.sum(axis=2))
-    n = gp._y.size
+    _, y, phi = gp.state()
+    ls2, sf2, sn2 = np.exp(phi[:-2]) ** 2, np.exp(phi[-2]), np.exp(phi[-1])
+
+    def kernel(A):
+        d2 = (A[:, None, :] - gp._X[None, :, :]) ** 2 / ls2
+        return sf2 * np.exp(-0.5 * d2.sum(axis=2))
+
+    Ks = kernel((np.atleast_2d(Xq) - gp._x_mean) / gp._x_scale)
+    n = y.size
     eps = np.finfo(float).eps
-    mean_bound = n * eps * (np.abs(Ks) @ np.abs(gp._alpha))
-    L = gp._refactor()
+    mean_bound = n * eps * (np.abs(Ks) @ np.abs(gp.alpha[0]))
+    # the factor of the noisy training kernel, with the jitter the GP needed
+    L = cholesky(kernel(gp._X) + (sn2 + gp.jitter[0] * sf2) * np.eye(n), lower=True)
     V = solve_triangular(L, Ks.T, lower=True)
     W = solve_triangular(L, V, lower=True, trans="T")
     LtW = np.abs(L).T @ np.abs(W)
     var_bound = (2 * n * eps * np.sum(LtW * LtW, axis=0)
-                 + n * eps * (np.exp(gp.log_sf2) + np.exp(gp.log_sn2)
-                              + np.sum(V * V, axis=0)))
+                 + n * eps * (sf2 + sn2 + np.sum(V * V, axis=0)))
     return mean_bound, var_bound
 
 

@@ -9,7 +9,9 @@ instead of ending a benchmark run with exit code 1.
 import inspect
 import os
 
-from trajsense import pipeline
+from trajsense import pipeline, planner
+from trajsense.config import load_config
+from trajsense.sensitivity import SensitivityModel
 
 BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "benchmark")
 
@@ -37,3 +39,41 @@ def test_the_benchmark_workload_calls_bind():
     inspect.signature(pipeline.stage_evaluate).bind("cfg", "out")
     inspect.signature(pipeline.best_gamma_of).bind("out")
     inspect.signature(pipeline.emit_plot_data).bind("out", "gp_evolution")
+
+
+def test_a_traced_run_fires_every_span_but_the_known_dead_ones(tmp_path, monkeypatch):
+    # what the three workloads do, on a small config: a pipeline run with
+    # correlation alignment and a voxel sweep, the gp_evolution export, and
+    # one verified plan on the model read back from its file
+    monkeypatch.syspath_prepend(BENCHMARK)
+    import tracing
+    from test_cli import SMALL_CFG
+
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL_CFG.replace("align = none", "align = correlation"))
+    cfg, out = load_config(str(path)), str(tmp_path / "out")
+    with tracing.Tracer() as tracer:
+        pipeline.run_pipeline(cfg, out)
+        pipeline.emit_plot_data(out, "gp_evolution")
+        model = SensitivityModel.load(os.path.join(out, pipeline.selected_model(out)))
+        x_target = pipeline.rollout_with_kp(cfg, 0.5, cfg.plan_t).angles[cfg.plan_t]
+        problem = planner.PlanningProblem(
+            source_kp=0.4, fixed_kd=0.01, t_constraint=cfg.plan_t, x_target_t=x_target,
+            final_target=cfg.policy.fixed["x_star"], constraint_dim="all")
+        planner.plan_and_verify(problem, model, cfg.policy, cfg.x0, cfg.dt, cfg.mode,
+                                cfg.n_steps)
+    fired = {span["name"] for span in tracer.spans}
+    assert {name for _, _, name, _ in tracing.TARGETS} - fired == {
+        # FOUND in CHANGES.md: the streamed build differences through
+        # sensitivity.difference_into, so run_pipeline calls no build_samples
+        "sensitivity.build_samples",
+        # FOUND in CHANGES.md: under the in-memory hand-off, fit and evaluate
+        # take the SampleSets the build stage made and read no sample CSV
+        "io.sample_read",
+    }
+    layers = tracing.per_layer_metrics(tracer.spans, 1, 1)
+    # block queries go through ExactGP.predict, one row per query
+    assert layers["gp.predict.calls"]["value"] > 0
+    assert layers["gp.predict.rows"]["value"] >= layers["gp.predict.calls"]["value"]
+    # one ExactGP per timestep: one gp.fit per fit_gp
+    assert layers["gp.fit.calls"]["value"] == layers["sensitivity.fit_gp.calls"]["value"] > 0

@@ -13,6 +13,7 @@ import trajsense
 from trajsense import (DynamicsMode, JointState, PolicySpec, Trajectory,
                        inject_temporal_noise, rollout)
 from trajsense import align, pipeline, planner
+from trajsense import gp as gp_mod
 from trajsense import io as tio
 from trajsense.cli import main
 from trajsense.config import load_config
@@ -218,8 +219,8 @@ def test_stage_fit_runs_the_chain_of_fit_sensitivity_model(tmp_path):
                                       n_restarts=2, seed=cfg.seed)
         assert staged.timesteps == alone.timesteps
         for t in alone.timesteps:
-            for a, b in zip(staged.model_at(t).gps, alone.model_at(t).gps):
-                assert np.array_equal(a.state()[2], b.state()[2]), (gamma, t)
+            assert np.array_equal(staged.model_at(t).state()[2],
+                                  alone.model_at(t).state()[2]), (gamma, t)
 
 
 PD_POLICY = """family = pd_feedback
@@ -322,8 +323,10 @@ def test_gp_evolution_matches_per_point_queries(cfg_file, tmp_path):
     queries[:, dim] = grid
     for k, t in enumerate(model.timesteps):
         at_t = slice(k * grid.size, (k + 1) * grid.size)
-        for i, gp in enumerate(model.model_at(t).gps):
-            mean_bound, var_bound = posterior_error_bounds(gp, queries)
+        X, Y, phi = model.model_at(t).state()
+        for i in range(3):
+            mean_bound, var_bound = posterior_error_bounds(
+                ExactGP.from_state(X, Y[:, i], phi[i]), queries)
             mean, ref_mean = rows[at_t, 2 + i], ref[at_t, 2 + i]
             std, ref_std = rows[at_t, 5 + i], ref[at_t, 5 + i]
             assert np.all(np.abs(mean - ref_mean) <= mean_bound + printed[at_t, 2 + i])
@@ -334,10 +337,12 @@ def test_gp_evolution_matches_per_point_queries(cfg_file, tmp_path):
 
 def test_only_a_variance_rebuilds_a_kernel_factor(cfg_file, tmp_path, monkeypatch):
     # evaluate and the planner read means, K* alpha; the gp_evolution export
-    # reads stds, and each of its queries rebuilds one factor per map
+    # reads stds, and each of its queries rebuilds one factor per dimension.
+    # A fit or a load factorizes too: only the factors predict makes count
     rebuilt = []
-    refactor = ExactGP._refactor
-    monkeypatch.setattr(ExactGP, "_refactor", lambda gp: rebuilt.append(1) or refactor(gp))
+    real = gp_mod._cholesky
+    monkeypatch.setattr(gp_mod, "_cholesky", lambda D, phi: (
+        sys._getframe(1).f_code.co_name == "predict" and rebuilt.append(1)) or real(D, phi))
     cfg, out = load_config(cfg_file), str(tmp_path / "out")
     run_pipeline(cfg, out)
     pipeline.stage_evaluate(cfg, out)  # from the model files this time
@@ -410,6 +415,21 @@ def _cells(line, fn):
     return edit
 
 
+def _columns(fn):
+    """An edit of a CSV's lines: every line's cells become fn(cells)."""
+    def edit(lines):
+        lines[:] = [",".join(fn(line.split(","))) if line else line for line in lines]
+    return edit
+
+
+def _replace(old, new):
+    """An edit of a file's lines: the first old in them becomes new."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if old in line)
+        lines[i] = lines[i].replace(old, new, 1)
+    return edit
+
+
 def _drop_last_rows(n):
     """An edit of a CSV's lines that drops its last n rows but the terminal one."""
     def edit(lines):
@@ -446,6 +466,28 @@ def _not_a_number(line, column):
     pytest.param("build", "samples/perturbations.csv", _not_a_number(4, 2), 2,
                  "samples/perturbations.csv: line 4, column 2: could not convert "
                  "string 'x", id="perturbations-cell"),
+    pytest.param("build", "samples/perturbations.csv", _columns(lambda cells: cells[:2]), 2,
+                 "samples/perturbations.csv: 1 theta columns, the policy has 2 parameters",
+                 id="perturbations-missing-column"),
+    pytest.param("build", "samples/perturbations.csv",
+                 _columns(lambda cells: cells + [cells[-1].replace("theta_2", "theta_3")]), 2,
+                 "samples/perturbations.csv: 3 theta columns, the policy has 2 parameters",
+                 id="perturbations-extra-column"),
+    pytest.param("build", "trajectories/sample_0003.csv.meta",
+                 _replace("dt = 0.01", "dt = 0.0l"), 2,
+                 "trajectories/sample_0003.csv.meta: dt = '0.0l' is not a number",
+                 id="meta-dt"),
+    pytest.param("build", "trajectories/sample_0003.csv.meta", _replace("seed = 0", "seed = x"),
+                 2, "trajectories/sample_0003.csv.meta: seed = 'x' is not a number",
+                 id="meta-seed"),
+    pytest.param("build", "trajectories/sample_0003.csv.meta",
+                 _replace("temporal_shift = 0", "temporal_shift = 0.5"), 2,
+                 "trajectories/sample_0003.csv.meta: temporal_shift = '0.5' is not a number",
+                 id="meta-temporal-shift"),
+    pytest.param("build", "trajectories/sample_0003.csv.meta",
+                 _replace("spatial_std = 0,0,0", "spatial_std = 0,0;0"), 2,
+                 "trajectories/sample_0003.csv.meta: spatial_std = '0,0;0' is not a number",
+                 id="meta-spatial-std"),
     pytest.param("evaluate", "samples/test_g0.csv", _not_a_number(30, 5), 2,
                  "samples/test_g0.csv: line 30, column 5: could not convert string 'x",
                  id="samples-cell"),
@@ -458,7 +500,10 @@ def test_a_malformed_stage_input_names_the_file_and_its_line(finished_run, tmp_p
                                                              message):
     # a bad cell, a missing one or a blank row used to end in a traceback
     # naming no file (exit code 1), an extra cell was read as if it were not
-    # there, and the length mismatch of a truncated recording did not name it
+    # there, and the length mismatch of a truncated recording did not name it.
+    # A perturbation CSV with a theta column too few was broadcast against the
+    # nominal (exit code 0), one with a column too many and a sidecar value
+    # that is not a number ended in a traceback (exit code 1)
     cfg_file, done = finished_run
     out = str(tmp_path / "out")
     shutil.copytree(done, out)
@@ -692,6 +737,17 @@ def test_gp_optimize_other_than_true_is_rejected(tmp_path):
     (("dims = all", "dims = -1"), "planner.dims"),
     (("target_kps = 0.45, 0.5, 0.55", "target_kps = 0.42, 0.45, 0.5, 0.55"),
      "planner.target_kps"),
+    (("scheme = uniform", "scheme = unifrom"), "perturbation.scheme"),
+    (("scheme = uniform", "scheme = basis"), "perturbation.scheme"),
+    (("align = none", "align = corelation"), "preprocess.align"),
+    (("stride = 40", "stride = 0"), "gp.stride"),
+    (("stride = 40", "stride = -40"), "gp.stride"),
+    (("ranges = 0.2:0.6, ~", "ranges = 0.6:0.2, ~"), "perturbation.ranges"),
+    (("align = none", "align = correlation\nmax_lag = 150"), "preprocess.max_lag"),
+    (("n_restarts = 1", "n_restarts = 0"), "gp.n_restarts"),
+    (("scheme = uniform", "scheme = gaussian\nlambda_rate = 0"), "perturbation.lambda_rate"),
+    (("scheme = uniform", "scheme = gaussian\nlambda_sweep = 50, -5"),
+     "perturbation.lambda_sweep"),
 ])
 def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
     # a misspelt key used to load silently and run with the key's default;
@@ -700,7 +756,10 @@ def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
     # gamma ran unvoxelized (and could be selected), an empty sweep failed the
     # evaluate stage, a repeated gamma was fitted twice and selected twice, and
     # a label with a comma split its metrics.csv row so that the plan stage
-    # failed, exit code 3
+    # failed, exit code 3. A misspelt or basis scheme ran the gaussian scheme;
+    # a misspelt align method, a max_lag of half the run or more, a stride
+    # below 1, an empty ranges interval or a rate <= 0 failed a later stage,
+    # exit code 3; n_restarts = 0 ran one start
     bad = tmp_path / "bad.ini"
     bad.write_text(SMALL_CFG.replace(*edit))
     with pytest.raises(ConfigError, match=re.escape(name)):

@@ -132,18 +132,29 @@ def test_factorization_without_identity_matrices_is_bit_identical(log_ls, jitter
     assert (jitter > 0) == jittered  # a long lengthscale needs a retry
 
     gp = ExactGP.from_state(X, y, np.array([log_ls, log_ls, np.log(2.0), np.log(1e-6)]))
-    K = _kernel(_sq_dist_stack(gp._X), gp.log_ls, gp.log_sf2)
+    phi = gp.state()[2]
+    K = _kernel(_sq_dist_stack(gp._X), phi[:2], phi[2])
     L_former, jitter_former = _former_cholesky_with_jitter(
-        K + np.exp(gp.log_sn2) * np.eye(30), scale=np.exp(gp.log_sf2))
-    assert np.array_equal(gp._refactor(), L_former) and gp.jitter == jitter_former
+        K + np.exp(phi[3]) * np.eye(30), scale=np.exp(phi[2]))
+    # the factor a variance rebuilds, on the GP's own training stack
+    L, jitter = gp_mod._cholesky(_sq_dist_stack(gp._X), phi)
+    assert np.array_equal(L, L_former) and jitter == jitter_former
+    assert np.array_equal(gp.jitter, [jitter_former])
+
+
+def _cross_kernel(gp, Xq):
+    """K* of a one-column GP at the rows of Xq, standardized as it standardizes."""
+    phi = gp.state()[2]
+    Xqs = (np.atleast_2d(Xq) - gp._x_mean) / gp._x_scale
+    return _kernel(_sq_dist_stack(Xqs, gp._X), phi[:-2], phi[-2])
 
 
 def _std_from_factor(gp, L, Xq):
-    """The posterior std as `posterior` computed it from a factor it kept."""
-    Ks = _kernel(gp.query_stack(Xq), gp.log_ls, gp.log_sf2)
-    V, _ = lapack.dtrtrs(L, Ks.T, lower=1, overwrite_b=1)
-    sn2 = np.exp(gp.log_sn2)
-    return np.sqrt(np.maximum(np.exp(gp.log_sf2) + sn2 - np.sum(V * V, axis=0), sn2))
+    """The posterior std as `predict` computed it from a factor it kept."""
+    phi = gp.state()[2]
+    V, _ = lapack.dtrtrs(L, _cross_kernel(gp, Xq).T, lower=1, overwrite_b=1)
+    sn2 = np.exp(phi[-1])
+    return np.sqrt(np.maximum(np.exp(phi[-2]) + sn2 - np.sum(V * V, axis=0), sn2))
 
 
 @pytest.mark.parametrize("log_ls, jittered", [(np.log(0.7), False), (np.log(30.0), True)])
@@ -166,13 +177,12 @@ def test_variance_from_a_rebuilt_factor_is_bit_identical(monkeypatch, log_ls, ji
         assert all(v.size < 30 * 30 for v in vars(gp).values() if isinstance(v, np.ndarray))
         mean, std = gp.predict(Xq)
         assert np.array_equal(std, _std_from_factor(gp, L, Xq))
-        Ks = _kernel(gp.query_stack(Xq), gp.log_ls, gp.log_sf2)
-        assert np.array_equal(mean, Ks @ gp._alpha)
+        assert np.array_equal(mean, _cross_kernel(gp, Xq) @ gp.alpha[0])
         assert len(made) == 1 and np.array_equal(made[0][0], L) and made[0][1] == jitter
-        assert gp.jitter == jitter
+        assert np.array_equal(gp.jitter, [jitter])
         made.clear()
         # means alone rebuild nothing
-        mean_only, none = gp.posterior(gp.query_stack(Xq), std=False)
+        mean_only, none = gp.predict(Xq, std=False)
         assert none is None and np.array_equal(mean_only, mean) and made == []
 
 

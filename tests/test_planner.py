@@ -16,6 +16,7 @@ from trajsense import (
     rollout_batch,
     solve_kp,
 )
+from trajsense import gp as gp_mod
 from trajsense import planner
 from trajsense.errors import ConfigError, TargetUnreachableError
 from trajsense.gp import ExactGP
@@ -188,26 +189,31 @@ def test_gain_curve_matches_per_point_queries(trained):
     assert curve.shape == ref.shape == (deltas.size, len(dims))
     queries = np.zeros((deltas.size, model.delta_low.size))
     queries[:, 0] = deltas
+    X, Y, phi = model.model_at(T_CONSTRAINT).state()
     for j, d in enumerate(dims):
-        bound, _ = posterior_error_bounds(model.model_at(T_CONSTRAINT).gps[d], queries)
+        bound, _ = posterior_error_bounds(ExactGP.from_state(X, Y[:, d], phi[d]), queries)
         assert np.all(np.abs(curve[:, j] - ref[:, j]) <= bound)
 
 
 def test_gain_curve_is_one_predict_per_dimension(trained, monkeypatch):
     model, source = trained
-    # each GP's posterior is what ExactGP.predict computes; the query block's
-    # distance stack is built once for all of them
-    rows, stacks = [], []
-    real, real_stack = ExactGP.posterior, ExactGP.query_stack
-    monkeypatch.setattr(ExactGP, "posterior", lambda gp, Dq, std=True: (
-        rows.append((Dq.shape[1], std)) or real(gp, Dq, std)))
-    monkeypatch.setattr(ExactGP, "query_stack",
-                        lambda gp, Xq: stacks.append(1) or real_stack(gp, Xq))
+    # one ExactGP.predict for the grid; its query block's distance stack is
+    # built once, and each dimension's kernel is evaluated on it once
+    calls, stacks, kernels = [], [], []
+    real, real_stack, real_kernel = ExactGP.predict, gp_mod._sq_dist_stack, gp_mod._kernel
+    monkeypatch.setattr(ExactGP, "predict", lambda gp, Xq, std=True: (
+        calls.append((len(Xq), std)) or real(gp, Xq, std)))
+    monkeypatch.setattr(gp_mod, "_sq_dist_stack",
+                        lambda A, B=None: stacks.append(B is not None) or real_stack(A, B))
+    monkeypatch.setattr(gp_mod, "_kernel", lambda D, log_ls, log_sf2: (
+        kernels.append(D.shape[1]) or real_kernel(D, log_ls, log_sf2)))
     planner._predict_curve(model, problem_for(source.angles[T_CONSTRAINT]),
                            _gain_grid(model), [0, 1, 2])
     # means only: the planner reads no std, so it rebuilds no kernel factor
-    assert rows == [(planner.DEFAULT_GRID, False)] * len(model.model_at(T_CONSTRAINT).gps)
-    assert len(stacks) == 1
+    # and builds no training stack
+    assert calls == [(planner.DEFAULT_GRID, False)]
+    assert kernels == [planner.DEFAULT_GRID] * model.model_at(T_CONSTRAINT).alpha.shape[0]
+    assert stacks == [True]
 
 
 def test_solve_kp_answers_match_per_point_curve(trained, monkeypatch):

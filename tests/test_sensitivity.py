@@ -306,18 +306,18 @@ def test_fit_gp_names_the_timestep_and_dimension_that_failed():
 def test_fit_gp_warm_starts_from_its_predecessor_unless_that_is_degenerate(monkeypatch):
     samples, _ = linear_map_samples()
     flat = fit_gp(samples, t=0)  # the all-zero map
-    assert all(gp.degenerate for gp in flat.gps)
+    assert flat.degenerate.all()
     cold = fit_gp(samples, t=10)
     # a degenerate predecessor lends nothing: the random draw stays
-    for a, b in zip(cold.gps, fit_gp(samples, t=10, warm=flat).gps):
-        assert np.array_equal(a.state()[2], b.state()[2])
+    for a, b in zip(cold.state()[2], fit_gp(samples, t=10, warm=flat).state()[2]):
+        assert np.array_equal(a, b)
     warms, real_starts = [], gp_mod._starts
     monkeypatch.setattr(gp_mod, "_starts", lambda *args: warms.append(args[4])
                         or real_starts(*args))
     fit_gp(samples, t=10, warm=cold)
     assert len(warms) == 3
-    for w, gp in zip(warms, cold.gps):
-        assert np.array_equal(w, gp.state()[2])
+    for w, phi in zip(warms, cold.state()[2]):
+        assert np.array_equal(w, phi)
 
 
 def pd_samples(n=30, T=300):
@@ -410,26 +410,26 @@ def test_model_save_load_round_trip(tmp_path):
 
 def _restore_by_refit(X, y, phi):
     """The former load path, written out by hand: standardize the inputs,
-    write the stored hyperparameters into a GP, and factorize a kernel built
-    from the (n, n, m) tensor of squared differences."""
+    write the stored hyperparameters into a one-column GP, and factorize a
+    kernel built from the (n, n, m) tensor of squared differences. Returns
+    the GP and that factor, which its variance is to read."""
     gp = ExactGP()
     X, gp._y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     scale = X.std(axis=0)
     scale[scale < 1e-12] = 1.0
     gp._X_raw, gp._x_mean, gp._x_scale = X, X.mean(axis=0), scale
     gp._X = (X - gp._x_mean) / gp._x_scale
-    gp.degenerate = float(np.var(gp._y)) < gp_mod._TARGET_VAR_FLOOR
+    gp.degenerate = np.array([float(np.var(gp._y)) < gp_mod._TARGET_VAR_FLOOR])
     m = X.shape[1]
-    gp.log_ls = phi[:m]
-    gp.log_sf2 = float(phi[m])
-    gp.log_sn2 = float(phi[m + 1])
-    d2 = (gp._X[:, None, :] - gp._X[None, :, :]) ** 2 / np.exp(gp.log_ls) ** 2
-    K = np.exp(gp.log_sf2) * np.exp(-0.5 * d2.sum(axis=2))
-    K += np.exp(gp.log_sn2) * np.eye(gp._X.shape[0])
-    L, gp.jitter = _cholesky_with_jitter(K, scale=np.exp(gp.log_sf2))
-    gp._alpha = cho_solve((L, True), gp._y)
-    gp._refactor = lambda: L  # its variance reads the factor this path made
-    return gp
+    gp.phi = np.asarray(phi, dtype=float)[None]
+    log_ls, log_sf2, log_sn2 = phi[:m], float(phi[m]), float(phi[m + 1])
+    d2 = (gp._X[:, None, :] - gp._X[None, :, :]) ** 2 / np.exp(log_ls) ** 2
+    K = np.exp(log_sf2) * np.exp(-0.5 * d2.sum(axis=2))
+    K += np.exp(log_sn2) * np.eye(gp._X.shape[0])
+    L, jitter = _cholesky_with_jitter(K, scale=np.exp(log_sf2))
+    gp.jitter = np.array([jitter])
+    gp.alpha = cho_solve((L, True), gp._y)[None]
+    return gp, L
 
 
 def test_model_load_factorizes_once_and_predicts_as_the_refit_did(tmp_path, monkeypatch):
@@ -454,12 +454,18 @@ def test_model_load_factorizes_once_and_predicts_as_the_refit_did(tmp_path, monk
     data = np.load(path)
     q = np.random.default_rng(8).uniform(-1, 1, size=(25, 2))
     for k, t in enumerate((0, 10)):
-        for i, gp in enumerate(loaded.model_at(t).gps):
-            ref = _restore_by_refit(data["X"], data["y"][k][:, i], data["phi"][k, i])
-            for a, b in zip(gp.predict(q), ref.predict(q)):
-                assert np.array_equal(a, b)
-            assert gp.degenerate == ref.degenerate == (t == 0)
-            assert gp.jitter == ref.jitter
+        gp = loaded.model_at(t)
+        mean, std = gp.predict(q)
+        for i in range(3):
+            ref, L = _restore_by_refit(data["X"], data["y"][k][:, i], data["phi"][k, i])
+            with monkeypatch.context() as m:
+                # its variance reads the factor the former path made
+                m.setattr(gp_mod, "_cholesky", lambda D, phi: (L, ref.jitter[0]))
+                ref_mean, ref_std = ref.predict(q)
+            assert np.array_equal(mean[:, i], ref_mean)
+            assert np.array_equal(std[:, i], ref_std)
+            assert gp.degenerate[i] == ref.degenerate[0] == (t == 0)
+            assert gp.jitter[i] == ref.jitter[0]
     assert loaded.summary_lines() == model.summary_lines()
 
 
@@ -471,8 +477,8 @@ def test_fitted_and_loaded_maps_keep_no_kernel_factor(tmp_path):
     model.save(tmp_path / "model.npz")
     n = len(samples.delta_theta) + 1  # the pinned origin
     for m in (model, SensitivityModel.load(tmp_path / "model.npz")):
-        sizes = [v.size for t in m.timesteps for gp in m.model_at(t).gps
-                 for v in vars(gp).values() if isinstance(v, np.ndarray)]
+        sizes = [v.size for t in m.timesteps for v in vars(m.model_at(t)).values()
+                 if isinstance(v, np.ndarray)]
         assert sizes and max(sizes) < n * n
 
 
@@ -507,20 +513,20 @@ def test_model_file_stores_shared_inputs_once(tmp_path):
         assert data["y"].shape == (2, 41, 3)
         assert data["phi"].shape == (2, 3, 4)
         for k, t in enumerate((0, 10)):
-            for i, gp in enumerate(model.model_at(t).gps):
-                X, y, phi = gp.state()
-                assert np.array_equal(data["X"], X)
-                assert np.array_equal(data["y"][k][:, i], y)
-                assert np.array_equal(data["phi"][k, i], phi)
+            X, Y, phi = model.model_at(t).state()
+            assert np.array_equal(data["X"], X)
+            for i in range(3):
+                assert np.array_equal(data["y"][k][:, i], Y[:, i])
+                assert np.array_equal(data["phi"][k, i], phi[i])
 
     # the two former layouts: one X, y and phi per (timestep, dimension), and
     # one X, y and phi per timestep
     per_dim, per_t = {"timesteps": np.array([10])}, {"timesteps": np.array([10])}
-    for i, gp in enumerate(model.model_at(10).gps):
+    X, Y, phi = model.model_at(10).state()
+    for i in range(3):
         per_dim["t000010_d%d_X" % i], per_dim["t000010_d%d_y" % i], \
-            per_dim["t000010_d%d_phi" % i] = gp.state()
-    Xs, ys, phis = zip(*(gp.state() for gp in model.model_at(10).gps))
-    per_t.update(t000010_X=Xs[0], t000010_y=np.column_stack(ys), t000010_phi=np.stack(phis))
+            per_dim["t000010_d%d_phi" % i] = X, Y[:, i], phi[i]
+    per_t.update(t000010_X=X, t000010_y=Y, t000010_phi=phi)
     for name, arrays in (("per_dim_model.npz", per_dim), ("per_t_model.npz", per_t)):
         np.savez_compressed(tmp_path / name, **arrays)
         with pytest.raises(ConfigError, match=name) as info:
@@ -545,7 +551,8 @@ def _with_frozen_column(samples):
 
 @pytest.mark.parametrize("rows", [1, 201])
 def test_timestep_predict_is_each_gps_own_predict(tmp_path, rows):
-    # one shared query stack for the d GPs changes no bit of any posterior
+    # one shared query stack for the d columns changes no bit of any
+    # posterior: each column predicts as a one-column GP on its state
     samples = _with_frozen_column(linear_map_samples(n=40, seed=7)[0])
     model = fit_sensitivity_model(samples, timesteps=[0, 10])
     model.save(tmp_path / "model.npz")
@@ -554,11 +561,12 @@ def test_timestep_predict_is_each_gps_own_predict(tmp_path, rows):
     for m in (model, SensitivityModel.load(tmp_path / "model.npz")):
         for t in (0, 10):  # t = 0 is the degenerate flat map
             tm = m.model_at(t)
-            assert [gp.degenerate for gp in tm.gps] == [t == 0] * 3
+            assert list(tm.degenerate) == [t == 0] * 3
             mean, std = tm.predict(q)
             assert mean.shape == std.shape == (rows, 3)
-            for i, gp in enumerate(tm.gps):
-                own_mean, own_std = gp.predict(q)
+            X, Y, phi = tm.state()
+            for i in range(3):
+                own_mean, own_std = ExactGP.from_state(X, Y[:, i], phi[i]).predict(q)
                 assert np.array_equal(mean[:, i], own_mean)
                 assert np.array_equal(std[:, i], own_std)
 
