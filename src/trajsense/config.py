@@ -207,11 +207,10 @@ class ExperimentConfig:
                                  seed=self.seed + 1, lambda_rate=self.lambda_rate)]
 
     def perturbation_deltas(self):
-        """The first `count` deltas drawn from the plans, in recording order."""
-        deltas = []
-        for plan in self.perturbation_plans():
-            deltas.extend(sample_plan(plan))
-        return deltas[: self.count]
+        """The first `count` deltas drawn from the plans, in recording order,
+        as one (N, m) array."""
+        return np.concatenate([sample_plan(plan) for plan in self.perturbation_plans()])[
+            : self.count]
 
     def preprocess_config(self, gamma):
         return PreprocessConfig(align_method=self.align_method, max_lag=self.max_lag,

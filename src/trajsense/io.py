@@ -94,11 +94,33 @@ def _loadtxt(source, path, first_line, **kw):
                           f"{what}") from exc
 
 
-def _check_cells(path, number, line, width):
-    """A ConfigError unless line, line number `number` of path, has width cells."""
-    if line.count(",") + 1 != width:
+def _check_cells(path, number, cells, width):
+    """A ConfigError unless line number `number` of path, which has `cells`
+    cells, has width cells."""
+    if cells != width:
         raise ConfigError(f"{path}: line {number}: wrong number of cells "
-                          f"({line.count(',') + 1}, the header has {width})")
+                          f"({cells}, the header has {width})")
+
+
+def _check_lines(path, width, block=1 << 20):
+    """_check_cells of every line of path after the header, which raises for
+    the first bad one. The separators of each line are counted in binary
+    blocks of `block` bytes: no line is decoded and no copy of the file held."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        number, commas, chunk = 2, 0, b""  # the open line, its commas so far
+        for chunk in iter(lambda: fh.read(block), b""):
+            buf = np.frombuffer(chunk, np.uint8)
+            ends = np.flatnonzero(buf == ord("\n"))
+            at = np.flatnonzero(buf == ord(","))
+            per_line = np.diff(at.searchsorted(ends), prepend=-commas)
+            bad = np.flatnonzero(per_line != width - 1)
+            if bad.size:
+                _check_cells(path, number + bad[0], per_line[bad[0]] + 1, width)
+            number += ends.size
+            commas = at.size - at.searchsorted(ends[-1]) if ends.size else commas + at.size
+        if chunk[-1:] not in (b"", b"\n"):  # a last line without its line end
+            _check_cells(path, number, commas + 1, width)
 
 
 def _rows(fh, path, width, **kw):
@@ -109,7 +131,7 @@ def _rows(fh, path, width, **kw):
     first = fh.readline()
     if not first:
         return None
-    _check_cells(path, 2, first, width)
+    _check_cells(path, 2, first.count(",") + 1, width)
     fh.seek(start)
     return _loadtxt(fh, path, 2, **kw)
 
@@ -133,7 +155,7 @@ def read_trajectory(path):
     # a blank row
     blank = [lines.index("")] if "" in lines else []
     for i in sorted([0, n - 1] + blank):
-        _check_cells(path, i + 2, lines[i], len(TRAJ_HEADER))
+        _check_cells(path, i + 2, lines[i].count(",") + 1, len(TRAJ_HEADER))
     angles = np.empty((n, 3))
     velocities = np.empty((n, 3))
     # every row but the terminal one carries torques
@@ -207,12 +229,15 @@ def _recordings(path, head):
 
 def read_samples(path):
     """A sample CSV as a SampleSet. The file must hold whole recordings,
-    rows t = 0..T in order repeating one dtheta; else ConfigError names the
-    first bad line. The dtheta_norm column is not read back."""
+    rows t = 0..T in order repeating one dtheta, each row with the header's
+    cells; else ConfigError names the first bad line. The dtheta_norm column
+    is not read back."""
     from .sensitivity import SampleSet
 
     with open(path, newline="") as fh:
         header = _header(fh)
+        # loadtxt with usecols reads a row with too many or too few cells
+        _check_lines(path, len(header))
         m = sum(1 for h in header if h.startswith("dtheta_") and h != "dtheta_norm")
         d = sum(1 for h in header if h.startswith("dx_"))
         start = fh.tell()
@@ -238,9 +263,10 @@ def write_perturbations(nominal, deltas, path):
 
 
 def read_perturbations(path, nominal):
-    """The perturbation of each row of a perturbation CSV from nominal. The
-    header must have one theta column per entry of nominal, and every row the
-    header's cells; else ConfigError names the file (and the first bad line)."""
+    """The perturbation of each row of a perturbation CSV from nominal, as
+    one (N, m) array. The header must have one theta column per entry of
+    nominal, and every row the header's cells; else ConfigError names the
+    file (and the first bad line)."""
     nominal = np.asarray(nominal, dtype=float)
     with open(path, newline="") as fh:
         width = len(_header(fh))
@@ -249,8 +275,8 @@ def read_perturbations(path, nominal):
                               f"{nominal.size} parameters")
         data = _rows(fh, path, width)
     if data is None:
-        return []
-    return list(data[:, 1:] - nominal)
+        return np.empty((0, nominal.size))
+    return data[:, 1:] - nominal
 
 
 def write_metrics(row, per_t, path_summary, path_per_t):

@@ -3,8 +3,10 @@
 Two randomized schemes feed the training phase: 'gaussian' draws a scale
 from an exponential distribution and then a zero-mean normal perturbation
 with that scale times ||theta_nominal||; 'uniform' draws each parameter from
-a declared interval (or freezes it). 'basis' produces orthonormal axis
-directions plus scaled steps for direct finite differencing.
+a declared interval (or freezes it). Either draws its perturbations as one
+(count, m) array. basis_directions, which is not a scheme, produces
+orthonormal axis directions plus scaled steps for direct finite
+differencing.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-SCHEMES = ("gaussian", "uniform", "basis")
+SCHEMES = ("gaussian", "uniform")
 
 
 @dataclass
@@ -73,17 +75,17 @@ def sample_gaussian(plan):
 
     Each sample first draws e ~ Exponential(lambda_rate) (mean 1/lambda) and
     then delta_theta ~ Normal(0, (e * ||nominal||_2)^2 * I). Deterministic
-    under plan.seed.
+    under plan.seed. Returns a (count, m) array.
     """
     if plan.scheme != "gaussian":
         raise ConfigError("plan scheme must be 'gaussian'")
     rng = np.random.default_rng(plan.seed)
     m = plan.nominal.size
     norm = float(np.linalg.norm(plan.nominal))
-    out = []
-    for _ in range(plan.count):
+    out = np.empty((plan.count, m))
+    for row in out:  # the scale and then the normal of each sample, in that order
         scale = rng.exponential(1.0 / plan.lambda_rate)
-        out.append(rng.normal(0.0, 1.0, size=m) * (scale * norm))
+        row[:] = rng.normal(0.0, 1.0, size=m) * (scale * norm)
     return out
 
 
@@ -91,29 +93,21 @@ def sample_uniform(plan):
     """Draw plan.count perturbations from per-parameter uniform intervals.
 
     Parameters with a None range stay at their nominal value (delta 0).
-    Returns delta_theta = theta' - nominal for each draw.
+    Returns delta_theta = theta' - nominal for each draw as a (count, m)
+    array; the draws run sample by sample, parameter by parameter.
     """
     if plan.scheme != "uniform":
         raise ConfigError("plan scheme must be 'uniform'")
     rng = np.random.default_rng(plan.seed)
-    out = []
-    for _ in range(plan.count):
-        theta = plan.nominal.copy()
-        for i, r in enumerate(plan.ranges):
-            if r is None:
-                continue
-            low, high = r
-            theta[i] = rng.uniform(low, high)
-        out.append(theta - plan.nominal)
-    return out
+    live = [i for i, r in enumerate(plan.ranges) if r is not None]
+    low, high = np.array([plan.ranges[i] for i in live], dtype=float).reshape(-1, 2).T
+    thetas = np.tile(plan.nominal, (plan.count, 1))
+    thetas[:, live] = rng.uniform(low, high, (plan.count, len(live)))
+    return thetas - plan.nominal
 
 
 def sample(plan):
-    if plan.scheme == "gaussian":
-        return sample_gaussian(plan)
-    if plan.scheme == "uniform":
-        return sample_uniform(plan)
-    raise ConfigError(f"cannot sample from scheme {plan.scheme!r}")
+    return sample_gaussian(plan) if plan.scheme == "gaussian" else sample_uniform(plan)
 
 
 def basis_directions(m, scale):

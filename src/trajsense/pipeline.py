@@ -157,7 +157,7 @@ def _per_sample_noise(cfg, index):
     """Each recording gets its own lag and noise seed, like separate runs."""
     base = cfg.noise
     if base.is_clean:
-        return None
+        return NoiseConfig()
     rng = np.random.default_rng((cfg.seed, 77, index))
     shift = 0
     if base.temporal_shift != 0:
@@ -168,21 +168,25 @@ def _per_sample_noise(cfg, index):
 
 
 def stage_simulate(cfg, out):
-    """Roll out the source and every perturbation as one batch, then write them."""
+    """Roll out the source and every perturbation as one clean batch, then
+    give each recording its noise, write it and drop it, so no more than one
+    noisy recording is held at a time."""
     deltas = cfg.perturbation_deltas()
-    policies = [cfg.policy] + [cfg.policy.with_theta(cfg.policy.theta + d) for d in deltas]
-    noises = [None] + [_per_sample_noise(cfg, i) for i in range(len(deltas))]
-    trajs = rollout_batch(policies, cfg.x0, cfg.n_steps, cfg.dt, cfg.mode, noises)
+    theta = cfg.policy.theta
+    trajs = rollout_batch(cfg.policy, np.vstack([theta, theta + deltas]), cfg.x0,
+                          cfg.n_steps, cfg.dt, cfg.mode)
 
     paths = []
     names = ["source"] + [f"sample_{i:04d}" for i in range(len(deltas))]
-    for name, traj in zip(names, trajs):
+    # the source stays the clean reference
+    noises = [NoiseConfig()] + [_per_sample_noise(cfg, i) for i in range(len(deltas))]
+    for name, traj, noise in zip(names, trajs, noises):
         p = _output(out, f"trajectories/{name}.csv")
-        tio.write_trajectory(traj, p)
+        tio.write_trajectory(noise.apply(traj), p)
         paths += [p, p + ".meta"]
 
     pert_path = _output(out, "samples/perturbations.csv")
-    tio.write_perturbations(cfg.policy.theta, deltas, pert_path)
+    tio.write_perturbations(theta, deltas, pert_path)
     return paths + [pert_path]
 
 
@@ -210,7 +214,7 @@ def stage_build(cfg, out, handoff=None):
     slot = {i: (name, row) for name, idx in splits.items() for row, i in enumerate(idx)}
     grids = {gamma: voxelized_source(source, gamma) for gamma in cfg.gamma_sweep}
     sets = {(gamma, name): SampleSet(
-                delta_theta=np.array([deltas[i] for i in idx]),
+                delta_theta=deltas[idx],
                 delta_x=np.empty((len(idx),) + source.angles.shape))
             for gamma in grids for name, idx in splits.items()}
     # alignment does not depend on gamma: once per recording, voxels per gamma

@@ -75,6 +75,18 @@ class NoiseConfig:
     def is_clean(self):
         return self.temporal_shift == 0 and not np.any(self.spatial_std > 0)
 
+    def apply(self, traj):
+        """traj as recorded under this noise: the seed goes into meta, the
+        whole trajectory shifts by temporal_shift, then every angle gets its
+        Gaussian noise. traj itself is left as it is."""
+        out = Trajectory(traj.dt, traj.angles, traj.velocities, traj.torques,
+                         dict(traj.meta, seed=self.seed))
+        if self.temporal_shift != 0:
+            out = inject_temporal_noise(out, self.temporal_shift)
+        if np.any(self.spatial_std > 0):
+            out = inject_spatial_noise(out, self.spatial_std, self.seed)
+        return out
+
 
 DYNAMICS_TAGS = ("linear", "pendulum3")
 
@@ -194,46 +206,39 @@ def step(state, torque, dt, mode):
     return JointState(new_x, new_v)
 
 
-def rollout(policy, x0, n_steps, dt, mode, noise=None):
+def rollout(policy, x0, n_steps, dt, mode):
     """Roll the policy out for n_steps and return the recorded Trajectory.
 
-    Deterministic given (policy, x0, n_steps, dt, mode, noise.seed): with a
-    clean NoiseConfig repeated calls give bit-identical trajectories. This is
+    Deterministic: repeated calls give bit-identical trajectories. This is
     rollout_batch with a batch of one.
     """
-    return rollout_batch([policy], x0, n_steps, dt, mode, [noise])[0]
+    return rollout_batch(policy, policy.theta[None], x0, n_steps, dt, mode)[0]
 
 
-def rollout_batch(policies, x0, n_steps, dt, mode, noises=None):
-    """Roll N policies of one family out in lockstep from the same x0.
+def rollout_batch(policy, thetas, x0, n_steps, dt, mode):
+    """Roll the policy out in lockstep from the same x0 once per row of the
+    (N, m) parameter stack thetas.
 
-    The policies must share their family and fixed constants and differ only
-    in theta. The state is advanced as one (N, 3) array per step; each row
-    sees the same floating-point operations as a rollout of its policy alone,
-    so trajectory i equals rollout(policies[i], ...) bit for bit. noises is
-    None or one NoiseConfig (or None) per policy; noise is injected into each
-    recording after its clean rollout. Returns a list of N Trajectories.
+    The state is advanced as one (N, 3) array per step; each row sees the
+    same floating-point operations as a rollout alone, so trajectory i equals
+    rollout(policy.with_theta(thetas[i]), ...) bit for bit. The recordings
+    are clean (NoiseConfig.apply adds noise) and share the batch's arrays.
+    Returns a list of N Trajectories.
     """
     from .controllers import torque_at  # local import: controllers import sim types
 
     if n_steps < 1:
         raise InvalidStateError("n_steps must be >= 1")
-    policies = list(policies)
-    if not policies:
-        raise InvalidStateError("need at least one policy")
-    lead = policies[0]
-    for p in policies[1:]:
-        if p.family != lead.family or not _same_fixed(p.fixed, lead.fixed):
-            raise InvalidStateError("batched policies must share family and fixed constants")
-    noises = [None] * len(policies) if noises is None else list(noises)
-    if len(noises) != len(policies):
-        raise InvalidStateError("need one noise setting per policy")
+    thetas = np.asarray(thetas, dtype=float)
+    if (thetas.ndim != 2 or thetas.shape[0] < 1 or thetas.shape[1] != policy.theta.size
+            or not np.all(np.isfinite(thetas))):
+        raise InvalidStateError(f"need a finite (N, {policy.theta.size}) parameter stack "
+                                f"with N >= 1, got shape {thetas.shape}")
     x0_angles = np.asarray(x0.angles, dtype=float)
     if np.any(x0_angles < JOINT_LOW) or np.any(x0_angles > JOINT_HIGH):
         raise InvalidStateError("initial angles outside joint limits")
 
-    n = len(policies)
-    thetas = np.stack([p.theta for p in policies])
+    n = thetas.shape[0]
     x = np.tile(x0_angles, (n, 1))
     v = np.tile(np.asarray(x0.velocities, dtype=float), (n, 1))
     # recording-major storage: angles[i] is recording i's contiguous (T+1, 3)
@@ -244,7 +249,7 @@ def rollout_batch(policies, x0, n_steps, dt, mode, noises=None):
     velocities[:, 0] = v
     for k in range(n_steps):
         try:
-            u = torque_at(lead, k, k * dt, x, v, theta=thetas)
+            u = torque_at(policy, k, k * dt, x, v, theta=thetas)
         except Exception as exc:  # noqa: BLE001 - wrap with timestep context
             raise PolicyEvalError(f"controller failed at step {k}: {exc}", timestep=k) from exc
         u = u.clip(-TORQUE_CAP, TORQUE_CAP)
@@ -253,27 +258,14 @@ def rollout_batch(policies, x0, n_steps, dt, mode, noises=None):
         angles[:, k + 1] = x
         velocities[:, k + 1] = v
 
-    trajs = []
-    for i, (policy, noise) in enumerate(zip(policies, noises)):
-        traj = Trajectory(dt, angles[i], velocities[i], torques[i], meta={
-            "policy_id": policy.policy_id(),
-            "seed": noise.seed if noise is not None else 0,
-            "dt": dt,
-            "mode": mode.tag,
-            "temporal_shift": 0,
-            "spatial_std": (0.0, 0.0, 0.0),
-        })
-        if noise is not None and not noise.is_clean:
-            if noise.temporal_shift != 0:
-                traj = inject_temporal_noise(traj, noise.temporal_shift)
-            if np.any(noise.spatial_std > 0):
-                traj = inject_spatial_noise(traj, noise.spatial_std, noise.seed)
-        trajs.append(traj)
-    return trajs
-
-
-def _same_fixed(a, b):
-    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+    return [Trajectory(dt, angles[i], velocities[i], torques[i], meta={
+                "policy_id": policy.with_theta(theta).policy_id(),
+                "seed": 0,
+                "dt": dt,
+                "mode": mode.tag,
+                "temporal_shift": 0,
+                "spatial_std": (0.0, 0.0, 0.0),
+            }) for i, theta in enumerate(thetas)]
 
 
 def inject_temporal_noise(traj, n):
@@ -308,10 +300,13 @@ def inject_spatial_noise(traj, spatial_std, seed):
     if np.any(spatial_std < 0):
         raise InvalidStateError("spatial_std must be nonnegative")
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, 1.0, size=traj.angles.shape) * spatial_std
-    out = Trajectory(traj.dt, traj.angles + noise, traj.velocities.copy(),
-                     traj.torques.copy(), dict(traj.meta))
+    noise = rng.normal(0.0, 1.0, size=traj.angles.shape)
+    noise *= spatial_std
+    sup = float(np.max(np.abs(noise)))
+    # velocities and torques are shared: no trajectory is written in place
+    out = Trajectory(traj.dt, traj.angles + noise, traj.velocities, traj.torques,
+                     dict(traj.meta))
     out.meta["spatial_std"] = tuple(float(s) for s in spatial_std)
     out.meta["seed"] = seed
-    out.meta["spatial_sup_deviation"] = float(np.max(np.abs(noise)))
+    out.meta["spatial_sup_deviation"] = sup
     return out

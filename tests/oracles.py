@@ -5,8 +5,8 @@ combinatorial closed-form sums instead of iterated stepping, one-shot
 exponential solutions, homogeneous matrix powers for closed-loop maps,
 exhaustive brute-force sweeps, one object per training sample,
 row-by-row csv-module writers for the file formats, one GP query per
-point for the block queries, the former rollout loop, and verification
-over the whole horizon. Keep this module
+point for the block queries, the former rollout loop, verification over
+the whole horizon, and the former per-sample perturbation draws. Keep this module
 free of trajsense imports so the oracles cannot inherit a library bug.
 """
 
@@ -349,3 +349,42 @@ def full_horizon_plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
             "miss": miss, "source_miss": source_miss, "improved": bool(miss < source_miss),
             "improvement": improvement, "n_roots": result.n_roots,
             "extrapolated": result.extrapolated}
+
+
+# -- the former perturbation draws ---------------------------------------------------
+# sample_gaussian, sample_uniform and ExperimentConfig.perturbation_deltas as
+# they drew before the deltas became one (N, m) array: a list of (m,) arrays,
+# one scalar uniform draw per live parameter. Plans and configs are duck typed
+# (scheme/nominal/count/seed/lambda_rate/ranges; perturbation_plans()/count).
+
+
+def former_sample_gaussian(plan):
+    rng = np.random.default_rng(plan.seed)
+    norm = float(np.linalg.norm(plan.nominal))
+    out = []
+    for _ in range(plan.count):
+        scale = rng.exponential(1.0 / plan.lambda_rate)
+        out.append(rng.normal(0.0, 1.0, size=plan.nominal.size) * (scale * norm))
+    return out
+
+
+def former_sample_uniform(plan):
+    rng = np.random.default_rng(plan.seed)
+    out = []
+    for _ in range(plan.count):
+        theta = plan.nominal.copy()
+        for i, r in enumerate(plan.ranges):
+            if r is None:
+                continue
+            low, high = r
+            theta[i] = rng.uniform(low, high)
+        out.append(theta - plan.nominal)
+    return out
+
+
+def former_perturbation_deltas(cfg):
+    deltas = []
+    for plan in cfg.perturbation_plans():
+        draw = former_sample_gaussian if plan.scheme == "gaussian" else former_sample_uniform
+        deltas.extend(draw(plan))
+    return deltas[: cfg.count]

@@ -257,7 +257,7 @@ def test_criterion_6_zero_shot_planning():
         source = pd_rollout(KP_S)
         # one batch, bit-equal to 100 single rollouts (tests/test_sim.py)
         kps = rng.uniform(0.2, 0.6, size=100)
-        trajs = rollout_batch([pd_policy(kp) for kp in kps],
+        trajs = rollout_batch(pd_policy(KP_S), np.column_stack([kps, np.full(kps.size, KD)]),
                               JointState(START_POSE, np.zeros(3)), T, DT, mode)
         perturbed = [(np.array([kp - KP_S, 0.0]), traj) for kp, traj in zip(kps, trajs)]
         model = fit_sensitivity_model(build_samples(source, perturbed),

@@ -49,3 +49,13 @@ def test_a_parent_spread_past_the_bound_is_unresolved(bench_pairs):
     out = bench_pairs.summarize(_runs(parent), _runs([v * 1.01 for v in parent]), SPEC)
     assert out["setup_s"]["verdict"] == "unresolved"
     assert out["setup_s"]["change_wins"] == 0 and out["setup_s"]["parent_wins"] == 10
+
+
+@pytest.mark.parametrize("rounds, spread", [
+    ([2.0], 0.0),                     # one round: no spread
+    ([1.0, 2.0, 3.0, 4.0, 5.0], 2.0 / 3.0),  # quartiles 2 and 4 around a median of 3
+    ([2.2, 1.6, 2.6, 1.8], 0.55 / 2.0),     # unsorted; quartiles 1.75 and 2.3, median 2
+])
+def test_round_spread_is_the_rounds_iqr_over_their_median(bench_pairs, rounds, spread):
+    run = {"info": {"round_s": rounds}}
+    assert bench_pairs.round_spread(run) == pytest.approx(spread)

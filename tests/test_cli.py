@@ -17,13 +17,13 @@ from trajsense import gp as gp_mod
 from trajsense import io as tio
 from trajsense.cli import main
 from trajsense.config import load_config
-from trajsense.errors import ConfigError, DatasetError
+from trajsense.errors import ConfigError, DatasetError, FitError, StageError
 from trajsense.gp import ExactGP
 from trajsense.pipeline import emit_plot_data, run_pipeline
 from trajsense.sensitivity import SensitivityModel, build_samples, fit_sensitivity_model
 from trajsense.sim import START_POSE
 
-from oracles import per_point_gp_evolution, posterior_error_bounds
+from oracles import former_perturbation_deltas, per_point_gp_evolution, posterior_error_bounds
 
 SMALL_CFG = """
 [experiment]
@@ -171,6 +171,126 @@ def test_build_holds_one_recording_at_a_time(tmp_path):
         tracemalloc.stop()
     assert sum(s.delta_x.nbytes + s.delta_theta.nbytes for s in handoff.values()) == dense
     assert peak <= 1.25 * dense, f"peak {peak / 1e6:.2f} MB, dense {dense / 1e6:.2f} MB"
+
+
+NOISY = ("n_steps = 200", "n_steps = 200\ntemporal_shift = 5\n"
+                          "spatial_std = 0.001, 0.001, 0.001")
+
+
+def test_simulate_holds_one_noisy_recording_at_a_time(tmp_path, monkeypatch):
+    # the clean batch is held whole; each recording gets its noise, is written
+    # and dropped. When rollout_batch added the noise it returned every noisy
+    # copy at once: the clean batch plus N recordings. The writer is replaced,
+    # so its own formatting buffers do not count
+    text = SMALL_CFG.replace(*NOISY).replace("n_steps = 200", "n_steps = 5000")
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    cfg, out = load_config(str(path)), str(tmp_path / "out")
+    shifts = []
+    monkeypatch.setattr(tio, "write_trajectory",
+                        lambda traj, path: shifts.append(traj.meta["temporal_shift"]))
+    recording = (2 * (cfg.n_steps + 1) + cfg.n_steps) * 3 * 8  # angles, velocities, torques
+    clean_batch = (cfg.count + 1) * recording
+    tracemalloc.start()
+    try:
+        pipeline.stage_simulate(cfg, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(shifts) == cfg.count + 1 and shifts[0] == 0 and any(shifts)
+    assert peak <= clean_batch + 2 * recording, \
+        f"peak {peak / 1e6:.2f} MB, clean batch {clean_batch / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("edits", [
+    (),
+    (NOISY, ("scheme = uniform", "scheme = gaussian\nlambda_sweep = 5, 50, 500\n"
+                                 "n_per_lambda = 10"), ("ranges = 0.2:0.6, ~", "")),
+], ids=["uniform", "gaussian-sweep"])
+def test_perturb_writes_the_perturbations_simulate_writes(tmp_path, edits):
+    text = SMALL_CFG
+    for old, new in edits:
+        text = text.replace(old, new)
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    alone, simulated = str(tmp_path / "perturb"), str(tmp_path / "simulate")
+    assert main(["perturb", "--config", str(path), "--out", alone]) == 0
+    assert main(["simulate", "--config", str(path), "--out", simulated]) == 0
+    rel = os.path.join("samples", "perturbations.csv")
+    written = open(os.path.join(alone, rel), "rb").read()
+    assert written == open(os.path.join(simulated, rel), "rb").read()
+    assert written.count(b"\r\n") == 1 + 24
+
+
+def test_perturbation_deltas_draw_as_the_former_list_loop(tmp_path):
+    # a shortened gaussian sweep: 3 rates x 10 draws, cut to the first 24,
+    # then 3 rates x count // 3; and every preset
+    text = SMALL_CFG.replace("scheme = uniform", "scheme = gaussian\nlambda_sweep = 5, 50, "
+                             "500").replace("ranges = 0.2:0.6, ~", "")
+    configs = []
+    for extra in ("\nn_per_lambda = 10", ""):
+        path = tmp_path / "exp.ini"
+        path.write_text(text.replace("lambda_sweep = 5, 50, 500",
+                                     "lambda_sweep = 5, 50, 500" + extra))
+        configs.append(load_config(str(path)))
+    from trajsense.cli import PRESET_DIR
+    configs += [load_config(os.path.join(PRESET_DIR, name))
+                for name in sorted(os.listdir(PRESET_DIR))]
+    assert [len(c.perturbation_plans()) for c in configs[:2]] == [3, 3]
+    for cfg in configs:
+        deltas = cfg.perturbation_deltas()
+        assert deltas.shape == (cfg.count, cfg.policy.theta.size), cfg.label
+        assert np.array_equal(deltas, np.stack(former_perturbation_deltas(cfg))), cfg.label
+
+
+def test_run_with_a_seed_flag_equals_a_config_with_that_seed(tmp_path):
+    text = SMALL_CFG.replace(*NOISY)
+    flagged, seeded = tmp_path / "flag.ini", tmp_path / "seed.ini"
+    flagged.write_text(text)
+    seeded.write_text(text.replace("seed = 5", "seed = 9"))
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["run", "--config", str(flagged), "--out", a, "--seed", "9"]) == 0
+    assert main(["run", "--config", str(seeded), "--out", b]) == 0
+    dirs = ("trajectories", "samples", "models", "metrics", "planning")
+    assert _tree(a, *dirs) == _tree(b, *dirs)
+    assert open(os.path.join(a, "manifest.ini")).read() == \
+        open(os.path.join(b, "manifest.ini")).read()
+    assert pipeline.Manifest(a).stages != {}
+    c = str(tmp_path / "c")
+    assert main(["run", "--config", str(flagged), "--out", c]) == 0
+    assert pipeline.Manifest(c).stages != pipeline.Manifest(a).stages
+
+
+def test_a_failed_stage_is_named_and_a_rerun_resumes_at_it(cfg_file, tmp_path, capsys,
+                                                           monkeypatch):
+    out = str(tmp_path / "out")
+    stage_fit = pipeline.stage_fit
+
+    def failing(*args, **kwargs):
+        raise FitError("kernel not positive definite")
+
+    monkeypatch.setattr(pipeline, "stage_fit", failing)
+    with pytest.raises(StageError) as info:
+        run_pipeline(load_config(cfg_file), out)
+    assert info.value.stage == "fit" and isinstance(info.value.__cause__, FitError)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg_file, "--out", out]) == 3
+    assert "stage 'fit' failed: kernel not positive definite" in capsys.readouterr().err
+    manifest = pipeline.Manifest(out)
+    assert sorted(manifest.stages) == ["build", "simulate"]
+    assert any(rel.startswith("trajectories/") for rel in manifest.files)
+    assert any(rel.startswith("samples/train_") for rel in manifest.files)
+    assert not any(rel.startswith("models/") for rel in manifest.files)
+
+    # the fault removed, a rerun resumes at fit and simulates nothing again
+    monkeypatch.setattr(pipeline, "stage_fit", stage_fit)
+    ran = []
+    record = pipeline.Manifest.record
+    monkeypatch.setattr(pipeline.Manifest, "record", lambda self, stage, *rest: (
+        ran.append(stage), record(self, stage, *rest)))
+    monkeypatch.setattr(pipeline, "rollout_batch", lambda *args: pytest.fail("simulated"))
+    assert main(["run", "--config", cfg_file, "--out", out]) == 0
+    assert ran == ["fit", "evaluate", "plan"]
 
 
 def test_workers_do_not_change_results(tmp_path):
@@ -491,6 +611,12 @@ def _not_a_number(line, column):
     pytest.param("evaluate", "samples/test_g0.csv", _not_a_number(30, 5), 2,
                  "samples/test_g0.csv: line 30, column 5: could not convert string 'x",
                  id="samples-cell"),
+    pytest.param("evaluate", "samples/test_g0.csv", _cells(31, lambda cells: cells + ["0"]), 2,
+                 "samples/test_g0.csv: line 31: wrong number of cells (8, the header has 7)",
+                 id="samples-extra-cell"),
+    pytest.param("evaluate", "samples/test_g0.csv", _cells(41, lambda cells: cells[:-1]), 2,
+                 "samples/test_g0.csv: line 41: wrong number of cells (6, the header has 7)",
+                 id="samples-missing-cell"),
     pytest.param("build", "trajectories/sample_0003.csv", _drop_last_rows(10), 3,
                  "trajectories/sample_0003.csv: perturbed trajectory length/dt mismatch",
                  id="trajectory-truncated"),

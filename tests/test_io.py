@@ -175,6 +175,32 @@ def test_read_samples_rejects_partial_recordings(tmp_path, kind, line):
         tio.read_samples(path)
 
 
+@pytest.mark.parametrize("block", [1, 5, 64, 1 << 20])
+def test_every_sample_line_has_its_cells_counted_across_blocks(tmp_path, block):
+    # loadtxt with usecols read a later row with an extra cell, or without its
+    # last one, as if it were whole
+    path = str(tmp_path / "samples.csv")
+    tio.write_samples(awkward_samples(3, 4, 2, seed=4), path)
+    lines = _sample_lines(path)  # header, 3 recordings x t = 0..3, trailing ""
+    width = lines[0].count(",") + 1
+    cases = [(None, lines), (None, lines[:-1])]  # whole, and without the last line end
+    for number in (2, 7, 13):
+        for edit in (lambda cells: cells + ["0"], lambda cells: cells[:-1]):
+            edited = list(lines)
+            edited[number - 1] = ",".join(edit(edited[number - 1].split(",")))
+            cells = edited[number - 1].count(",") + 1
+            cases += [((number, cells), edited), ((number, cells), edited[:-1])]
+    for bad, edited in cases:
+        with open(path, "w", newline="") as fh:
+            fh.write("\r\n".join(edited))
+        if bad is None:
+            tio._check_lines(path, width, block)
+            continue
+        with pytest.raises(ConfigError, match=rf"samples.csv: line {bad[0]}: wrong number "
+                                              rf"of cells \({bad[1]}, the header has {width}\)"):
+            tio._check_lines(path, width, block)
+
+
 def test_read_samples_of_an_empty_file_is_empty(tmp_path):
     path = tmp_path / "samples.csv"
     path.write_text("t,dtheta_1,dtheta_2,dx_1,dx_2,dx_3,dtheta_norm\r\n")
@@ -225,7 +251,7 @@ def test_perturbation_writer_matches_rowwise_csv_bytes(tmp_path):
     tio.write_perturbations(nominal, [], new)
     oracles.csv_write_perturbations(nominal, [], ref)
     assert open(new, "rb").read() == open(ref, "rb").read()
-    assert tio.read_perturbations(new, nominal) == []
+    assert tio.read_perturbations(new, nominal).shape == (0, 2)
 
 
 def test_read_rejects_headerless_and_empty_trajectory(tmp_path):

@@ -10,6 +10,8 @@ from trajsense.perturb import (
     sample_uniform,
 )
 
+from oracles import former_sample_gaussian, former_sample_uniform
+
 NOMINAL = np.array([1e-5, 1e-4, -1e-5, -0.28, -0.15, -0.08])
 
 SUPPORTED_LAMBDAS = (1, 5, 10, 50, 100, 500, 1000, 5000)
@@ -101,6 +103,32 @@ def test_uniform_deterministic_under_seed():
     a = sample_uniform(plan)
     b = sample_uniform(plan)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("ranges, nominal", [
+    (((-0.5, 1.5), None), [1.0, 0.01]),
+    ((None, (0.1, 0.3), None, (-2.0, 2.0), (0.0, 1.0), None), NOMINAL),
+    ((None, None), [1.0, 2.0]),
+], ids=["first-live", "mixed", "all-frozen"])
+def test_uniform_stack_equals_the_former_scalar_draws(ranges, nominal):
+    for seed in (0, 11, 42):
+        plan = uniform_plan(ranges, np.array(nominal), count=37, seed=seed)
+        draws = sample_uniform(plan)
+        assert draws.shape == (37, len(nominal))
+        assert np.array_equal(draws, np.stack(former_sample_uniform(plan)))
+
+
+def test_gaussian_stack_equals_the_former_draws():
+    for lam in (1, 100, 5000):
+        plan = gaussian_plan(lam, count=40, seed=3)
+        assert np.array_equal(sample_gaussian(plan), np.stack(former_sample_gaussian(plan)))
+
+
+def test_basis_is_not_a_sampling_scheme():
+    # basis probes come from basis_directions; a 'basis' plan used to be
+    # accepted here and then rejected by sample()
+    with pytest.raises(ConfigError, match="unknown perturbation scheme 'basis'"):
+        PerturbationPlan("basis", NOMINAL, count=5)
 
 
 def test_basis_canonical_axes():

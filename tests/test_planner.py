@@ -259,7 +259,8 @@ def horizon_model(request):
     x0 = JointState(START_POSE, np.zeros(3))
     kps = np.random.default_rng(2).uniform(0.2, 0.6, size=30)
     source = rollout(pd_policy(KP_SOURCE), x0, HORIZON, DT, mode)
-    trajs = rollout_batch([pd_policy(kp) for kp in kps], x0, HORIZON, DT, mode)
+    trajs = rollout_batch(pd_policy(KP_SOURCE), np.column_stack([kps, np.full(kps.size, KD)]),
+                          x0, HORIZON, DT, mode)
     samples = build_samples(source, [(np.array([kp - KP_SOURCE, 0.0]), traj)
                                      for kp, traj in zip(kps, trajs)])
     model = fit_sensitivity_model(samples, timesteps=[1, HORIZON // 2, HORIZON],

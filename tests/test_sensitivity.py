@@ -132,7 +132,7 @@ def lagged_ramps():
     """A source and 24 perturbed ramp recordings, each lagged by up to 8 steps."""
     rng = np.random.default_rng(11)
     deltas = rng.normal(size=(24, 6)) * 1e-2
-    trajs = rollout_batch([ramp_policy(RAMP_THETA + d) for d in deltas],
+    trajs = rollout_batch(ramp_policy(), RAMP_THETA + deltas,
                           JointState(START_POSE, np.zeros(3)), 200, DT, LINEAR)
     return ramp_rollout(T=200), [inject_temporal_noise(tr, int(rng.integers(-8, 9)))
                                  for tr in trajs]
@@ -327,9 +327,9 @@ def pd_samples(n=30, T=300):
     mode = DynamicsMode("pendulum3", damping=0.8, gravity_gain=0.3)
     x0 = JointState(START_POSE, np.zeros(3))
     deltas = np.column_stack([np.random.default_rng(3).uniform(-0.5, 1.5, n), np.zeros(n)])
-    policies = [PolicySpec("pd_feedback", np.array([1.0, 0.01]) + d, {"x_star": x_star})
-                for d in np.vstack([np.zeros((1, 2)), deltas])]
-    trajs = rollout_batch(policies, x0, T, DT, mode)
+    policy = PolicySpec("pd_feedback", np.array([1.0, 0.01]), {"x_star": x_star})
+    trajs = rollout_batch(policy, policy.theta + np.vstack([np.zeros((1, 2)), deltas]), x0,
+                          T, DT, mode)
     return build_samples(trajs[0], list(zip(deltas, trajs[1:])))
 
 

@@ -102,8 +102,8 @@ def test_rollout_deterministic_without_noise():
 
 def test_rollout_deterministic_with_seeded_noise():
     noise = NoiseConfig(temporal_shift=3, spatial_std=np.full(3, 0.01), seed=42)
-    a = rollout(ramp_policy(), zero_state(), 200, 0.01, LINEAR, noise)
-    b = rollout(ramp_policy(), zero_state(), 200, 0.01, LINEAR, noise)
+    a = noise.apply(rollout(ramp_policy(), zero_state(), 200, 0.01, LINEAR))
+    b = noise.apply(rollout(ramp_policy(), zero_state(), 200, 0.01, LINEAR))
     assert np.array_equal(a.angles, b.angles)
 
 
@@ -217,13 +217,23 @@ PENDULUM = DynamicsMode("pendulum3", damping=0.8, gravity_gain=0.3)
 X_STAR = np.array([np.pi / 10, 3 * np.pi / 4, 7 * np.pi / 12])
 
 
+def _stack(policies):
+    """The lead policy and the (N, m) parameter stack of policies of one family."""
+    return policies[0], np.stack([p.theta for p in policies])
+
+
 def assert_batch_equals_single(policies, mode, n_steps, noises=None, x0=None):
+    """Each batch row, with noises[i] applied if given, against the same
+    noise applied to a rollout of policies[i] alone; returns the rows."""
     x0 = JointState(START_POSE, np.zeros(3)) if x0 is None else x0
-    batch = rollout_batch(policies, x0, n_steps, 0.01, mode, noises)
-    noises = noises or [None] * len(policies)
+    batch = rollout_batch(*_stack(policies), x0, n_steps, 0.01, mode)
     assert len(batch) == len(policies)
-    for traj, policy, noise in zip(batch, policies, noises):
-        single = rollout(policy, x0, n_steps, 0.01, mode, noise)
+    if noises is not None:
+        batch = [noise.apply(traj) for noise, traj in zip(noises, batch)]
+    for i, (traj, policy) in enumerate(zip(batch, policies)):
+        single = rollout(policy, x0, n_steps, 0.01, mode)
+        if noises is not None:
+            single = noises[i].apply(single)
         assert np.array_equal(traj.angles, single.angles)
         assert np.array_equal(traj.velocities, single.velocities)
         assert np.array_equal(traj.torques, single.torques)
@@ -283,7 +293,7 @@ def test_batch_equals_single_across_joint_limit_hits():
 def test_batch_equals_single_with_temporal_and_spatial_noise():
     policies = [PolicySpec("sinusoidal", [a, 0.01], {"joints": (3,)})
                 for a in (0.3, 0.45, 0.6, 0.7)]
-    noises = [None,
+    noises = [NoiseConfig(),
               NoiseConfig(temporal_shift=7, seed=3),
               NoiseConfig(spatial_std=np.full(3, 0.005), seed=4),
               NoiseConfig(temporal_shift=-12, spatial_std=np.array([0.01, 0.0, 0.02]),
@@ -293,17 +303,15 @@ def test_batch_equals_single_with_temporal_and_spatial_noise():
     assert batch[2].meta["spatial_sup_deviation"] > 0
 
 
-def test_batch_rejects_mixed_policies():
+def test_batch_rejects_a_stack_of_the_wrong_width():
+    # one policy and one stack cannot mix families or fixed constants; a
+    # p_feedback width, one vector that is no stack, or no row at all is an error
     x0 = JointState(START_POSE, np.zeros(3))
     pd = PolicySpec("pd_feedback", [1.0, 0.01], {"x_star": X_STAR})
-    with pytest.raises(InvalidStateError):
-        rollout_batch([pd, PolicySpec("pd_feedback", [1.0, 0.01], {"x_star": np.ones(3)})],
-                      x0, 10, 0.01, LINEAR)
-    with pytest.raises(InvalidStateError):
-        rollout_batch([pd, PolicySpec("p_feedback", [1.0], {"x_star": X_STAR})],
-                      x0, 10, 0.01, LINEAR)
-    with pytest.raises(InvalidStateError):
-        rollout_batch([pd, pd], x0, 10, 0.01, LINEAR, noises=[None])
+    for thetas in (np.ones((2, 1)), np.ones((2, 3)), np.ones(2), np.ones((0, 2)),
+                   np.array([[1.0, np.nan]])):
+        with pytest.raises(InvalidStateError):
+            rollout_batch(pd, thetas, x0, 10, 0.01, LINEAR)
 
 
 def _bits_equal(a, b):
@@ -333,7 +341,7 @@ def test_rollout_loop_matches_the_former_loop(family, mode):
     x0 = STOPPED_X0
     angles, velocities, torques = former_rollout_batch(policies, x0.angles, x0.velocities,
                                                        300, 0.01, mode)
-    trajs = rollout_batch(policies, x0, 300, 0.01, mode) + [
+    trajs = rollout_batch(*_stack(policies), x0, 300, 0.01, mode) + [
         rollout(policies[0], x0, 300, 0.01, mode)]
     for traj, i in zip(trajs, [*range(len(policies)), 0]):
         assert _bits_equal(traj.angles, angles[i])
@@ -363,8 +371,9 @@ def test_controller_failure_names_the_step(monkeypatch):
 
     failing.calls = 0
     monkeypatch.setattr(controllers, "pd_feedback", failing)
-    policies = [PolicySpec("pd_feedback", [kp, 0.01], {"x_star": X_STAR}) for kp in (0.5, 1.0)]
+    policy = PolicySpec("pd_feedback", [0.5, 0.01], {"x_star": X_STAR})
     with pytest.raises(PolicyEvalError) as info:
-        rollout_batch(policies, JointState(START_POSE, np.zeros(3)), 20, 0.01, LINEAR)
+        rollout_batch(policy, [[0.5, 0.01], [1.0, 0.01]], JointState(START_POSE, np.zeros(3)),
+                      20, 0.01, LINEAR)
     assert info.value.timestep == 7
     assert "step 7" in str(info.value)

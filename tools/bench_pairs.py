@@ -22,6 +22,11 @@ BENCHMARK.json:
 
 A run whose checks fail is kept and counted per side under "incorrect_runs".
 Runs are sequential, so the two sides never share the CPU.
+
+Per workload and side it also stores each run's round spread, the distance
+between the quartiles of its `info.round_s` over their median, and prints
+the widest: a run whose rounds spread wide ran on a machine busy with other
+load, and its `run_s` tells a regression from noise poorly.
 """
 
 import argparse
@@ -82,6 +87,12 @@ def _quartiles(values):
     return {"median": float(med), "q1": float(q1), "q3": float(q3)}
 
 
+def round_spread(run):
+    """(q3 - q1) / median of one run's round times."""
+    q = _quartiles(run["info"]["round_s"])
+    return (q["q3"] - q["q1"]) / q["median"]
+
+
 def verdict(summary, better, bound):
     """gain, worse, unresolved or within bound: see the module docstring."""
     parent, change = summary["parent"], summary["change"]
@@ -137,10 +148,15 @@ def main(argv=None):
                   for side in ("parent", "change")}
         summary = summarize(runs["parent"], runs["change"], spec)
         incorrect = {side: sum(not r["correct"] for r in runs[side]) for side in runs}
+        spread = {side: [round_spread(r) for r in runs[side]] for side in runs}
         result["workloads"][workload] = {"runs": runs, "traced": traced,
-                                         "summary": summary, "incorrect_runs": incorrect}
+                                         "summary": summary, "incorrect_runs": incorrect,
+                                         "round_spread": spread}
         print(f"{workload:14s} runs whose checks failed: parent {incorrect['parent']}, "
               f"change {incorrect['change']}", flush=True)
+        print(f"{workload:14s} widest round spread (IQR / median of a run's rounds): "
+              f"parent {max(spread['parent']):.3g}, change {max(spread['change']):.3g}",
+              flush=True)
         for name, s in summary.items():
             print(f"{workload:14s} {name:12s} parent {s['parent']['median']:.6g} "
                   f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}]  change "
