@@ -6,14 +6,13 @@ and spatial measurement noise, fits per-timestep GP maps, and uses them for
 zero-shot gain planning.
 """
 
-from .align import DelayEstimate, NoiseClass, apply_shift, classify_noise, estimate_delay
+from .align import DelayEstimate, NoiseClass, classify_noise, estimate_delay
 from .controllers import PolicySpec
 from .perturb import DirectionBasis, PerturbationPlan, basis_directions, sample_gaussian, sample_uniform
 from .planner import PlanningProblem, plan_and_verify, solve_kp
 from .sensitivity import (
     JacobianStack,
     MetricsRow,
-    PreprocessConfig,
     SampleSet,
     SensitivityModel,
     build_jacobian_stack,

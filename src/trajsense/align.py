@@ -1,10 +1,13 @@
-"""Temporal-noise correction: delay estimation and trajectory re-alignment.
+"""Temporal-noise correction: delay estimation between two recordings.
 
 A constant time shift between two recordings of the same policy is estimated
 either by correlation of the normalized angle sequences or from the first
-velocity zero-crossing landmark. classify_noise separates shift-removable
-(temporal) corruption from residual (spatial) corruption by sweeping the lag
-window and thresholding the best-case L1 residual.
+velocity zero-crossing landmark. Both report it one way: the shift to pass to
+sim.inject_temporal_noise so that the second recording re-aligns with the
+first. `delay` is the one entry point that picks the estimator by method
+name. classify_noise separates shift-removable (temporal) corruption from
+residual (spatial) corruption by sweeping the lag window and thresholding the
+best-case L1 residual.
 """
 
 from dataclasses import dataclass
@@ -12,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSignalError, LandmarkMissingError
-from .sim import Trajectory, inject_temporal_noise
 
 DEFAULT_MAX_LAG = 50
+# how `delay` may estimate a lag; "none" aligns nothing
+METHODS = ("none", "correlation", "zero_crossing")
 
 # variation below one nano-radian per unit magnitude is numerical dust, not
 # signal (np.std of a bit-constant array is already ~1e-15 from mean rounding)
@@ -25,9 +29,8 @@ _REL_FLOOR = 1e-9
 class DelayEstimate:
     """Estimated lag between two trajectories.
 
-    tau_star is the shift to pass to apply_shift so the second trajectory
-    re-aligns with the reference (correlation method); the zero-crossing
-    method reports the landmark index difference ref - other instead.
+    tau_star is the shift to pass to sim.inject_temporal_noise so the second
+    trajectory re-aligns with the reference, whichever the method.
     """
 
     tau_star: int
@@ -49,6 +52,23 @@ def _check_compatible(ref, other):
         raise ConfigError("trajectories must share dt")
     if ref.angles.shape != other.angles.shape:
         raise ConfigError("trajectories must share length and dimension")
+
+
+def _check_window(ref, other, max_lag):
+    """_check_compatible, and a lag window that leaves each lag an overlap
+    longer than half the trajectory."""
+    _check_compatible(ref, other)
+    if not 1 <= max_lag < ref.n_steps / 2:
+        raise ConfigError("max_lag must satisfy 1 <= max_lag < T/2")
+
+
+def _overlap(other, ref, tau):
+    """other[t + tau] and ref[t] over every t where both exist, as two
+    equal-length windows."""
+    T = len(ref) - 1
+    lo = max(0, -tau)
+    hi = min(T, T - tau)
+    return other[lo + tau: hi + tau + 1], ref[lo: hi + 1]
 
 
 def _live_dims(traj):
@@ -97,13 +117,9 @@ def _lag_correlations(ref, other, max_lag):
     x_ref = ref.angles[:, live]
     x_other = other.angles[:, live]
     n_live = int(live.sum())
-    T = ref.n_steps
     corrs = np.empty(2 * max_lag + 1)
     for k, tau in enumerate(range(-max_lag, max_lag + 1)):
-        lo = max(0, -tau)
-        hi = min(T, T - tau)
-        corrs[k] = _window_correlation(x_other[lo + tau: hi + tau + 1],
-                                       x_ref[lo: hi + 1]) / n_live
+        corrs[k] = _window_correlation(*_overlap(x_other, x_ref, tau)) / n_live
     return corrs
 
 
@@ -120,19 +136,12 @@ def estimate_delay(ref, other, max_lag=DEFAULT_MAX_LAG):
 
     Returns the lag tau_star maximizing the per-window normalized correlation
     between the shifted other and ref; ties break toward the smallest |tau|.
-    apply_shift(other, tau_star) then best aligns other with ref.
+    inject_temporal_noise(other, tau_star) then best aligns other with ref.
     """
-    _check_compatible(ref, other)
-    if not 1 <= max_lag < ref.n_steps / 2:
-        raise ConfigError("max_lag must satisfy 1 <= max_lag < T/2")
+    _check_window(ref, other, max_lag)
     corrs = _lag_correlations(ref, other, max_lag)
     tau, peak = _pick_peak(corrs, max_lag)
     return DelayEstimate(tau_star=int(tau), correlation_peak=float(peak), method="correlation")
-
-
-def apply_shift(traj, tau):
-    """Shift the trajectory by tau steps (out[t] = in[t + tau], edges replicated)."""
-    return inject_temporal_noise(traj, tau)
 
 
 def _first_zero_crossing(velocities):
@@ -148,9 +157,9 @@ def _first_zero_crossing(velocities):
 def align_zero_crossing(ref, other, dim):
     """Estimate the lag from the first velocity zero-crossing in one joint.
 
-    Returns first-crossing(ref) - first-crossing(other); raises
-    LandmarkMissingError when either trajectory never crosses, which signals
-    the caller to fall back to correlation.
+    Returns first-crossing(other) - first-crossing(ref), the shift that
+    moves other's landmark onto ref's; raises LandmarkMissingError when
+    either trajectory never crosses.
     """
     _check_compatible(ref, other)
     if dim not in (0, 1, 2):
@@ -159,7 +168,7 @@ def align_zero_crossing(ref, other, dim):
     c_other = _first_zero_crossing(other.velocities[:, dim])
     if c_ref is None or c_other is None:
         raise LandmarkMissingError(f"no velocity zero-crossing in joint {dim}")
-    return DelayEstimate(tau_star=c_ref - c_other, correlation_peak=float("nan"),
+    return DelayEstimate(tau_star=c_other - c_ref, correlation_peak=float("nan"),
                          method="zero_crossing")
 
 
@@ -169,11 +178,8 @@ def shift_residual(ref, other, tau):
     Averaged per element over the overlap window so the value is comparable
     across lags and trajectory lengths.
     """
-    T = ref.n_steps
-    lo = max(0, -tau)
-    hi = min(T, T - tau)
-    diff = other.angles[lo + tau: hi + tau + 1] - ref.angles[lo: hi + 1]
-    return float(np.mean(np.abs(diff)))
+    shifted, window = _overlap(other.angles, ref.angles, tau)
+    return float(np.mean(np.abs(shifted - window)))
 
 
 def classify_noise(ref, other, epsilon, max_lag=DEFAULT_MAX_LAG):
@@ -183,10 +189,27 @@ def classify_noise(ref, other, epsilon, max_lag=DEFAULT_MAX_LAG):
     residual at or below epsilon; otherwise no shift explains the difference
     and the noise is spatial.
     """
-    _check_compatible(ref, other)
+    _check_window(ref, other, max_lag)
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
     residuals = [shift_residual(ref, other, tau) for tau in range(-max_lag, max_lag + 1)]
     best = float(min(residuals))
     kind = "temporal" if best <= epsilon else "spatial"
     return NoiseClass(kind=kind, epsilon=float(epsilon), residual_l1=best)
+
+
+def delay(ref, other, method, max_lag=DEFAULT_MAX_LAG):
+    """The shift that re-aligns other with ref, estimated by method (one of
+    METHODS): 0 for "none", estimate_delay's for "correlation", and for
+    "zero_crossing" align_zero_crossing's on joint 0, or estimate_delay's
+    when either recording has no zero-crossing there to anchor on."""
+    if method == "none":
+        return 0
+    if method == "zero_crossing":
+        try:
+            return align_zero_crossing(ref, other, 0).tau_star
+        except LandmarkMissingError:
+            pass
+    elif method != "correlation":
+        raise ConfigError(f"unknown align_method {method!r}")
+    return estimate_delay(ref, other, max_lag).tau_star

@@ -38,7 +38,6 @@ def _load(args):
     cfg = load_config(_resolve_config(args.config))
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.noise.seed = args.seed
     return cfg
 
 
@@ -138,25 +137,23 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for GP fits, one gamma each; pays "
-                             "only with OPENBLAS_NUM_THREADS=1")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def stage(name, fn, needs_config=True):
+    def stage(name, fn):
         p = sub.add_parser(name, parents=[common])
-        if needs_config:
-            p.add_argument("--config", required=True,
-                           help="config file path or preset name")
+        p.add_argument("--config", required=True, help="config file path or preset name")
         p.add_argument("--out", required=True, help="artifact directory")
         p.set_defaults(fn=fn)
         return p
 
-    stage("run", cmd_run)
+    # only the stages that fit GP maps have workers to run
+    workers = dict(type=int, default=1, help="worker processes for GP fits, one gamma "
+                   "each; pays only with OPENBLAS_NUM_THREADS=1")
+    stage("run", cmd_run).add_argument("--workers", **workers)
     stage("simulate", cmd_stage)
     stage("perturb", cmd_perturb)
     stage("build", cmd_stage)
-    stage("fit", cmd_stage)
+    stage("fit", cmd_stage).add_argument("--workers", **workers)
     stage("evaluate", cmd_stage)
 
     p = sub.add_parser("align")

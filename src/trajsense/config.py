@@ -10,12 +10,11 @@ import hashlib
 
 import numpy as np
 
-from .align import DEFAULT_MAX_LAG
+from . import align
 from .controllers import PolicySpec
 from .errors import ConfigError, InvalidStateError
 from .gp import N_RESTARTS
 from .perturb import PerturbationPlan, sample as sample_plan
-from .sensitivity import ALIGN_METHODS, PreprocessConfig
 from .sim import DYNAMICS_TAGS, START_POSE, DynamicsMode, JointState, NoiseConfig
 
 def _floats(raw):
@@ -107,8 +106,7 @@ class ExperimentConfig:
             self.noise = _built(
                 "sim.spatial_std", NoiseConfig,
                 temporal_shift=sim.getint("temporal_shift", 0),
-                spatial_std=np.array(_floats(sim.get("spatial_std", "0,0,0"))),
-                seed=self.seed)
+                spatial_std=np.array(_floats(sim.get("spatial_std", "0,0,0"))))
 
             pol = parser["policy"]
             fixed = {}
@@ -130,7 +128,7 @@ class ExperimentConfig:
 
             pre = parser["preprocess"]
             self.align_method = pre.get("align", "none")
-            self.max_lag = pre.getint("max_lag", DEFAULT_MAX_LAG)
+            self.max_lag = pre.getint("max_lag", align.DEFAULT_MAX_LAG)
             self.gamma_sweep = tuple(_floats(pre.get("gamma_sweep", "0")))
 
             gp = parser["gp"]
@@ -181,9 +179,9 @@ class ExperimentConfig:
             key = ("ranges" if self.scheme == "uniform"
                    else "lambda_sweep" if self.lambda_sweep else "lambda_rate")
             raise ConfigError(f"perturbation.{key}: {exc}") from exc
-        if self.align_method not in ALIGN_METHODS:
+        if self.align_method not in align.METHODS:
             raise ConfigError(f"preprocess.align {self.align_method!r}: need one of "
-                              f"{', '.join(ALIGN_METHODS)}")
+                              f"{', '.join(align.METHODS)}")
         # correlation alignment, and zero-crossing's fallback to it, need this
         if self.align_method != "none" and not 1 <= self.max_lag < self.n_steps / 2:
             raise ConfigError(f"preprocess.max_lag {self.max_lag}: need 1 <= max_lag "
@@ -211,10 +209,6 @@ class ExperimentConfig:
         as one (N, m) array."""
         return np.concatenate([sample_plan(plan) for plan in self.perturbation_plans()])[
             : self.count]
-
-    def preprocess_config(self, gamma):
-        return PreprocessConfig(align_method=self.align_method, max_lag=self.max_lag,
-                                gamma=gamma)
 
     def fingerprint(self):
         """Stable hash of everything that determines the pipeline outputs."""

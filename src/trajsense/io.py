@@ -9,9 +9,11 @@ key = value lines.
 
 CSV lines end with \r\n. Trajectory and perturbation CSVs are written as whole
 numpy blocks; a sample CSV one recording at a time, its repeated t, dtheta_*
-and dtheta_norm cells formatted once. All are read as whole numpy blocks. A
-cell that is not a number, or a row with the wrong number of cells, is a
-ConfigError naming the file and its line.
+and dtheta_norm cells formatted once. Every reader first counts the cells of
+each line after the header in one pass over the bytes (_check_lines), then
+reads the rows as whole numpy blocks. A row with the wrong number of cells,
+or a cell that is not a number, is a ConfigError naming the file and its
+line.
 """
 
 import csv
@@ -71,25 +73,22 @@ def _header(fh):
     return fh.readline().rstrip("\r\n").split(",")
 
 
-# np.loadtxt's ValueError says where it stopped: a cell it cannot convert "at
-# row R, column C" with R counted from 0, a row whose cell count differs from
-# the first row's (or from usecols) "at row R" counted from 1
-_LOADTXT_ROW = re.compile(r"(.*?) at row (\d+)(?:, column (\d+))?")
+# np.loadtxt's ValueError for a cell it cannot convert says where: "at row R,
+# column C" with R counted from 0. _check_lines has held every row to the
+# header's cell count before, so no other row error reaches it
+_LOADTXT_CELL = re.compile(r"(.*?) at row (\d+), column (\d+)")
 
 
 def _loadtxt(source, path, first_line, **kw):
     """np.loadtxt of comma-separated rows that start at line first_line of
-    path; a row it cannot read is a ConfigError naming the file and the line."""
+    path; a cell it cannot read is a ConfigError naming the file and the line."""
     try:
         return np.loadtxt(source, delimiter=",", ndmin=2, **kw)
     except ValueError as exc:
-        found = _LOADTXT_ROW.match(str(exc))
+        found = _LOADTXT_CELL.match(str(exc))
         if found is None:
             raise ConfigError(f"{path}: {exc}") from exc
         what, row, column = found.groups()
-        if column is None:
-            raise ConfigError(f"{path}: line {first_line + int(row) - 1}: wrong number "
-                              f"of cells") from exc
         raise ConfigError(f"{path}: line {first_line + int(row)}, column {column}: "
                           f"{what}") from exc
 
@@ -102,10 +101,11 @@ def _check_cells(path, number, cells, width):
                           f"({cells}, the header has {width})")
 
 
-def _check_lines(path, width, block=1 << 20):
-    """_check_cells of every line of path after the header, which raises for
-    the first bad one. The separators of each line are counted in binary
-    blocks of `block` bytes: no line is decoded and no copy of the file held."""
+def _check_lines(path, width, block=1 << 16):
+    """The number of lines of path after the header, each checked by
+    _check_cells, which raises for the first bad one. The separators of each
+    line are counted in binary blocks of `block` bytes: no line is decoded
+    and no copy of the file held."""
     with open(path, "rb") as fh:
         fh.readline()
         number, commas, chunk = 2, 0, b""  # the open line, its commas so far
@@ -121,19 +121,8 @@ def _check_lines(path, width, block=1 << 20):
             commas = at.size - at.searchsorted(ends[-1]) if ends.size else commas + at.size
         if chunk[-1:] not in (b"", b"\n"):  # a last line without its line end
             _check_cells(path, number, commas + 1, width)
-
-
-def _rows(fh, path, width, **kw):
-    """The numeric rows after the header as one 2-D array, or None if there
-    are none. The first must have width cells; without usecols, loadtxt holds
-    every other row to the first one's count."""
-    start = fh.tell()
-    first = fh.readline()
-    if not first:
-        return None
-    _check_cells(path, 2, first.count(",") + 1, width)
-    fh.seek(start)
-    return _loadtxt(fh, path, 2, **kw)
+            number += 1
+    return number - 2
 
 
 # the numeric keys of a trajectory's .meta sidecar and how each is read
@@ -147,15 +136,10 @@ def read_trajectory(path):
     with open(path, newline="") as fh:
         if _header(fh) != TRAJ_HEADER:
             raise ConfigError(f"{path}: not a trajectory CSV")
+        n = _check_lines(path, len(TRAJ_HEADER))
+        if n < 2:
+            raise ConfigError(f"{path}: trajectory CSV has no step (fewer than two rows)")
         lines = fh.read().splitlines()
-    if len(lines) < 2:
-        raise ConfigError(f"{path}: trajectory CSV has no step (fewer than two rows)")
-    n = len(lines)
-    # loadtxt holds every other row to the first one's cell count, but skips
-    # a blank row
-    blank = [lines.index("")] if "" in lines else []
-    for i in sorted([0, n - 1] + blank):
-        _check_cells(path, i + 2, lines[i].count(",") + 1, len(TRAJ_HEADER))
     angles = np.empty((n, 3))
     velocities = np.empty((n, 3))
     # every row but the terminal one carries torques
@@ -236,19 +220,17 @@ def read_samples(path):
 
     with open(path, newline="") as fh:
         header = _header(fh)
-        # loadtxt with usecols reads a row with too many or too few cells
-        _check_lines(path, len(header))
         m = sum(1 for h in header if h.startswith("dtheta_") and h != "dtheta_norm")
         d = sum(1 for h in header if h.startswith("dx_"))
+        if not _check_lines(path, len(header)):
+            return SampleSet(delta_theta=np.empty((0, m)), delta_x=np.empty((0, 0, d)))
         start = fh.tell()
         # t and dtheta first, dx in a second pass: no table wider than the result
-        head = _rows(fh, path, len(header), usecols=range(1 + m))
-        if head is None:
-            return SampleSet(delta_theta=np.empty((0, m)), delta_x=np.empty((0, 0, d)))
+        head = _loadtxt(fh, path, 2, usecols=range(1 + m))
         n, steps, delta_theta = _recordings(path, head)
         del head
         fh.seek(start)
-        dx = _rows(fh, path, len(header), usecols=range(1 + m, 1 + m + d))
+        dx = _loadtxt(fh, path, 2, usecols=range(1 + m, 1 + m + d))
     return SampleSet(delta_theta=delta_theta, delta_x=dx.reshape(n, steps, d))
 
 
@@ -273,9 +255,9 @@ def read_perturbations(path, nominal):
         if width != 1 + nominal.size:
             raise ConfigError(f"{path}: {width - 1} theta columns, the policy has "
                               f"{nominal.size} parameters")
-        data = _rows(fh, path, width)
-    if data is None:
-        return np.empty((0, nominal.size))
+        if not _check_lines(path, width):
+            return np.empty((0, nominal.size))
+        data = _loadtxt(fh, path, 2)
     return data[:, 1:] - nominal
 
 

@@ -37,7 +37,8 @@ import numpy as np
 
 from . import io as tio
 from .config import parse_dims
-from .errors import ConfigError, DatasetError, DependencyError, StageError
+from .errors import (ConfigError, DatasetError, DegenerateSignalError, DependencyError,
+                     StageError)
 # plan_and_verify is not called here; it is imported only because
 # benchmark/tracing.py wraps pipeline.plan_and_verify
 from .planner import PlanningProblem, plan, plan_and_verify  # noqa: F401
@@ -218,13 +219,13 @@ def stage_build(cfg, out, handoff=None):
                 delta_x=np.empty((len(idx),) + source.angles.shape))
             for gamma in grids for name, idx in splits.items()}
     # alignment does not depend on gamma: once per recording, voxels per gamma
-    align_cfg = cfg.preprocess_config(0)
     for i, d in enumerate(deltas):
         rel = f"trajectories/sample_{i:04d}.csv"
+        traj = _trajectory(out, rel)
         try:
-            traj = align_recording(source, d, _trajectory(out, rel), align_cfg)
-        except DatasetError as exc:
-            raise DatasetError(f"{rel}: {exc}") from exc
+            traj = align_recording(source, d, traj, cfg.align_method, cfg.max_lag)
+        except (DatasetError, DegenerateSignalError) as exc:
+            raise type(exc)(f"{rel}: {exc}") from exc
         name, row = slot[i]
         for gamma, (grid, src) in grids.items():
             difference_into(sets[gamma, name].delta_x[row], traj, src, grid)

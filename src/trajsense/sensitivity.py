@@ -25,13 +25,12 @@ from .errors import (
     DegenerateScoreError,
     FitError,
     InsufficientDataError,
-    LandmarkMissingError,
     UndefinedAlignmentError,
     UntrainedTimestepError,
 )
 from .gp import N_RESTARTS, ExactGP
+from .sim import inject_temporal_noise
 
-ALIGN_METHODS = ("none", "correlation", "zero_crossing")
 _NORM_FLOOR = 1e-15
 _VAR_FLOOR = 1e-24
 # evaluate's histogram of cos alignment: 20 bins over [-1, 1]
@@ -56,43 +55,17 @@ class SampleSet:
         return self.delta_x.shape[1] - 1
 
 
-@dataclass
-class PreprocessConfig:
-    """Alignment and voxelization applied before differencing.
-
-    align_method: 'none', 'correlation', or 'zero_crossing'; zero-crossing
-    alignment anchors on joint 0's velocity, and a recording without such a
-    zero-crossing is aligned by correlation instead.
-    gamma None or 0 disables voxelization.
-    """
-
-    align_method: str = "none"
-    max_lag: int = align_mod.DEFAULT_MAX_LAG
-    gamma: float = None
-
-
-def align_recording(source, delta_theta, traj, preprocess=None):
-    """One perturbed recording, checked against the source and delay-aligned
-    to it by preprocess.align_method; preprocess.gamma is not applied. A zero
-    delta_theta or a length or dt unlike the source's is a DatasetError."""
+def align_recording(source, delta_theta, traj, align_method="none",
+                    max_lag=align_mod.DEFAULT_MAX_LAG):
+    """One perturbed recording, checked against the source and shifted by
+    align.delay(source, traj, align_method, max_lag). A zero delta_theta or
+    a length or dt unlike the source's is a DatasetError."""
     if np.linalg.norm(np.asarray(delta_theta, dtype=float).reshape(-1)) == 0.0:
         raise DatasetError("delta_theta must be nonzero")
     if traj.n_steps != source.n_steps or traj.dt != source.dt:
         raise DatasetError("perturbed trajectory length/dt mismatch")
-    method = "none" if preprocess is None else preprocess.align_method
-    shift = 0
-    if method == "correlation":
-        shift = align_mod.estimate_delay(source, traj, preprocess.max_lag).tau_star
-    elif method == "zero_crossing":
-        try:
-            # landmark lag is reported ref-minus-other; undo it on the other side
-            shift = -align_mod.align_zero_crossing(source, traj, 0).tau_star
-        except LandmarkMissingError:
-            # no velocity zero-crossing to anchor on: fall back to correlation
-            shift = align_mod.estimate_delay(source, traj, preprocess.max_lag).tau_star
-    elif method != "none":
-        raise ConfigError(f"unknown align_method {method!r}")
-    return align_mod.apply_shift(traj, shift) if shift != 0 else traj
+    shift = align_mod.delay(source, traj, align_method, max_lag)
+    return inject_temporal_noise(traj, shift) if shift != 0 else traj
 
 
 def voxelized_source(source, gamma):
@@ -114,21 +87,22 @@ def difference_into(out, traj, src, grid):
     np.subtract(traj.angles, src.angles, out=out)
 
 
-def build_samples(source, perturbed, preprocess=None):
+def build_samples(source, perturbed, align_method="none",
+                  max_lag=align_mod.DEFAULT_MAX_LAG, gamma=None):
     """Difference perturbed rollouts against the source at every timestep.
 
     perturbed is a list of (delta_theta, Trajectory) pairs produced by rolling
     out theta_nominal + delta_theta. All trajectories must share the source's
-    length and dt. Each goes through align_recording, then difference_into.
-    Returns a SampleSet with one row per pair.
+    length and dt. Each goes through align_recording (align_method, max_lag),
+    then difference_into on the voxel grid of half-width gamma (None or 0:
+    no grid). Returns a SampleSet with one row per pair.
     """
-    if preprocess is None:
-        preprocess = PreprocessConfig()
-    grid, src = voxelized_source(source, preprocess.gamma)
+    grid, src = voxelized_source(source, gamma)
     delta_theta = np.array([np.asarray(d, dtype=float).reshape(-1) for d, _ in perturbed])
     delta_x = np.empty((len(perturbed),) + src.angles.shape)
     for i, (d, traj) in enumerate(perturbed):
-        difference_into(delta_x[i], align_recording(source, d, traj, preprocess), src, grid)
+        aligned = align_recording(source, d, traj, align_method, max_lag)
+        difference_into(delta_x[i], aligned, src, grid)
     return SampleSet(delta_theta=delta_theta, delta_x=delta_x)
 
 

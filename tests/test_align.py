@@ -5,7 +5,6 @@ from trajsense import (
     DynamicsMode,
     JointState,
     PolicySpec,
-    apply_shift,
     classify_noise,
     estimate_delay,
     inject_spatial_noise,
@@ -51,7 +50,7 @@ def test_recovers_injected_shift():
     est = estimate_delay(ref, other, max_lag=50)
     assert est.tau_star == -5
     # re-applying the estimate aligns the interior exactly
-    realigned = apply_shift(other, est.tau_star)
+    realigned = inject_temporal_noise(other, est.tau_star)
     assert np.allclose(realigned.angles[5:-5], ref.angles[5:-5])
 
 
@@ -103,13 +102,8 @@ def test_max_lag_window_validated():
         estimate_delay(traj, traj, max_lag=50)
     with pytest.raises(ConfigError):
         estimate_delay(traj, traj, max_lag=0)
-
-
-def test_apply_shift_identity_and_inverse():
-    traj = wavy_traj()
-    assert np.array_equal(apply_shift(traj, 0).angles, traj.angles)
-    round_trip = apply_shift(apply_shift(traj, 7), -7)
-    assert np.array_equal(round_trip.angles[7:-7], traj.angles[7:-7])
+    with pytest.raises(ConfigError):
+        classify_noise(traj, traj, epsilon=0.01, max_lag=50)
 
 
 def test_estimated_shift_minimizes_l1_residual():
@@ -142,9 +136,9 @@ def test_zero_crossing_self_alignment():
 def test_zero_crossing_known_offset():
     ref = sine_velocity_traj(offset=10)
     other = sine_velocity_traj(offset=0)
-    # ref crosses 10 steps after other, so ref minus other is +10
+    # ref crosses 10 steps after other: other shifts by -10 to meet it
     est = align_zero_crossing(ref, other, dim=0)
-    assert est.tau_star == 10
+    assert est.tau_star == -10
 
 
 def test_zero_crossing_missing_landmark():
@@ -159,10 +153,10 @@ def test_zero_crossing_consistent_with_injection():
     ref = sine_velocity_traj()
     other = inject_temporal_noise(ref, -15)
     est = align_zero_crossing(ref, other, dim=0)
-    # landmark lag is reported ref-minus-other = the injected shift
-    assert est.tau_star == -15
+    # both methods report the shift that undoes the injected one
+    assert est.tau_star == 15
     corr = estimate_delay(ref, other, max_lag=50)
-    assert corr.tau_star == -est.tau_star
+    assert corr.tau_star == est.tau_star
 
 
 # -- noise classification ------------------------------------------------------

@@ -382,7 +382,7 @@ def test_build_aligns_each_recording_once(tmp_path, monkeypatch, method, policy,
         for gamma in cfg.gamma_sweep:
             ref = str(tmp_path / "ref.csv")
             tio.write_samples(build_samples(source, [pairs[i] for i in idx],
-                                            cfg.preprocess_config(gamma)), ref)
+                                            cfg.align_method, cfg.max_lag, gamma), ref)
             expected[f"{name}_g{gamma:g}.csv"] = open(ref, "rb").read()
 
     calls = {"estimate_delay": [], "align_zero_crossing": []}
@@ -586,6 +586,12 @@ def _not_a_number(line, column):
     pytest.param("build", "samples/perturbations.csv", _not_a_number(4, 2), 2,
                  "samples/perturbations.csv: line 4, column 2: could not convert "
                  "string 'x", id="perturbations-cell"),
+    pytest.param("build", "samples/perturbations.csv", _cells(5, lambda cells: cells[:-1]), 2,
+                 "samples/perturbations.csv: line 5: wrong number of cells (2, the header "
+                 "has 3)", id="perturbations-missing-cell"),
+    pytest.param("build", "samples/perturbations.csv", _cells(6, lambda cells: cells + ["0"]),
+                 2, "samples/perturbations.csv: line 6: wrong number of cells (4, the header "
+                 "has 3)", id="perturbations-extra-cell"),
     pytest.param("build", "samples/perturbations.csv", _columns(lambda cells: cells[:2]), 2,
                  "samples/perturbations.csv: 1 theta columns, the policy has 2 parameters",
                  id="perturbations-missing-column"),
@@ -642,6 +648,23 @@ def test_a_malformed_stage_input_names_the_file_and_its_line(finished_run, tmp_p
     capsys.readouterr()
     assert main([command, "--config", cfg_file, "--out", out]) == code
     assert message in capsys.readouterr().err
+
+
+def test_a_recording_that_cannot_be_aligned_is_named(tmp_path, capsys):
+    # a constant recording has nothing to correlate; the error used to name
+    # no file
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL_CFG.replace("align = none", "align = correlation"))
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", str(path), "--out", out]) == 0
+    rel = os.path.join(out, "trajectories", "sample_0003.csv")
+    traj = tio.read_trajectory(rel)
+    tio.write_trajectory(Trajectory(traj.dt, np.ones_like(traj.angles), traj.velocities,
+                                    traj.torques, traj.meta), rel)
+    capsys.readouterr()
+    assert main(["build", "--config", str(path), "--out", out]) == 3
+    assert ("error: trajectories/sample_0003.csv: trajectory is constant; correlation "
+            "undefined") in capsys.readouterr().err
 
 
 def test_a_changed_or_missing_perturbations_file_reruns_from_simulate(cfg_file, tmp_path,
@@ -721,6 +744,35 @@ def test_align_subcommand(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "tau_star = -7" in report
     assert "kind = temporal" in report
+
+
+def test_align_methods_report_one_lag(tmp_path, capsys):
+    # the zero-crossing method used to print tau_star = 7 where correlation
+    # printed -7, and a lag window as long as the recording ended in a
+    # traceback (exit code 1)
+    traj = rollout(PolicySpec("sinusoidal", [0.4, 0.05]), JointState(START_POSE, np.zeros(3)),
+                   300, 0.01, DynamicsMode("linear", damping=0.8))
+    ref_path, other_path = str(tmp_path / "ref.csv"), str(tmp_path / "other.csv")
+    tio.write_trajectory(traj, ref_path)
+    tio.write_trajectory(inject_temporal_noise(traj, 7), other_path)
+    for method in ("corr", "zero"):
+        capsys.readouterr()
+        assert main(["align", ref_path, other_path, "--method", method]) == 0
+        assert "tau_star = -7" in capsys.readouterr().out, method
+    assert main(["align", ref_path, other_path, "--method", "zero", "--max-lag", "400"]) == 2
+    assert "config error: max_lag must satisfy" in capsys.readouterr().err
+
+
+def test_only_the_stages_that_fit_take_workers(finished_run, tmp_path, capsys):
+    cfg_file, done = finished_run
+    out = str(tmp_path / "out")
+    shutil.copytree(done, out)
+    for command in ("simulate", "perturb", "build", "evaluate"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg_file, "--out", out, "--workers", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert main(["fit", "--config", cfg_file, "--out", out, "--workers", "2"]) == 0
 
 
 def test_voxelize_subcommand(tmp_path):

@@ -7,7 +7,6 @@ from trajsense import (
     DynamicsMode,
     JointState,
     PolicySpec,
-    PreprocessConfig,
     SampleSet,
     basis_directions,
     build_jacobian_stack,
@@ -105,8 +104,7 @@ def test_build_samples_realigns_shifted_trajectory():
     delta = np.array([0, 0, 0, 1e-3, 0, 0.0])
     pert = ramp_rollout(RAMP_THETA + delta)
     lagged = inject_temporal_noise(pert, 8)
-    cfg = PreprocessConfig(align_method="correlation", max_lag=20)
-    aligned = build_samples(source, [(delta, lagged)], cfg).delta_x[0]
+    aligned = build_samples(source, [(delta, lagged)], "correlation", 20).delta_x[0]
     raw = build_samples(source, [(delta, lagged)]).delta_x[0]
     # interior timesteps recover the un-lagged differences
     expect = build_samples(source, [(delta, pert)]).delta_x[0]
@@ -120,8 +118,7 @@ def test_build_samples_voxelizes_when_configured():
     source = ramp_rollout(T=50)
     delta = np.array([0, 0, 0, 1e-2, 0, 0.0])
     pert = ramp_rollout(RAMP_THETA + delta, T=50)
-    cfg = PreprocessConfig(gamma=0.04)
-    samples = build_samples(source, [(delta, pert)], cfg)
+    samples = build_samples(source, [(delta, pert)], gamma=0.04)
     width = 0.08
     ratio = samples.delta_x / width
     assert np.allclose(ratio, np.round(ratio), atol=1e-9)
@@ -139,13 +136,14 @@ def lagged_ramps():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("pre", [
-    None,
-    PreprocessConfig(align_method="correlation", max_lag=20),
-    PreprocessConfig(gamma=0.04),
-    PreprocessConfig(align_method="correlation", max_lag=20, gamma=0.01),
+@pytest.mark.parametrize("align_method, gamma", [
+    ("none", None),
+    ("correlation", None),
+    ("none", 0.04),
+    ("correlation", 0.01),
 ], ids=["raw", "correlation", "voxel", "correlation-voxel"])
-def test_dense_build_and_writer_match_the_object_oracle(tmp_path, lagged_ramps, m, pre):
+def test_dense_build_and_writer_match_the_object_oracle(tmp_path, lagged_ramps, m,
+                                                        align_method, gamma):
     source, trajs = lagged_ramps
     # build_samples only carries delta_theta along, so any nonzero m-vectors
     # can label the recordings; spread exponents exercise the printed digits
@@ -156,13 +154,13 @@ def test_dense_build_and_writer_match_the_object_oracle(tmp_path, lagged_ramps, 
         per_row = [np.linalg.norm(v) for v in labels]
         assert np.any(per_row != np.linalg.norm(labels, axis=1))
     pairs = list(zip(labels, trajs))
-    samples = build_samples(source, pairs, pre)
+    samples = build_samples(source, pairs, align_method, 20, gamma)
 
-    grid = VoxelGrid(np.full(3, pre.gamma)) if pre and pre.gamma else None
+    grid = VoxelGrid(np.full(3, gamma)) if gamma else None
     prep = lambda tr: voxelize_trajectory(tr, grid) if grid else tr  # noqa: E731
     ref = oracles.object_build_samples(
-        prep(source).angles, [(d, prep(align_recording(source, d, tr, pre)).angles)
-                              for d, tr in pairs])
+        prep(source).angles,
+        [(d, prep(align_recording(source, d, tr, align_method, 20)).angles) for d, tr in pairs])
     assert len(samples) == len(ref) == 24 * 201
     assert np.array_equal(samples.delta_x.reshape(-1, 3), [s.delta_x for s in ref])
     assert np.array_equal(samples.delta_theta.repeat(201, axis=0),
@@ -579,10 +577,8 @@ def test_zero_crossing_falls_back_to_correlation_without_landmark():
     lagged = inject_temporal_noise(ramp_rollout(RAMP_THETA + delta), 8)
     with pytest.raises(LandmarkMissingError):
         align_zero_crossing(source, lagged, 0)
-    zero = build_samples(source, [(delta, lagged)],
-                         PreprocessConfig(align_method="zero_crossing", max_lag=20))
-    corr = build_samples(source, [(delta, lagged)],
-                         PreprocessConfig(align_method="correlation", max_lag=20))
+    zero = build_samples(source, [(delta, lagged)], "zero_crossing", 20)
+    corr = build_samples(source, [(delta, lagged)], "correlation", 20)
     assert len(zero) == len(corr) == 301
     assert np.array_equal(zero.delta_x, corr.delta_x)
     raw = build_samples(source, [(delta, lagged)])
