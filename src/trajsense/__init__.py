@@ -16,6 +16,7 @@ from .sensitivity import (
     SampleSet,
     SensitivityModel,
     build_jacobian_stack,
+    build_sample_sets,
     build_samples,
     cosine_alignment,
     evaluate,

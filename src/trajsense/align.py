@@ -72,11 +72,14 @@ def _overlap(other, ref, tau):
 
 
 def _live_dims(traj):
+    """The angle dimensions of traj with real variation; none is a
+    DegenerateSignalError naming traj by its meta["path"], if it has one."""
     sd = traj.angles.std(axis=0)
     floor = _REL_FLOOR * (1.0 + np.abs(traj.angles.mean(axis=0)))
     live = sd > floor
     if not np.any(live):
-        raise DegenerateSignalError("trajectory is constant; correlation undefined")
+        name = f"{traj.meta['path']}: " if "path" in traj.meta else ""
+        raise DegenerateSignalError(f"{name}trajectory is constant; correlation undefined")
     return live
 
 

@@ -149,9 +149,9 @@ class ExperimentConfig:
         except (KeyError, ValueError, TypeError, configparser.Error) as exc:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
 
-        if "," in self.label or "\n" in self.label:
+        if any(c in self.label for c in ',"\n'):
             raise ConfigError(f"experiment.label {self.label!r}: a field of metrics.csv "
-                              "holds no comma or line break")
+                              "holds no comma, double quote or line break")
         tags = [f"{g:g}" for g in self.gamma_sweep]
         if not tags or len(set(tags)) < len(tags) or \
                 not all(np.isfinite(g) and g >= 0 for g in self.gamma_sweep):
@@ -188,6 +188,7 @@ class ExperimentConfig:
                               f"< n_steps / 2 ({self.n_steps} steps)")
         if len(self.plan_target_kps) > 3:
             raise ConfigError("planner.target_kps: at most 3 targets (short, medium, long)")
+        self.split_indices(len(self.perturbation_deltas()))
 
     # -- derived objects -------------------------------------------------------
 
@@ -209,6 +210,18 @@ class ExperimentConfig:
         as one (N, m) array."""
         return np.concatenate([sample_plan(plan) for plan in self.perturbation_plans()])[
             : self.count]
+
+    def split_indices(self, n):
+        """(training, held-out) recording indices, each sorted, of n recordings.
+        Fewer than 2 on either side is a ConfigError: the fit needs 2
+        training recordings and the evaluation 2 held-out ones."""
+        perm = np.random.default_rng(self.split_seed).permutation(n)
+        n_test = max(1, int(round(self.holdout_fraction * n)))
+        if min(n_test, n - n_test) < 2:
+            raise ConfigError(f"eval.holdout_fraction {self.holdout_fraction:g} splits "
+                              f"{n} recordings into {n - n_test} training and {n_test} "
+                              "held-out; need at least 2 of each")
+        return sorted(perm[n_test:].tolist()), sorted(perm[:n_test].tolist())
 
     def fingerprint(self):
         """Stable hash of everything that determines the pipeline outputs."""

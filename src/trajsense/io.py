@@ -1,5 +1,5 @@
 """Flat-file persistence: trajectory CSVs with meta sidecars, sample and
-metrics CSVs.
+perturbation CSVs, and the metrics and plot tables (write_table).
 
 Trajectory CSV schema: header t,x1,x2,x3,v1,v2,v3,u1,u2,u3, one row per
 recorded step, floats printed with 9 significant digits. The final row is the
@@ -7,16 +7,15 @@ terminal state and carries empty torque cells. The sidecar (same path plus
 '.meta') holds policy_id, seed, dt, mode, temporal_shift, spatial_std as
 key = value lines.
 
-CSV lines end with \r\n. Trajectory and perturbation CSVs are written as whole
-numpy blocks; a sample CSV one recording at a time, its repeated t, dtheta_*
-and dtheta_norm cells formatted once. Every reader first counts the cells of
-each line after the header in one pass over the bytes (_check_lines), then
-reads the rows as whole numpy blocks. A row with the wrong number of cells,
-or a cell that is not a number, is a ConfigError naming the file and its
-line.
+Lines end with \r\n, but in the pipeline's summary, histogram and plot
+tables (\n). A trajectory is written as whole numpy blocks, a sample CSV one
+recording at a time, and every other table by write_table: a header line,
+then one % template per row. Every reader first counts the cells of each
+line after the header in one pass over the bytes (_check_lines), then reads
+the rows as whole numpy blocks. A row with the wrong number of cells, or a
+cell that is not a number, is a ConfigError naming the file and its line.
 """
 
-import csv
 import os
 import re
 
@@ -37,13 +36,21 @@ def _row_template(n_floats, fmt="%.9g", end="\r\n"):
     return "%d" + ("," + fmt) * n_floats + end
 
 
-def _write_block(fh, template, block):
-    """Write the rows of a 2-D float block through one % template per row.
+def _write_block(fh, template, rows):
+    """Write rows, a 2-D float block or a list of tuples, through one %
+    template per row. A `%d` cell of a block holds an integer stored as a
+    float; `%d` prints it as `str(int)` would."""
+    cells = rows.ravel().tolist() if isinstance(rows, np.ndarray) else \
+        [cell for row in rows for cell in row]
+    fh.write((template * len(rows)) % tuple(cells))
 
-    The first column holds integers stored as floats; `%d` prints them as
-    `str(int)` would.
-    """
-    fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
+
+def write_table(path, header, template, rows, end="\n"):
+    """A CSV table: the header line (comma-separated names) and end, then
+    the rows through template (_write_block), which carries their line end."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + end)
+        _write_block(fh, template, rows)
 
 
 def write_trajectory(traj, path):
@@ -238,10 +245,9 @@ def write_perturbations(nominal, deltas, path):
     """Absolute parameter vectors, one row per sample: sample_id, theta_*."""
     m = len(nominal)
     thetas = np.asarray(nominal) + np.reshape(deltas, (-1, m))
-    block = np.column_stack([np.arange(len(thetas)), thetas])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["sample_id"] + [f"theta_{j+1}" for j in range(m)]) + "\r\n")
-        _write_block(fh, _row_template(m, fmt="%.17g"), block)
+    write_table(path, ",".join(["sample_id"] + [f"theta_{j+1}" for j in range(m)]),
+                _row_template(m, fmt="%.17g"),
+                np.column_stack([np.arange(len(thetas)), thetas]), end="\r\n")
 
 
 def read_perturbations(path, nominal):
@@ -262,14 +268,12 @@ def read_perturbations(path, nominal):
 
 
 def write_metrics(row, per_t, path_summary, path_per_t):
-    with open(path_summary, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["task", "mse_avg", "score_avg", "cos_avg", "n_timesteps"])
-        w.writerow([row.label, f"{row.mse_avg:.10g}", f"{row.score_avg:.10g}",
-                    f"{row.cos_avg:.10g}", str(row.n_timesteps)])
-    with open(path_per_t, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "nmse", "score", "cos_mean", "n_test"])
-        for r in per_t:
-            w.writerow([str(r.t), f"{r.nmse:.10g}", f"{r.score:.10g}",
-                        f"{r.cos_mean:.10g}", str(r.n_test)])
+    """A MetricsRow as a one-row summary table and its TimestepMetrics as one
+    row per timestep; the label is written as it is."""
+    write_table(path_summary, "task,mse_avg,score_avg,cos_avg,n_timesteps",
+                "%s,%.10g,%.10g,%.10g,%d\r\n",
+                [(row.label, row.mse_avg, row.score_avg, row.cos_avg, row.n_timesteps)],
+                end="\r\n")
+    write_table(path_per_t, "t,nmse,score,cos_mean,n_test",
+                "%d,%.10g,%.10g,%.10g,%d\r\n",
+                [(r.t, r.nmse, r.score, r.cos_mean, r.n_test) for r in per_t], end="\r\n")

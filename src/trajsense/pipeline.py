@@ -21,32 +21,33 @@ wrote it, so a changed or missing file reruns from that stage.
 
 Noise handling mirrors a physical data collection: the source rollout is the
 clean reference, each perturbed recording gets its own temporal lag (drawn in
-the configured range) and spatial noise seed. The build stage reads each
-recording once, aligns it against the raw source, and writes its rows of every
-gamma's sample sets before it reads the next one. The fit stage fits each
-gamma's timesteps in ascending order as one warm-started chain, so `workers`
-processes run whole gammas and the results do not depend on their number.
+the configured range) and spatial noise seed. The build stage reads the
+recordings one at a time through sensitivity.build_sample_sets, the training
+recordings first. The fit stage fits each gamma's timesteps in
+ascending order as one warm-started chain, so `workers` processes run whole
+gammas and the results do not depend on their number. Every metrics and plot
+table goes through io.write_table.
 """
 
 import configparser
 import hashlib
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import io as tio
 from .config import parse_dims
-from .errors import (ConfigError, DatasetError, DegenerateSignalError, DependencyError,
-                     StageError)
+from .errors import ConfigError, DependencyError, StageError
 # plan_and_verify is not called here; it is imported only because
 # benchmark/tracing.py wraps pipeline.plan_and_verify
 from .planner import PlanningProblem, plan, plan_and_verify  # noqa: F401
 # build_samples and fit_gp are not called here; they are imported only because
 # benchmark/tracing.py wraps pipeline.build_samples and pipeline.fit_gp
-from .sensitivity import (COS_BIN_EDGES, SampleSet, SensitivityModel,  # noqa: F401
-                          align_recording, build_samples, difference_into, evaluate,
-                          fit_gp, fit_sensitivity_model, voxelized_source)
+from .sensitivity import (COS_BIN_EDGES, SensitivityModel, build_sample_sets,  # noqa: F401
+                          build_samples, evaluate, fit_gp, fit_sensitivity_model,
+                          voxelized_source)
 from .sim import NoiseConfig, rollout, rollout_batch
 from .voxel import VoxelGrid, voxelize_trajectory
 
@@ -124,10 +125,12 @@ def _input(out, rel, read, handoff=None, keep=False):
 
 
 def _trajectory(out, rel):
-    """The trajectory out/rel; it or its .meta sidecar missing is a
-    DependencyError naming the missing file."""
+    """The trajectory out/rel, named by rel in its meta["path"]; it or its
+    .meta sidecar missing is a DependencyError naming the missing file."""
     _input(out, rel + ".meta", lambda path: None)
-    return _input(out, rel, tio.read_trajectory)
+    traj = _input(out, rel, tio.read_trajectory)
+    traj.meta["path"] = rel
+    return traj
 
 
 def _output(out, rel):
@@ -194,48 +197,24 @@ def stage_simulate(cfg, out):
 # -- build ----------------------------------------------------------------------
 
 
-def _split_indices(cfg, n):
-    rng = np.random.default_rng(cfg.split_seed)
-    perm = rng.permutation(n)
-    n_test = max(1, int(round(cfg.holdout_fraction * n)))
-    if n_test >= n:
-        raise ConfigError("holdout fraction leaves no training samples")
-    return sorted(perm[n_test:].tolist()), sorted(perm[:n_test].tolist())
-
-
 def stage_build(cfg, out, handoff=None):
-    """Write samples/{train,test}_g*.csv for every gamma of the sweep. Each
-    recording is read, aligned and differenced into its rows of every gamma's
-    set, then dropped, so no more than one recording is held at a time."""
+    """Write samples/{train,test}_g*.csv for every gamma of the sweep: one
+    build_sample_sets over the training recordings, then one over the
+    held-out ones, so that fit can free a gamma's training set."""
     handoff = {} if handoff is None else handoff
     source = _trajectory(out, "trajectories/source.csv")
     deltas = _input(out, "samples/perturbations.csv",
                     lambda path: tio.read_perturbations(path, cfg.policy.theta))
-    splits = dict(zip(("train", "test"), _split_indices(cfg, len(deltas))))
-    slot = {i: (name, row) for name, idx in splits.items() for row, i in enumerate(idx)}
-    grids = {gamma: voxelized_source(source, gamma) for gamma in cfg.gamma_sweep}
-    sets = {(gamma, name): SampleSet(
-                delta_theta=deltas[idx],
-                delta_x=np.empty((len(idx),) + source.angles.shape))
-            for gamma in grids for name, idx in splits.items()}
-    # alignment does not depend on gamma: once per recording, voxels per gamma
-    for i, d in enumerate(deltas):
-        rel = f"trajectories/sample_{i:04d}.csv"
-        traj = _trajectory(out, rel)
-        try:
-            traj = align_recording(source, d, traj, cfg.align_method, cfg.max_lag)
-        except (DatasetError, DegenerateSignalError) as exc:
-            raise type(exc)(f"{rel}: {exc}") from exc
-        name, row = slot[i]
-        for gamma, (grid, src) in grids.items():
-            difference_into(sets[gamma, name].delta_x[row], traj, src, grid)
-
     paths = []
-    for gamma in cfg.gamma_sweep:
-        for name in splits:
+    for name, rows in zip(("train", "test"), cfg.split_indices(len(deltas))):
+        sets = build_sample_sets(
+            source, deltas[rows],
+            (_trajectory(out, f"trajectories/sample_{i:04d}.csv") for i in rows),
+            cfg.align_method, cfg.max_lag, cfg.gamma_sweep)
+        for gamma, samples in zip(cfg.gamma_sweep, sets):
             p = _output(out, f"samples/{name}_{_gamma_tag(gamma)}.csv")
-            tio.write_samples(sets[gamma, name], p)
-            handoff[p] = sets[gamma, name]
+            tio.write_samples(samples, p)
+            handoff[p] = samples
             paths.append(p)
     return paths
 
@@ -305,21 +284,17 @@ def stage_evaluate(cfg, out, handoff=None):
         p2 = _output(out, f"metrics/per_timestep_{tag}.csv")
         tio.write_metrics(row, per_t, p1, p2)
         p3 = _output(out, f"metrics/cos_hist_{tag}.csv")
-        with open(p3, "w") as fh:
-            fh.write("t,bin_lo,bin_hi,count\n")
-            for t in sorted(hists):
-                for lo, hi, count in zip(COS_BIN_EDGES, COS_BIN_EDGES[1:], hists[t]):
-                    fh.write(f"{t},{lo:.2f},{hi:.2f},{count}\n")
+        tio.write_table(p3, "t,bin_lo,bin_hi,count", "%d,%.2f,%.2f,%d\n",
+                        [(t, lo, hi, count) for t in sorted(hists)
+                         for lo, hi, count in zip(COS_BIN_EDGES, COS_BIN_EDGES[1:], hists[t])])
         paths += [p1, p2, p3]
 
     best_gamma = max(results, key=lambda r: r[1].score_avg)[0]
     summary = _output(out, "metrics/metrics.csv")
-    with open(summary, "w") as fh:
-        fh.write("task,gamma,mse_avg,score_avg,cos_avg,n_timesteps,selected\n")
-        for gamma, row in results:
-            sel = 1 if gamma == best_gamma else 0
-            fh.write(f"{row.label},{gamma:g},{row.mse_avg:.10g},{row.score_avg:.10g},"
-                     f"{row.cos_avg:.10g},{row.n_timesteps},{sel}\n")
+    tio.write_table(summary, "task,gamma,mse_avg,score_avg,cos_avg,n_timesteps,selected",
+                    "%s,%g,%.10g,%.10g,%.10g,%d,%d\n",
+                    [(row.label, gamma, row.mse_avg, row.score_avg, row.cos_avg,
+                      row.n_timesteps, gamma == best_gamma) for gamma, row in results])
     return paths + [summary]
 
 
@@ -442,57 +417,48 @@ def emit_plot_data(out, kind):
         grid = np.linspace(model.delta_low[dim], model.delta_high[dim], 41)
         queries = np.zeros((grid.size, model.delta_low.size))
         queries[:, dim] = grid
-        with open(dest, "w") as fh:
-            fh.write("t,delta,mean_1,mean_2,mean_3,std_1,std_2,std_3\n")
-            for t in model.timesteps:
-                mean, std = model.model_at(t).predict(queries)
-                block = np.column_stack([np.full(grid.size, t), grid, mean, std])
-                tio._write_block(fh, tio._row_template(block.shape[1] - 1, end="\n"),
-                                 block)
+        block = np.vstack([np.column_stack([np.full(grid.size, t), grid,
+                                            *model.model_at(t).predict(queries)])
+                           for t in model.timesteps])
+        tio.write_table(dest, "t,delta,mean_1,mean_2,mean_3,std_1,std_2,std_3",
+                        "%d" + ",%.9g" * 7 + "\n", block)
         return dest
 
     if kind == "cos_histogram":
         rel = f"metrics/cos_hist_{_gamma_tag(best_gamma_of(out))}.csv"
-        text = _input(out, rel, _read_text)
-        with open(dest, "w") as fh:
-            fh.write(text)
+        _input(out, rel, lambda path: shutil.copyfile(path, dest))
         return dest
 
     if kind == "quiver":
         source = _trajectory(out, "trajectories/source.csv")
         n_samples = len([f for f in os.listdir(os.path.join(out, "trajectories"))
                          if f.startswith("sample_") and f.endswith(".csv")])
-        steps = range(0, source.n_steps + 1, max(1, source.n_steps // 20))
-        with open(dest, "w") as fh:
-            fh.write("sample_id,t,src_x1,src_x2,src_x3,pert_x1,pert_x2,pert_x3,"
-                     "dx_1,dx_2,dx_3\n")
-            for i in range(min(3, n_samples)):
-                traj = _trajectory(out, f"trajectories/sample_{i:04d}.csv")
-                for t in steps:
-                    delta = traj.angles[t] - source.angles[t]
-                    row = np.concatenate([source.angles[t], traj.angles[t], delta])
-                    fh.write(f"{i},{t}," + ",".join(f"{v:.9g}" for v in row) + "\n")
+        steps = np.arange(0, source.n_steps + 1, max(1, source.n_steps // 20))
+        src, rows = source.angles[steps], []
+        for i in range(min(3, n_samples)):
+            pert = _trajectory(out, f"trajectories/sample_{i:04d}.csv").angles[steps]
+            rows += np.column_stack([np.full(steps.size, i), steps, src, pert,
+                                     pert - src]).tolist()
+        tio.write_table(dest, "sample_id,t,src_x1,src_x2,src_x3,pert_x1,pert_x2,pert_x3,"
+                        "dx_1,dx_2,dx_3", "%d,%d" + ",%.9g" * 9 + "\n", rows)
         return dest
 
     if kind == "voxel_overlap":
         a = _trajectory(out, "trajectories/source.csv")
         b = _trajectory(out, "trajectories/sample_0000.csv")
-        with open(dest, "w") as fh:
-            fh.write("gamma,l1_gap,same_cell_fraction\n")
-            for gamma in (0.01, 0.04, 0.16, 0.2):
-                g = VoxelGrid(np.full(3, gamma))
-                va, vb = voxelize_trajectory(a, g), voxelize_trajectory(b, g)
-                gap = float(np.mean(np.abs(va.angles - vb.angles)))
-                same = float(np.mean(np.all(va.angles == vb.angles, axis=1)))
-                fh.write(f"{gamma:g},{gap:.9g},{same:.9g}\n")
+        rows = []
+        for gamma in (0.01, 0.04, 0.16, 0.2):
+            g = VoxelGrid(np.full(3, gamma))
+            va, vb = voxelize_trajectory(a, g).angles, voxelize_trajectory(b, g).angles
+            rows.append((gamma, np.mean(np.abs(va - vb)), np.mean(np.all(va == vb, axis=1))))
+        tio.write_table(dest, "gamma,l1_gap,same_cell_fraction", "%g,%.9g,%.9g\n", rows)
         return dest
 
     # kind == "planning"
     parser = configparser.ConfigParser()
     _input(out, "planning/report.txt", parser.read)
     keys = ("target_kp",) + REPORT_KEYS
-    with open(dest, "w") as fh:
-        fh.write(",".join(("scenario",) + keys) + "\n")
-        for section in parser.sections():
-            fh.write(",".join([section] + [parser[section][k] for k in keys]) + "\n")
+    tio.write_table(dest, ",".join(("scenario",) + keys), "%s" + ",%s" * len(keys) + "\n",
+                    [[section] + [parser[section][k] for k in keys]
+                     for section in parser.sections()])
     return dest

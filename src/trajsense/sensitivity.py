@@ -6,10 +6,10 @@ delay-aligned and voxelized first. The state coordinate whose sensitivity is
 tracked is the angle vector (the measured quantity); velocities ride along in
 the trajectories but are not regression targets.
 
-Three views of the same map are provided: the raw differences as a dense
-SampleSet, a linear reconstruction from orthonormal basis probes, and GP maps
-per timestep that generalize to new perturbations: one gp.ExactGP per
-timestep, with a column per angle dimension, all trained on one X.
+Three views of the same map are provided: the raw differences as dense
+SampleSets (build_sample_sets), a linear reconstruction from orthonormal
+basis probes, and GP maps per timestep that generalize to new perturbations:
+one gp.ExactGP per timestep, with a column per angle dimension, all on one X.
 """
 
 import os
@@ -78,32 +78,43 @@ def voxelized_source(source, gamma):
     return grid, voxel_mod.voxelize_trajectory(source, grid)
 
 
-def difference_into(out, traj, src, grid):
-    """Write the angle change of an aligned recording into out (T+1, d): the
-    recording, voxelized by grid (None: as it is), minus src, the source as
-    voxelized_source returned it for the same grid."""
-    if grid:
-        traj = voxel_mod.voxelize_trajectory(traj, grid)
-    np.subtract(traj.angles, src.angles, out=out)
+def build_sample_sets(source, delta_theta, recordings, align_method="none",
+                      max_lag=align_mod.DEFAULT_MAX_LAG, gammas=(None,)):
+    """One SampleSet per voxel half-width in gammas (None or 0: no grid), each
+    with one row per row of delta_theta (N, m): recording i, the i-th item of
+    the iterable recordings, differenced against the source at every
+    timestep. Recordings are taken one at a time, each aligned once
+    (align_recording) and then voxelized on every grid. Another number of
+    recordings than N is a DatasetError; a recording's DatasetError names
+    it by its meta["path"], or as "recording <i>" without one."""
+    delta_theta = np.asarray(delta_theta, dtype=float)
+    n = len(delta_theta)
+    grids = [voxelized_source(source, gamma) for gamma in gammas]
+    sets = [SampleSet(delta_theta, np.empty((n,) + src.angles.shape)) for _, src in grids]
+    i = -1
+    for i, traj in enumerate(recordings):
+        if i == n:
+            break
+        try:
+            traj = align_recording(source, delta_theta[i], traj, align_method, max_lag)
+        except DatasetError as exc:
+            raise DatasetError(f"{traj.meta.get('path', f'recording {i}')}: {exc}") from exc
+        for (grid, src), samples in zip(grids, sets):
+            voxelized = voxel_mod.voxelize_trajectory(traj, grid) if grid else traj
+            np.subtract(voxelized.angles, src.angles, out=samples.delta_x[i])
+    if i + 1 != n:
+        raise DatasetError(f"not one recording per row of delta_theta ({n} rows)")
+    return sets
 
 
 def build_samples(source, perturbed, align_method="none",
                   max_lag=align_mod.DEFAULT_MAX_LAG, gamma=None):
-    """Difference perturbed rollouts against the source at every timestep.
-
-    perturbed is a list of (delta_theta, Trajectory) pairs produced by rolling
-    out theta_nominal + delta_theta. All trajectories must share the source's
-    length and dt. Each goes through align_recording (align_method, max_lag),
-    then difference_into on the voxel grid of half-width gamma (None or 0:
-    no grid). Returns a SampleSet with one row per pair.
-    """
-    grid, src = voxelized_source(source, gamma)
+    """build_sample_sets on one voxel grid (gamma None or 0: none) for a
+    list of (delta_theta, Trajectory) pairs, each recording rolled out
+    under theta_nominal + delta_theta: one SampleSet with a row per pair."""
     delta_theta = np.array([np.asarray(d, dtype=float).reshape(-1) for d, _ in perturbed])
-    delta_x = np.empty((len(perturbed),) + src.angles.shape)
-    for i, (d, traj) in enumerate(perturbed):
-        aligned = align_recording(source, d, traj, align_method, max_lag)
-        difference_into(delta_x[i], aligned, src, grid)
-    return SampleSet(delta_theta=delta_theta, delta_x=delta_x)
+    return build_sample_sets(source, delta_theta, (traj for _, traj in perturbed),
+                             align_method, max_lag, (gamma,))[0]
 
 
 # -- linear reconstruction from basis probes ---------------------------------

@@ -4,12 +4,14 @@ Everything here is computed by a different route than the library code:
 combinatorial closed-form sums instead of iterated stepping, one-shot
 exponential solutions, homogeneous matrix powers for closed-loop maps,
 exhaustive brute-force sweeps, one object per training sample,
-row-by-row csv-module writers for the file formats, one GP query per
-point for the block queries, the former rollout loop, verification over
-the whole horizon, and the former per-sample perturbation draws. Keep this module
-free of trajsense imports so the oracles cannot inherit a library bug.
+row-by-row csv-module writers for the file formats, hand-written rows for
+the metrics and plot tables, one GP query per point for the block queries,
+the former rollout loop, verification over the whole horizon, and the
+former per-sample perturbation draws. Keep this module free of trajsense
+imports so the oracles cannot inherit a library bug.
 """
 
+import configparser
 import csv
 from collections import namedtuple
 
@@ -388,3 +390,93 @@ def former_perturbation_deltas(cfg):
         draw = former_sample_gaussian if plan.scheme == "gaussian" else former_sample_uniform
         deltas.extend(draw(plan))
     return deltas[: cfg.count]
+
+
+# -- hand-written metrics and plot tables --------------------------------------------
+# The metrics and plot CSVs as the evaluate stage and emit-plots wrote them
+# before every table went through one writer: row by row, with the csv module
+# or with f-strings. Rows, models and histograms are duck typed (MetricsRow and
+# TimestepMetrics fields; model_at(t).predict, timesteps, delta_low and
+# delta_high); voxelize(angles, gamma) stands in for the voxel grid.
+
+
+def csv_write_metrics(row, per_t, path_summary, path_per_t):
+    with open(path_summary, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["task", "mse_avg", "score_avg", "cos_avg", "n_timesteps"])
+        w.writerow([row.label, f"{row.mse_avg:.10g}", f"{row.score_avg:.10g}",
+                    f"{row.cos_avg:.10g}", str(row.n_timesteps)])
+    with open(path_per_t, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "nmse", "score", "cos_mean", "n_test"])
+        for r in per_t:
+            w.writerow([str(r.t), f"{r.nmse:.10g}", f"{r.score:.10g}",
+                        f"{r.cos_mean:.10g}", str(r.n_test)])
+
+
+def former_write_cos_hist(hists, edges, path):
+    with open(path, "w") as fh:
+        fh.write("t,bin_lo,bin_hi,count\n")
+        for t in sorted(hists):
+            for lo, hi, count in zip(edges, edges[1:], hists[t]):
+                fh.write(f"{t},{lo:.2f},{hi:.2f},{count}\n")
+
+
+def former_write_metrics_summary(results, path):
+    """results: (gamma, row) pairs; the first best score_avg is selected."""
+    best_gamma = max(results, key=lambda r: r[1].score_avg)[0]
+    with open(path, "w") as fh:
+        fh.write("task,gamma,mse_avg,score_avg,cos_avg,n_timesteps,selected\n")
+        for gamma, row in results:
+            sel = 1 if gamma == best_gamma else 0
+            fh.write(f"{row.label},{gamma:g},{row.mse_avg:.10g},{row.score_avg:.10g},"
+                     f"{row.cos_avg:.10g},{row.n_timesteps},{sel}\n")
+
+
+def former_plot_gp_evolution(model, path):
+    dim = int(np.argmax(model.delta_high - model.delta_low))
+    grid = np.linspace(model.delta_low[dim], model.delta_high[dim], 41)
+    queries = np.zeros((grid.size, model.delta_low.size))
+    queries[:, dim] = grid
+    with open(path, "w") as fh:
+        fh.write("t,delta,mean_1,mean_2,mean_3,std_1,std_2,std_3\n")
+        for t in model.timesteps:
+            mean, std = model.model_at(t).predict(queries)
+            for k, delta in enumerate(grid):
+                cells = [delta, *mean[k], *std[k]]
+                fh.write(f"{t}," + ",".join(f"{v:.9g}" for v in cells) + "\n")
+
+
+def former_plot_quiver(source_angles, sample_angles, path):
+    """sample_angles: the angles of the first (up to) three recordings."""
+    n_steps = source_angles.shape[0] - 1
+    steps = range(0, n_steps + 1, max(1, n_steps // 20))
+    with open(path, "w") as fh:
+        fh.write("sample_id,t,src_x1,src_x2,src_x3,pert_x1,pert_x2,pert_x3,"
+                 "dx_1,dx_2,dx_3\n")
+        for i, angles in enumerate(sample_angles[:3]):
+            for t in steps:
+                delta = angles[t] - source_angles[t]
+                row = np.concatenate([source_angles[t], angles[t], delta])
+                fh.write(f"{i},{t}," + ",".join(f"{v:.9g}" for v in row) + "\n")
+
+
+def former_plot_voxel_overlap(a_angles, b_angles, voxelize, path):
+    with open(path, "w") as fh:
+        fh.write("gamma,l1_gap,same_cell_fraction\n")
+        for gamma in (0.01, 0.04, 0.16, 0.2):
+            va, vb = voxelize(a_angles, gamma), voxelize(b_angles, gamma)
+            gap = float(np.mean(np.abs(va - vb)))
+            same = float(np.mean(np.all(va == vb, axis=1)))
+            fh.write(f"{gamma:g},{gap:.9g},{same:.9g}\n")
+
+
+def former_plot_planning(report_path, keys, path):
+    """keys: the report keys after target_kp, in column order."""
+    parser = configparser.ConfigParser()
+    parser.read(report_path)
+    keys = ("target_kp",) + tuple(keys)
+    with open(path, "w") as fh:
+        fh.write(",".join(("scenario",) + keys) + "\n")
+        for section in parser.sections():
+            fh.write(",".join([section] + [parser[section][k] for k in keys]) + "\n")

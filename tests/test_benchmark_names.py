@@ -64,8 +64,8 @@ def test_a_traced_run_fires_every_span_but_the_known_dead_ones(tmp_path, monkeyp
                                 cfg.n_steps)
     fired = {span["name"] for span in tracer.spans}
     assert {name for _, _, name, _ in tracing.TARGETS} - fired == {
-        # FOUND in CHANGES.md: the streamed build differences through
-        # sensitivity.difference_into, so run_pipeline calls no build_samples
+        # FOUND in CHANGES.md: the build stage calls
+        # sensitivity.build_sample_sets, so run_pipeline calls no build_samples
         "sensitivity.build_samples",
         # FOUND in CHANGES.md: under the in-memory hand-off, fit and evaluate
         # take the SampleSets the build stage made and read no sample CSV

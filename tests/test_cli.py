@@ -20,9 +20,12 @@ from trajsense.config import load_config
 from trajsense.errors import ConfigError, DatasetError, FitError, StageError
 from trajsense.gp import ExactGP
 from trajsense.pipeline import emit_plot_data, run_pipeline
-from trajsense.sensitivity import SensitivityModel, build_samples, fit_sensitivity_model
+from trajsense.sensitivity import (COS_BIN_EDGES, SensitivityModel, build_samples, evaluate,
+                                   fit_sensitivity_model)
 from trajsense.sim import START_POSE
+from trajsense.voxel import VoxelGrid, voxelize_trajectory
 
+import oracles
 from oracles import former_perturbation_deltas, per_point_gp_evolution, posterior_error_bounds
 
 SMALL_CFG = """
@@ -376,7 +379,7 @@ def test_build_aligns_each_recording_once(tmp_path, monkeypatch, method, policy,
     pairs = [(d, tio.read_trajectory(os.path.join(traj_dir, f"sample_{i:04d}.csv")))
              for i, d in enumerate(deltas)]
     assert any(t.meta["temporal_shift"] != 0 for _, t in pairs)
-    splits = zip(("train", "test"), pipeline._split_indices(cfg, len(pairs)))
+    splits = zip(("train", "test"), cfg.split_indices(len(pairs)))
     expected = {}
     for name, idx in splits:
         for gamma in cfg.gamma_sweep:
@@ -419,6 +422,60 @@ def test_emit_plots_all_kinds(cfg_file, tmp_path):
         path = os.path.join(out, "plots", f"{kind}.csv")
         assert os.path.exists(path)
         assert len(open(path).read().splitlines()) > 1
+
+
+def test_metrics_and_plot_tables_match_the_hand_written_writers(finished_run, tmp_path):
+    # every metrics table and every emit-plots kind, byte for byte against the
+    # row-by-row writers the evaluate stage and emit-plots used before they
+    # shared io.write_table; quiver, voxel_overlap and planning had no test
+    cfg_file, done = finished_run
+    cfg, out = load_config(cfg_file), str(tmp_path / "out")
+    shutil.copytree(done, out)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+
+    def same(rel, write):
+        write(str(ref / "table.csv"))
+        assert open(os.path.join(out, rel), "rb").read() == \
+            (ref / "table.csv").read_bytes(), rel
+
+    results = []
+    for gamma in cfg.gamma_sweep:
+        tag = pipeline._gamma_tag(gamma)
+        model = SensitivityModel.load(os.path.join(out, f"models/model_{tag}.npz"))
+        row, per_t, hists = evaluate(model, tio.read_samples(
+            os.path.join(out, f"samples/test_{tag}.csv")), label=cfg.label)
+        results.append((gamma, row))
+        oracles.csv_write_metrics(row, per_t, str(ref / "summary.csv"),
+                                  str(ref / "per_t.csv"))
+        same(f"metrics/metrics_{tag}.csv", lambda p: shutil.copy(ref / "summary.csv", p))
+        same(f"metrics/per_timestep_{tag}.csv", lambda p: shutil.copy(ref / "per_t.csv", p))
+        same(f"metrics/cos_hist_{tag}.csv",
+             lambda p: oracles.former_write_cos_hist(hists, COS_BIN_EDGES, p))
+    same("metrics/metrics.csv", lambda p: oracles.former_write_metrics_summary(results, p))
+
+    for kind in pipeline.PLOT_KINDS:
+        emit_plot_data(out, kind)
+    trajectories = os.path.join(out, "trajectories")
+    source = tio.read_trajectory(os.path.join(trajectories, "source.csv")).angles
+    first = [tio.read_trajectory(os.path.join(trajectories, f"sample_{i:04d}.csv")).angles
+             for i in range(3)]
+    best = pipeline._gamma_tag(pipeline.best_gamma_of(out))
+    same("plots/gp_evolution.csv", lambda p: oracles.former_plot_gp_evolution(
+        SensitivityModel.load(os.path.join(out, pipeline.selected_model(out))), p))
+    same("plots/cos_histogram.csv",
+         lambda p: shutil.copy(os.path.join(out, f"metrics/cos_hist_{best}.csv"), p))
+    same("plots/quiver.csv", lambda p: oracles.former_plot_quiver(source, first, p))
+
+    def voxelize(angles, gamma):
+        traj = Trajectory(cfg.dt, angles, np.zeros_like(angles),
+                          np.zeros((len(angles) - 1, 3)), {})
+        return voxelize_trajectory(traj, VoxelGrid(np.full(3, gamma))).angles
+
+    same("plots/voxel_overlap.csv",
+         lambda p: oracles.former_plot_voxel_overlap(source, first[0], voxelize, p))
+    same("plots/planning.csv", lambda p: oracles.former_plot_planning(
+        os.path.join(out, "planning/report.txt"), pipeline.REPORT_KEYS, p))
 
 
 def test_gp_evolution_matches_per_point_queries(cfg_file, tmp_path):
@@ -665,6 +722,25 @@ def test_a_recording_that_cannot_be_aligned_is_named(tmp_path, capsys):
     assert main(["build", "--config", str(path), "--out", out]) == 3
     assert ("error: trajectories/sample_0003.csv: trajectory is constant; correlation "
             "undefined") in capsys.readouterr().err
+
+
+def test_a_constant_source_is_named_not_a_recording(tmp_path, capsys):
+    # the build stage used to prefix every alignment error with the recording
+    # it was aligning, so a constant source was blamed on sample_0000.csv
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL_CFG.replace("align = none", "align = correlation"))
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", str(path), "--out", out]) == 0
+    rel = os.path.join(out, "trajectories", "source.csv")
+    traj = tio.read_trajectory(rel)
+    tio.write_trajectory(Trajectory(traj.dt, np.ones_like(traj.angles), traj.velocities,
+                                    traj.torques, traj.meta), rel)
+    capsys.readouterr()
+    assert main(["build", "--config", str(path), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert ("error: trajectories/source.csv: trajectory is constant; correlation "
+            "undefined") in err
+    assert "sample_" not in err
 
 
 def test_a_changed_or_missing_perturbations_file_reruns_from_simulate(cfg_file, tmp_path,
@@ -926,6 +1002,14 @@ def test_gp_optimize_other_than_true_is_rejected(tmp_path):
     (("scheme = uniform", "scheme = gaussian\nlambda_rate = 0"), "perturbation.lambda_rate"),
     (("scheme = uniform", "scheme = gaussian\nlambda_sweep = 50, -5"),
      "perturbation.lambda_sweep"),
+    (("count = 24", "count = 1"), "eval.holdout_fraction"),
+    (("count = 24", "count = 2"), "eval.holdout_fraction"),
+    (("count = 24", "count = 3"), "eval.holdout_fraction"),
+    (("count = 24", "count = 4"), "eval.holdout_fraction"),
+    (("holdout_fraction = 0.25", "holdout_fraction = 0.95"), "eval.holdout_fraction"),
+    (("scheme = uniform", "scheme = gaussian\nlambda_sweep = 50, 100\nn_per_lambda = 2"),
+     "eval.holdout_fraction"),
+    (("label = cli_small", 'label = cli "small"'), "experiment.label"),
 ])
 def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
     # a misspelt key used to load silently and run with the key's default;
@@ -937,7 +1021,11 @@ def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
     # failed, exit code 3. A misspelt or basis scheme ran the gaussian scheme;
     # a misspelt align method, a max_lag of half the run or more, a stride
     # below 1, an empty ranges interval or a rate <= 0 failed a later stage,
-    # exit code 3; n_restarts = 0 ran one start
+    # exit code 3; n_restarts = 0 ran one start. A label with a double quote
+    # was quoted in metrics_g*.csv but not in metrics.csv. A split with fewer
+    # than 2 training or 2 held-out recordings failed build, fit or evaluate
+    # after the simulate stage, exit code 3; a lambda sweep can draw fewer
+    # recordings than count
     bad = tmp_path / "bad.ini"
     bad.write_text(SMALL_CFG.replace(*edit))
     with pytest.raises(ConfigError, match=re.escape(name)):

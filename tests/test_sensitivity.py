@@ -10,6 +10,7 @@ from trajsense import (
     SampleSet,
     basis_directions,
     build_jacobian_stack,
+    build_sample_sets,
     build_samples,
     cosine_alignment,
     evaluate,
@@ -22,6 +23,7 @@ from trajsense import (
 from scipy.linalg import cho_solve
 
 from trajsense import gp as gp_mod
+from trajsense import sensitivity as sensitivity_mod
 from trajsense.align import align_zero_crossing
 from trajsense.errors import (
     ConfigError,
@@ -97,6 +99,41 @@ def test_build_samples_validates_inputs():
         build_samples(source, [(np.zeros(6), ramp_rollout(T=50))])
     with pytest.raises(DatasetError):
         build_samples(source, [(np.ones(6), ramp_rollout(T=60))])
+
+
+def test_build_sample_sets_takes_each_recording_once_for_every_gamma(lagged_ramps,
+                                                                     monkeypatch):
+    source, trajs = lagged_ramps
+    deltas = np.random.default_rng(3).normal(size=(len(trajs), 6))
+    gammas = (None, 0.01, 0.04)
+    aligned = []
+    real = align_recording
+    monkeypatch.setattr(sensitivity_mod, "align_recording",
+                        lambda *args: aligned.append(1) or real(*args))
+    sets = build_sample_sets(source, deltas, iter(trajs), "correlation", 20, gammas)
+    assert len(aligned) == len(trajs)
+    for gamma, samples in zip(gammas, sets):
+        one = build_samples(source, list(zip(deltas, trajs)), "correlation", 20, gamma)
+        assert np.array_equal(samples.delta_theta, one.delta_theta)
+        assert np.array_equal(samples.delta_x, one.delta_x)
+
+
+def test_build_sample_sets_names_the_recording_at_fault():
+    source = ramp_rollout(T=50)
+    deltas = np.ones((3, 6))
+    trajs = [ramp_rollout(T=50) for _ in range(3)]
+    # one row of delta_theta per recording, no more and no fewer
+    for n in (2, 4):
+        with pytest.raises(DatasetError, match="one recording per row of delta_theta"):
+            build_sample_sets(source, np.ones((n, 6)), iter(trajs))
+    # a recording without a meta["path"] is named by its position
+    deltas[2] = 0.0
+    with pytest.raises(DatasetError, match="^recording 2: delta_theta must be nonzero"):
+        build_sample_sets(source, deltas, iter(trajs))
+    trajs[1] = ramp_rollout(T=60)
+    trajs[1].meta["path"] = "trajectories/sample_0001.csv"
+    with pytest.raises(DatasetError, match="^trajectories/sample_0001.csv: .*length"):
+        build_sample_sets(source, deltas, iter(trajs))
 
 
 def test_build_samples_realigns_shifted_trajectory():
