@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 
 from . import align
+from . import io as tio
 from .controllers import PolicySpec
 from .errors import ConfigError, InvalidStateError
 from .gp import N_RESTARTS
@@ -149,9 +150,7 @@ class ExperimentConfig:
         except (KeyError, ValueError, TypeError, configparser.Error) as exc:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
 
-        if any(c in self.label for c in ',"\n'):
-            raise ConfigError(f"experiment.label {self.label!r}: a field of metrics.csv "
-                              "holds no comma, double quote or line break")
+        tio.check_label(self.label, "experiment.label")
         tags = [f"{g:g}" for g in self.gamma_sweep]
         if not tags or len(set(tags)) < len(tags) or \
                 not all(np.isfinite(g) and g >= 0 for g in self.gamma_sweep):

@@ -108,27 +108,32 @@ def _check_cells(path, number, cells, width):
                           f"({cells}, the header has {width})")
 
 
-def _check_lines(path, width, block=1 << 16):
-    """The number of lines of path after the header, each checked by
-    _check_cells, which raises for the first bad one. The separators of each
-    line are counted in binary blocks of `block` bytes: no line is decoded
-    and no copy of the file held."""
+def _blocks(path, size=1 << 16):
+    """The bytes of path after its header line, in blocks of size bytes."""
     with open(path, "rb") as fh:
         fh.readline()
-        number, commas, chunk = 2, 0, b""  # the open line, its commas so far
-        for chunk in iter(lambda: fh.read(block), b""):
-            buf = np.frombuffer(chunk, np.uint8)
-            ends = np.flatnonzero(buf == ord("\n"))
-            at = np.flatnonzero(buf == ord(","))
-            per_line = np.diff(at.searchsorted(ends), prepend=-commas)
-            bad = np.flatnonzero(per_line != width - 1)
-            if bad.size:
-                _check_cells(path, number + bad[0], per_line[bad[0]] + 1, width)
-            number += ends.size
-            commas = at.size - at.searchsorted(ends[-1]) if ends.size else commas + at.size
-        if chunk[-1:] not in (b"", b"\n"):  # a last line without its line end
-            _check_cells(path, number, commas + 1, width)
-            number += 1
+        yield from iter(lambda: fh.read(size), b"")
+
+
+def _check_lines(path, width, blocks):
+    """The number of lines in blocks, the bytes of path after its header (a
+    trajectory's one buffer, or _blocks), each checked by _check_cells, which
+    raises for the first bad one. No line is decoded."""
+    number, commas = 2, 0  # the open line, its commas so far
+    buf = np.empty(0, np.uint8)
+    for block in blocks:
+        buf = np.frombuffer(block, np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        at = np.flatnonzero(buf == ord(","))
+        per_line = np.diff(at.searchsorted(ends), prepend=-commas)
+        bad = np.flatnonzero(per_line != width - 1)
+        if bad.size:
+            _check_cells(path, number + bad[0], per_line[bad[0]] + 1, width)
+        number += ends.size
+        commas = at.size - at.searchsorted(ends[-1]) if ends.size else commas + at.size
+    if buf.size and buf[-1] != ord("\n"):  # a last line without its line end
+        _check_cells(path, number, commas + 1, width)
+        number += 1
     return number - 2
 
 
@@ -138,19 +143,22 @@ _META_NUMBERS = {"dt": float, "seed": int, "temporal_shift": int,
 
 
 def read_trajectory(path):
-    """A trajectory CSV and its sidecar. Every row must have the header's
-    cells; else ConfigError names the first bad line."""
-    with open(path, newline="") as fh:
-        if _header(fh) != TRAJ_HEADER:
-            raise ConfigError(f"{path}: not a trajectory CSV")
-        n = _check_lines(path, len(TRAJ_HEADER))
-        if n < 2:
-            raise ConfigError(f"{path}: trajectory CSV has no step (fewer than two rows)")
-        lines = fh.read().splitlines()
+    """A trajectory CSV and its sidecar, named by path in its meta["path"].
+    Every row must have the header's cells; else ConfigError names the first
+    bad line. The file is read once, and its text decoded once."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    lines = buf.decode().splitlines()
+    if lines[:1] != [",".join(TRAJ_HEADER)]:
+        raise ConfigError(f"{path}: not a trajectory CSV")
+    n = _check_lines(path, len(TRAJ_HEADER),
+                     [memoryview(buf)[buf.find(b"\n") + 1 or len(buf):]])
+    if n < 2:
+        raise ConfigError(f"{path}: trajectory CSV has no step (fewer than two rows)")
     angles = np.empty((n, 3))
     velocities = np.empty((n, 3))
     # every row but the terminal one carries torques
-    body = _loadtxt(lines[:-1], path, 2)
+    body = _loadtxt(lines[1:-1], path, 2)
     angles[:-1], velocities[:-1] = body[:, 1:4], body[:, 4:7]
     torques = np.ascontiguousarray(body[:, 7:10])
     last = _loadtxt(lines[-1:], path, n + 1, usecols=range(1, 7))[0]
@@ -177,6 +185,7 @@ def read_trajectory(path):
         dt = meta.get("dt") or None
     if dt is None:
         raise ConfigError(f"{path}: missing dt in meta sidecar")
+    meta["path"] = path
     return Trajectory(dt, angles, velocities, torques, meta)
 
 
@@ -229,7 +238,7 @@ def read_samples(path):
         header = _header(fh)
         m = sum(1 for h in header if h.startswith("dtheta_") and h != "dtheta_norm")
         d = sum(1 for h in header if h.startswith("dx_"))
-        if not _check_lines(path, len(header)):
+        if not _check_lines(path, len(header), _blocks(path)):
             return SampleSet(delta_theta=np.empty((0, m)), delta_x=np.empty((0, 0, d)))
         start = fh.tell()
         # t and dtheta first, dx in a second pass: no table wider than the result
@@ -261,15 +270,24 @@ def read_perturbations(path, nominal):
         if width != 1 + nominal.size:
             raise ConfigError(f"{path}: {width - 1} theta columns, the policy has "
                               f"{nominal.size} parameters")
-        if not _check_lines(path, width):
+        if not _check_lines(path, width, _blocks(path)):
             return np.empty((0, nominal.size))
         data = _loadtxt(fh, path, 2)
     return data[:, 1:] - nominal
 
 
+def check_label(label, name="label"):
+    """A ConfigError naming the label as `name` unless it fits one cell of a
+    metrics table as it is: no comma, double quote or line break."""
+    if any(c in label for c in ',"\n'):
+        raise ConfigError(f"{name} {label!r}: a field of metrics.csv holds no comma, "
+                          "double quote or line break")
+
+
 def write_metrics(row, per_t, path_summary, path_per_t):
     """A MetricsRow as a one-row summary table and its TimestepMetrics as one
-    row per timestep; the label is written as it is."""
+    row per timestep; a label that check_label rejects is a ConfigError."""
+    check_label(row.label, "MetricsRow.label")
     write_table(path_summary, "task,mse_avg,score_avg,cos_avg,n_timesteps",
                 "%s,%.10g,%.10g,%.10g,%d\r\n",
                 [(row.label, row.mse_avg, row.score_avg, row.cos_avg, row.n_timesteps)],

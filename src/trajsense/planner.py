@@ -4,8 +4,9 @@ Given per-timestep GP maps trained by perturbing the proportional gain of a
 PD servo, solve for the gain that bends the nominal trajectory through a
 desired intermediate state at a chosen timestep, then verify by rollout.
 The relation is implicit (the map is queried at the correction being solved
-for), so the primary solver is a bracketed root search over the trained
-perturbation range; a fixed-point iteration is offered as a cross-check.
+for). One solver per constraint shape: a single constraint dimension is a
+bracketed root search over the trained perturbation range, several are a
+least-squares compromise.
 
 scipy's `minimize_scalar` is imported only in the least-squares branch that
 uses it, so importing the package does not load scipy (see `gp`).
@@ -56,17 +57,15 @@ class PlanningProblem:
 @dataclass
 class SolveResult:
     kp_star: float
-    delta_star: float
     residuals: np.ndarray
-    n_roots: int = 1
-    extrapolated: bool = False
+    n_roots: int
+    extrapolated: bool
 
 
 @dataclass
 class PlanReport:
     kp_star: float
     achieved: np.ndarray
-    target: np.ndarray
     miss: float
     source_miss: float
     improved: bool
@@ -98,15 +97,19 @@ def _bisect(f, lo, hi, f_lo):
     return 0.5 * (lo + hi)
 
 
-def solve_kp(model, problem, method="root_search"):
-    """Solve for the gain whose predicted state change meets the target.
+def solve_kp(model, problem):
+    """Solve for the gain whose predicted state change meets the target:
+    SolveResult(kp_star, residuals, n_roots, extrapolated).
 
     Single constraint dimension: bracketed root search on
-    predicted_change(delta) - required_change over the trained delta range;
-    with multiple sign changes the root with the smallest |delta| wins.
-    Multiple dimensions: least-squares compromise, per-dim residuals reported.
-    The grid has DEFAULT_GRID gains; searches stop at DEFAULT_TOL or after
-    DEFAULT_MAX_ITER steps.
+    predicted_change(delta) - required_change over the trained delta range.
+    On the DEFAULT_GRID-point grid an exact zero is a root and a sign change
+    to the next point is bisected; the root with the smallest |delta| wins,
+    and n_roots counts them. No root is a TargetUnreachableError carrying
+    the attainable range of the angle.
+    Several dimensions: least-squares compromise, per-dim residuals reported.
+    extrapolated says the target lies outside the range the grid attains.
+    Searches stop at DEFAULT_TOL or after DEFAULT_MAX_ITER steps.
     """
     dims = problem.dims()
     source_x = np.asarray(model.source_angles_at(problem.t_constraint), dtype=float)
@@ -119,23 +122,18 @@ def solve_kp(model, problem, method="root_search"):
     curve = _predict_curve(model, problem, deltas, dims)
     change = lambda d: _predict_curve(model, problem, np.array([d]), dims)[0]
 
-    extrapolated = bool(np.any(required < curve.min(axis=0) - 0.0)
+    extrapolated = bool(np.any(required < curve.min(axis=0))
                         or np.any(required > curve.max(axis=0)))
 
     n_roots = 1
-    if method == "fixed_point":
-        delta = _fixed_point(change, required, dims, lo, hi)
-    elif len(dims) == 1:
+    if len(dims) == 1:
         resid = curve[:, 0] - required[0]
         f = lambda d: change(d)[0] - required[0]
-        roots = []
-        for i in range(DEFAULT_GRID - 1):
-            if resid[i] == 0.0:
-                roots.append(deltas[i])
-            elif (resid[i] < 0) != (resid[i + 1] < 0):
-                roots.append(_bisect(f, deltas[i], deltas[i + 1], resid[i]))
-        if resid[-1] == 0.0:
-            roots.append(deltas[-1])
+        # each grid point that is an exact zero or whose sign changes to the next
+        neg = resid < 0
+        at = np.flatnonzero((resid == 0.0) | np.append(neg[:-1] != neg[1:], False))
+        roots = [deltas[i] if resid[i] == 0.0 else
+                 _bisect(f, deltas[i], deltas[i + 1], resid[i]) for i in at]
         if not roots:
             raise TargetUnreachableError(
                 "no gain in the trained range reaches the target",
@@ -155,31 +153,12 @@ def solve_kp(model, problem, method="root_search"):
                               options={"xatol": DEFAULT_TOL})
         delta = float(res.x)
 
-    achieved_change = change(delta)
-    return SolveResult(kp_star=float(problem.source_kp + delta), delta_star=float(delta),
-                       residuals=achieved_change - required, n_roots=n_roots,
+    return SolveResult(kp_star=float(problem.source_kp + delta),
+                       residuals=change(delta) - required, n_roots=n_roots,
                        extrapolated=extrapolated)
 
 
-def _fixed_point(change, required, dims, lo, hi):
-    """Iterate the slope reading: delta <- required / (g(delta)/delta)."""
-    if len(dims) != 1:
-        raise ConfigError("fixed-point mode handles a single constraint dimension")
-    delta = 0.5 * (lo + hi)
-    if delta == 0.0:
-        delta = 0.25 * (hi - lo)
-    for _ in range(DEFAULT_MAX_ITER):
-        g = change(delta)[0]
-        if abs(g) < 1e-30:
-            raise TargetUnreachableError("flat sensitivity at the iterate")
-        new_delta = float(np.clip(required[0] * delta / g, lo, hi))
-        if abs(new_delta - delta) < DEFAULT_TOL:
-            return new_delta
-        delta = new_delta
-    return delta
-
-
-def plan(problem, model, policy, x0, dt, mode, n_steps, method="root_search"):
+def plan(problem, model, policy, x0, dt, mode, n_steps):
     """Solve for the gain, roll it out for n_steps, and report the
     constraint-time miss: (PlanReport, planned Trajectory).
 
@@ -191,7 +170,7 @@ def plan(problem, model, policy, x0, dt, mode, n_steps, method="root_search"):
     if problem.t_constraint > n_steps:
         raise ConfigError(f"t_constraint {problem.t_constraint} is beyond the "
                           f"horizon n_steps {n_steps}")
-    result = solve_kp(model, problem, method=method)
+    result = solve_kp(model, problem)
     dims = problem.dims()
 
     theta = policy.theta.copy()
@@ -200,22 +179,21 @@ def plan(problem, model, policy, x0, dt, mode, n_steps, method="root_search"):
     achieved = planned.angles[problem.t_constraint]
 
     source_x = np.asarray(model.source_angles_at(problem.t_constraint), dtype=float)
-    target = problem.x_target_t
-    miss = float(np.linalg.norm(achieved[dims] - target[dims]))
-    source_miss = float(np.linalg.norm(source_x[dims] - target[dims]))
+    target = problem.x_target_t[dims]
+    miss = float(np.linalg.norm(achieved[dims] - target))
+    source_miss = float(np.linalg.norm(source_x[dims] - target))
     improvement = 0.0 if source_miss == 0 else 1.0 - miss / source_miss
-    report = PlanReport(kp_star=result.kp_star, achieved=achieved, target=target,
-                        miss=miss, source_miss=source_miss,
-                        improved=bool(miss < source_miss), improvement=improvement,
-                        n_roots=result.n_roots, extrapolated=result.extrapolated)
+    report = PlanReport(kp_star=result.kp_star, achieved=achieved, miss=miss,
+                        source_miss=source_miss, improved=bool(miss < source_miss),
+                        improvement=improvement, n_roots=result.n_roots,
+                        extrapolated=result.extrapolated)
     return report, planned
 
 
-def plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
-                    method="root_search"):
+def plan_and_verify(problem, model, policy, x0, dt, mode, n_steps):
     """`plan`'s report. n_steps is the horizon the plan must fall within; the
     simulator is causal, so the verifying rollout stops at t_constraint, the
     only step the report reads."""
     # past n_steps, the shorter of the two is n_steps and plan raises
     steps = min(problem.t_constraint, n_steps)
-    return plan(problem, model, policy, x0, dt, mode, steps, method)[0]
+    return plan(problem, model, policy, x0, dt, mode, steps)[0]

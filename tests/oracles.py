@@ -6,8 +6,9 @@ exponential solutions, homogeneous matrix powers for closed-loop maps,
 exhaustive brute-force sweeps, one object per training sample,
 row-by-row csv-module writers for the file formats, hand-written rows for
 the metrics and plot tables, one GP query per point for the block queries,
-the former rollout loop, verification over the whole horizon, and the
-former per-sample perturbation draws. Keep this module free of trajsense
+the former rollout loop, verification over the whole horizon, the former
+planner root scan and fixed-point solver, and the former per-sample
+perturbation draws. Keep this module free of trajsense
 imports so the oracles cannot inherit a library bug.
 """
 
@@ -335,8 +336,8 @@ def former_rollout_batch(policies, x0_angles, x0_velocities, n_steps, dt, mode):
 
 
 def full_horizon_plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
-                                 solve_kp, rollout, method="root_search"):
-    result = solve_kp(model, problem, method=method)
+                                 solve_kp, rollout):
+    result = solve_kp(model, problem)
     dims = problem.dims()
     theta = policy.theta.copy()
     theta[0] = result.kp_star
@@ -347,10 +348,54 @@ def full_horizon_plan_and_verify(problem, model, policy, x0, dt, mode, n_steps,
     miss = float(np.linalg.norm(achieved[dims] - target[dims]))
     source_miss = float(np.linalg.norm(source_x[dims] - target[dims]))
     improvement = 0.0 if source_miss == 0 else 1.0 - miss / source_miss
-    return {"kp_star": result.kp_star, "achieved": achieved, "target": target,
-            "miss": miss, "source_miss": source_miss, "improved": bool(miss < source_miss),
+    return {"kp_star": result.kp_star, "achieved": achieved, "miss": miss,
+            "source_miss": source_miss, "improved": bool(miss < source_miss),
             "improvement": improvement, "n_roots": result.n_roots,
             "extrapolated": result.extrapolated}
+
+
+# -- the former planner solvers -------------------------------------------------------
+# The root search's bracket scan as it was, one grid point per Python step,
+# and the fixed-point iteration the planner used to offer as a cross-check.
+# Models and problems are duck typed (SensitivityModel, PlanningProblem).
+
+
+def former_root_scan(resid, deltas, f, bisect):
+    """The roots the former scan found, in its order: an exact zero at a grid
+    point is taken as it is, a sign change to the next point is bisected with
+    bisect(f, lo, hi, f_lo), and the last point counts only as an exact zero."""
+    roots = []
+    for i in range(deltas.size - 1):
+        if resid[i] == 0.0:
+            roots.append(deltas[i])
+        elif (resid[i] < 0) != (resid[i + 1] < 0):
+            roots.append(bisect(f, deltas[i], deltas[i + 1], resid[i]))
+    if resid[-1] == 0.0:
+        roots.append(deltas[-1])
+    return roots
+
+
+def fixed_point_kp(model, problem, tol=1e-6, max_iter=100):
+    """The gain that meets a single-dimension target, by iterating the slope
+    reading delta <- required * delta / g(delta) from the middle of the
+    trained range, clipped to it; g is one per-point model query."""
+    (dim,) = problem.dims()
+    source_x = np.asarray(model.source_angles_at(problem.t_constraint), dtype=float)
+    required = problem.x_target_t[dim] - source_x[dim]
+    lo, hi = float(model.delta_low[0]), float(model.delta_high[0])
+    dq = np.zeros(model.delta_low.size)
+    delta = 0.5 * (lo + hi) or 0.25 * (hi - lo)
+    for _ in range(max_iter):
+        dq[0] = delta
+        g = model.predict(problem.t_constraint, dq)[0][dim]
+        if abs(g) < 1e-30:
+            raise ZeroDivisionError("flat sensitivity at the iterate")
+        new_delta = float(np.clip(required * delta / g, lo, hi))
+        converged = abs(new_delta - delta) < tol
+        delta = new_delta
+        if converged:
+            break
+    return problem.source_kp + delta
 
 
 # -- the former perturbation draws ---------------------------------------------------

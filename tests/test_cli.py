@@ -822,6 +822,22 @@ def test_align_subcommand(tmp_path, capsys):
     assert "kind = temporal" in report
 
 
+def test_align_names_a_constant_trajectory(tmp_path, capsys):
+    # the error used to name neither file: "error: trajectory is constant;
+    # correlation undefined"
+    traj = rollout(PolicySpec("sinusoidal", [0.4, 0.05]), JointState(START_POSE, np.zeros(3)),
+                   300, 0.01, DynamicsMode("linear", damping=0.8))
+    a, c = str(tmp_path / "a.csv"), str(tmp_path / "c.csv")
+    tio.write_trajectory(traj, a)
+    tio.write_trajectory(Trajectory(traj.dt, np.ones_like(traj.angles), traj.velocities,
+                                    traj.torques, traj.meta), c)
+    for argv in ([a, c], [c, a]):
+        capsys.readouterr()
+        assert main(["align", *argv]) == 3
+        assert (f"error: {c}: trajectory is constant; correlation undefined"
+                in capsys.readouterr().err), argv
+
+
 def test_align_methods_report_one_lag(tmp_path, capsys):
     # the zero-crossing method used to print tau_star = 7 where correlation
     # printed -7, and a lag window as long as the recording ended in a

@@ -1,3 +1,5 @@
+import builtins
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from trajsense import DynamicsMode, JointState, PolicySpec, Trajectory, rollout
 from trajsense import io as tio
 from trajsense.errors import ConfigError
-from trajsense.sensitivity import SampleSet, build_samples
+from trajsense.sensitivity import MetricsRow, SampleSet, build_samples
 from trajsense.sim import START_POSE
 
 import oracles
@@ -31,6 +33,21 @@ def test_trajectory_round_trip(tmp_path):
     assert back.dt == traj.dt
     assert back.meta["policy_id"].startswith("pd_feedback")
     assert back.meta["temporal_shift"] == 0
+
+
+def test_read_trajectory_opens_the_csv_once(tmp_path, monkeypatch):
+    # the reader used to open the CSV twice: once in binary to count the
+    # cells of each line, once as text for loadtxt
+    traj = sample_traj()
+    path = str(tmp_path / "traj.csv")
+    tio.write_trajectory(traj, path)
+    opened, real = [], builtins.open
+    monkeypatch.setattr(builtins, "open", lambda file, *a, **kw: (
+        opened.append(file) or real(file, *a, **kw)))
+    back = tio.read_trajectory(path)
+    assert opened.count(path) == 1
+    assert back.meta["path"] == path
+    assert np.array_equal(back.torques, tio.read_trajectory(path).torques)
 
 
 def test_trajectory_header_schema(tmp_path):
@@ -194,11 +211,11 @@ def test_every_sample_line_has_its_cells_counted_across_blocks(tmp_path, block):
         with open(path, "w", newline="") as fh:
             fh.write("\r\n".join(edited))
         if bad is None:
-            tio._check_lines(path, width, block)
+            tio._check_lines(path, width, tio._blocks(path, block))
             continue
         with pytest.raises(ConfigError, match=rf"samples.csv: line {bad[0]}: wrong number "
                                               rf"of cells \({bad[1]}, the header has {width}\)"):
-            tio._check_lines(path, width, block)
+            tio._check_lines(path, width, tio._blocks(path, block))
 
 
 def test_read_samples_of_an_empty_file_is_empty(tmp_path):
@@ -262,3 +279,15 @@ def test_read_rejects_headerless_and_empty_trajectory(tmp_path):
     path.write_text("t,x1,x2,x3,v1,v2,v3,u1,u2,u3\r\n")
     with pytest.raises(ConfigError):
         tio.read_trajectory(str(path))
+
+
+@pytest.mark.parametrize("label", ["a,b", 'a "b"', "a\nb"])
+def test_write_metrics_rejects_a_label_that_is_not_one_cell(tmp_path, label):
+    # the label is written as it is: "a,b" made a six-cell row under a
+    # five-cell header
+    summary, per_t = tmp_path / "summary.csv", tmp_path / "per_t.csv"
+    with pytest.raises(ConfigError, match=re.escape(f"MetricsRow.label {label!r}")):
+        tio.write_metrics(MetricsRow(label, 0.1, 0.9, 0.95, 3), [], str(summary), str(per_t))
+    assert not summary.exists() and not per_t.exists()
+    tio.write_metrics(MetricsRow("a b", 0.1, 0.9, 0.95, 3), [], str(summary), str(per_t))
+    assert summary.read_text().splitlines()[1] == "a b,0.1,0.9,0.95,3"

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from trajsense.gp import ExactGP
 from trajsense.sim import START_POSE
 
 from oracles import (
+    fixed_point_kp,
+    former_root_scan,
     full_horizon_plan_and_verify,
     pd_closed_loop_angle,
     per_point_predict_curve,
@@ -130,9 +133,9 @@ def test_unreachable_target_reports_attainable_range(trained):
 def test_fixed_point_agrees_with_root_search(trained):
     model, _ = trained
     target = np.array([oracle_angle_at(0.5, dim=d) for d in range(3)])
-    root = solve_kp(model, problem_for(target, dims=0), method="root_search")
-    fixed = solve_kp(model, problem_for(target, dims=0), method="fixed_point")
-    assert fixed.kp_star == pytest.approx(root.kp_star, abs=1e-4)
+    root = solve_kp(model, problem_for(target, dims=0))
+    fixed = fixed_point_kp(model, problem_for(target, dims=0))
+    assert fixed == pytest.approx(root.kp_star, abs=1e-4)
 
 
 def test_plan_and_verify_improves_miss(trained):
@@ -169,7 +172,7 @@ def test_second_correction_is_smaller(trained):
                                t_constraint=T_CONSTRAINT, x_target_t=target,
                                final_target=X_STAR, constraint_dim=0)
     second = solve_kp(model2, problem2)
-    assert abs(second.delta_star) < abs(first.delta_star)
+    assert abs(second.kp_star - first.kp_star) < abs(first.kp_star - KP_SOURCE)
 
 
 # -- block queries -------------------------------------------------------------
@@ -222,16 +225,53 @@ def test_solve_kp_answers_match_per_point_curve(trained, monkeypatch):
     for kp_target, dims in ((0.3, 0), (0.47, 0), (0.55, 0), (0.52, "all")):
         target = np.array([oracle_angle_at(kp_target, dim=d) for d in range(3)])
         problems.append(problem_for(target, dims=dims))
-    methods = ["root_search"] * len(problems) + ["fixed_point"]
-    problems.append(problem_for(
-        np.array([oracle_angle_at(0.5, dim=d) for d in range(3)]), dims=0))
 
-    block = [solve_kp(model, p, method=k) for p, k in zip(problems, methods)]
+    block = [solve_kp(model, p) for p in problems]
     monkeypatch.setattr(planner, "_predict_curve", per_point_predict_curve)
-    per_point = [solve_kp(model, p, method=k) for p, k in zip(problems, methods)]
+    per_point = [solve_kp(model, p) for p in problems]
     for a, b in zip(block, per_point):
         assert abs(a.kp_star - b.kp_star) <= planner.DEFAULT_TOL
         assert (a.n_roots, a.extrapolated) == (b.n_roots, b.extrapolated)
+
+
+# the gain grid of the constructed curves below, and the residual on it
+SCAN_GRID = np.linspace(-0.2, 0.2, planner.DEFAULT_GRID)
+SCAN_CURVES = {
+    "zero-inside": np.abs(SCAN_GRID - SCAN_GRID[60]),
+    "zero-first": SCAN_GRID - SCAN_GRID[0],
+    "zero-last": SCAN_GRID[-1] - SCAN_GRID,
+    "zero-last-after-a-sign-change": SCAN_GRID - SCAN_GRID[-1],
+    "zero-next-to-a-sign-change": SCAN_GRID - SCAN_GRID[60],
+    "several-brackets": np.cos(60.0 * SCAN_GRID) + 0.1,
+    "zeros-and-brackets": np.where(SCAN_GRID < 0, np.sin(40.0 * SCAN_GRID) + 0.25,
+                                   np.abs(SCAN_GRID - SCAN_GRID[150])),
+    "no-root": SCAN_GRID ** 2 + 1.0,
+}
+
+
+@pytest.mark.parametrize("name", SCAN_CURVES)
+def test_root_scan_finds_the_roots_of_the_former_loop(name, monkeypatch):
+    # the constructed residual is the piecewise-linear curve through its grid
+    # values, so a grid point is an exact zero exactly where its value is 0
+    values = SCAN_CURVES[name]
+    source = np.array([0.1, 0.2, 0.3])
+    model = SimpleNamespace(delta_low=np.array([-0.2, 0.0]), delta_high=np.array([0.2, 0.0]),
+                            source_angles_at=lambda t: source)
+    problem = PlanningProblem(source_kp=KP_SOURCE, fixed_kd=KD, t_constraint=T_CONSTRAINT,
+                              x_target_t=source, final_target=X_STAR, constraint_dim=0)
+    monkeypatch.setattr(planner, "_predict_curve", lambda model, problem, deltas, dims:
+                        np.interp(deltas, SCAN_GRID, values)[:, None])
+    f = lambda d: np.interp(d, SCAN_GRID, values)
+    roots = former_root_scan(values, SCAN_GRID, f, planner._bisect)
+    if not roots:
+        with pytest.raises(TargetUnreachableError) as err:
+            solve_kp(model, problem)
+        assert (err.value.attainable_low, err.value.attainable_high) == (
+            values.min() + source[0], values.max() + source[0])
+        return
+    result = solve_kp(model, problem)
+    assert result.kp_star == float(KP_SOURCE + min(roots, key=abs))
+    assert result.n_roots == len(roots)
 
 
 def test_plan_report_keeps_solver_findings(trained):
