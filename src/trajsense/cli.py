@@ -35,10 +35,7 @@ def _resolve_config(path):
 
 
 def _load(args):
-    cfg = load_config(_resolve_config(args.config))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    return load_config(_resolve_config(args.config), seed=args.seed)
 
 
 def cmd_run(args):

@@ -3,6 +3,10 @@
 Every experiment is a single diffable file; all randomness is seeded from the
 [experiment] section, never from ambient entropy. See presets/ for one config
 per benchmark task.
+
+_SCHEMA holds every key a section may hold, with its parser and default; a key
+outside it is a typo or a removed setting. A value its parser rejects, and a
+required key left out, is a ConfigError that starts with `section.key`.
 """
 
 import configparser
@@ -12,14 +16,11 @@ import numpy as np
 
 from . import align
 from . import io as tio
-from .controllers import PolicySpec
+from .controllers import FAMILIES, PolicySpec
 from .errors import ConfigError, InvalidStateError
 from .gp import N_RESTARTS
-from .perturb import PerturbationPlan, sample as sample_plan
+from .perturb import SCHEMES, PerturbationPlan, sample as sample_plan
 from .sim import DYNAMICS_TAGS, START_POSE, DynamicsMode, JointState, NoiseConfig
-
-def _floats(raw):
-    return [float(v.strip()) for v in raw.split(",") if v.strip() != ""]
 
 
 def parse_dims(raw, key="planner.dims"):
@@ -30,6 +31,10 @@ def parse_dims(raw, key="planner.dims"):
         raise ConfigError(f"{key} {raw!r}: need 'all' or distinct comma-separated "
                           "angle indices in 0..2")
     return raw if raw == "all" else [int(v) for v in dims]
+
+
+def _floats(raw):
+    return tuple(float(v) for v in raw.split(",") if v.strip())
 
 
 def _ranges(raw):
@@ -45,164 +50,157 @@ def _ranges(raw):
     return tuple(out)
 
 
-# every key each section may hold; anything else is a typo or a removed setting
-_KEYS = {
-    "experiment": {"label", "seed"},
-    "sim": {"mode", "damping", "gravity_gain", "dt", "n_steps", "x0_angles",
-            "temporal_shift", "spatial_std"},
-    "policy": {"family", "theta", "x_star", "joints"},
-    "perturbation": {"scheme", "count", "ranges", "lambda_rate", "lambda_sweep",
-                     "n_per_lambda"},
-    "preprocess": {"align", "max_lag", "gamma_sweep"},
-    "gp": {"stride", "optimize", "n_restarts"},
-    "eval": {"holdout_fraction", "split_seed"},
-    "planner": {"t_constraint", "target_kps", "dims"},
+def _check(parse, ok, need):
+    """parse, then a ValueError saying what the value needs unless ok(value)."""
+    def run(raw):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(f"need {need}, got {raw!r}")
+        return value
+    return run
+
+
+def _one_of(names):
+    return _check(str, names.__contains__, "one of " + ", ".join(names))
+
+
+def _label(raw):
+    tio.check_label(raw, "experiment.label")
+    return raw
+
+
+def _dims(raw):
+    parse_dims(raw)
+    return raw  # stage_plan parses it
+
+
+_POSITIVE = _check(int, lambda v: v >= 1, "a positive integer")
+_GAMMAS = _check(_floats, lambda g: g and len({f"{v:g}" for v in g}) == len(g) and
+                 all(np.isfinite(v) and v >= 0 for v in g),
+                 "one or more distinct finite voxel sizes >= 0")
+_REQUIRED = object()  # the default of a key that must be given
+
+# section -> key -> (parser of the raw string, default value)
+_SCHEMA = {
+    "experiment": {"label": (_label, "experiment"), "seed": (int, 0)},
+    "sim": {"mode": (_one_of(DYNAMICS_TAGS), "linear"),
+            "dt": (_check(float, lambda v: 0 < v < np.inf, "a positive finite step"), 0.01),
+            "damping": (float, 0.0), "gravity_gain": (float, 0.0),
+            "n_steps": (_POSITIVE, _REQUIRED),
+            "x0_angles": (_floats, tuple(START_POSE.tolist())),
+            "temporal_shift": (int, 0), "spatial_std": (_floats, (0.0, 0.0, 0.0))},
+    "policy": {"family": (_one_of(FAMILIES), _REQUIRED), "theta": (_floats, _REQUIRED),
+               "x_star": (_floats, None),
+               "joints": (lambda raw: tuple(int(v) for v in raw.split(",")), None)},
+    "perturbation": {"scheme": (_one_of(SCHEMES), "uniform"),
+                     "count": (_POSITIVE, _REQUIRED), "ranges": (_ranges, ()),
+                     "lambda_sweep": (_check(_floats, bool, "one or more rates"), (100.0,))},
+    "preprocess": {"align": (_one_of(align.METHODS), "none"),
+                   "max_lag": (int, align.DEFAULT_MAX_LAG),
+                   "gamma_sweep": (_GAMMAS, (0.0,))},
+    "gp": {"stride": (_POSITIVE, 1), "n_restarts": (_POSITIVE, N_RESTARTS),
+           # hyperparameters are always optimized; an older config's line still loads
+           "optimize": (_check(str.lower, "true".__eq__, "'true'"), "true")},
+    "eval": {"holdout_fraction": (_check(float, lambda v: 0 < v < 1, "a fraction in (0, 1)"),
+                                  0.2),
+             "split_seed": (int, 1)},
+    "planner": {"t_constraint": (int, None), "dims": (_dims, "all"),
+                "target_kps": (_check(_floats, lambda v: len(v) <= 3,
+                                      "at most 3 targets (short, medium, long)"), ())},
 }
 
 
+def _read(parser):
+    """{'section.key': value} for every key in _SCHEMA: its parser's value of
+    the file's entry, else its default. An unknown section or key, a value
+    the parser rejects and a required key left out are ConfigErrors."""
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"[{section}]: unknown config section")
+        for key in parser[section]:
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"{section}.{key}: unknown config key")
+    values = {}
+    for section, keys in _SCHEMA.items():
+        for key, (parse, default) in keys.items():
+            name = f"{section}.{key}"
+            if not parser.has_option(section, key):
+                if default is _REQUIRED:
+                    raise ConfigError(f"{name}: missing")
+                values[name] = default
+                continue
+            try:
+                values[name] = parse(parser.get(section, key))
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+    return values
+
+
 def _built(key, cls, *args, **kwargs):
-    """cls(*args, **kwargs), with the InvalidStateError of its own checks
-    raised as a ConfigError that names the config key at fault."""
+    """cls(*args, **kwargs), with the InvalidStateError of its own checks, or
+    the ValueError of a value of the wrong length, raised as a ConfigError
+    that names the config key at fault."""
     try:
         return cls(*args, **kwargs)
-    except InvalidStateError as exc:
+    except (InvalidStateError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _check_keys(parser):
-    for section in parser.sections():
-        if section not in _KEYS:
-            raise ConfigError(f"[{section}]: unknown config section")
-        for key in parser[section]:
-            if key not in _KEYS[section]:
-                raise ConfigError(f"{section}.{key}: unknown config key")
-
-
 class ExperimentConfig:
-    """Typed view of an experiment INI file. Unknown sections and keys are
-    ConfigErrors, so a misspelt setting cannot fall back to its default."""
+    """Typed view of an experiment INI file: each key's value, parsed by
+    _SCHEMA, and the objects the pipeline builds from them."""
 
     def __init__(self, parser):
-        _check_keys(parser)
-        for section in _KEYS:  # an absent optional section reads as empty
-            if not parser.has_section(section):
-                parser.add_section(section)
-        try:
-            exp = parser["experiment"]
-            self.label = exp.get("label", "experiment")
-            self.seed = exp.getint("seed", 0)
+        v = self._values = _read(parser)
+        self.label, self.seed = v["experiment.label"], v["experiment.seed"]
+        self.mode = _built("sim.damping", DynamicsMode, v["sim.mode"],
+                           damping=v["sim.damping"], gravity_gain=v["sim.gravity_gain"])
+        self.dt, self.n_steps = v["sim.dt"], v["sim.n_steps"]
+        self.x0 = _built("sim.x0_angles", JointState, v["sim.x0_angles"], np.zeros(3))
+        self.noise = _built("sim.spatial_std", NoiseConfig,
+                            temporal_shift=v["sim.temporal_shift"],
+                            spatial_std=v["sim.spatial_std"])
+        fixed = {key: v[f"policy.{key}"] for key in ("x_star", "joints")
+                 if v[f"policy.{key}"] is not None}
+        self.policy = _built("policy.x_star", PolicySpec, v["policy.family"],
+                             v["policy.theta"], fixed)
+        self.scheme, self.count = v["perturbation.scheme"], v["perturbation.count"]
+        self.ranges = v["perturbation.ranges"]
+        self.lambda_sweep = v["perturbation.lambda_sweep"]
+        self.align_method, self.max_lag = v["preprocess.align"], v["preprocess.max_lag"]
+        self.gamma_sweep = v["preprocess.gamma_sweep"]
+        self.stride, self.n_restarts = v["gp.stride"], v["gp.n_restarts"]
+        self.holdout_fraction = v["eval.holdout_fraction"]
+        self.split_seed = v["eval.split_seed"]
+        self.plan_t, self.plan_dims = v["planner.t_constraint"], v["planner.dims"]
+        self.plan_target_kps = v["planner.target_kps"]
 
-            sim = parser["sim"]
-            tag = sim.get("mode", "linear")
-            if tag not in DYNAMICS_TAGS:
-                raise ConfigError(f"sim.mode: unknown dynamics mode {tag!r}, "
-                                  f"expected one of {', '.join(DYNAMICS_TAGS)}")
-            self.mode = _built("sim.damping", DynamicsMode, tag,
-                               damping=sim.getfloat("damping", 0.0),
-                               gravity_gain=sim.getfloat("gravity_gain", 0.0))
-            self.dt = sim.getfloat("dt", 0.01)
-            self.n_steps = sim.getint("n_steps", None)
-            x0 = _floats(sim.get("x0_angles", "")) or list(START_POSE)
-            self.x0 = JointState(np.array(x0), np.zeros(3))
-            self.noise = _built(
-                "sim.spatial_std", NoiseConfig,
-                temporal_shift=sim.getint("temporal_shift", 0),
-                spatial_std=np.array(_floats(sim.get("spatial_std", "0,0,0"))))
-
-            pol = parser["policy"]
-            fixed = {}
-            if pol.get("x_star", None):
-                fixed["x_star"] = np.array(_floats(pol["x_star"]))
-            if pol.get("joints", None):
-                fixed["joints"] = tuple(int(v) for v in _floats(pol["joints"]))
-            self.policy = PolicySpec(pol["family"], np.array(_floats(pol["theta"])),
-                                     fixed)
-
-            per = parser["perturbation"]
-            self.scheme = per.get("scheme", "uniform")
-            self.count = per.getint("count", None)
-            self.ranges = _ranges(per.get("ranges", "")) if self.scheme == "uniform" else ()
-            self.lambda_rate = per.getfloat("lambda_rate", 100.0)
-            sweep = per.get("lambda_sweep", "")
-            self.lambda_sweep = tuple(_floats(sweep)) if sweep else ()
-            self.n_per_lambda = per.getint("n_per_lambda", 0)
-
-            pre = parser["preprocess"]
-            self.align_method = pre.get("align", "none")
-            self.max_lag = pre.getint("max_lag", align.DEFAULT_MAX_LAG)
-            self.gamma_sweep = tuple(_floats(pre.get("gamma_sweep", "0")))
-
-            gp = parser["gp"]
-            self.stride = gp.getint("stride", 1)
-            if gp.get("optimize", "true").lower() != "true":
-                raise ConfigError("gp.optimize: hyperparameters are always optimized; "
-                                  "only 'true' is accepted")
-            self.n_restarts = gp.getint("n_restarts", N_RESTARTS)
-
-            ev = parser["eval"]
-            self.holdout_fraction = ev.getfloat("holdout_fraction", 0.2)
-            self.split_seed = ev.getint("split_seed", 1)
-
-            pl = parser["planner"]
-            self.plan_t = pl.getint("t_constraint", None)
-            self.plan_target_kps = tuple(_floats(pl.get("target_kps", "")))
-            self.plan_dims = pl.get("dims", "all")
-        except (KeyError, ValueError, TypeError, configparser.Error) as exc:
-            raise ConfigError(f"invalid experiment config: {exc}") from exc
-
-        tio.check_label(self.label, "experiment.label")
-        tags = [f"{g:g}" for g in self.gamma_sweep]
-        if not tags or len(set(tags)) < len(tags) or \
-                not all(np.isfinite(g) and g >= 0 for g in self.gamma_sweep):
-            raise ConfigError(f"preprocess.gamma_sweep {tags}: need one or more "
-                              "distinct finite voxel sizes >= 0")
-        if self.n_steps is None or self.n_steps < 1:
-            raise ConfigError("sim.n_steps must be a positive integer")
-        if self.count is None or self.count < 1:
-            raise ConfigError("perturbation.count must be a positive integer")
-        if self.stride < 1:
-            raise ConfigError("gp.stride must be a positive integer")
-        if self.n_restarts < 1:
-            raise ConfigError("gp.n_restarts must be a positive integer")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ConfigError("eval.holdout_fraction must be in (0, 1)")
         if self.plan_t is not None and not 0 < self.plan_t <= self.n_steps:
             raise ConfigError(f"planner.t_constraint {self.plan_t} must be in "
                               f"1..n_steps ({self.n_steps})")
-        parse_dims(self.plan_dims)
-        if self.scheme not in ("uniform", "gaussian"):
-            raise ConfigError(f"perturbation.scheme {self.scheme!r}: need uniform or gaussian")
-        try:  # a plan checks its ranges, or its rate, when it is built
+        try:  # a plan checks its ranges, or its rates, when it is built
             self.perturbation_plans()
         except ConfigError as exc:
-            key = ("ranges" if self.scheme == "uniform"
-                   else "lambda_sweep" if self.lambda_sweep else "lambda_rate")
+            key = "ranges" if self.scheme == "uniform" else "lambda_sweep"
             raise ConfigError(f"perturbation.{key}: {exc}") from exc
-        if self.align_method not in align.METHODS:
-            raise ConfigError(f"preprocess.align {self.align_method!r}: need one of "
-                              f"{', '.join(align.METHODS)}")
         # correlation alignment, and zero-crossing's fallback to it, need this
         if self.align_method != "none" and not 1 <= self.max_lag < self.n_steps / 2:
             raise ConfigError(f"preprocess.max_lag {self.max_lag}: need 1 <= max_lag "
                               f"< n_steps / 2 ({self.n_steps} steps)")
-        if len(self.plan_target_kps) > 3:
-            raise ConfigError("planner.target_kps: at most 3 targets (short, medium, long)")
         self.split_indices(len(self.perturbation_deltas()))
 
     # -- derived objects -------------------------------------------------------
 
     def perturbation_plans(self):
-        """One plan, or one plan per rate when a lambda sweep is configured."""
+        """One uniform plan, or one gaussian plan per rate of lambda_sweep,
+        each drawing count // len(lambda_sweep) (at least 1)."""
         if self.scheme == "uniform":
             return [PerturbationPlan("uniform", self.policy.theta, count=self.count,
                                      seed=self.seed + 1, ranges=self.ranges)]
-        if self.lambda_sweep:
-            n = self.n_per_lambda or max(1, self.count // len(self.lambda_sweep))
-            return [PerturbationPlan("gaussian", self.policy.theta, count=n,
-                                     seed=self.seed + 1 + k, lambda_rate=lam)
-                    for k, lam in enumerate(self.lambda_sweep)]
-        return [PerturbationPlan("gaussian", self.policy.theta, count=self.count,
-                                 seed=self.seed + 1, lambda_rate=self.lambda_rate)]
+        n = max(1, self.count // len(self.lambda_sweep))
+        return [PerturbationPlan("gaussian", self.policy.theta, count=n,
+                                 seed=self.seed + 1 + k, lambda_rate=lam)
+                for k, lam in enumerate(self.lambda_sweep)]
 
     def perturbation_deltas(self):
         """The first `count` deltas drawn from the plans, in recording order,
@@ -223,29 +221,26 @@ class ExperimentConfig:
         return sorted(perm[n_test:].tolist()), sorted(perm[:n_test].tolist())
 
     def fingerprint(self):
-        """Stable hash of everything that determines the pipeline outputs."""
-        parts = [
-            self.label, self.seed, self.mode.tag, self.mode.damping,
-            self.mode.gravity_gain, self.dt, self.n_steps,
-            tuple(self.x0.angles), self.noise.temporal_shift,
-            tuple(self.noise.spatial_std), self.policy.family,
-            tuple(self.policy.theta),
-            tuple(sorted((k, str(v)) for k, v in self.policy.fixed.items())),
-            self.scheme, self.count, self.ranges, self.lambda_rate,
-            self.lambda_sweep, self.n_per_lambda, self.align_method, self.max_lag,
-            self.gamma_sweep, self.stride, self.n_restarts, self.holdout_fraction,
-            self.split_seed, self.plan_t, self.plan_target_kps, self.plan_dims,
-        ]
-        return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+        """Stable hash of every setting that determines the pipeline outputs:
+        the parsed value of each key in _SCHEMA, defaults included."""
+        return hashlib.sha256(repr(sorted(self._values.items())).encode()).hexdigest()[:16]
 
 
-def load_config(path):
+def load_config(path, seed=None):
+    """The ExperimentConfig of the INI file at path; a seed that is not None
+    replaces its experiment.seed. A file that is missing or not INI is a
+    ConfigError naming it."""
     # "key = value   ; note" lines, as in the README, end at the comment
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: malformed INI file: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for section in ("experiment", "sim", "policy", "perturbation"):
         if not parser.has_section(section):
             raise ConfigError(f"config missing [{section}] section")
+    if seed is not None:
+        parser["experiment"]["seed"] = str(seed)
     return ExperimentConfig(parser)

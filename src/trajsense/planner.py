@@ -12,6 +12,7 @@ scipy's `minimize_scalar` is imported only in the least-squares branch that
 uses it, so importing the package does not load scipy (see `gp`).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,8 @@ def solve_kp(model, problem):
     the attainable range of the angle.
     Several dimensions: least-squares compromise, per-dim residuals reported.
     extrapolated says the target lies outside the range the grid attains.
-    Searches stop at DEFAULT_TOL or after DEFAULT_MAX_ITER steps.
+    Searches stop at DEFAULT_TOL or after DEFAULT_MAX_ITER steps. The
+    residuals reuse the solver's one-gain query at the solution, if it made one.
     """
     dims = problem.dims()
     source_x = np.asarray(model.source_angles_at(problem.t_constraint), dtype=float)
@@ -120,7 +122,10 @@ def solve_kp(model, problem):
         raise ConfigError("model has no spread in the tuned gain")
     deltas = np.linspace(lo, hi, DEFAULT_GRID)
     curve = _predict_curve(model, problem, deltas, dims)
-    change = lambda d: _predict_curve(model, problem, np.array([d]), dims)[0]
+
+    @functools.lru_cache(maxsize=None)
+    def change(d):
+        return _predict_curve(model, problem, np.array([d]), dims)[0]
 
     extrapolated = bool(np.any(required < curve.min(axis=0))
                         or np.any(required > curve.max(axis=0)))

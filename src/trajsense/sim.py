@@ -137,9 +137,6 @@ class Trajectory:
     def n_steps(self):
         return self.torques.shape[0]
 
-    def state(self, t):
-        return JointState(self.angles[t].copy(), self.velocities[t].copy())
-
     def copy(self):
         return Trajectory(self.dt, self.angles.copy(), self.velocities.copy(),
                           self.torques.copy(), dict(self.meta))

@@ -13,6 +13,7 @@ import trajsense
 from trajsense import (DynamicsMode, JointState, PolicySpec, Trajectory,
                        inject_temporal_noise, rollout)
 from trajsense import align, pipeline, planner
+from trajsense import config as config_mod
 from trajsense import gp as gp_mod
 from trajsense import io as tio
 from trajsense.cli import main
@@ -207,8 +208,8 @@ def test_simulate_holds_one_noisy_recording_at_a_time(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("edits", [
     (),
-    (NOISY, ("scheme = uniform", "scheme = gaussian\nlambda_sweep = 5, 50, 500\n"
-                                 "n_per_lambda = 10"), ("ranges = 0.2:0.6, ~", "")),
+    (NOISY, ("scheme = uniform", "scheme = gaussian\nlambda_sweep = 5, 50, 500"),
+     ("count = 24", "count = 25"), ("ranges = 0.2:0.6, ~", "")),
 ], ids=["uniform", "gaussian-sweep"])
 def test_perturb_writes_the_perturbations_simulate_writes(tmp_path, edits):
     text = SMALL_CFG
@@ -226,20 +227,19 @@ def test_perturb_writes_the_perturbations_simulate_writes(tmp_path, edits):
 
 
 def test_perturbation_deltas_draw_as_the_former_list_loop(tmp_path):
-    # a shortened gaussian sweep: 3 rates x 10 draws, cut to the first 24,
-    # then 3 rates x count // 3; and every preset
-    text = SMALL_CFG.replace("scheme = uniform", "scheme = gaussian\nlambda_sweep = 5, 50, "
-                             "500").replace("ranges = 0.2:0.6, ~", "")
+    # gaussian sweeps of 4 rates x count // 4, of 3 rates x count // 3 and
+    # the default single rate; and every preset
+    text = SMALL_CFG.replace("scheme = uniform", "scheme = gaussian").replace(
+        "ranges = 0.2:0.6, ~", "")
     configs = []
-    for extra in ("\nn_per_lambda = 10", ""):
+    for sweep in ("\nlambda_sweep = 5, 50, 500, 5000", "\nlambda_sweep = 5, 50, 500", ""):
         path = tmp_path / "exp.ini"
-        path.write_text(text.replace("lambda_sweep = 5, 50, 500",
-                                     "lambda_sweep = 5, 50, 500" + extra))
+        path.write_text(text.replace("scheme = gaussian", "scheme = gaussian" + sweep))
         configs.append(load_config(str(path)))
     from trajsense.cli import PRESET_DIR
     configs += [load_config(os.path.join(PRESET_DIR, name))
                 for name in sorted(os.listdir(PRESET_DIR))]
-    assert [len(c.perturbation_plans()) for c in configs[:2]] == [3, 3]
+    assert [len(c.perturbation_plans()) for c in configs[:3]] == [4, 3, 1]
     for cfg in configs:
         deltas = cfg.perturbation_deltas()
         assert deltas.shape == (cfg.count, cfg.policy.theta.size), cfg.label
@@ -1023,9 +1023,24 @@ def test_gp_optimize_other_than_true_is_rejected(tmp_path):
     (("count = 24", "count = 3"), "eval.holdout_fraction"),
     (("count = 24", "count = 4"), "eval.holdout_fraction"),
     (("holdout_fraction = 0.25", "holdout_fraction = 0.95"), "eval.holdout_fraction"),
-    (("scheme = uniform", "scheme = gaussian\nlambda_sweep = 50, 100\nn_per_lambda = 2"),
+    (("scheme = uniform\ncount = 24", "scheme = gaussian\ncount = 5\nlambda_sweep = 5, 50, 500"),
      "eval.holdout_fraction"),
     (("label = cli_small", 'label = cli "small"'), "experiment.label"),
+    (("seed = 5", "seed = 5.5"), "experiment.seed"),
+    (("theta = 0.4, 0.01", "theta = 0.4, x"), "policy.theta"),
+    (("ranges = 0.2:0.6, ~", "ranges = 0.2-0.6, ~"), "perturbation.ranges"),
+    (("x_star = 0.3141592653589793, 2.356194490192345, 1.8325957145940461", "x_star = 1, 2"),
+     "policy.x_star"),
+    (("x0_angles = 1.5707963267948966, 1.5707963267948966, 3.141592653589793",
+      "x0_angles = 1, 2"), "sim.x0_angles"),
+    (("n_steps = 200", "n_steps = abc"), "sim.n_steps"),
+    (("label = cli_small", "label = a%b"), "experiment.label"),
+    (("family = pd_feedback\n", ""), "policy.family: missing"),
+    (("scheme = uniform", "scheme = gaussian\nlambda_sweep = 0"), "perturbation.lambda_sweep"),
+    (("scheme = uniform", "scheme = gaussian\nlambda_sweep ="), "perturbation.lambda_sweep"),
+    (("scheme = uniform", "scheme = gaussian\nn_per_lambda = 8"), "perturbation.n_per_lambda"),
+    (("dt = 0.01", "dt = 0"), "sim.dt"),
+    (("dt = 0.01", "dt = nan"), "sim.dt"),
 ])
 def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
     # a misspelt key used to load silently and run with the key's default;
@@ -1041,12 +1056,42 @@ def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
     # was quoted in metrics_g*.csv but not in metrics.csv. A split with fewer
     # than 2 training or 2 held-out recordings failed build, fit or evaluate
     # after the simulate stage, exit code 3; a lambda sweep can draw fewer
-    # recordings than count
+    # recordings than count. A value that did not parse, or a required key left
+    # out, gave a ConfigError that did not name its key, and an empty
+    # lambda_sweep fell back to lambda_rate, now a removed key like n_per_lambda.
+    # A dt of 0 failed the simulate stage, exit code 3, and a NaN dt wrote NaN
+    # trajectories
     bad = tmp_path / "bad.ini"
     bad.write_text(SMALL_CFG.replace(*edit))
     with pytest.raises(ConfigError, match=re.escape(name)):
         load_config(str(bad))
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("edit", [("seed = 5", "seed = 5\nseed = 6"),
+                                  ("[experiment]", "label = x\n[experiment]")],
+                         ids=["duplicate-key", "no-section-header"])
+def test_a_malformed_ini_file_is_named(tmp_path, capsys, edit):
+    # configparser's own error escaped load_config: a traceback, exit code 1
+    bad = tmp_path / "bad.ini"
+    bad.write_text(SMALL_CFG.replace(*edit))
+    with pytest.raises(ConfigError, match=re.escape(str(bad))):
+        load_config(str(bad))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_readme_names_every_config_key():
+    # each key is a line of the example block under its section, or is named
+    # as `section.key` in the text around it
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    text = readme.split("### Config format")[1].split("\n## ")[0]
+    block = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    block.read_string(text.split("```ini\n")[1].split("```")[0])
+    missing = [f"{section}.{key}" for section, keys in config_mod._SCHEMA.items()
+               for key in keys if not block.has_option(section, key)
+               and f"`{section}.{key}" not in text]
+    assert missing == []
 
 
 def test_readme_config_block_loads(tmp_path):

@@ -234,6 +234,36 @@ def test_solve_kp_answers_match_per_point_curve(trained, monkeypatch):
         assert (a.n_roots, a.extrapolated) == (b.n_roots, b.extrapolated)
 
 
+def test_solve_kp_queries_each_gain_once(trained, monkeypatch):
+    # the final residuals queried the GP again at a gain the root search or
+    # the least-squares search had already queried
+    model, source = trained
+    problems = [problem_for(np.array([oracle_angle_at(kp, dim=d) for d in range(3)]), dims)
+                for kp in (0.3, 0.47, 0.55) for dims in ("all", 0, 1, 2, [0, 2])]
+    real = planner._predict_curve
+
+    def solve_all():
+        """Each problem's result and the gains it queried one at a time."""
+        results, singles = [], []
+        monkeypatch.setattr(planner, "_predict_curve", lambda model, problem, deltas, dims: (
+            deltas.size == 1 and singles[-1].append(float(deltas[0]))) or
+            real(model, problem, deltas, dims))
+        for p in problems:
+            singles.append([])
+            results.append(solve_kp(model, p))
+        return results, singles
+
+    memoized, singles = solve_all()
+    assert all(len(set(gains)) == len(gains) for gains in singles)
+    monkeypatch.setattr(planner, "functools", SimpleNamespace(
+        lru_cache=lambda maxsize: lambda f: f))
+    unmemoized, every_query = solve_all()
+    assert sum(map(len, singles)) < sum(map(len, every_query))
+    for a, b in zip(memoized, unmemoized):
+        assert (a.kp_star, a.n_roots, a.extrapolated) == (b.kp_star, b.n_roots, b.extrapolated)
+        assert a.residuals.tobytes() == b.residuals.tobytes()
+
+
 # the gain grid of the constructed curves below, and the residual on it
 SCAN_GRID = np.linspace(-0.2, 0.2, planner.DEFAULT_GRID)
 SCAN_CURVES = {
