@@ -8,7 +8,7 @@ zero-shot gain planning.
 
 from .align import DelayEstimate, NoiseClass, classify_noise, estimate_delay
 from .controllers import PolicySpec
-from .perturb import DirectionBasis, PerturbationPlan, basis_directions, sample_gaussian, sample_uniform
+from .perturb import DirectionBasis, basis_directions, sample_gaussian, sample_uniform
 from .planner import PlanningProblem, plan_and_verify, solve_kp
 from .sensitivity import (
     JacobianStack,
@@ -29,13 +29,11 @@ from .sim import (
     DynamicsMode,
     JointState,
     NoiseConfig,
-    TorqueVector,
     Trajectory,
     inject_spatial_noise,
     inject_temporal_noise,
     rollout,
     rollout_batch,
-    step,
 )
 from .voxel import VoxelGrid, check_lemma_bound, voxel_center, voxelize_trajectory
 

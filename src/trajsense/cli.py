@@ -97,10 +97,9 @@ def _three_floats(raw, flag):
 
 
 def cmd_voxelize(args):
-    origin = _three_floats(args.origin, "--origin") if args.origin else np.zeros(3)
     traj = tio.read_trajectory(args.input)
-    grid = VoxelGrid(gamma=np.full(3, args.gamma), origin=origin)
-    tio.write_trajectory(voxelize_trajectory(traj, grid), args.output)
+    tio.write_trajectory(voxelize_trajectory(traj, VoxelGrid(np.full(3, args.gamma))),
+                         args.output)
     print(args.output)
     return 0
 
@@ -167,7 +166,6 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--origin", default=None, help="comma-separated anchor")
     p.set_defaults(fn=cmd_voxelize)
 
     p = stage("plan", cmd_plan)

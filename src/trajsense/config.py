@@ -19,7 +19,7 @@ from . import io as tio
 from .controllers import FAMILIES, PolicySpec
 from .errors import ConfigError, InvalidStateError
 from .gp import N_RESTARTS
-from .perturb import SCHEMES, PerturbationPlan, sample as sample_plan
+from .perturb import SCHEMES, sample_gaussian, sample_uniform
 from .sim import DYNAMICS_TAGS, START_POSE, DynamicsMode, JointState, NoiseConfig
 
 
@@ -139,9 +139,12 @@ def _read(parser):
 def _built(key, cls, *args, **kwargs):
     """cls(*args, **kwargs), with the InvalidStateError of its own checks, or
     the ValueError of a value of the wrong length, raised as a ConfigError
-    that names the config key at fault."""
+    that names the config key at fault. A ConfigError of its own checks
+    starts with its field, so it gets key's section in front."""
     try:
         return cls(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{key.split('.')[0]}.{exc}") from exc
     except (InvalidStateError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
@@ -175,11 +178,14 @@ class ExperimentConfig:
         self.plan_t, self.plan_dims = v["planner.t_constraint"], v["planner.dims"]
         self.plan_target_kps = v["planner.target_kps"]
 
+        if abs(self.noise.temporal_shift) >= self.n_steps:  # a draw may reach +-shift
+            raise ConfigError(f"sim.temporal_shift {self.noise.temporal_shift}: need "
+                              f"|temporal_shift| < n_steps ({self.n_steps})")
         if self.plan_t is not None and not 0 < self.plan_t <= self.n_steps:
             raise ConfigError(f"planner.t_constraint {self.plan_t} must be in "
                               f"1..n_steps ({self.n_steps})")
-        try:  # a plan checks its ranges, or its rates, when it is built
-            self.perturbation_plans()
+        try:  # each draw checks its ranges, or its rate
+            deltas = self.perturbation_deltas()
         except ConfigError as exc:
             key = "ranges" if self.scheme == "uniform" else "lambda_sweep"
             raise ConfigError(f"perturbation.{key}: {exc}") from exc
@@ -187,26 +193,20 @@ class ExperimentConfig:
         if self.align_method != "none" and not 1 <= self.max_lag < self.n_steps / 2:
             raise ConfigError(f"preprocess.max_lag {self.max_lag}: need 1 <= max_lag "
                               f"< n_steps / 2 ({self.n_steps} steps)")
-        self.split_indices(len(self.perturbation_deltas()))
+        self.split_indices(len(deltas))
 
     # -- derived objects -------------------------------------------------------
 
-    def perturbation_plans(self):
-        """One uniform plan, or one gaussian plan per rate of lambda_sweep,
-        each drawing count // len(lambda_sweep) (at least 1)."""
-        if self.scheme == "uniform":
-            return [PerturbationPlan("uniform", self.policy.theta, count=self.count,
-                                     seed=self.seed + 1, ranges=self.ranges)]
-        n = max(1, self.count // len(self.lambda_sweep))
-        return [PerturbationPlan("gaussian", self.policy.theta, count=n,
-                                 seed=self.seed + 1 + k, lambda_rate=lam)
-                for k, lam in enumerate(self.lambda_sweep)]
-
     def perturbation_deltas(self):
-        """The first `count` deltas drawn from the plans, in recording order,
-        as one (N, m) array."""
-        return np.concatenate([sample_plan(plan) for plan in self.perturbation_plans()])[
-            : self.count]
+        """The first `count` deltas around policy.theta, in recording order, as
+        one (N, m) array: one uniform draw with seed + 1, or one gaussian draw
+        of count // len(lambda_sweep) (at least 1) per rate k, with seed + 1 + k."""
+        theta = self.policy.theta
+        if self.scheme == "uniform":
+            return sample_uniform(theta, self.ranges, self.count, self.seed + 1)
+        n = max(1, self.count // len(self.lambda_sweep))
+        return np.concatenate([sample_gaussian(theta, n, lam, self.seed + 1 + k)
+                               for k, lam in enumerate(self.lambda_sweep)])[: self.count]
 
     def split_indices(self, n):
         """(training, held-out) recording indices, each sorted, of n recordings.

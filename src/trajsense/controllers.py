@@ -27,7 +27,8 @@ class PolicySpec:
     """Controller family tag, flat parameter vector, and fixed constants.
 
     fixed may carry 'x_star' (target angles for feedback families) and
-    'joints' (1-based driven joints for the sinusoidal family).
+    'joints' (1-based driven joints for the sinusoidal family). A ConfigError
+    from these checks starts with the field at fault.
     """
 
     family: str
@@ -36,26 +37,26 @@ class PolicySpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ConfigError(f"unknown controller family {self.family!r}")
+            raise ConfigError(f"family: unknown controller family {self.family!r}")
         self.theta = np.asarray(self.theta, dtype=float).reshape(-1)
         if not np.all(np.isfinite(self.theta)):
-            raise ConfigError("theta components must be finite")
+            raise ConfigError("theta: components must be finite")
         m = self.theta.size
         if self.family == "linear_openloop" and m != 6:
-            raise ConfigError("linear_openloop needs 6 parameters (w1..w3, b1..b3)")
+            raise ConfigError("theta: linear_openloop needs 6 parameters (w1..w3, b1..b3)")
         if self.family == "p_feedback" and m != 1:
-            raise ConfigError("p_feedback needs 1 parameter (kp)")
+            raise ConfigError("theta: p_feedback needs 1 parameter (kp)")
         if self.family == "pd_feedback" and m != 2:
-            raise ConfigError("pd_feedback needs 2 parameters (kp, kd)")
+            raise ConfigError("theta: pd_feedback needs 2 parameters (kp, kd)")
         if self.family == "sinusoidal":
             joints = self.fixed.get("joints", (1,))
             joints = tuple(int(j) for j in joints)
             if len(joints) == 0:
-                raise ConfigError("sinusoidal needs a nonempty joint set")
+                raise ConfigError("joints: sinusoidal needs a nonempty joint set")
             if any(j not in (1, 2, 3) for j in joints):
-                raise ConfigError("sinusoidal joints must be in {1, 2, 3}")
+                raise ConfigError(f"joints: sinusoidal joints must be in {{1, 2, 3}}, got {joints}")
             if m != 2 * len(joints):
-                raise ConfigError("sinusoidal needs one (amp, omega) pair per driven joint")
+                raise ConfigError("theta: sinusoidal needs one (amp, omega) pair per driven joint")
             self.fixed["joints"] = joints
         if self.family in ("p_feedback", "pd_feedback"):
             x_star = np.asarray(self.fixed.get("x_star", np.zeros(3)), dtype=float).reshape(3)

@@ -9,6 +9,10 @@ semi-implicit Euler; it is nonlinear and cross-coupled.
 Angles are clamped to the platform's joint limits ([0, pi], [0, pi],
 [0, 2*pi]) with the velocity zeroed at the stop, which mimics a hard
 mechanical limit.
+
+rollout_batch is the one stepper: it advances N states as one (N, 3) array
+per step, with the torque held constant over the step, and rollout is its
+batch of one.
 """
 
 from dataclasses import dataclass, field
@@ -38,18 +42,6 @@ class JointState:
         self.velocities = np.asarray(self.velocities, dtype=float).reshape(3)
         if not (np.all(np.isfinite(self.angles)) and np.all(np.isfinite(self.velocities))):
             raise InvalidStateError("non-finite joint state")
-
-
-@dataclass
-class TorqueVector:
-    """Torque command for the three motors."""
-
-    torques: np.ndarray
-
-    def __post_init__(self):
-        self.torques = np.asarray(self.torques, dtype=float).reshape(3)
-        if not np.all(np.isfinite(self.torques)):
-            raise InvalidStateError("non-finite torque")
 
 
 @dataclass
@@ -179,28 +171,6 @@ def _step_arrays(angles, velocities, u, dt, mode):
     clamped = new_x.clip(JOINT_LOW, JOINT_HIGH)
     np.copyto(new_v, 0.0, where=clamped != new_x)
     return clamped, new_v
-
-
-def step(state, torque, dt, mode):
-    """Advance one timestep.
-
-    In linear mode this is the exact discretization of xdd = u - damping*xd
-    per joint, with the torque held constant over the step. In pendulum3
-    mode it is semi-implicit Euler of the gravity-coupled chain.
-    """
-    if dt <= 0:
-        raise InvalidStateError("dt must be positive")
-    if isinstance(torque, TorqueVector):
-        u = torque.torques
-    else:
-        u = np.asarray(torque, dtype=float).reshape(3)
-    if not np.all(np.isfinite(u)):
-        raise InvalidStateError("non-finite torque")
-    if not (np.all(np.isfinite(state.angles)) and np.all(np.isfinite(state.velocities))):
-        raise InvalidStateError("non-finite joint state")
-    u = np.clip(u, -TORQUE_CAP, TORQUE_CAP)
-    new_x, new_v = _step_arrays(state.angles, state.velocities, u, dt, mode)
-    return JointState(new_x, new_v)
 
 
 def rollout(policy, x0, n_steps, dt, mode):

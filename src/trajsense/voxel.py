@@ -1,13 +1,14 @@
 """Spatial-noise suppression by snapping states to voxel centers.
 
 The state space is tiled by axis-aligned cells of half-width gamma per
-dimension; every recorded angle vector is replaced by the center of the cell
-that contains it. The quantization error this introduces into pairwise state
-differences is bounded by 2*gamma plus the raw noise level, which
-check_lemma_bound verifies empirically.
+dimension, with a cell boundary at zero; every recorded angle vector is
+replaced by the center of the cell that contains it. The quantization
+error this introduces into pairwise state differences is bounded by
+2*gamma plus the raw noise level, which check_lemma_bound verifies
+empirically.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,31 +18,23 @@ from .sim import Trajectory
 
 @dataclass
 class VoxelGrid:
-    """Axis-aligned grid with per-dimension half-width gamma and an anchor origin."""
+    """Axis-aligned grid anchored at zero with per-dimension half-width gamma."""
 
     gamma: np.ndarray
-    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        self.origin = np.atleast_1d(np.asarray(self.origin, dtype=float))
-        if self.gamma.size == 1 and self.origin.size > 1:
-            self.gamma = np.full(self.origin.shape, self.gamma[0])
-        if self.origin.size == 1 and self.gamma.size > 1:
-            self.origin = np.full(self.gamma.shape, self.origin[0])
-        if np.any(self.gamma <= 0):
-            raise ConfigError("gamma must be positive componentwise")
+        if not np.all((self.gamma > 0) & (self.gamma < np.inf)):  # NaN fails too
+            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 def voxel_center(x, grid):
-    """Map x to the center of its cell: origin + 2*gamma*(k + 1/2).
+    """Map x to the center of its cell: 2*gamma*(k + 1/2), k = floor(x / (2*gamma)).
 
     Idempotent, and ||x - center||_inf <= gamma always holds.
     """
-    x = np.asarray(x, dtype=float)
     width = 2.0 * grid.gamma
-    k = np.floor((x - grid.origin) / width)
-    return grid.origin + width * (k + 0.5)
+    return width * (np.floor(np.asarray(x, dtype=float) / width) + 0.5)
 
 
 def voxelize_trajectory(traj, grid):

@@ -401,39 +401,45 @@ def fixed_point_kp(model, problem, tol=1e-6, max_iter=100):
 # -- the former perturbation draws ---------------------------------------------------
 # sample_gaussian, sample_uniform and ExperimentConfig.perturbation_deltas as
 # they drew before the deltas became one (N, m) array: a list of (m,) arrays,
-# one scalar uniform draw per live parameter. Plans and configs are duck typed
-# (scheme/nominal/count/seed/lambda_rate/ranges; perturbation_plans()/count).
+# one scalar uniform draw per live parameter. The samplers take the arguments
+# of the current ones; a config is duck typed (scheme, policy.theta, ranges,
+# lambda_sweep, count, seed).
 
 
-def former_sample_gaussian(plan):
-    rng = np.random.default_rng(plan.seed)
-    norm = float(np.linalg.norm(plan.nominal))
+def former_sample_gaussian(nominal, count, rate, seed):
+    rng = np.random.default_rng(seed)
+    norm = float(np.linalg.norm(nominal))
     out = []
-    for _ in range(plan.count):
-        scale = rng.exponential(1.0 / plan.lambda_rate)
-        out.append(rng.normal(0.0, 1.0, size=plan.nominal.size) * (scale * norm))
+    for _ in range(count):
+        scale = rng.exponential(1.0 / rate)
+        out.append(rng.normal(0.0, 1.0, size=nominal.size) * (scale * norm))
     return out
 
 
-def former_sample_uniform(plan):
-    rng = np.random.default_rng(plan.seed)
+def former_sample_uniform(nominal, ranges, count, seed):
+    rng = np.random.default_rng(seed)
     out = []
-    for _ in range(plan.count):
-        theta = plan.nominal.copy()
-        for i, r in enumerate(plan.ranges):
+    for _ in range(count):
+        theta = nominal.copy()
+        for i, r in enumerate(ranges):
             if r is None:
                 continue
             low, high = r
             theta[i] = rng.uniform(low, high)
-        out.append(theta - plan.nominal)
+        out.append(theta - nominal)
     return out
 
 
 def former_perturbation_deltas(cfg):
+    # one uniform plan with seed + 1, or one gaussian plan per rate k with
+    # seed + 1 + k drawing count // len(lambda_sweep) (at least 1)
+    theta = cfg.policy.theta
+    if cfg.scheme == "uniform":
+        return former_sample_uniform(theta, cfg.ranges, cfg.count, cfg.seed + 1)
+    n = max(1, cfg.count // len(cfg.lambda_sweep))
     deltas = []
-    for plan in cfg.perturbation_plans():
-        draw = former_sample_gaussian if plan.scheme == "gaussian" else former_sample_uniform
-        deltas.extend(draw(plan))
+    for k, lam in enumerate(cfg.lambda_sweep):
+        deltas.extend(former_sample_gaussian(theta, n, lam, cfg.seed + 1 + k))
     return deltas[: cfg.count]
 
 

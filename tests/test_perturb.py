@@ -4,7 +4,6 @@ import pytest
 from trajsense.errors import ConfigError
 from trajsense.perturb import (
     DirectionBasis,
-    PerturbationPlan,
     basis_directions,
     sample_gaussian,
     sample_uniform,
@@ -18,28 +17,27 @@ SUPPORTED_LAMBDAS = (1, 5, 10, 50, 100, 500, 1000, 5000)
 
 
 def gaussian_plan(lam, count=100, seed=0):
-    return PerturbationPlan("gaussian", NOMINAL, count=count, seed=seed,
-                            lambda_rate=lam)
+    return dict(nominal=NOMINAL, count=count, rate=lam, seed=seed)
 
 
 def test_gaussian_supported_rate_sweep():
     for lam in SUPPORTED_LAMBDAS:
-        out = sample_gaussian(gaussian_plan(lam, count=5))
+        out = sample_gaussian(**gaussian_plan(lam, count=5))
         assert len(out) == 5
         assert all(d.shape == NOMINAL.shape for d in out)
 
 
 def test_gaussian_deterministic_under_seed():
-    a = sample_gaussian(gaussian_plan(100, count=50, seed=7))
-    b = sample_gaussian(gaussian_plan(100, count=50, seed=7))
+    a = sample_gaussian(**gaussian_plan(100, count=50, seed=7))
+    b = sample_gaussian(**gaussian_plan(100, count=50, seed=7))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    c = sample_gaussian(gaussian_plan(100, count=50, seed=8))
+    c = sample_gaussian(**gaussian_plan(100, count=50, seed=8))
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_gaussian_vanishes_as_rate_grows():
     # mean scale is 1/lambda, so at lambda = 1e9 every draw is negligible
-    out = sample_gaussian(gaussian_plan(1e9, count=1000, seed=3))
+    out = sample_gaussian(**gaussian_plan(1e9, count=1000, seed=3))
     norm = np.linalg.norm(NOMINAL)
     assert max(np.max(np.abs(d)) for d in out) < 1e-6 * norm
 
@@ -48,7 +46,7 @@ def test_gaussian_scale_statistics():
     # per-draw scale e*||theta|| with e ~ Exp(lambda): mean |component| is
     # (1/lambda)*||theta||*sqrt(2/pi) and the std is sqrt(2)/lambda*||theta||
     lam = 10.0
-    draws = np.stack(sample_gaussian(gaussian_plan(lam, count=10_000, seed=5)))
+    draws = np.stack(sample_gaussian(**gaussian_plan(lam, count=10_000, seed=5)))
     norm = np.linalg.norm(NOMINAL)
     assert np.mean(np.abs(draws)) == pytest.approx(norm / lam * np.sqrt(2 / np.pi), rel=0.10)
     assert np.std(draws) == pytest.approx(np.sqrt(2.0) / lam * norm, rel=0.10)
@@ -56,52 +54,55 @@ def test_gaussian_scale_statistics():
 
 def test_gaussian_rejects_bad_rate():
     with pytest.raises(ConfigError):
-        PerturbationPlan("gaussian", NOMINAL, count=5, lambda_rate=0.0)
+        sample_gaussian(**gaussian_plan(0.0, count=5))
     with pytest.raises(ConfigError):
-        PerturbationPlan("gaussian", NOMINAL, count=0, lambda_rate=1.0)
+        sample_gaussian(**gaussian_plan(float("nan"), count=5))
+    with pytest.raises(ConfigError):
+        sample_gaussian(**gaussian_plan(1.0, count=0))
 
 
 def uniform_plan(ranges, nominal, count=100, seed=0):
-    return PerturbationPlan("uniform", nominal, count=count, seed=seed,
-                            ranges=ranges)
+    return dict(nominal=nominal, ranges=ranges, count=count, seed=seed)
 
 
 def test_uniform_respects_declared_ranges():
     # the feedback-gain setup: kp ~ U(-0.5, 1.5) around nominal 1, kd frozen
     plan = uniform_plan(((-0.5, 1.5), None), np.array([1.0, 0.01]), count=500)
-    for d in sample_uniform(plan):
+    for d in sample_uniform(**plan):
         assert -1.5 <= d[0] <= 0.5
         assert d[1] == 0.0
 
 
 def test_uniform_planning_range():
     plan = uniform_plan(((0.2, 0.6), None), np.array([0.4, 0.01]), count=200, seed=1)
-    draws = np.stack(sample_uniform(plan))
+    draws = np.stack(sample_uniform(**plan))
     assert np.all(draws[:, 0] >= -0.2) and np.all(draws[:, 0] <= 0.2)
 
 
 def test_uniform_extremes_approach_endpoints():
     plan = uniform_plan(((0.0, 1.0),), np.array([0.0]), count=5000, seed=2)
-    draws = np.stack(sample_uniform(plan))[:, 0]
+    draws = np.stack(sample_uniform(**plan))[:, 0]
     assert draws.min() < 0.01 and draws.max() > 0.99
 
 
 def test_uniform_rejects_empty_interval():
     with pytest.raises(ConfigError):
-        uniform_plan(((0.5, 0.5), None), np.array([1.0, 0.01]))
+        sample_uniform(**uniform_plan(((0.5, 0.5), None), np.array([1.0, 0.01])))
     with pytest.raises(ConfigError):
-        uniform_plan(((0.5,  0.2), None), np.array([1.0, 0.01]))
+        sample_uniform(**uniform_plan(((0.5,  0.2), None), np.array([1.0, 0.01])))
+    with pytest.raises(ConfigError):
+        sample_uniform(**uniform_plan(((0.0, 1.0), None), np.array([1.0, 0.01]), count=0))
 
 
 def test_uniform_needs_range_per_parameter():
     with pytest.raises(ConfigError):
-        uniform_plan(((0.0, 1.0),), np.array([1.0, 0.01]))
+        sample_uniform(**uniform_plan(((0.0, 1.0),), np.array([1.0, 0.01])))
 
 
 def test_uniform_deterministic_under_seed():
     plan = uniform_plan(((-0.5, 1.5), None), np.array([1.0, 0.01]), seed=11)
-    a = sample_uniform(plan)
-    b = sample_uniform(plan)
+    a = sample_uniform(**plan)
+    b = sample_uniform(**plan)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -113,22 +114,15 @@ def test_uniform_deterministic_under_seed():
 def test_uniform_stack_equals_the_former_scalar_draws(ranges, nominal):
     for seed in (0, 11, 42):
         plan = uniform_plan(ranges, np.array(nominal), count=37, seed=seed)
-        draws = sample_uniform(plan)
+        draws = sample_uniform(**plan)
         assert draws.shape == (37, len(nominal))
-        assert np.array_equal(draws, np.stack(former_sample_uniform(plan)))
+        assert np.array_equal(draws, np.stack(former_sample_uniform(**plan)))
 
 
 def test_gaussian_stack_equals_the_former_draws():
     for lam in (1, 100, 5000):
         plan = gaussian_plan(lam, count=40, seed=3)
-        assert np.array_equal(sample_gaussian(plan), np.stack(former_sample_gaussian(plan)))
-
-
-def test_basis_is_not_a_sampling_scheme():
-    # basis probes come from basis_directions; a 'basis' plan used to be
-    # accepted here and then rejected by sample()
-    with pytest.raises(ConfigError, match="unknown perturbation scheme 'basis'"):
-        PerturbationPlan("basis", NOMINAL, count=5)
+        assert np.array_equal(sample_gaussian(**plan), np.stack(former_sample_gaussian(**plan)))
 
 
 def test_basis_canonical_axes():

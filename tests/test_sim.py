@@ -10,11 +10,10 @@ from trajsense import (
     inject_temporal_noise,
     rollout,
     rollout_batch,
-    step,
 )
 from trajsense import controllers
 from trajsense.errors import InvalidShiftError, InvalidStateError, PolicyEvalError
-from trajsense.sim import JOINT_HIGH, JOINT_LOW, START_POSE, TORQUE_CAP, TorqueVector
+from trajsense.sim import JOINT_HIGH, JOINT_LOW, START_POSE, TORQUE_CAP, _step_arrays
 
 from oracles import damped_const_torque_state, former_rollout_batch, ramp_torque_state
 
@@ -25,46 +24,44 @@ def zero_state(angles=(0.5, 0.5, 0.5)):
     return JointState(np.array(angles), np.zeros(3))
 
 
+def constant_torque(u):
+    # a linear_openloop ramp of zero slope holds the torque u at every step
+    return PolicySpec("linear_openloop", np.concatenate([np.zeros(3), u]))
+
+
 def test_zero_torque_zero_velocity_is_fixed_point():
     s = zero_state()
-    out = step(s, np.zeros(3), 0.01, LINEAR)
-    assert np.array_equal(out.angles, s.angles)
-    assert np.array_equal(out.velocities, s.velocities)
+    out = rollout(constant_torque(np.zeros(3)), s, 1, 0.01, LINEAR)
+    assert np.array_equal(out.angles[1], s.angles)
+    assert np.array_equal(out.velocities[1], s.velocities)
 
 
 def test_joint_limit_clamps_and_zeroes_velocity():
     # Appendix-style hard stop: joint 2 (index 1) driven past its upper limit
     s = JointState(np.array([np.pi / 2, np.pi / 2, np.pi]), np.zeros(3))
-    out = step(s, np.array([0.0, 5.0, 0.0]), 1.0, LINEAR)
-    assert out.angles[1] == np.pi
-    assert out.velocities[1] == 0.0
-    assert np.all(out.angles <= JOINT_HIGH) and np.all(out.angles >= JOINT_LOW)
+    out = rollout(constant_torque(np.array([0.0, 5.0, 0.0])), s, 1, 1.0, LINEAR)
+    assert out.angles[1, 1] == np.pi
+    assert out.velocities[1, 1] == 0.0
+    assert np.all(out.angles[1] <= JOINT_HIGH) and np.all(out.angles[1] >= JOINT_LOW)
 
 
 def test_constant_torque_matches_closed_form_after_100_steps():
-    s = zero_state()
-    u = np.array([1.0, 0.0, 0.0])
-    cur = s
-    for _ in range(100):
-        cur = step(cur, u, 0.01, LINEAR)
+    traj = rollout(constant_torque(np.array([1.0, 0.0, 0.0])), zero_state(), 100, 0.01,
+                   LINEAR)
     x_expect, v_expect = ramp_torque_state(0.5, 0.0, w=0.0, b=1.0, dt=0.01, n=100)
-    assert cur.velocities[0] == pytest.approx(1.0, abs=1e-12)
-    assert cur.angles[0] == pytest.approx(x_expect, abs=1e-12)
+    assert traj.velocities[100, 0] == pytest.approx(1.0, abs=1e-12)
+    assert traj.angles[100, 0] == pytest.approx(x_expect, abs=1e-12)
     assert x_expect == pytest.approx(1.0, abs=1e-12)  # x0 + u*t^2/2 = 0.5 + 0.5
 
 
 def test_nonfinite_inputs_rejected():
     with pytest.raises(InvalidStateError):
         JointState(np.array([np.nan, 0, 0]), np.zeros(3))
-    with pytest.raises(InvalidStateError):
-        step(zero_state(), np.array([np.inf, 0, 0]), 0.01, LINEAR)
-    with pytest.raises(InvalidStateError):
-        TorqueVector(np.array([1.0, np.nan, 0.0]))
 
 
 def test_step_rejects_nonpositive_dt():
     with pytest.raises(InvalidStateError):
-        step(zero_state(), np.zeros(3), 0.0, LINEAR)
+        rollout(constant_torque(np.zeros(3)), zero_state(), 1, 0.0, LINEAR)
 
 
 def ramp_policy():
@@ -258,20 +255,20 @@ def test_batch_equals_single_for_every_family():
 
 
 def test_rollout_equals_stepping_one_state():
-    # the (N, 3) batch loop against public step() on a (3,) state
+    # the (N, 3) batch loop against _step_arrays on one (3,) state
     x0 = JointState(START_POSE, np.zeros(3))
     for policy, mode in ((PolicySpec("pd_feedback", [-0.4, 0.01], {"x_star": X_STAR}), PENDULUM),
                          (PolicySpec("sinusoidal", [0.5, 0.01], {"joints": (2,)}), PENDULUM),
                          (ramp_policy(), DynamicsMode("linear", damping=0.5))):
         traj = rollout(policy, x0, 500, 0.01, mode)
-        state = x0
+        x, v = x0.angles, x0.velocities
         for k in range(500):
-            u = np.clip(controllers.torque_at(policy, k, k * 0.01, state.angles,
-                                              state.velocities), -TORQUE_CAP, TORQUE_CAP)
-            state = step(state, u, 0.01, mode)
+            u = np.clip(controllers.torque_at(policy, k, k * 0.01, x, v),
+                        -TORQUE_CAP, TORQUE_CAP)
+            x, v = _step_arrays(x, v, u, 0.01, mode)
             assert np.array_equal(traj.torques[k], u)
-            assert np.array_equal(traj.angles[k + 1], state.angles)
-            assert np.array_equal(traj.velocities[k + 1], state.velocities)
+            assert np.array_equal(traj.angles[k + 1], x)
+            assert np.array_equal(traj.velocities[k + 1], v)
 
 
 def test_batch_equals_single_in_linear_mode_with_and_without_damping():

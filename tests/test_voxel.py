@@ -15,8 +15,8 @@ from trajsense import (
 from trajsense.errors import ConfigError
 
 
-def grid(gamma, origin=0.0):
-    return VoxelGrid(gamma=np.full(3, gamma), origin=np.full(3, origin))
+def grid(gamma):
+    return VoxelGrid(gamma=np.full(3, gamma))
 
 
 def test_center_is_fixed_point():
@@ -63,6 +63,10 @@ def test_gamma_must_be_positive():
         grid(0.0)
     with pytest.raises(ConfigError):
         grid(-0.1)
+    # a NaN or infinite gamma snapped every angle to NaN or inf
+    for gamma in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            grid(gamma)
 
 
 def ramp_rollout():
