@@ -6,7 +6,7 @@ and spatial measurement noise, fits per-timestep GP maps, and uses them for
 zero-shot gain planning.
 """
 
-from .align import DelayEstimate, NoiseClass, classify_noise, estimate_delay
+from .align import DelayEstimate, NoiseClass, classify_noise, delay, estimate_delay
 from .controllers import PolicySpec
 from .perturb import DirectionBasis, basis_directions, sample_gaussian, sample_uniform
 from .planner import PlanningProblem, plan_and_verify, solve_kp
@@ -35,6 +35,6 @@ from .sim import (
     rollout,
     rollout_batch,
 )
-from .voxel import VoxelGrid, check_lemma_bound, voxel_center, voxelize_trajectory
+from .voxel import check_lemma_bound, voxel_center, voxelize_trajectory
 
 __version__ = "0.1.0"

@@ -5,9 +5,10 @@ either by correlation of the normalized angle sequences or from the first
 velocity zero-crossing landmark. Both report it one way: the shift to pass to
 sim.inject_temporal_noise so that the second recording re-aligns with the
 first. `delay` is the one entry point that picks the estimator by method
-name. classify_noise separates shift-removable (temporal) corruption from
-residual (spatial) corruption by sweeping the lag window and thresholding the
-best-case L1 residual.
+name; the pipeline and `trajsense align` both call it. classify_noise
+separates shift-removable (temporal) corruption from residual (spatial)
+corruption by sweeping the lag window and thresholding the best-case L1
+residual.
 """
 
 from dataclasses import dataclass
@@ -202,17 +203,18 @@ def classify_noise(ref, other, epsilon, max_lag=DEFAULT_MAX_LAG):
 
 
 def delay(ref, other, method, max_lag=DEFAULT_MAX_LAG):
-    """The shift that re-aligns other with ref, estimated by method (one of
-    METHODS): 0 for "none", estimate_delay's for "correlation", and for
-    "zero_crossing" align_zero_crossing's on joint 0, or estimate_delay's
-    when either recording has no zero-crossing there to anchor on."""
+    """The DelayEstimate that re-aligns other with ref, by method (one of
+    METHODS): a zero lag for "none", estimate_delay's for "correlation", and
+    for "zero_crossing" align_zero_crossing's on joint 0, or estimate_delay's
+    when either recording has no zero-crossing there to anchor on. Its
+    method names the estimator that gave the lag."""
     if method == "none":
-        return 0
+        return DelayEstimate(tau_star=0, correlation_peak=float("nan"), method="none")
     if method == "zero_crossing":
         try:
-            return align_zero_crossing(ref, other, 0).tau_star
+            return align_zero_crossing(ref, other, 0)
         except LandmarkMissingError:
             pass
     elif method != "correlation":
         raise ConfigError(f"unknown align_method {method!r}")
-    return estimate_delay(ref, other, max_lag).tau_star
+    return estimate_delay(ref, other, max_lag)

@@ -16,11 +16,11 @@ import numpy as np
 
 from . import io as tio
 from . import pipeline
-from .align import DEFAULT_MAX_LAG, align_zero_crossing, classify_noise, estimate_delay
+from .align import DEFAULT_MAX_LAG, METHODS, classify_noise, delay
 from .config import load_config, parse_dims
 from .errors import ConfigError, TrajsenseError
 from .sensitivity import SensitivityModel
-from .voxel import VoxelGrid, voxelize_trajectory
+from .voxel import voxelize_trajectory
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
@@ -68,10 +68,7 @@ def cmd_perturb(args):
 def cmd_align(args):
     ref = tio.read_trajectory(args.reference)
     other = tio.read_trajectory(args.other)
-    if args.method == "zero":
-        est = align_zero_crossing(ref, other, dim=args.dim)
-    else:
-        est = estimate_delay(ref, other, max_lag=args.max_lag)
+    est = delay(ref, other, args.method, args.max_lag)
     cls = classify_noise(ref, other, epsilon=args.epsilon, max_lag=args.max_lag)
     lines = [f"tau_star = {est.tau_star}",
              f"method = {est.method}",
@@ -97,9 +94,10 @@ def _three_floats(raw, flag):
 
 
 def cmd_voxelize(args):
+    if not 0 < args.gamma < np.inf:  # NaN fails too
+        raise ConfigError(f"--gamma {args.gamma:g}: need a positive finite half-width")
     traj = tio.read_trajectory(args.input)
-    tio.write_trajectory(voxelize_trajectory(traj, VoxelGrid(np.full(3, args.gamma))),
-                         args.output)
+    tio.write_trajectory(voxelize_trajectory(traj, args.gamma), args.output)
     print(args.output)
     return 0
 
@@ -156,8 +154,7 @@ def build_parser():
     p.add_argument("reference")
     p.add_argument("other")
     p.add_argument("--max-lag", type=int, default=DEFAULT_MAX_LAG)
-    p.add_argument("--method", choices=("corr", "zero"), default="corr")
-    p.add_argument("--dim", type=int, default=0)
+    p.add_argument("--method", choices=METHODS[1:], default="correlation")
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_align)

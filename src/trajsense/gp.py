@@ -8,7 +8,7 @@ hyperparameters are optimized by multi-restart marginal-likelihood ascent
 from n_restarts starts: a default start, then a warm start when the caller
 passes one (the optimum of a neighbouring fit, clipped into this fit's
 bounds), then uniform draws inside the bounds; the lowest NLL wins.
-`from_state(s)` rebuilds GPs with given hyperparameters. Inference is a
+`from_states` rebuilds GPs with given hyperparameters. Inference is a
 Cholesky factorization with an escalating jitter, on LAPACK directly (GPML
 alg. 2.1). One kernel builder serves the likelihood, the factorization and
 prediction.
@@ -112,8 +112,8 @@ def _cholesky(D, phi):
 
 class ExactGP:
     """Scalar GPs, one per column of the targets Y (n, k), on one X: fit(X, Y)
-    then predict(Xq) -> (mean, std). Column i's state is row i of phi (k, m+2),
-    alpha (k, n), jitter (k,) and degenerate (k,). A 1-D y gives 1-D results."""
+    then predict(Xq) -> (mean, std), (q, k) each. Column i's state is row i of
+    phi (k, m+2), alpha (k, n), jitter (k,) and degenerate (k,)."""
 
     def __init__(self, n_restarts=N_RESTARTS):
         self.n_restarts = n_restarts
@@ -172,14 +172,16 @@ class ExactGP:
         self._X = (X - self._x_mean) / scale
 
     def fit(self, X, Y, seed=0, warm=None):
-        """Optimize each column's hyperparameters and factorize. Y: (n,) or
-        (n, k); seed: one int, or one per column; warm: an ExactGP fitted to
-        the same columns, whose optimum starts one restart of each column it
-        did not fit as degenerate. A column that cannot be fitted is a
-        FitError naming it."""
+        """Optimize each column's hyperparameters and factorize. Y: (n, k),
+        any other shape is a ValueError; seed: one int, or one per column;
+        warm: an ExactGP fitted to the same columns, whose optimum starts one
+        restart of each column it did not fit as degenerate. A column that
+        cannot be fitted is a FitError naming it."""
         Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2:
+            raise ValueError(f"targets must be (n, k) columns, got shape {Y.shape}")
         self._set_inputs(X, len(Y))
-        cols = Y.reshape(len(Y), -1).T  # row i is the caller's column Y[:, i]
+        cols = Y.T  # row i is the caller's column Y[:, i]
         m = self._X.shape[1]
         seeds = np.broadcast_to(seed, len(cols))
         # frozen (constant) columns have no gradient: the optimizer leaves them out
@@ -203,15 +205,11 @@ class ExactGP:
         return self._factorize(_sq_dist_stack(self._X), Y, phi)
 
     @classmethod
-    def from_state(cls, X, y, phi):
-        """`from_states` of one: a GP rebuilt from raw training inputs, targets
-        and each column's [log lengthscales, log signal var, log noise var]."""
-        return cls.from_states(X, [y], [phi])[0]
-
-    @classmethod
     def from_states(cls, X, Ys, phis):
-        """One fitted GP per Ys[j] with phis[j], in the layout of `state()`,
-        all on one X stack: one factorization per column, no optimization."""
+        """One fitted GP per Ys[j] (n, k) with phis[j] (k, m+2), each
+        column's [log lengthscales, log signal var, log noise var] as `state()`
+        gives them, all on one X stack: one factorization per column, no
+        optimization."""
         Ys = np.asarray(Ys, dtype=float)
         if not np.isfinite(Ys).all():
             raise ValueError("training targets must be finite")
@@ -221,8 +219,8 @@ class ExactGP:
         return [copy.copy(base)._factorize(D, Y, phi) for Y, phi in zip(Ys, phis)]
 
     def state(self):
-        """(raw X, Y, phi): what `from_state` needs to rebuild this GP exactly."""
-        return self._X_raw, self._y, self.phi[0] if self._y.ndim == 1 else self.phi
+        """(raw X, Y, phi): what `from_states` needs to rebuild this GP exactly."""
+        return self._X_raw, self._y, self.phi
 
     def _factorize(self, D, Y, phi):
         """Take the targets Y and each column's log-hyperparameters phi, and
@@ -230,8 +228,8 @@ class ExactGP:
         are dropped once alpha is solved."""
         from scipy.linalg import lapack
 
-        self._y, cols = Y, Y.reshape(len(Y), -1).T
-        self.phi = np.reshape(np.asarray(phi, dtype=float), (len(cols), -1))
+        self._y, cols = Y, Y.T
+        self.phi = np.asarray(phi, dtype=float)
         self.alpha, self.jitter = np.empty(cols.shape), np.empty(len(cols))
         self.degenerate = np.array([np.var(y) < _TARGET_VAR_FLOOR for y in cols])
         for i, y in enumerate(cols):
@@ -273,7 +271,7 @@ class ExactGP:
 
     def predict(self, Xq, std=True):
         """Posterior means and standard deviations of the columns at the rows
-        of Xq, (q, k) each, or (q,) for a 1-D y. The rows' distance stack is
+        of Xq, (q, k) each. The rows' distance stack is
         built once for all columns. A mean is K* alpha alone; a variance
         rebuilds the column's factor and includes the learned noise term, so
         it never drops below the noise floor. With std False the stds are None."""
@@ -294,23 +292,21 @@ class ExactGP:
                 sn2 = np.exp(phi[-1])
                 var = np.exp(phi[-2]) + sn2 - np.sum(V * V, axis=0)
                 stds.append(np.sqrt(np.maximum(var, sn2)))
-        if self._y.ndim == 1:
-            return means[0], stds[0] if std else None
         return np.stack(means, axis=1), np.stack(stds, axis=1) if std else None
 
-    # -- reporting: per column, or scalars for a 1-D y --------------------------
+    # -- reporting: one row or entry per column ------------------------------
 
     @property
     def lengthscales(self):
-        return np.exp(self.state()[2][..., :-2])
+        return np.exp(self.phi[:, :-2])
 
     @property
     def signal_var(self):
-        return np.exp(self.state()[2][..., -2])
+        return np.exp(self.phi[:, -2])
 
     @property
     def noise_var(self):
-        return np.exp(self.state()[2][..., -1])
+        return np.exp(self.phi[:, -1])
 
     @property
     def n_train(self):

@@ -182,9 +182,11 @@ def read_trajectory(path):
                                       "number") from exc
         meta.setdefault("seed", 0)
         meta.setdefault("temporal_shift", 0)
-        dt = meta.get("dt") or None
+        dt = meta.get("dt")
     if dt is None:
         raise ConfigError(f"{path}: missing dt in meta sidecar")
+    if not 0 < dt < np.inf:  # NaN fails too
+        raise ConfigError(f"{meta_path}: dt = {dt!r} is not a positive finite number")
     meta["path"] = path
     return Trajectory(dt, angles, velocities, torques, meta)
 

@@ -49,7 +49,7 @@ from .sensitivity import (COS_BIN_EDGES, SensitivityModel, build_sample_sets,  #
                           build_samples, evaluate, fit_gp, fit_sensitivity_model,
                           voxelized_source)
 from .sim import NoiseConfig, rollout, rollout_batch
-from .voxel import VoxelGrid, voxelize_trajectory
+from .voxel import voxelize_trajectory
 
 STAGES = ("simulate", "build", "fit", "evaluate", "plan")
 # artifact path prefix -> the stage that writes it; the first match wins
@@ -245,9 +245,8 @@ def stage_fit(cfg, out, workers=1, handoff=None):
         for gamma in cfg.gamma_sweep:
             samples = _input(out, f"samples/train_{_gamma_tag(gamma)}.csv",
                              tio.read_samples, handoff)
-            _, src_for = voxelized_source(source, gamma)
-            yield (samples, _model_timesteps(cfg), cfg.n_restarts, cfg.seed, src_for,
-                   cfg.policy.theta)
+            yield (samples, _model_timesteps(cfg), cfg.n_restarts, cfg.seed,
+                   voxelized_source(source, gamma), cfg.policy.theta)
 
     # a process per gamma at most: one gamma fits in this process
     workers = min(workers, len(cfg.gamma_sweep))
@@ -448,8 +447,7 @@ def emit_plot_data(out, kind):
         b = _trajectory(out, "trajectories/sample_0000.csv")
         rows = []
         for gamma in (0.01, 0.04, 0.16, 0.2):
-            g = VoxelGrid(np.full(3, gamma))
-            va, vb = voxelize_trajectory(a, g).angles, voxelize_trajectory(b, g).angles
+            va, vb = (voxelize_trajectory(t, gamma).angles for t in (a, b))
             rows.append((gamma, np.mean(np.abs(va - vb)), np.mean(np.all(va == vb, axis=1))))
         tio.write_table(dest, "gamma,l1_gap,same_cell_fraction", "%g,%.9g,%.9g\n", rows)
         return dest

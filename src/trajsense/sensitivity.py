@@ -9,7 +9,8 @@ the trajectories but are not regression targets.
 Three views of the same map are provided: the raw differences as dense
 SampleSets (build_sample_sets), a linear reconstruction from orthonormal
 basis probes, and GP maps per timestep that generalize to new perturbations:
-one gp.ExactGP per timestep, with a column per angle dimension, all on one X.
+one gp.ExactGP per timestep, with a column per angle dimension, all on one X,
+queried a block of perturbations at a time through model_at(t).predict.
 """
 
 import os
@@ -64,18 +65,14 @@ def align_recording(source, delta_theta, traj, align_method="none",
         raise DatasetError("delta_theta must be nonzero")
     if traj.n_steps != source.n_steps or traj.dt != source.dt:
         raise DatasetError("perturbed trajectory length/dt mismatch")
-    shift = align_mod.delay(source, traj, align_method, max_lag)
+    shift = align_mod.delay(source, traj, align_method, max_lag).tau_star
     return inject_temporal_noise(traj, shift) if shift != 0 else traj
 
 
 def voxelized_source(source, gamma):
-    """(grid, source snapped to it) for voxel half-width gamma, on a grid
-    anchored at zero; with gamma None or 0 the grid is None and the
-    source is returned as it is."""
-    if not gamma:
-        return None, source
-    grid = voxel_mod.VoxelGrid(gamma=np.full(3, float(gamma)))
-    return grid, voxel_mod.voxelize_trajectory(source, grid)
+    """source snapped to the voxel grid of half-width gamma, anchored at
+    zero; with gamma None or 0 it is returned as it is."""
+    return voxel_mod.voxelize_trajectory(source, gamma) if gamma else source
 
 
 def build_sample_sets(source, delta_theta, recordings, align_method="none",
@@ -89,7 +86,7 @@ def build_sample_sets(source, delta_theta, recordings, align_method="none",
     it by its meta["path"], or as "recording <i>" without one."""
     delta_theta = np.asarray(delta_theta, dtype=float)
     n = len(delta_theta)
-    grids = [voxelized_source(source, gamma) for gamma in gammas]
+    grids = [(gamma, voxelized_source(source, gamma)) for gamma in gammas]
     sets = [SampleSet(delta_theta, np.empty((n,) + src.angles.shape)) for _, src in grids]
     i = -1
     for i, traj in enumerate(recordings):
@@ -99,8 +96,8 @@ def build_sample_sets(source, delta_theta, recordings, align_method="none",
             traj = align_recording(source, delta_theta[i], traj, align_method, max_lag)
         except DatasetError as exc:
             raise DatasetError(f"{traj.meta.get('path', f'recording {i}')}: {exc}") from exc
-        for (grid, src), samples in zip(grids, sets):
-            voxelized = voxel_mod.voxelize_trajectory(traj, grid) if grid else traj
+        for (gamma, src), samples in zip(grids, sets):
+            voxelized = voxel_mod.voxelize_trajectory(traj, gamma) if gamma else traj
             np.subtract(voxelized.angles, src.angles, out=samples.delta_x[i])
     if i + 1 != n:
         raise DatasetError(f"not one recording per row of delta_theta ({n} rows)")
@@ -213,11 +210,6 @@ class SensitivityModel:
         if t not in self.models:
             raise UntrainedTimestepError(f"no trained model at timestep {t}")
         return self.models[t]
-
-    def predict(self, t, delta_theta):
-        """Posterior mean and std of the angle change for one perturbation."""
-        mean, std = self.model_at(t).predict(delta_theta)
-        return mean[0], std[0]
 
     def source_angles_at(self, t):
         self.model_at(t)

@@ -116,8 +116,8 @@ class Trajectory:
         self.angles = np.asarray(self.angles, dtype=float)
         self.velocities = np.asarray(self.velocities, dtype=float)
         self.torques = np.asarray(self.torques, dtype=float)
-        if self.dt <= 0:
-            raise InvalidStateError("dt must be positive")
+        if not 0 < self.dt < np.inf:  # NaN fails too
+            raise InvalidStateError(f"dt must be positive and finite, got {self.dt}")
         if self.angles.shape != self.velocities.shape:
             raise InvalidStateError("angles/velocities shape mismatch")
         if self.angles.shape[0] != self.torques.shape[0] + 1:
@@ -196,6 +196,8 @@ def rollout_batch(policy, thetas, x0, n_steps, dt, mode):
 
     if n_steps < 1:
         raise InvalidStateError("n_steps must be >= 1")
+    if not 0 < dt < np.inf:  # NaN fails too
+        raise InvalidStateError(f"dt must be positive and finite, got {dt}")
     thetas = np.asarray(thetas, dtype=float)
     if (thetas.ndim != 2 or thetas.shape[0] < 1 or thetas.shape[1] != policy.theta.size
             or not np.all(np.isfinite(thetas))):

@@ -1,7 +1,7 @@
 """Spatial-noise suppression by snapping states to voxel centers.
 
-The state space is tiled by axis-aligned cells of half-width gamma per
-dimension, with a cell boundary at zero; every recorded angle vector is
+The state space is tiled by axis-aligned cells of one half-width gamma in
+every dimension, with a cell boundary at zero; every recorded angle vector is
 replaced by the center of the cell that contains it. The quantization
 error this introduces into pairwise state differences is bounded by
 2*gamma plus the raw noise level, which check_lemma_bound verifies
@@ -16,34 +16,23 @@ from .errors import ConfigError
 from .sim import Trajectory
 
 
-@dataclass
-class VoxelGrid:
-    """Axis-aligned grid anchored at zero with per-dimension half-width gamma."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if not np.all((self.gamma > 0) & (self.gamma < np.inf)):  # NaN fails too
-            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
-
-
-def voxel_center(x, grid):
+def voxel_center(x, gamma):
     """Map x to the center of its cell: 2*gamma*(k + 1/2), k = floor(x / (2*gamma)).
 
-    Idempotent, and ||x - center||_inf <= gamma always holds.
+    Idempotent, and ||x - center||_inf <= gamma always holds. A gamma that is
+    not positive and finite is a ConfigError.
     """
-    width = 2.0 * grid.gamma
+    gamma = float(gamma)
+    if not 0 < gamma < np.inf:  # NaN fails too
+        raise ConfigError(f"gamma must be positive and finite, got {gamma}")
+    width = 2.0 * gamma
     return width * (np.floor(np.asarray(x, dtype=float) / width) + 0.5)
 
 
-def voxelize_trajectory(traj, grid):
+def voxelize_trajectory(traj, gamma):
     """Snap every angle state to its voxel center; velocities pass through."""
-    centers = voxel_center(traj.angles, grid)
-    out = Trajectory(traj.dt, centers, traj.velocities.copy(), traj.torques.copy(),
-                     dict(traj.meta))
-    out.meta["gamma"] = tuple(float(g) for g in grid.gamma)
-    return out
+    return Trajectory(traj.dt, voxel_center(traj.angles, gamma), traj.velocities.copy(),
+                      traj.torques.copy(), dict(traj.meta))
 
 
 @dataclass

@@ -190,8 +190,9 @@ def csv_write_perturbations(nominal, deltas, path):
 
 # -- per-point GP queries -------------------------------------------------------
 # The planner's gain curve and the gp_evolution export as they were computed
-# before both queried the GP maps in blocks: one model.predict(t, dq) per grid
-# point. `model` and `problem` are duck typed (SensitivityModel, PlanningProblem).
+# before both queried the GP maps in blocks: one model.model_at(t).predict(dq)
+# of a single row per grid point. `model` and `problem` are duck typed
+# (SensitivityModel, PlanningProblem).
 
 
 def per_point_predict_curve(model, problem, deltas, dims):
@@ -202,7 +203,7 @@ def per_point_predict_curve(model, problem, deltas, dims):
     for i, d in enumerate(deltas):
         dq = np.zeros(m)
         dq[0] = d
-        mean, _ = model.predict(problem.t_constraint, dq)
+        mean = model.model_at(problem.t_constraint).predict(dq)[0][0]
         curve[i] = mean[dims]
     return curve
 
@@ -214,7 +215,7 @@ def per_point_gp_evolution(model, dim, grid):
         for dv in grid:
             q = np.zeros(model.delta_low.size)
             q[dim] = dv
-            mean, std = model.predict(t, q)
+            mean, std = (a[0] for a in model.model_at(t).predict(q))
             rows.append(np.concatenate([[t, dv], mean, std]))
     return np.array(rows)
 
@@ -233,7 +234,7 @@ def posterior_error_bounds(gp, Xq):
     the same formulas in different orders; the tests hold them to within one
     bound of each other.
     """
-    _, y, phi = gp.state()
+    _, y, (phi,) = gp.state()
     ls2, sf2, sn2 = np.exp(phi[:-2]) ** 2, np.exp(phi[-2]), np.exp(phi[-1])
 
     def kernel(A):
@@ -387,7 +388,7 @@ def fixed_point_kp(model, problem, tol=1e-6, max_iter=100):
     delta = 0.5 * (lo + hi) or 0.25 * (hi - lo)
     for _ in range(max_iter):
         dq[0] = delta
-        g = model.predict(problem.t_constraint, dq)[0][dim]
+        g = model.model_at(problem.t_constraint).predict(dq)[0][0, dim]
         if abs(g) < 1e-30:
             raise ZeroDivisionError("flat sensitivity at the iterate")
         new_delta = float(np.clip(required * delta / g, lo, hi))

@@ -29,7 +29,6 @@ from trajsense import (
 from trajsense.config import load_config
 from trajsense.pipeline import run_pipeline
 from trajsense.sim import START_POSE
-from trajsense.voxel import VoxelGrid
 
 from oracles import ramp_torque_jacobian
 
@@ -218,13 +217,12 @@ def test_criterion_5_quantization_bound():
     sigma = 0.01
     margins = []
     for gamma in (0.01, 0.04, 0.16, 0.2):
-        grid = VoxelGrid(gamma=np.full(3, gamma))
         rng = np.random.default_rng(int(gamma * 1000))
         errs, raws = [], []
         for _ in range(1000):
             x1, x2 = rng.uniform(0, 3, size=(2, 3))
             e1, e2 = rng.normal(0, sigma, size=(2, 3))
-            vox_diff = voxel_center(x2 + e2, grid) - voxel_center(x1 + e1, grid)
+            vox_diff = voxel_center(x2 + e2, gamma) - voxel_center(x1 + e1, gamma)
             errs.append(np.max(np.abs(vox_diff - (x2 - x1))))
             raws.append(np.max(np.abs(e2 - e1)))
         mean_err = float(np.mean(errs))

@@ -3,6 +3,7 @@ import configparser
 import importlib
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from trajsense import align, pipeline, planner
 from trajsense import config as config_mod
 from trajsense import gp as gp_mod
 from trajsense import io as tio
-from trajsense.cli import main
+from trajsense.cli import build_parser, main
 from trajsense.config import load_config
 from trajsense.errors import ConfigError, DatasetError, FitError, StageError
 from trajsense.gp import ExactGP
@@ -26,7 +27,7 @@ from trajsense.pipeline import emit_plot_data, run_pipeline
 from trajsense.sensitivity import (COS_BIN_EDGES, SensitivityModel, build_samples, evaluate,
                                    fit_sensitivity_model)
 from trajsense.sim import START_POSE
-from trajsense.voxel import VoxelGrid, voxelize_trajectory
+from trajsense.voxel import voxelize_trajectory
 
 import oracles
 from oracles import former_perturbation_deltas, per_point_gp_evolution, posterior_error_bounds
@@ -471,7 +472,7 @@ def test_metrics_and_plot_tables_match_the_hand_written_writers(finished_run, tm
     def voxelize(angles, gamma):
         traj = Trajectory(cfg.dt, angles, np.zeros_like(angles),
                           np.zeros((len(angles) - 1, 3)), {})
-        return voxelize_trajectory(traj, VoxelGrid(np.full(3, gamma))).angles
+        return voxelize_trajectory(traj, gamma).angles
 
     same("plots/voxel_overlap.csv",
          lambda p: oracles.former_plot_voxel_overlap(source, first[0], voxelize, p))
@@ -504,7 +505,7 @@ def test_gp_evolution_matches_per_point_queries(cfg_file, tmp_path):
         X, Y, phi = model.model_at(t).state()
         for i in range(3):
             mean_bound, var_bound = posterior_error_bounds(
-                ExactGP.from_state(X, Y[:, i], phi[i]), queries)
+                ExactGP.from_states(X, [Y[:, i:i + 1]], [phi[i:i + 1]])[0], queries)
             mean, ref_mean = rows[at_t, 2 + i], ref[at_t, 2 + i]
             std, ref_std = rows[at_t, 5 + i], ref[at_t, 5 + i]
             assert np.all(np.abs(mean - ref_mean) <= mean_bound + printed[at_t, 2 + i])
@@ -661,6 +662,12 @@ def _not_a_number(line, column):
                  _replace("dt = 0.01", "dt = 0.0l"), 2,
                  "trajectories/sample_0003.csv.meta: dt = '0.0l' is not a number",
                  id="meta-dt"),
+    # nan and inf loaded, 0 read as a missing dt, and -0.01 exited 3 naming no file
+    *(pytest.param("build", "trajectories/sample_0003.csv.meta",
+                   _replace("dt = 0.01", f"dt = {dt}"), 2,
+                   f"trajectories/sample_0003.csv.meta: dt = {float(dt)!r} is not a "
+                   "positive finite number", id=f"meta-dt-{dt}")
+      for dt in ("nan", "inf", "0", "-0.01")),
     pytest.param("build", "trajectories/sample_0003.csv.meta", _replace("seed = 0", "seed = x"),
                  2, "trajectories/sample_0003.csv.meta: seed = 'x' is not a number",
                  id="meta-seed"),
@@ -841,12 +848,52 @@ def test_align_methods_report_one_lag(tmp_path, capsys):
     ref_path, other_path = str(tmp_path / "ref.csv"), str(tmp_path / "other.csv")
     tio.write_trajectory(traj, ref_path)
     tio.write_trajectory(inject_temporal_noise(traj, 7), other_path)
-    for method in ("corr", "zero"):
+    for method in ("correlation", "zero_crossing"):
         capsys.readouterr()
         assert main(["align", ref_path, other_path, "--method", method]) == 0
         assert "tau_star = -7" in capsys.readouterr().out, method
-    assert main(["align", ref_path, other_path, "--method", "zero", "--max-lag", "400"]) == 2
+    assert main(["align", ref_path, other_path, "--method", "zero_crossing",
+                 "--max-lag", "400"]) == 2
     assert "config error: max_lag must satisfy" in capsys.readouterr().err
+
+
+def test_align_zero_crossing_falls_back_to_correlation(tmp_path, capsys):
+    # a sinusoid on joint 3 alone leaves joint 0 still, with no zero-crossing
+    # to anchor on: the zero-crossing method exited 3 here, where the build
+    # stage fell back to correlation
+    traj = rollout(PolicySpec("sinusoidal", [0.4, 0.05], {"joints": (3,)}),
+                   JointState(START_POSE, np.zeros(3)), 300, 0.01,
+                   DynamicsMode("linear", damping=0.8))
+    assert not np.any(traj.velocities[:, 0])
+    ref_path, other_path = str(tmp_path / "ref.csv"), str(tmp_path / "other.csv")
+    tio.write_trajectory(traj, ref_path)
+    tio.write_trajectory(inject_temporal_noise(traj, 7), other_path)
+    reports = {}
+    for method in ("correlation", "zero_crossing"):
+        assert main(["align", ref_path, other_path, "--method", method]) == 0
+        reports[method] = capsys.readouterr().out
+    assert "tau_star = -7\nmethod = correlation\n" in reports["zero_crossing"]
+    assert reports["zero_crossing"] == reports["correlation"]
+
+
+def test_readme_command_lines_parse():
+    # every `trajsense ...` line of the README's code blocks, continuations
+    # joined, comments and environment assignments stripped
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", fh.read(), re.S | re.M)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            match = re.match(r"\s*(?:[A-Za-z_]\w*=\S*\s+)*trajsense\s(.*)", line.split("#")[0])
+            if match:
+                commands.append(shlex.split(match.group(1)))
+    assert len(commands) >= 11
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: trajsense {shlex.join(argv)}")
 
 
 def test_only_the_stages_that_fit_take_workers(finished_run, tmp_path, capsys):
@@ -873,6 +920,18 @@ def test_voxelize_subcommand(tmp_path):
     vox = tio.read_trajectory(dst)
     ratio = (vox.angles - 0.04) / 0.08
     assert np.allclose(ratio, np.round(ratio), atol=1e-6)
+
+
+@pytest.mark.parametrize("gamma", ["0", "-0.1", "nan", "inf"])
+def test_voxelize_names_a_bad_gamma(tmp_path, capsys, gamma):
+    # the message named no flag: "gamma must be positive and finite, got [0. 0. 0.]"
+    traj = rollout(PolicySpec("sinusoidal", [0.4, 0.05]), JointState(START_POSE, np.zeros(3)),
+                   20, 0.01, DynamicsMode("linear", damping=0.8))
+    src, dst = str(tmp_path / "in.csv"), str(tmp_path / "out.csv")
+    tio.write_trajectory(traj, src)
+    assert main(["voxelize", src, dst, f"--gamma={gamma}"]) == 2
+    assert f"config error: --gamma {gamma}: need a positive finite" in capsys.readouterr().err
+    assert not os.path.exists(dst)
 
 
 def test_plan_subcommand(cfg_file, tmp_path, capsys):

@@ -11,17 +11,19 @@ from trajsense.gp import (JITTER_START, ExactGP, _cholesky_with_jitter, _kernel,
 
 
 def linear_data(n=40, m=2, noise=0.0, seed=0):
+    """Inputs (n, m) and one target column (n, 1)."""
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, size=(n, m))
     w = np.array([0.7, -1.3])[:m]
     y = X @ w + noise * rng.normal(size=n)
-    return X, y
+    return X, y[:, None]
 
 
 def test_interpolates_noiseless_training_data():
     X, y = linear_data()
     gp = ExactGP().fit(X, y, seed=0)
     pred, _ = gp.predict(X)
+    assert pred.shape == y.shape
     ss_res = np.sum((y - pred) ** 2)
     ss_tot = np.sum((y - y.mean()) ** 2)
     assert 1 - ss_res / ss_tot >= 0.99
@@ -34,7 +36,7 @@ def test_generalizes_within_three_sigma():
     Xq = rng.uniform(-0.9, 0.9, size=(30, 2))
     truth = Xq @ np.array([0.7, -1.3])
     mean, std = gp.predict(Xq)
-    assert np.all(np.abs(mean - truth) <= 3 * std + 1e-9)
+    assert np.all(np.abs(mean[:, 0] - truth) <= 3 * std[:, 0] + 1e-9)
 
 
 def test_reverts_to_prior_far_from_data():
@@ -42,15 +44,15 @@ def test_reverts_to_prior_far_from_data():
     gp = ExactGP().fit(X, y, seed=3)
     far = 10 * np.max(np.linalg.norm(X, axis=1)) * np.ones((1, 2))
     mean, std = gp.predict(far)
-    assert abs(mean[0]) < 0.05 * np.abs(y).max()
-    assert std[0] ** 2 >= 0.5 * gp.signal_var
+    assert abs(mean[0, 0]) < 0.05 * np.abs(y).max()
+    assert std[0, 0] ** 2 >= 0.5 * gp.signal_var[0]
 
 
 def test_variance_never_below_noise_floor():
     X, y = linear_data(n=30, noise=0.1, seed=4)
     gp = ExactGP().fit(X, y, seed=4)
     _, std = gp.predict(X)
-    assert np.all(std ** 2 >= gp.noise_var - 1e-15)
+    assert np.all(std[:, 0] ** 2 >= gp.noise_var[0] - 1e-15)
 
 
 def test_deterministic_under_seed():
@@ -58,39 +60,47 @@ def test_deterministic_under_seed():
     g1 = ExactGP(n_restarts=3).fit(X, y, seed=9)
     g2 = ExactGP(n_restarts=3).fit(X, y, seed=9)
     assert np.array_equal(g1.lengthscales, g2.lengthscales)
-    assert g1.signal_var == g2.signal_var
+    assert np.array_equal(g1.signal_var, g2.signal_var)
 
 
 def test_rebuilt_from_state_predicts_exactly_as_fitted():
     X, y = linear_data(n=40, noise=0.01, seed=6)
     Xq = np.random.default_rng(7).uniform(-1.2, 1.2, size=(50, 2))
     gp = ExactGP().fit(X, y, seed=6)
-    X_saved, _, _ = gp.state()
+    X_saved, Y_saved, phi = gp.state()
     assert np.array_equal(X_saved, X)
-    for a, b in zip(gp.predict(Xq), ExactGP.from_state(*gp.state()).predict(Xq)):
+    rebuilt = ExactGP.from_states(X_saved, [Y_saved], [phi])[0]
+    for a, b in zip(gp.predict(Xq), rebuilt.predict(Xq)):
         assert np.array_equal(a, b)
 
 
 def test_fixed_hyperparameters_respected():
     X, y = linear_data(n=25, seed=6)
-    phi = np.log([2.0, 2.0, 1.5, 1e-4])
-    gp = ExactGP.from_state(X, y, phi)
+    phi = np.log([[2.0, 2.0, 1.5, 1e-4]])
+    gp = ExactGP.from_states(X, [y], [phi])[0]
     assert np.array_equal(gp.state()[2], phi)
     assert np.allclose(gp.lengthscales, 2.0)
-    assert gp.signal_var == pytest.approx(1.5)
-    assert gp.noise_var == pytest.approx(1e-4)
+    assert gp.signal_var[0] == pytest.approx(1.5)
+    assert gp.noise_var[0] == pytest.approx(1e-4)
 
 
 def test_degenerate_targets_predict_zero():
     X = np.random.default_rng(7).uniform(-1, 1, size=(10, 2))
-    gp = ExactGP().fit(X, np.zeros(10))
+    gp = ExactGP().fit(X, np.zeros((10, 1)))
     mean, _ = gp.predict(X)
     assert np.allclose(mean, 0.0, atol=1e-8)
 
 
+def test_targets_must_be_columns():
+    X, y = linear_data(n=10)
+    for bad in (y[:, 0], y[None]):
+        with pytest.raises(ValueError, match=r"\(n, k\) columns, got shape"):
+            ExactGP().fit(X, bad)
+
+
 def test_insufficient_data_rejected():
     with pytest.raises(InsufficientDataError):
-        ExactGP().fit(np.zeros((1, 2)), np.zeros(1))
+        ExactGP().fit(np.zeros((1, 2)), np.zeros((1, 1)))
     with pytest.raises(InsufficientDataError):
         ExactGP().predict(np.zeros((1, 2)))
 
@@ -131,8 +141,8 @@ def test_factorization_without_identity_matrices_is_bit_identical(log_ls, jitter
     assert np.array_equal(L, L_former) and jitter == jitter_former
     assert (jitter > 0) == jittered  # a long lengthscale needs a retry
 
-    gp = ExactGP.from_state(X, y, np.array([log_ls, log_ls, np.log(2.0), np.log(1e-6)]))
-    phi = gp.state()[2]
+    gp = ExactGP.from_states(X, [y], [[[log_ls, log_ls, np.log(2.0), np.log(1e-6)]]])[0]
+    phi = gp.state()[2][0]
     K = _kernel(_sq_dist_stack(gp._X), phi[:2], phi[2])
     L_former, jitter_former = _former_cholesky_with_jitter(
         K + np.exp(phi[3]) * np.eye(30), scale=np.exp(phi[2]))
@@ -144,14 +154,14 @@ def test_factorization_without_identity_matrices_is_bit_identical(log_ls, jitter
 
 def _cross_kernel(gp, Xq):
     """K* of a one-column GP at the rows of Xq, standardized as it standardizes."""
-    phi = gp.state()[2]
+    phi = gp.state()[2][0]
     Xqs = (np.atleast_2d(Xq) - gp._x_mean) / gp._x_scale
     return _kernel(_sq_dist_stack(Xqs, gp._X), phi[:-2], phi[-2])
 
 
 def _std_from_factor(gp, L, Xq):
     """The posterior std as `predict` computed it from a factor it kept."""
-    phi = gp.state()[2]
+    phi = gp.state()[2][0]
     V, _ = lapack.dtrtrs(L, _cross_kernel(gp, Xq).T, lower=1, overwrite_b=1)
     sn2 = np.exp(phi[-1])
     return np.sqrt(np.maximum(np.exp(phi[-2]) + sn2 - np.sum(V * V, axis=0), sn2))
@@ -167,7 +177,7 @@ def test_variance_from_a_rebuilt_factor_is_bit_identical(monkeypatch, log_ls, ji
     monkeypatch.setattr(gp_mod, "_cholesky_with_jitter",
                         lambda K, scale=1.0: made.append(real(K, scale)) or made[-1])
     phi = np.array([log_ls, log_ls, np.log(2.0), np.log(1e-16)])
-    gps = [ExactGP.from_state(X, y, phi), ExactGP().fit(X, y, seed=3)]
+    gps = [ExactGP.from_states(X, [y], [phi[None]])[0], ExactGP().fit(X, y, seed=3)]
     (L_state, jitter_state), (L_fit, jitter_fit) = made[0], made[-1]
     made.clear()
     assert (jitter_state > 0) == jittered  # a long lengthscale needs a retry
@@ -176,8 +186,8 @@ def test_variance_from_a_rebuilt_factor_is_bit_identical(monkeypatch, log_ls, ji
     for gp, L, jitter in zip(gps, (L_state, L_fit), (jitter_state, jitter_fit)):
         assert all(v.size < 30 * 30 for v in vars(gp).values() if isinstance(v, np.ndarray))
         mean, std = gp.predict(Xq)
-        assert np.array_equal(std, _std_from_factor(gp, L, Xq))
-        assert np.array_equal(mean, _cross_kernel(gp, Xq) @ gp.alpha[0])
+        assert np.array_equal(std[:, 0], _std_from_factor(gp, L, Xq))
+        assert np.array_equal(mean[:, 0], _cross_kernel(gp, Xq) @ gp.alpha[0])
         assert len(made) == 1 and np.array_equal(made[0][0], L) and made[0][1] == jitter
         assert np.array_equal(gp.jitter, [jitter])
         made.clear()
@@ -191,9 +201,9 @@ def test_constant_input_column_tolerated():
     rng = np.random.default_rng(8)
     X = np.column_stack([rng.uniform(-1, 1, 30), np.full(30, 0.01)])
     y = 2.0 * X[:, 0]
-    gp = ExactGP().fit(X, y, seed=8)
+    gp = ExactGP().fit(X, y[:, None], seed=8)
     pred, _ = gp.predict(X)
-    assert np.allclose(pred, y, atol=1e-3)
+    assert np.allclose(pred[:, 0], y, atol=1e-3)
 
 
 def _kernel_by_loops(A, phi, B=None):
@@ -274,13 +284,13 @@ def test_fit_never_optimizes_a_frozen_column(monkeypatch):
 
     monkeypatch.setattr(gp_mod, "_starts", spy_starts)
     monkeypatch.setattr(scipy.optimize, "minimize", spy_minimize)
-    gp = ExactGP(n_restarts=4).fit(X, y, seed=3)
+    gp = ExactGP(n_restarts=4).fit(X, y[:, None], seed=3)
     assert len(calls) == len(starts) == 4
     for start, (x0, n_bounds, res) in zip(starts, calls):
         assert x0.size == n_bounds == res.x.size == 4  # 2 live columns, sf2, sn2
         assert np.array_equal(x0, np.delete(start, 1))
     win = int(np.argmin([res.fun for _, _, res in calls]))
-    phi = gp.state()[2]
+    phi = gp.state()[2][0]
     assert phi[1] == starts[win][1]
     assert np.array_equal(np.delete(phi, 1), calls[win][2].x)
     assert len({s[1] for s in starts}) == 4  # the draws do differ in that entry
@@ -335,9 +345,9 @@ def test_noise_floor_keeps_near_duplicate_inputs_from_a_singular_fit(monkeypatch
     errors = {}
     for floor in (1e-12, gp_mod.NOISE_FLOOR):  # the former bound, then the current one
         monkeypatch.setattr(gp_mod, "NOISE_FLOOR", floor)
-        gp = ExactGP(n_restarts=2).fit(X, f(X[:, 0]), seed=4)
-        assert gp.noise_var >= 0.999 * floor * np.var(f(X[:, 0]))
-        errors[floor] = abs(gp.predict([[q, 0.0]])[0][0] - f(q))
+        gp = ExactGP(n_restarts=2).fit(X, f(X[:, :1]), seed=4)
+        assert gp.noise_var[0] >= 0.999 * floor * np.var(f(X[:, 0]))
+        errors[floor] = abs(gp.predict([[q, 0.0]])[0][0, 0] - f(q))
     # with the former bound the fit predicts about -38.5 against a true -1.54
     assert errors[1e-12] > 10.0
     assert errors[gp_mod.NOISE_FLOOR] < 0.05

@@ -194,7 +194,8 @@ def test_gain_curve_matches_per_point_queries(trained):
     queries[:, 0] = deltas
     X, Y, phi = model.model_at(T_CONSTRAINT).state()
     for j, d in enumerate(dims):
-        bound, _ = posterior_error_bounds(ExactGP.from_state(X, Y[:, d], phi[d]), queries)
+        one = ExactGP.from_states(X, [Y[:, d:d + 1]], [phi[d:d + 1]])[0]
+        bound, _ = posterior_error_bounds(one, queries)
         assert np.all(np.abs(curve[:, j] - ref[:, j]) <= bound)
 
 

@@ -40,7 +40,7 @@ from trajsense.sensitivity import SensitivityModel
 from trajsense import io as tio
 from trajsense.sensitivity import align_recording
 from trajsense.sim import START_POSE, inject_temporal_noise, rollout_batch
-from trajsense.voxel import VoxelGrid, voxelize_trajectory
+from trajsense.voxel import voxelize_trajectory
 
 import oracles
 from oracles import ramp_torque_jacobian
@@ -193,8 +193,7 @@ def test_dense_build_and_writer_match_the_object_oracle(tmp_path, lagged_ramps, 
     pairs = list(zip(labels, trajs))
     samples = build_samples(source, pairs, align_method, 20, gamma)
 
-    grid = VoxelGrid(np.full(3, gamma)) if gamma else None
-    prep = lambda tr: voxelize_trajectory(tr, grid) if grid else tr  # noqa: E731
+    prep = lambda tr: voxelize_trajectory(tr, gamma) if gamma else tr  # noqa: E731
     ref = oracles.object_build_samples(
         prep(source).angles,
         [(d, prep(align_recording(source, d, tr, align_method, 20)).angles) for d, tr in pairs])
@@ -393,10 +392,10 @@ def test_model_predicts_held_out_perturbations():
     rng = np.random.default_rng(5)
     for _ in range(10):
         d = rng.uniform(-0.8, 0.8, size=2)
-        mean, std = model.predict(10, d)
-        assert np.all(np.abs(mean - J @ d) <= 3 * std + 1e-6)
+        mean, std = model.model_at(10).predict(d)
+        assert np.all(np.abs(mean[0] - J @ d) <= 3 * std[0] + 1e-6)
     with pytest.raises(UntrainedTimestepError):
-        model.predict(11, np.zeros(2))
+        model.model_at(11)
 
 
 def test_gp_matches_analytic_jacobian_in_linear_mode():
@@ -421,7 +420,7 @@ def test_gp_matches_analytic_jacobian_in_linear_mode():
         J = analytic_jacobian(t)
         for _ in range(10):
             delta = draw(scale * 0.5)
-            mean, _ = model.predict(t, delta)
+            mean = model.model_at(t).predict(delta)[0][0]
             truth = J @ delta
             assert np.linalg.norm(mean - truth) <= 1e-3 * np.linalg.norm(truth) + 1e-12
 
@@ -445,11 +444,13 @@ def test_model_save_load_round_trip(tmp_path):
 
 def _restore_by_refit(X, y, phi):
     """The former load path, written out by hand: standardize the inputs,
-    write the stored hyperparameters into a one-column GP, and factorize a
-    kernel built from the (n, n, m) tensor of squared differences. Returns
-    the GP and that factor, which its variance is to read."""
+    write the stored hyperparameters into a one-column GP on the targets y
+    (n,), and factorize a kernel built from the (n, n, m) tensor of squared
+    differences. Returns the GP and that factor, which its variance is to
+    read."""
     gp = ExactGP()
-    X, gp._y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    gp._y = y[:, None]
     scale = X.std(axis=0)
     scale[scale < 1e-12] = 1.0
     gp._X_raw, gp._x_mean, gp._x_scale = X, X.mean(axis=0), scale
@@ -463,7 +464,7 @@ def _restore_by_refit(X, y, phi):
     K += np.exp(log_sn2) * np.eye(gp._X.shape[0])
     L, jitter = _cholesky_with_jitter(K, scale=np.exp(log_sf2))
     gp.jitter = np.array([jitter])
-    gp.alpha = cho_solve((L, True), gp._y)[None]
+    gp.alpha = cho_solve((L, True), y)[None]
     return gp, L
 
 
@@ -497,8 +498,8 @@ def test_model_load_factorizes_once_and_predicts_as_the_refit_did(tmp_path, monk
                 # its variance reads the factor the former path made
                 m.setattr(gp_mod, "_cholesky", lambda D, phi: (L, ref.jitter[0]))
                 ref_mean, ref_std = ref.predict(q)
-            assert np.array_equal(mean[:, i], ref_mean)
-            assert np.array_equal(std[:, i], ref_std)
+            assert np.array_equal(mean[:, i], ref_mean[:, 0])
+            assert np.array_equal(std[:, i], ref_std[:, 0])
             assert gp.degenerate[i] == ref.degenerate[0] == (t == 0)
             assert gp.jitter[i] == ref.jitter[0]
     assert loaded.summary_lines() == model.summary_lines()
@@ -601,9 +602,10 @@ def test_timestep_predict_is_each_gps_own_predict(tmp_path, rows):
             assert mean.shape == std.shape == (rows, 3)
             X, Y, phi = tm.state()
             for i in range(3):
-                own_mean, own_std = ExactGP.from_state(X, Y[:, i], phi[i]).predict(q)
-                assert np.array_equal(mean[:, i], own_mean)
-                assert np.array_equal(std[:, i], own_std)
+                own = ExactGP.from_states(X, [Y[:, i:i + 1]], [phi[i:i + 1]])[0]
+                own_mean, own_std = own.predict(q)
+                assert np.array_equal(mean[:, i], own_mean[:, 0])
+                assert np.array_equal(std[:, i], own_std[:, 0])
 
 
 def test_zero_crossing_falls_back_to_correlation_without_landmark():

@@ -6,6 +6,7 @@ from trajsense import (
     JointState,
     NoiseConfig,
     PolicySpec,
+    Trajectory,
     inject_spatial_noise,
     inject_temporal_noise,
     rollout,
@@ -62,6 +63,22 @@ def test_nonfinite_inputs_rejected():
 def test_step_rejects_nonpositive_dt():
     with pytest.raises(InvalidStateError):
         rollout(constant_torque(np.zeros(3)), zero_state(), 1, 0.0, LINEAR)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+def test_rollout_rejects_a_bad_dt_before_the_first_step(monkeypatch, dt):
+    # 0 and -0.01 ran every step before Trajectory raised; nan gave an all-NaN
+    # recording and inf a recording, both without an error
+    calls = []
+    real = controllers.torque_at
+    monkeypatch.setattr(controllers, "torque_at",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    for mode in (LINEAR, DynamicsMode("pendulum3", damping=0.8, gravity_gain=0.3)):
+        with pytest.raises(InvalidStateError, match="dt must be positive and finite"):
+            rollout(constant_torque(np.zeros(3)), zero_state(), 20000, dt, mode)
+    assert calls == []
+    with pytest.raises(InvalidStateError, match="dt must be positive and finite"):
+        Trajectory(dt, np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
 
 
 def ramp_policy():
