@@ -158,20 +158,18 @@ def _first_zero_crossing(velocities):
     return int(idx[0] + 1)
 
 
-def align_zero_crossing(ref, other, dim):
-    """Estimate the lag from the first velocity zero-crossing in one joint.
+def align_zero_crossing(ref, other):
+    """Estimate the lag from the first velocity zero-crossing in joint 0.
 
     Returns first-crossing(other) - first-crossing(ref), the shift that
     moves other's landmark onto ref's; raises LandmarkMissingError when
     either trajectory never crosses.
     """
     _check_compatible(ref, other)
-    if dim not in (0, 1, 2):
-        raise ConfigError("dim must be a joint index in {0, 1, 2}")
-    c_ref = _first_zero_crossing(ref.velocities[:, dim])
-    c_other = _first_zero_crossing(other.velocities[:, dim])
+    c_ref = _first_zero_crossing(ref.velocities[:, 0])
+    c_other = _first_zero_crossing(other.velocities[:, 0])
     if c_ref is None or c_other is None:
-        raise LandmarkMissingError(f"no velocity zero-crossing in joint {dim}")
+        raise LandmarkMissingError("no velocity zero-crossing in joint 0")
     return DelayEstimate(tau_star=c_other - c_ref, correlation_peak=float("nan"),
                          method="zero_crossing")
 
@@ -212,7 +210,7 @@ def delay(ref, other, method, max_lag=DEFAULT_MAX_LAG):
         return DelayEstimate(tau_star=0, correlation_peak=float("nan"), method="none")
     if method == "zero_crossing":
         try:
-            return align_zero_crossing(ref, other, 0)
+            return align_zero_crossing(ref, other)
         except LandmarkMissingError:
             pass
     elif method != "correlation":

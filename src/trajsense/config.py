@@ -15,7 +15,6 @@ import hashlib
 import numpy as np
 
 from . import align
-from . import io as tio
 from .controllers import FAMILIES, PolicySpec
 from .errors import ConfigError, InvalidStateError
 from .gp import N_RESTARTS
@@ -64,9 +63,9 @@ def _one_of(names):
     return _check(str, names.__contains__, "one of " + ", ".join(names))
 
 
-def _label(raw):
-    tio.check_label(raw, "experiment.label")
-    return raw
+# the label fills one cell of metrics.csv as it is
+_LABEL = _check(str, lambda v: not any(c in v for c in ',"\n'),
+                "no comma, double quote or line break")
 
 
 def _dims(raw):
@@ -82,7 +81,7 @@ _REQUIRED = object()  # the default of a key that must be given
 
 # section -> key -> (parser of the raw string, default value)
 _SCHEMA = {
-    "experiment": {"label": (_label, "experiment"), "seed": (int, 0)},
+    "experiment": {"label": (_LABEL, "experiment"), "seed": (int, 0)},
     "sim": {"mode": (_one_of(DYNAMICS_TAGS), "linear"),
             "dt": (_check(float, lambda v: 0 < v < np.inf, "a positive finite step"), 0.01),
             "damping": (float, 0.0), "gravity_gain": (float, 0.0),

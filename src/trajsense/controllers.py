@@ -10,7 +10,9 @@ ordering per family is
     pd_feedback     : [kp, kd]
 
 The sinusoidal phase advances in radians per *timestep* (the platform logs
-are index-based), while the linear ramp uses seconds.
+are index-based), while the linear ramp uses seconds. PolicySpec checks a
+family's parameter count and joints once; the torque functions, called at
+every step of every rollout, take them as given.
 """
 
 from dataclasses import dataclass, field
@@ -77,8 +79,6 @@ def linear_openloop(t, theta):
     shape (3,) or (N, 3).
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1] != 6:
-        raise ConfigError("linear_openloop needs 6 parameters (w1..w3, b1..b3)")
     return theta[..., :3] * t + theta[..., 3:]
 
 
@@ -88,9 +88,6 @@ def sinusoidal(t, theta, joints):
     theta holds one (amp, omega) pair per driven joint, or is an (N, 2k)
     stack of such vectors; t counts timesteps.
     """
-    joints = tuple(int(j) for j in joints)
-    if len(joints) == 0:
-        raise ConfigError("sinusoidal needs a nonempty joint set")
     theta = np.asarray(theta, dtype=float)
     theta = theta.reshape(theta.shape[:-1] + (len(joints), 2))
     u = np.zeros(theta.shape[:-2] + (3,))

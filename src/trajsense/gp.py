@@ -133,7 +133,7 @@ class ExactGP:
         sf2R = _kernel(D, phi[:m], phi[m])
         K = sf2R.copy()
         K.flat[::n + 1] += sn2 + JITTER_START * sf2
-        if not (np.isfinite(K).all() and np.isfinite(y).all()):
+        if not np.isfinite(K).all():  # fit has checked y
             raise ValueError("array must not contain infs or NaNs")
         # LAPACK directly: K is symmetric, so its transpose is a Fortran-order
         # view that potrf factorizes in place

@@ -145,7 +145,10 @@ _META_NUMBERS = {"dt": float, "seed": int, "temporal_shift": int,
 def read_trajectory(path):
     """A trajectory CSV and its sidecar, named by path in its meta["path"].
     Every row must have the header's cells; else ConfigError names the first
-    bad line. The file is read once, and its text decoded once."""
+    bad line; a missing file is a ConfigError naming it. The file is read
+    once, and its text decoded once."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"trajectory file not found: {path}")
     with open(path, "rb") as fh:
         buf = fh.read()
     lines = buf.decode().splitlines()
@@ -276,24 +279,3 @@ def read_perturbations(path, nominal):
             return np.empty((0, nominal.size))
         data = _loadtxt(fh, path, 2)
     return data[:, 1:] - nominal
-
-
-def check_label(label, name="label"):
-    """A ConfigError naming the label as `name` unless it fits one cell of a
-    metrics table as it is: no comma, double quote or line break."""
-    if any(c in label for c in ',"\n'):
-        raise ConfigError(f"{name} {label!r}: a field of metrics.csv holds no comma, "
-                          "double quote or line break")
-
-
-def write_metrics(row, per_t, path_summary, path_per_t):
-    """A MetricsRow as a one-row summary table and its TimestepMetrics as one
-    row per timestep; a label that check_label rejects is a ConfigError."""
-    check_label(row.label, "MetricsRow.label")
-    write_table(path_summary, "task,mse_avg,score_avg,cos_avg,n_timesteps",
-                "%s,%.10g,%.10g,%.10g,%d\r\n",
-                [(row.label, row.mse_avg, row.score_avg, row.cos_avg, row.n_timesteps)],
-                end="\r\n")
-    write_table(path_per_t, "t,nmse,score,cos_mean,n_test",
-                "%d,%.10g,%.10g,%.10g,%d\r\n",
-                [(r.t, r.nmse, r.score, r.cos_mean, r.n_test) for r in per_t], end="\r\n")

@@ -33,7 +33,6 @@ import configparser
 import hashlib
 import os
 import shutil
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -46,8 +45,7 @@ from .planner import PlanningProblem, plan, plan_and_verify  # noqa: F401
 # build_samples and fit_gp are not called here; they are imported only because
 # benchmark/tracing.py wraps pipeline.build_samples and pipeline.fit_gp
 from .sensitivity import (COS_BIN_EDGES, SensitivityModel, build_sample_sets,  # noqa: F401
-                          build_samples, evaluate, fit_gp, fit_sensitivity_model,
-                          voxelized_source)
+                          build_samples, evaluate, fit_gp, fit_sensitivity_model, voxelized)
 from .sim import NoiseConfig, rollout, rollout_batch
 from .voxel import voxelize_trajectory
 
@@ -147,9 +145,12 @@ def _read_text(path):
 
 def _pmap(fn, items, workers):
     """[fn(item) for item in items]. With workers <= 1 it runs here and takes
-    the items one at a time; otherwise the pool draws them all up front."""
+    the items one at a time; otherwise the pool draws them all up front. The
+    pool module is imported here: only workers > 1 needs it."""
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -246,7 +247,7 @@ def stage_fit(cfg, out, workers=1, handoff=None):
             samples = _input(out, f"samples/train_{_gamma_tag(gamma)}.csv",
                              tio.read_samples, handoff)
             yield (samples, _model_timesteps(cfg), cfg.n_restarts, cfg.seed,
-                   voxelized_source(source, gamma), cfg.policy.theta)
+                   voxelized(source, gamma), cfg.policy.theta)
 
     # a process per gamma at most: one gamma fits in this process
     workers = min(workers, len(cfg.gamma_sweep))
@@ -279,14 +280,15 @@ def stage_evaluate(cfg, out, handoff=None):
         row, per_t, hists = evaluate(model, test_samples, label=cfg.label)
         results.append((gamma, row))
 
-        p1 = _output(out, f"metrics/metrics_{tag}.csv")
-        p2 = _output(out, f"metrics/per_timestep_{tag}.csv")
-        tio.write_metrics(row, per_t, p1, p2)
-        p3 = _output(out, f"metrics/cos_hist_{tag}.csv")
-        tio.write_table(p3, "t,bin_lo,bin_hi,count", "%d,%.2f,%.2f,%d\n",
+        p1 = _output(out, f"metrics/per_timestep_{tag}.csv")
+        tio.write_table(p1, "t,nmse,score,cos_mean,n_test", "%d,%.10g,%.10g,%.10g,%d\r\n",
+                        [(r.t, r.nmse, r.score, r.cos_mean, r.n_test) for r in per_t],
+                        end="\r\n")
+        p2 = _output(out, f"metrics/cos_hist_{tag}.csv")
+        tio.write_table(p2, "t,bin_lo,bin_hi,count", "%d,%.2f,%.2f,%d\n",
                         [(t, lo, hi, count) for t in sorted(hists)
                          for lo, hi, count in zip(COS_BIN_EDGES, COS_BIN_EDGES[1:], hists[t])])
-        paths += [p1, p2, p3]
+        paths += [p1, p2]
 
     best_gamma = max(results, key=lambda r: r[1].score_avg)[0]
     summary = _output(out, "metrics/metrics.csv")
@@ -332,8 +334,13 @@ def plan_target(cfg, model, t, x_target, dims):
     angles x_target at timestep t, and verify the gain by one rollout over
     cfg.n_steps. dims is 'all' or a list of angle indices, as
     config.parse_dims returns them; the result is planner.plan's
-    (PlanReport, planned Trajectory)."""
+    (PlanReport, planned Trajectory). A model trained around another
+    nominal theta than cfg's is a ConfigError naming both."""
     theta = cfg.policy.theta
+    nominal = model.nominal_theta
+    if nominal is not None and not np.array_equal(nominal, theta):
+        raise ConfigError(f"policy.theta {theta.tolist()} differs from the model's "
+                          f"nominal_theta {nominal.tolist()}")
     problem = PlanningProblem(
         source_kp=float(theta[0]), fixed_kd=float(theta[1]) if theta.size > 1 else 0.0,
         t_constraint=t, x_target_t=x_target,

@@ -69,10 +69,10 @@ def align_recording(source, delta_theta, traj, align_method="none",
     return inject_temporal_noise(traj, shift) if shift != 0 else traj
 
 
-def voxelized_source(source, gamma):
-    """source snapped to the voxel grid of half-width gamma, anchored at
-    zero; with gamma None or 0 it is returned as it is."""
-    return voxel_mod.voxelize_trajectory(source, gamma) if gamma else source
+def voxelized(traj, gamma):
+    """traj snapped to the voxel grid of half-width gamma, anchored at zero;
+    with gamma None or 0 it is returned as it is."""
+    return voxel_mod.voxelize_trajectory(traj, gamma) if gamma else traj
 
 
 def build_sample_sets(source, delta_theta, recordings, align_method="none",
@@ -86,7 +86,7 @@ def build_sample_sets(source, delta_theta, recordings, align_method="none",
     it by its meta["path"], or as "recording <i>" without one."""
     delta_theta = np.asarray(delta_theta, dtype=float)
     n = len(delta_theta)
-    grids = [(gamma, voxelized_source(source, gamma)) for gamma in gammas]
+    grids = [(gamma, voxelized(source, gamma)) for gamma in gammas]
     sets = [SampleSet(delta_theta, np.empty((n,) + src.angles.shape)) for _, src in grids]
     i = -1
     for i, traj in enumerate(recordings):
@@ -97,8 +97,7 @@ def build_sample_sets(source, delta_theta, recordings, align_method="none",
         except DatasetError as exc:
             raise DatasetError(f"{traj.meta.get('path', f'recording {i}')}: {exc}") from exc
         for (gamma, src), samples in zip(grids, sets):
-            voxelized = voxel_mod.voxelize_trajectory(traj, gamma) if gamma else traj
-            np.subtract(voxelized.angles, src.angles, out=samples.delta_x[i])
+            np.subtract(voxelized(traj, gamma).angles, src.angles, out=samples.delta_x[i])
     if i + 1 != n:
         raise DatasetError(f"not one recording per row of delta_theta ({n} rows)")
     return sets

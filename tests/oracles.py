@@ -452,12 +452,7 @@ def former_perturbation_deltas(cfg):
 # delta_high); voxelize(angles, gamma) stands in for the voxel grid.
 
 
-def csv_write_metrics(row, per_t, path_summary, path_per_t):
-    with open(path_summary, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["task", "mse_avg", "score_avg", "cos_avg", "n_timesteps"])
-        w.writerow([row.label, f"{row.mse_avg:.10g}", f"{row.score_avg:.10g}",
-                    f"{row.cos_avg:.10g}", str(row.n_timesteps)])
+def csv_write_per_timestep(per_t, path_per_t):
     with open(path_per_t, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "nmse", "score", "cos_mean", "n_test"])

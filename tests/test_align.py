@@ -128,7 +128,7 @@ def sine_velocity_traj(offset=0, T=200):
 
 def test_zero_crossing_self_alignment():
     traj = sine_velocity_traj()
-    est = align_zero_crossing(traj, traj, dim=0)
+    est = align_zero_crossing(traj, traj)
     assert est.tau_star == 0
     assert est.method == "zero_crossing"
 
@@ -137,7 +137,7 @@ def test_zero_crossing_known_offset():
     ref = sine_velocity_traj(offset=10)
     other = sine_velocity_traj(offset=0)
     # ref crosses 10 steps after other: other shifts by -10 to meet it
-    est = align_zero_crossing(ref, other, dim=0)
+    est = align_zero_crossing(ref, other)
     assert est.tau_star == -10
 
 
@@ -146,13 +146,13 @@ def test_zero_crossing_missing_landmark():
     angles = np.stack([0.01 * t + 1, 0.01 * t + 1, 0.01 * t + 1], axis=1)
     traj = make_traj(angles, velocities=np.ones((101, 3)))
     with pytest.raises(LandmarkMissingError):
-        align_zero_crossing(traj, traj, dim=0)
+        align_zero_crossing(traj, traj)
 
 
 def test_zero_crossing_consistent_with_injection():
     ref = sine_velocity_traj()
     other = inject_temporal_noise(ref, -15)
-    est = align_zero_crossing(ref, other, dim=0)
+    est = align_zero_crossing(ref, other)
     # both methods report the shift that undoes the injected one
     assert est.tau_star == 15
     corr = estimate_delay(ref, other, max_lag=50)

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import configparser
 import importlib
 import os
@@ -97,8 +98,7 @@ def test_pipeline_reruns_are_byte_identical(cfg_file, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     run_pipeline(cfg, out1)
     run_pipeline(load_config(cfg_file), out2)
-    for rel in ("metrics/metrics.csv", "metrics/metrics_g0.csv",
-                "metrics/per_timestep_g0.csv", "samples/train_g0.csv",
+    for rel in ("metrics/metrics.csv", "metrics/per_timestep_g0.csv", "samples/train_g0.csv",
                 "planning/report.txt"):
         a = open(os.path.join(out1, rel), "rb").read()
         b = open(os.path.join(out2, rel), "rb").read()
@@ -324,7 +324,7 @@ def test_one_gamma_fits_in_this_process(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     paths = pipeline.stage_fit(cfg, out, workers=4)
     assert [os.path.basename(p) for p in paths] == ["model_g0.npz", "summary_g0.txt"]
 
@@ -448,10 +448,10 @@ def test_metrics_and_plot_tables_match_the_hand_written_writers(finished_run, tm
         row, per_t, hists = evaluate(model, tio.read_samples(
             os.path.join(out, f"samples/test_{tag}.csv")), label=cfg.label)
         results.append((gamma, row))
-        oracles.csv_write_metrics(row, per_t, str(ref / "summary.csv"),
-                                  str(ref / "per_t.csv"))
-        same(f"metrics/metrics_{tag}.csv", lambda p: shutil.copy(ref / "summary.csv", p))
-        same(f"metrics/per_timestep_{tag}.csv", lambda p: shutil.copy(ref / "per_t.csv", p))
+        # the gamma's one summary row is its row of metrics.csv
+        assert not os.path.exists(os.path.join(out, f"metrics/metrics_{tag}.csv"))
+        same(f"metrics/per_timestep_{tag}.csv",
+             lambda p: oracles.csv_write_per_timestep(per_t, p))
         same(f"metrics/cos_hist_{tag}.csv",
              lambda p: oracles.former_write_cos_hist(hists, COS_BIN_EDGES, p))
     same("metrics/metrics.csv", lambda p: oracles.former_write_metrics_summary(results, p))
@@ -934,6 +934,38 @@ def test_voxelize_names_a_bad_gamma(tmp_path, capsys, gamma):
     assert not os.path.exists(dst)
 
 
+@pytest.mark.parametrize("argv", [["align", "{missing}", "{present}"],
+                                  ["align", "{present}", "{missing}"],
+                                  ["voxelize", "{missing}", "{out}", "--gamma", "0.1"]],
+                         ids=["align-reference", "align-other", "voxelize"])
+def test_a_missing_trajectory_file_is_named(tmp_path, capsys, argv):
+    # a FileNotFoundError traceback, exit code 1
+    traj = rollout(PolicySpec("sinusoidal", [0.4, 0.05]), JointState(START_POSE, np.zeros(3)),
+                   200, 0.01, DynamicsMode("linear", damping=0.8))
+    paths = {"missing": str(tmp_path / "nowhere.csv"), "present": str(tmp_path / "in.csv"),
+             "out": str(tmp_path / "out.csv")}
+    tio.write_trajectory(traj, paths["present"])
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert f"trajectory file not found: {paths['missing']}" in capsys.readouterr().err
+    assert not os.path.exists(paths["out"])
+
+
+def test_plan_rejects_a_model_of_another_nominal_theta(finished_run, tmp_path, capsys):
+    # the model was trained around theta = 0.4, 0.01; plan took the config's
+    # 0.3 as the source gain, printed a shifted kp_star and exited 0
+    _, done = finished_run
+    cfg_file = tmp_path / "exp.ini"
+    cfg_file.write_text(SMALL_CFG.replace("theta = 0.4, 0.01", "theta = 0.3, 0.01"))
+    plan_dir = tmp_path / "plan"
+    capsys.readouterr()
+    assert main(["plan", "--config", str(cfg_file), "--out", str(plan_dir),
+                 "--model", os.path.join(done, "models", "model_g0.npz"),
+                 "--t", "120", "--target", "0.3,2.3,1.8"]) == 2
+    assert ("policy.theta [0.3, 0.01] differs from the model's nominal_theta [0.4, 0.01]"
+            in capsys.readouterr().err)
+    assert not os.path.exists(plan_dir / "planned.csv")
+
+
 def test_plan_subcommand(cfg_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     run_pipeline(load_config(cfg_file), out)
@@ -1249,6 +1281,17 @@ def test_commands_that_fit_nothing_do_not_import_scipy(cfg_file, tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only fit --workers N > 1 starts a pool; the import added about 10 ms
+    # to every command's start
+    src = os.path.dirname(os.path.dirname(trajsense.__file__))
+    proc = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                           "import trajsense.cli; print('concurrent.futures.process' in "
+                           "sys.modules)", src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_preset_names_resolve():

@@ -55,8 +55,7 @@ def test_sinusoid_two_joint_nominal():
 
 
 def test_sinusoid_empty_joint_set_rejected():
-    with pytest.raises(ConfigError):
-        sinusoidal(0, [], ())
+    # PolicySpec checks the joint set; sinusoidal takes it as given
     with pytest.raises(ConfigError):
         PolicySpec("sinusoidal", [0.5, 0.01], {"joints": ()})
 

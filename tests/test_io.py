@@ -1,5 +1,4 @@
 import builtins
-import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from trajsense import DynamicsMode, JointState, PolicySpec, Trajectory, rollout
 from trajsense import io as tio
 from trajsense.errors import ConfigError
-from trajsense.sensitivity import MetricsRow, SampleSet, build_samples
+from trajsense.sensitivity import SampleSet, build_samples
 from trajsense.sim import START_POSE
 
 import oracles
@@ -279,15 +278,3 @@ def test_read_rejects_headerless_and_empty_trajectory(tmp_path):
     path.write_text("t,x1,x2,x3,v1,v2,v3,u1,u2,u3\r\n")
     with pytest.raises(ConfigError):
         tio.read_trajectory(str(path))
-
-
-@pytest.mark.parametrize("label", ["a,b", 'a "b"', "a\nb"])
-def test_write_metrics_rejects_a_label_that_is_not_one_cell(tmp_path, label):
-    # the label is written as it is: "a,b" made a six-cell row under a
-    # five-cell header
-    summary, per_t = tmp_path / "summary.csv", tmp_path / "per_t.csv"
-    with pytest.raises(ConfigError, match=re.escape(f"MetricsRow.label {label!r}")):
-        tio.write_metrics(MetricsRow(label, 0.1, 0.9, 0.95, 3), [], str(summary), str(per_t))
-    assert not summary.exists() and not per_t.exists()
-    tio.write_metrics(MetricsRow("a b", 0.1, 0.9, 0.95, 3), [], str(summary), str(per_t))
-    assert summary.read_text().splitlines()[1] == "a b,0.1,0.9,0.95,3"

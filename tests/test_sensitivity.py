@@ -615,7 +615,7 @@ def test_zero_crossing_falls_back_to_correlation_without_landmark():
     delta = np.array([0, 0, 0, 1e-3, 0, 0.0])
     lagged = inject_temporal_noise(ramp_rollout(RAMP_THETA + delta), 8)
     with pytest.raises(LandmarkMissingError):
-        align_zero_crossing(source, lagged, 0)
+        align_zero_crossing(source, lagged)
     zero = build_samples(source, [(delta, lagged)], "zero_crossing", 20)
     corr = build_samples(source, [(delta, lagged)], "correlation", 20)
     assert len(zero) == len(corr) == 301
