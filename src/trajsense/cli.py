@@ -60,7 +60,7 @@ def cmd_perturb(args):
     cfg = _load(args)
     os.makedirs(os.path.join(args.out, "samples"), exist_ok=True)
     dest = os.path.join(args.out, "samples", "perturbations.csv")
-    tio.write_perturbations(cfg.policy.theta, cfg.perturbation_deltas(), dest)
+    tio.write_perturbations(cfg.policy.theta, cfg.deltas, dest)
     print(dest)
     return 0
 
@@ -142,7 +142,7 @@ def build_parser():
 
     # only the stages that fit GP maps have workers to run
     workers = dict(type=int, default=1, help="worker processes for GP fits, one gamma "
-                   "each; pays only with OPENBLAS_NUM_THREADS=1")
+                   "each, on one BLAS thread each")
     stage("run", cmd_run).add_argument("--workers", **workers)
     stage("simulate", cmd_stage)
     stage("perturb", cmd_perturb)

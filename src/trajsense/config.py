@@ -68,11 +68,6 @@ _LABEL = _check(str, lambda v: not any(c in v for c in ',"\n'),
                 "no comma, double quote or line break")
 
 
-def _dims(raw):
-    parse_dims(raw)
-    return raw  # stage_plan parses it
-
-
 _POSITIVE = _check(int, lambda v: v >= 1, "a positive integer")
 _GAMMAS = _check(_floats, lambda g: g and len({f"{v:g}" for v in g}) == len(g) and
                  all(np.isfinite(v) and v >= 0 for v in g),
@@ -103,7 +98,7 @@ _SCHEMA = {
     "eval": {"holdout_fraction": (_check(float, lambda v: 0 < v < 1, "a fraction in (0, 1)"),
                                   0.2),
              "split_seed": (int, 1)},
-    "planner": {"t_constraint": (int, None), "dims": (_dims, "all"),
+    "planner": {"t_constraint": (int, None), "dims": (parse_dims, "all"),
                 "target_kps": (_check(_floats, lambda v: len(v) <= 3,
                                       "at most 3 targets (short, medium, long)"), ())},
 }
@@ -183,20 +178,21 @@ class ExperimentConfig:
         if self.plan_t is not None and not 0 < self.plan_t <= self.n_steps:
             raise ConfigError(f"planner.t_constraint {self.plan_t} must be in "
                               f"1..n_steps ({self.n_steps})")
-        try:  # each draw checks its ranges, or its rate
-            deltas = self.perturbation_deltas()
+        try:  # drawn once, read-only; the draw checks its ranges, or its rate
+            self.deltas = self._draw_deltas()
         except ConfigError as exc:
             key = "ranges" if self.scheme == "uniform" else "lambda_sweep"
             raise ConfigError(f"perturbation.{key}: {exc}") from exc
+        self.deltas.flags.writeable = False
         # correlation alignment, and zero-crossing's fallback to it, need this
         if self.align_method != "none" and not 1 <= self.max_lag < self.n_steps / 2:
             raise ConfigError(f"preprocess.max_lag {self.max_lag}: need 1 <= max_lag "
                               f"< n_steps / 2 ({self.n_steps} steps)")
-        self.split_indices(len(deltas))
+        self.split_indices(len(self.deltas))
 
     # -- derived objects -------------------------------------------------------
 
-    def perturbation_deltas(self):
+    def _draw_deltas(self):
         """The first `count` deltas around policy.theta, in recording order, as
         one (N, m) array: one uniform draw with seed + 1, or one gaussian draw
         of count // len(lambda_sweep) (at least 1) per rate k, with seed + 1 + k."""

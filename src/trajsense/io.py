@@ -70,7 +70,7 @@ def write_trajectory(traj, path):
     with open(path + ".meta", "w") as fh:
         fh.write(f"policy_id = {meta.get('policy_id', '')}\n")
         fh.write(f"seed = {meta.get('seed', 0)}\n")
-        fh.write(f"dt = {_fmt(meta.get('dt', traj.dt))}\n")
+        fh.write(f"dt = {_fmt(traj.dt)}\n")
         fh.write(f"mode = {meta.get('mode', '')}\n")
         fh.write(f"temporal_shift = {meta.get('temporal_shift', 0)}\n")
         fh.write(f"spatial_std = {','.join(_fmt(s) for s in spatial)}\n")
@@ -168,7 +168,6 @@ def read_trajectory(path):
     angles[-1], velocities[-1] = last[:3], last[3:]
     meta = {}
     meta_path = path + ".meta"
-    dt = None
     if os.path.exists(meta_path):
         with open(meta_path) as fh:
             for line in fh:
@@ -185,7 +184,7 @@ def read_trajectory(path):
                                       "number") from exc
         meta.setdefault("seed", 0)
         meta.setdefault("temporal_shift", 0)
-        dt = meta.get("dt")
+    dt = meta.pop("dt", None)  # the Trajectory's own, kept out of meta
     if dt is None:
         raise ConfigError(f"{path}: missing dt in meta sidecar")
     if not 0 < dt < np.inf:  # NaN fails too

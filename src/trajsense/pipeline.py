@@ -25,7 +25,8 @@ the configured range) and spatial noise seed. The build stage reads the
 recordings one at a time through sensitivity.build_sample_sets, the training
 recordings first. The fit stage fits each gamma's timesteps in
 ascending order as one warm-started chain, so `workers` processes run whole
-gammas and the results do not depend on their number. Every metrics and plot
+gammas and, at one BLAS thread count (_pmap), the results do not depend on
+their number. Every metrics and plot
 table goes through io.write_table.
 """
 
@@ -37,11 +38,10 @@ import shutil
 import numpy as np
 
 from . import io as tio
-from .config import parse_dims
 from .errors import ConfigError, DependencyError, StageError
 # plan_and_verify is not called here; it is imported only because
 # benchmark/tracing.py wraps pipeline.plan_and_verify
-from .planner import PlanningProblem, plan, plan_and_verify  # noqa: F401
+from .planner import PlanningProblem, plan, plan_and_verify, with_kp  # noqa: F401
 # build_samples and fit_gp are not called here; they are imported only because
 # benchmark/tracing.py wraps pipeline.build_samples and pipeline.fit_gp
 from .sensitivity import (COS_BIN_EDGES, SensitivityModel, build_sample_sets,  # noqa: F401
@@ -143,15 +143,22 @@ def _read_text(path):
         return fh.read()
 
 
+def _one_blas_thread():
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
 def _pmap(fn, items, workers):
     """[fn(item) for item in items]. With workers <= 1 it runs here and takes
     the items one at a time; otherwise the pool draws them all up front. The
-    pool module is imported here: only workers > 1 needs it."""
+    pool module is imported here: only workers > 1 needs it. Each worker
+    sets OPENBLAS_NUM_THREADS=1, unless the caller's environment sets it,
+    before it loads scipy, so the workers fit as a one-thread BLAS run does;
+    a caller that loaded scipy first passes its own setting on to them."""
     if workers <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
         return list(pool.map(fn, items))
 
 
@@ -176,8 +183,7 @@ def stage_simulate(cfg, out):
     """Roll out the source and every perturbation as one clean batch, then
     give each recording its noise, write it and drop it, so no more than one
     noisy recording is held at a time."""
-    deltas = cfg.perturbation_deltas()
-    theta = cfg.policy.theta
+    deltas, theta = cfg.deltas, cfg.policy.theta
     trajs = rollout_batch(cfg.policy, np.vstack([theta, theta + deltas]), cfg.x0,
                           cfg.n_steps, cfg.dt, cfg.mode)
 
@@ -251,10 +257,6 @@ def stage_fit(cfg, out, workers=1, handoff=None):
 
     # a process per gamma at most: one gamma fits in this process
     workers = min(workers, len(cfg.gamma_sweep))
-    if workers > 1:
-        # forked workers inherit scipy (gp imports it at its first fit): each
-        # importing it again added about 0.9 s to `fit --workers 2` on 2 vCPUs
-        import scipy.optimize  # noqa: F401
     paths = []
     for gamma, model in zip(cfg.gamma_sweep, _pmap(_fit_chain, chains(), workers)):
         model_path = _output(out, _model_rel(gamma))
@@ -323,12 +325,6 @@ def selected_model(out):
 REPORT_KEYS = ("kp_star", "source_miss", "miss", "improvement")
 
 
-def rollout_with_kp(cfg, kp, n_steps):
-    """cfg's policy with its proportional gain set to kp, rolled out n_steps."""
-    return rollout(cfg.policy.with_theta(np.concatenate([[kp], cfg.policy.theta[1:]])),
-                   cfg.x0, n_steps, cfg.dt, cfg.mode)
-
-
 def plan_target(cfg, model, t, x_target, dims):
     """Retune the proportional gain of cfg's policy so that it reaches the
     angles x_target at timestep t, and verify the gain by one rollout over
@@ -352,14 +348,14 @@ def stage_plan(cfg, out, handoff=None):
     if cfg.plan_t is None:
         return []
     model = _input(out, selected_model(out), SensitivityModel.load, handoff)
-    dims = parse_dims(cfg.plan_dims)
     paths = []
     report_path = _output(out, "planning/report.txt")
     with open(report_path, "w") as fh:
         for label, target_kp in zip(("short", "medium", "long"), cfg.plan_target_kps):
             # only the state at plan_t is read, so the target stops there
-            x_target = rollout_with_kp(cfg, target_kp, cfg.plan_t).angles[cfg.plan_t]
-            report, planned = plan_target(cfg, model, cfg.plan_t, x_target, dims)
+            x_target = rollout(with_kp(cfg.policy, target_kp), cfg.x0, cfg.plan_t, cfg.dt,
+                               cfg.mode).angles[cfg.plan_t]
+            report, planned = plan_target(cfg, model, cfg.plan_t, x_target, cfg.plan_dims)
             fh.write(f"[{label}]\ntarget_kp = {target_kp:.10g}\n")
             for key in REPORT_KEYS:
                 fh.write(f"{key} = {getattr(report, key):.10g}\n")

@@ -75,6 +75,13 @@ class PlanReport:
     extrapolated: bool
 
 
+def with_kp(policy, kp):
+    """policy with its proportional gain, the tuned first parameter, set to kp."""
+    theta = policy.theta.copy()
+    theta[0] = kp
+    return policy.with_theta(theta)
+
+
 def _predict_curve(model, problem, deltas, dims):
     """Predicted change of the `dims` angles along the gains `deltas` (one
     block query per GP): (deltas.size, len(dims)). A single gain is a one-row
@@ -178,9 +185,7 @@ def plan(problem, model, policy, x0, dt, mode, n_steps):
     result = solve_kp(model, problem)
     dims = problem.dims()
 
-    theta = policy.theta.copy()
-    theta[0] = result.kp_star
-    planned = rollout(policy.with_theta(theta), x0, n_steps, dt, mode)
+    planned = rollout(with_kp(policy, result.kp_star), x0, n_steps, dt, mode)
     achieved = planned.angles[problem.t_constraint]
 
     source_x = np.asarray(model.source_angles_at(problem.t_constraint), dtype=float)

@@ -103,7 +103,7 @@ class Trajectory:
     """One rollout: angles/velocities per step plus the applied torques.
 
     angles and velocities have shape (T+1, 3); torques has shape (T, 3).
-    meta carries provenance (policy id, seed, dt, mode, noise settings).
+    meta carries provenance (policy id, seed, mode, noise settings).
     """
 
     dt: float
@@ -230,7 +230,6 @@ def rollout_batch(policy, thetas, x0, n_steps, dt, mode):
     return [Trajectory(dt, angles[i], velocities[i], torques[i], meta={
                 "policy_id": policy.with_theta(theta).policy_id(),
                 "seed": 0,
-                "dt": dt,
                 "mode": mode.tag,
                 "temporal_shift": 0,
                 "spatial_std": (0.0, 0.0, 0.0),

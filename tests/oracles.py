@@ -3,7 +3,8 @@
 Everything here is computed by a different route than the library code:
 combinatorial closed-form sums instead of iterated stepping, one-shot
 exponential solutions, homogeneous matrix powers for closed-loop maps,
-exhaustive brute-force sweeps, one object per training sample,
+exhaustive brute-force sweeps, forward tangents for the exact pendulum3
+sensitivities, one object per training sample,
 row-by-row csv-module writers for the file formats, hand-written rows for
 the metrics and plot tables, one GP query per point for the block queries,
 the former rollout loop, verification over the whole horizon, the former
@@ -327,6 +328,58 @@ def former_rollout_batch(policies, x0_angles, x0_velocities, n_steps, dt, mode):
         angles[:, k + 1] = x
         velocities[:, k + 1] = v
     return angles, velocities, torques
+
+
+# -- exact pendulum3 sensitivities -------------------------------------------------
+# Discrete forward sensitivity analysis (Serban & Hindmarsh, CVODES, 2005): the
+# tangents X = dx/dtheta and V = dv/dtheta of a PD policy's rollout,
+# theta = (kp, kd), each (3, 2), are carried through the semi-implicit Euler
+# step of the pendulum3 mode alongside the state. The gravity torque is written
+# with triangular matrices (g = G * U sin(L x), L lower and U upper triangular
+# ones), a different route than the simulator's accumulate. Two points where
+# the step is not smooth, each taken from the side the state is on:
+# - a torque component clipped at +-TORQUE_CAP does not move with theta, so
+#   its derivative is zero (a raw torque of exactly the cap counts as unclipped);
+# - a joint that hits its stop sits at the constant bound with its velocity
+#   zeroed, so both of its tangent rows are zero.
+# Where a neighbouring theta would clip or clamp at another step, the rollout
+# has a kink and no derivative; finite differences across it disagree.
+
+
+def pendulum3_pd_sensitivities(x0_angles, x0_velocities, kp, kd, x_star, dt, n_steps,
+                               damping, gravity_gain):
+    """(angles, dx, dv, clipped, clamped): angles (T+1, 3); dx and dv, the
+    (T+1, 3, 2) derivatives of the angles and velocities by (kp, kd); and the
+    numbers of (step, joint) pairs whose torque clipped or whose angle hit a
+    stop."""
+    x = np.array(x0_angles, dtype=float)
+    v = np.array(x0_velocities, dtype=float)
+    x_star = np.asarray(x_star, dtype=float)
+    lower = np.tril(np.ones((3, 3)))
+    X, V = np.zeros((3, 2)), np.zeros((3, 2))
+    angles, dx, dv = [x], [X], [V]
+    clipped = clamped = 0
+    for _ in range(n_steps):
+        raw = kp * (x_star - x) - kd * v
+        dU = -kp * X - kd * V + np.column_stack([x_star - x, -v])
+        clip = np.abs(raw) > FORMER_TORQUE_CAP
+        u = np.where(clip, np.sign(raw) * FORMER_TORQUE_CAP, raw)
+        dU[clip] = 0.0
+        cum = lower @ x
+        gravity = gravity_gain * lower.T @ np.sin(cum)
+        d_gravity = gravity_gain * lower.T @ (np.cos(cum)[:, None] * (lower @ X))
+        v = v + dt * (u - damping * v - gravity)
+        V = V + dt * (dU - damping * V - d_gravity)
+        x, X = x + dt * v, X + dt * V
+        hit = (x < FORMER_JOINT_LOW) | (x > FORMER_JOINT_HIGH)
+        x = np.minimum(np.maximum(x, FORMER_JOINT_LOW), FORMER_JOINT_HIGH)
+        v[hit], X[hit], V[hit] = 0.0, 0.0, 0.0
+        clipped += int(clip.sum())
+        clamped += int(hit.sum())
+        angles.append(x)
+        dx.append(X)
+        dv.append(V)
+    return np.array(angles), np.array(dx), np.array(dv), clipped, clamped
 
 
 # -- full-horizon verification ------------------------------------------------------

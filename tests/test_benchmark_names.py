@@ -56,7 +56,8 @@ def test_a_traced_run_fires_every_span_but_the_known_dead_ones(tmp_path, monkeyp
         pipeline.run_pipeline(cfg, out)
         pipeline.emit_plot_data(out, "gp_evolution")
         model = SensitivityModel.load(os.path.join(out, pipeline.selected_model(out)))
-        x_target = pipeline.rollout_with_kp(cfg, 0.5, cfg.plan_t).angles[cfg.plan_t]
+        x_target = pipeline.rollout(planner.with_kp(cfg.policy, 0.5), cfg.x0, cfg.plan_t,
+                                    cfg.dt, cfg.mode).angles[cfg.plan_t]
         problem = planner.PlanningProblem(
             source_kp=0.4, fixed_kd=0.01, t_constraint=cfg.plan_t, x_target_t=x_target,
             final_target=cfg.policy.fixed["x_star"], constraint_dim="all")

@@ -243,7 +243,8 @@ def test_perturbation_deltas_draw_as_the_former_list_loop(tmp_path):
     configs += [load_config(os.path.join(PRESET_DIR, name))
                 for name in sorted(os.listdir(PRESET_DIR))]
     for cfg in configs:
-        deltas = cfg.perturbation_deltas()
+        deltas = cfg.deltas
+        assert not deltas.flags.writeable, cfg.label
         assert deltas.shape == (cfg.count, cfg.policy.theta.size), cfg.label
         assert np.array_equal(deltas, np.stack(former_perturbation_deltas(cfg))), cfg.label
 
@@ -311,6 +312,17 @@ def test_workers_do_not_change_results(tmp_path):
     models = {k: v for k, v in _tree(out1, "models").items() if k.endswith(".npz")}
     assert len(models) == 2
     assert models == {k: v for k, v in _tree(out2, "models").items() if k.endswith(".npz")}
+
+
+def test_pool_workers_run_on_one_blas_thread_unless_the_caller_sets_it(monkeypatch):
+    # each worker sets the variable before it loads scipy, so workers that
+    # share the cores run one BLAS thread each
+    query = ["OPENBLAS_NUM_THREADS"] * 2
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert pipeline._pmap(os.getenv, query, 2) == ["1", "1"]
+    assert "OPENBLAS_NUM_THREADS" not in os.environ  # the caller's stays unset
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert pipeline._pmap(os.getenv, query, 2) == ["2", "2"]
 
 
 def test_one_gamma_fits_in_this_process(tmp_path, monkeypatch):
@@ -1004,6 +1016,8 @@ def test_plan_subcommand_matches_the_plan_stage(tmp_path, capsys, dims):
     cfg_file.write_text(SMALL_CFG.replace("dims = all", f"dims = {dims}"))
     cfg_file = str(cfg_file)
     cfg, out = load_config(cfg_file), str(tmp_path / "out")
+    # the config parses planner.dims once; the plan stage takes its value
+    assert cfg.plan_dims == ("all" if dims == "all" else [0, 2])
     run_pipeline(cfg, out)
     model = os.path.join(out, "models", f"model_g{pipeline.best_gamma_of(out):g}.npz")
     report = configparser.ConfigParser()
@@ -1015,7 +1029,7 @@ def test_plan_subcommand_matches_the_plan_stage(tmp_path, capsys, dims):
         plan_dir = tmp_path / f"plan_{label}"
         assert main(["plan", "--config", cfg_file, "--out", str(plan_dir), "--model", model,
                      "--t", str(cfg.plan_t), "--target", ",".join(f"{v:.17g}" for v in target),
-                     "--dims", cfg.plan_dims]) == 0
+                     "--dims", dims]) == 0
         keys = ("kp_star", "source_miss", "miss", "improvement")
         assert capsys.readouterr().out.splitlines() == \
             [f"{k} = {report[label][k]}" for k in keys], label

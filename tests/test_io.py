@@ -34,6 +34,18 @@ def test_trajectory_round_trip(tmp_path):
     assert back.meta["temporal_shift"] == 0
 
 
+def test_the_sidecar_carries_the_trajectorys_own_dt(tmp_path):
+    # dt has one owner, the Trajectory: a stale meta["dt"] is not written
+    traj = sample_traj()
+    traj.meta["dt"] = 0.5
+    path = str(tmp_path / "traj.csv")
+    tio.write_trajectory(traj, path)
+    assert "dt = 0.01\n" in open(path + ".meta").read().splitlines(keepends=True)
+    back = tio.read_trajectory(path)
+    assert back.dt == 0.01 and "dt" not in back.meta
+    assert "dt" not in sample_traj().meta
+
+
 def test_read_trajectory_opens_the_csv_once(tmp_path, monkeypatch):
     # the reader used to open the CSV twice: once in binary to count the
     # cells of each line, once as text for loadtxt

@@ -58,6 +58,15 @@ def oracle_angle_at(kp, t=T_CONSTRAINT, dim=0):
                                 damping=DAMPING)
 
 
+def test_with_kp_sets_the_first_parameter_of_a_copy():
+    # the one tuned-gain rule of planner.plan and the plan stage's targets
+    policy = pd_policy(KP_SOURCE)
+    tuned = planner.with_kp(policy, 0.55)
+    assert tuned.theta.tolist() == [0.55, KD] and tuned.fixed["x_star"] is not X_STAR
+    assert policy.theta.tolist() == [KP_SOURCE, KD]
+    assert tuned.policy_id() == pd_policy(0.55).policy_id()
+
+
 @pytest.fixture(scope="module")
 def trained():
     rng = np.random.default_rng(0)

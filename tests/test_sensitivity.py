@@ -43,7 +43,7 @@ from trajsense.sim import START_POSE, inject_temporal_noise, rollout_batch
 from trajsense.voxel import voxelize_trajectory
 
 import oracles
-from oracles import ramp_torque_jacobian
+from oracles import pendulum3_pd_sensitivities, ramp_torque_jacobian
 
 LINEAR = DynamicsMode("linear", damping=0.0)
 DT = 0.01
@@ -285,6 +285,29 @@ def test_reconstruct_first_order_in_pendulum_mode():
         recon = reconstruct_linear(stack, basis, delta, 150)
         errs.append(np.linalg.norm(recon - truth))
     assert errs[1] <= errs[0] / 3.5  # close to the quadratic factor of 4
+
+
+def test_jacobian_stack_converges_to_the_exact_pendulum3_sensitivities():
+    # forward differences on pd_u's dynamics, gains and target: first order,
+    # so the error falls 10x with the step
+    mode = DynamicsMode("pendulum3", damping=0.8, gravity_gain=0.3)
+    x_star = np.array([np.pi / 10, 3 * np.pi / 4, 7 * np.pi / 12])
+    theta, x0 = np.array([1.0, 0.01]), JointState(START_POSE, np.zeros(3))
+    _, exact, _, _, _ = pendulum3_pd_sensitivities(START_POSE, np.zeros(3), *theta, x_star,
+                                                   DT, 1500, mode.damping, mode.gravity_gain)
+
+    def run(delta):
+        policy = PolicySpec("pd_feedback", theta + delta, {"x_star": x_star})
+        return rollout(policy, x0, 1500, DT, mode).angles
+
+    timesteps = (300, 900, 1400)
+    errors = []
+    for scale in (1e-4, 1e-5):
+        stack = build_jacobian_stack(run, basis_directions(2, scale), timesteps=timesteps)
+        errors.append([np.abs(stack.matrices[t] - exact[t]).max() / np.abs(exact[t]).max()
+                       for t in timesteps])
+    assert np.allclose(np.divide(*errors), 10, rtol=0.05)
+    assert max(errors[1]) < 1e-4
 
 
 # -- GP fitting and prediction ---------------------------------------------------

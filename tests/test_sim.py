@@ -16,7 +16,8 @@ from trajsense import controllers
 from trajsense.errors import InvalidShiftError, InvalidStateError, PolicyEvalError
 from trajsense.sim import JOINT_HIGH, JOINT_LOW, START_POSE, TORQUE_CAP, _step_arrays
 
-from oracles import damped_const_torque_state, former_rollout_batch, ramp_torque_state
+from oracles import (damped_const_torque_state, former_rollout_batch,
+                     pendulum3_pd_sensitivities, ramp_torque_state)
 
 LINEAR = DynamicsMode("linear", damping=0.0)
 
@@ -391,3 +392,60 @@ def test_controller_failure_names_the_step(monkeypatch):
                       20, 0.01, LINEAR)
     assert info.value.timestep == 7
     assert "step 7" in str(info.value)
+
+
+# -- exact pendulum3 sensitivities -------------------------------------------------
+
+# the pd_u preset's dynamics, start and target
+PD_U_MODE = DynamicsMode("pendulum3", damping=0.8, gravity_gain=0.3)
+PD_U_X_STAR = np.array([np.pi / 10, 3 * np.pi / 4, 7 * np.pi / 12])
+
+
+def central_differences(theta, x_star, h, n_steps=1500):
+    """The derivatives of the angles and of the velocities by (kp, kd), one
+    (2, T+1, 3, 2) stack, by central differences of one rollout_batch over
+    theta +- h along each parameter."""
+    policy = PolicySpec("pd_feedback", theta, {"x_star": x_star})
+    rows = [theta + sign * h * e for e in np.eye(2) for sign in (1, -1)]
+    trajs = rollout_batch(policy, np.array(rows), JointState(START_POSE, np.zeros(3)),
+                          n_steps, 0.01, PD_U_MODE)
+    return np.stack([np.stack([(getattr(trajs[2 * j], name) - getattr(trajs[2 * j + 1], name))
+                               / (2 * h) for j in range(2)], axis=-1)
+                     for name in ("angles", "velocities")])
+
+
+def exact_sensitivities(theta, x_star, n_steps=1500):
+    """(angles, the (2, T+1, 3, 2) stack of dx and dv, clipped, clamped)."""
+    angles, dx, dv, clipped, clamped = pendulum3_pd_sensitivities(
+        START_POSE, np.zeros(3), theta[0], theta[1], x_star, 0.01, n_steps,
+        PD_U_MODE.damping, PD_U_MODE.gravity_gain)
+    return angles, np.stack([dx, dv]), clipped, clamped
+
+
+def test_exact_pendulum3_sensitivities_match_central_differences_at_second_order():
+    # pd_u's nominal gains clip no torque and hit no stop, so the rollout is
+    # smooth in theta and the central difference's error is O(h^2)
+    theta = np.array([1.0, 0.01])
+    angles, exact, clipped, clamped = exact_sensitivities(theta, PD_U_X_STAR)
+    assert clipped == clamped == 0
+    policy = PolicySpec("pd_feedback", theta, {"x_star": PD_U_X_STAR})
+    sim = rollout(policy, JointState(START_POSE, np.zeros(3)), 1500, 0.01, PD_U_MODE)
+    assert np.allclose(angles, sim.angles, rtol=0, atol=1e-14)
+    errors = [np.abs(central_differences(theta, PD_U_X_STAR, h) - exact).max()
+              for h in (1e-3, 5e-4)]
+    assert 3.8 < errors[0] / errors[1] < 4.2
+    assert errors[1] < 1e-6 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("kp, x_star, branch", [
+    (4.0, PD_U_X_STAR, "clipped"),  # joints 1 and 3 start beyond the torque cap
+    (1.0, PD_U_X_STAR * [0, 1, 1], "clamped"),  # joint 1 overshoots its stop at 0
+])
+def test_a_clipped_torque_or_a_joint_stop_has_zero_derivative(kp, x_star, branch):
+    # with steps small enough that no neighbour clips or clamps at another
+    # step, central differences see the same zero rows as the oracle
+    theta = np.array([kp, 0.01])
+    _, exact, clipped, clamped = exact_sensitivities(theta, x_star)
+    assert {"clipped": clipped, "clamped": clamped}[branch] > 0
+    error = np.abs(central_differences(theta, x_star, 1e-5) - exact).max()
+    assert error < 1e-8 * np.abs(exact).max()
