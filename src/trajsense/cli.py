@@ -46,22 +46,13 @@ def cmd_run(args):
 
 
 def cmd_stage(args):
-    """One pipeline stage by itself (simulate, build, fit or evaluate); it
-    reads the earlier stages' outputs from --out."""
+    """One pipeline stage by itself (simulate, perturb, build, fit or
+    evaluate); it reads the earlier stages' outputs from --out."""
     cfg = _load(args)
     stage = getattr(pipeline, f"stage_{args.command}")
     extra = {"workers": args.workers} if args.command == "fit" else {}
     for path in stage(cfg, args.out, **extra):
         print(path)
-    return 0
-
-
-def cmd_perturb(args):
-    cfg = _load(args)
-    os.makedirs(os.path.join(args.out, "samples"), exist_ok=True)
-    dest = os.path.join(args.out, "samples", "perturbations.csv")
-    tio.write_perturbations(cfg.policy.theta, cfg.deltas, dest)
-    print(dest)
     return 0
 
 
@@ -145,7 +136,7 @@ def build_parser():
                    "each, on one BLAS thread each")
     stage("run", cmd_run).add_argument("--workers", **workers)
     stage("simulate", cmd_stage)
-    stage("perturb", cmd_perturb)
+    stage("perturb", cmd_stage)
     stage("build", cmd_stage)
     stage("fit", cmd_stage).add_argument("--workers", **workers)
     stage("evaluate", cmd_stage)

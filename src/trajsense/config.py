@@ -221,17 +221,22 @@ class ExperimentConfig:
         return hashlib.sha256(repr(sorted(self._values.items())).encode()).hexdigest()[:16]
 
 
+def read_ini(parser, path):
+    """parser.read(path): whether the file was there to read. A file that is
+    not INI is a ConfigError naming it."""
+    try:
+        return bool(parser.read(path))
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: malformed INI file: {exc}") from exc
+
+
 def load_config(path, seed=None):
     """The ExperimentConfig of the INI file at path; a seed that is not None
     replaces its experiment.seed. A file that is missing or not INI is a
     ConfigError naming it."""
     # "key = value   ; note" lines, as in the README, end at the comment
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    try:
-        read = parser.read(path)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: malformed INI file: {exc}") from exc
-    if not read:
+    if not read_ini(parser, path):
         raise ConfigError(f"config file not found: {path}")
     for section in ("experiment", "sim", "policy", "perturbation"):
         if not parser.has_section(section):

@@ -54,6 +54,7 @@ def write_table(path, header, template, rows, end="\n"):
 
 
 def write_trajectory(traj, path):
+    """Write traj to path and its sidecar; returns the paths of both."""
     T = traj.n_steps
     body = np.empty((T + 1, 10))
     body[:, 0] = np.arange(T + 1)
@@ -74,6 +75,7 @@ def write_trajectory(traj, path):
         fh.write(f"mode = {meta.get('mode', '')}\n")
         fh.write(f"temporal_shift = {meta.get('temporal_shift', 0)}\n")
         fh.write(f"spatial_std = {','.join(_fmt(s) for s in spatial)}\n")
+    return [path, path + ".meta"]
 
 
 def _header(fh):
@@ -252,6 +254,23 @@ def read_samples(path):
         fh.seek(start)
         dx = _loadtxt(fh, path, 2, usecols=range(1 + m, 1 + m + d))
     return SampleSet(delta_theta=delta_theta, delta_x=dx.reshape(n, steps, d))
+
+
+def read_columns(path, names):
+    """The columns called names of a write_table table, as one (rows,
+    len(names)) float array; the other columns are not read. A header without
+    one of names, a row without the header's cells or a cell that is not a
+    number is a ConfigError naming the file (and the line)."""
+    with open(path, newline="") as fh:
+        header = _header(fh)
+        missing = [name for name in names if name not in header]
+        if missing:
+            raise ConfigError(f"{path}: no column {missing[0]!r} in the header")
+        if not _check_lines(path, len(header), _blocks(path)):
+            return np.empty((0, len(names)))
+        # a text cell, such as a label, is written as it is: no comment character
+        return _loadtxt(fh, path, 2, usecols=[header.index(name) for name in names],
+                        comments=None)
 
 
 def write_perturbations(nominal, deltas, path):

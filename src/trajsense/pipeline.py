@@ -6,28 +6,30 @@ fingerprint and outputs are already present is skipped, which makes reruns
 cheap and the whole pipeline idempotent for a fixed config and seed; once a
 stage runs, every later stage runs too, so no output is older than its inputs.
 
-Every artifact belongs to the stage that writes it (WRITERS, first match
-wins), and every stage input goes through one lookup, `_input`. Inside one
-run_pipeline call it takes what an earlier stage of that call built from a
-dict keyed by artifact path (a sample set leaves it, a model stays for the
-plan stage) and reads the file only when the entry is absent: the earlier
-stage was skipped, or the stage runs on its own. A missing file is a
-DependencyError naming it and its stage. The sample CSVs round-trip exactly,
-and a loaded model predicts as the fitted one does, so both paths give the
-same bytes. Trajectories are still read back from their CSVs: those hold 9
-significant digits, and the build stage must see the rounded values a resumed
-run would read. The manifest checks each recorded file under the stage that
-wrote it, so a changed or missing file reruns from that stage.
+Each artifact's path is spelled once (the layout below) and belongs to the
+stage that writes it (WRITERS, first match wins); every stage input goes
+through one lookup, `_input`. Inside one run_pipeline call it takes what an
+earlier stage of that call built from a dict keyed by artifact path (a
+sample set leaves it, a model stays for the plan stage) and reads the file
+only when the entry is absent: the earlier stage was skipped, or the stage
+runs on its own. A missing file is a DependencyError naming it and its
+stage; a manifest, model or table that cannot be read back is a ConfigError
+naming it. The sample CSVs round-trip exactly, and a loaded model predicts
+as the fitted one does, so both paths give the same bytes. Trajectories are
+still read back from their CSVs: those hold 9 significant digits, and the
+build stage must see the rounded values a resumed run would read. The
+manifest checks each recorded file under the stage that wrote it, so a
+changed or missing file reruns from that stage.
 
 Noise handling mirrors a physical data collection: the source rollout is the
 clean reference, each perturbed recording gets its own temporal lag (drawn in
 the configured range) and spatial noise seed. The build stage reads the
 recordings one at a time through sensitivity.build_sample_sets, the training
-recordings first. The fit stage fits each gamma's timesteps in
-ascending order as one warm-started chain, so `workers` processes run whole
-gammas and, at one BLAS thread count (_pmap), the results do not depend on
-their number. Every metrics and plot
-table goes through io.write_table.
+recordings first. The fit stage fits each gamma's timesteps in ascending
+order as one warm-started chain, so `workers` processes run whole gammas
+and, at one BLAS thread count (_pmap), the results do not depend on their
+number. Every metrics and plot table goes through io.write_table, and the
+summary is read back by the names of its columns (METRICS_COLUMNS).
 """
 
 import configparser
@@ -38,6 +40,7 @@ import shutil
 import numpy as np
 
 from . import io as tio
+from .config import read_ini
 from .errors import ConfigError, DependencyError, StageError
 # plan_and_verify is not called here; it is imported only because
 # benchmark/tracing.py wraps pipeline.plan_and_verify
@@ -50,8 +53,25 @@ from .sim import NoiseConfig, rollout, rollout_batch
 from .voxel import voxelize_trajectory
 
 STAGES = ("simulate", "build", "fit", "evaluate", "plan")
+
+# -- artifact layout: the one spelling of each artifact's path in a run's
+# directory; a template takes the recording index, split, gamma or label
+SOURCE = "trajectories/source.csv"
+RECORDING = "trajectories/sample_{:04d}.csv"
+PERTURBATIONS = "samples/perturbations.csv"
+SAMPLES = "samples/{}_g{:g}.csv"
+MODEL = "models/model_g{:g}.npz"
+MODEL_SUMMARY = "models/summary_g{:g}.txt"
+PER_TIMESTEP = "metrics/per_timestep_g{:g}.csv"
+COS_HIST = "metrics/cos_hist_g{:g}.csv"
+METRICS = "metrics/metrics.csv"
+# the columns of METRICS: one row per gamma, the selected one flagged
+METRICS_COLUMNS = ("task", "gamma", "mse_avg", "score_avg", "cos_avg", "n_timesteps", "selected")
+REPORT = "planning/report.txt"
+PLANNED = "planning/planned_{}.csv"
+
 # artifact path prefix -> the stage that writes it; the first match wins
-WRITERS = (("trajectories/", "simulate"), ("samples/perturbations.csv", "simulate"),
+WRITERS = (("trajectories/", "simulate"), (PERTURBATIONS, "simulate"),
            ("samples/", "build"), ("models/", "fit"), ("metrics/", "evaluate"),
            ("planning/", "plan"))
 
@@ -68,10 +88,6 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _gamma_tag(gamma):
-    return f"g{gamma:g}"
-
-
 class Manifest:
     """Stage fingerprints and content hashes of every produced file."""
 
@@ -79,7 +95,7 @@ class Manifest:
         self.root = root
         self.path = os.path.join(root, "manifest.ini")
         parser = configparser.ConfigParser()
-        parser.read(self.path)  # no file reads as no sections
+        read_ini(parser, self.path)  # no file reads as no sections
         self.stages = dict(parser["stages"]) if parser.has_section("stages") else {}
         self.files = dict(parser["files"]) if parser.has_section("files") else {}
 
@@ -138,11 +154,6 @@ def _output(out, rel):
     return path
 
 
-def _read_text(path):
-    with open(path) as fh:
-        return fh.read()
-
-
 def _one_blas_thread():
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -188,17 +199,20 @@ def stage_simulate(cfg, out):
                           cfg.n_steps, cfg.dt, cfg.mode)
 
     paths = []
-    names = ["source"] + [f"sample_{i:04d}" for i in range(len(deltas))]
+    rels = [SOURCE] + [RECORDING.format(i) for i in range(len(deltas))]
     # the source stays the clean reference
     noises = [NoiseConfig()] + [_per_sample_noise(cfg, i) for i in range(len(deltas))]
-    for name, traj, noise in zip(names, trajs, noises):
-        p = _output(out, f"trajectories/{name}.csv")
-        tio.write_trajectory(noise.apply(traj), p)
-        paths += [p, p + ".meta"]
+    for rel, traj, noise in zip(rels, trajs, noises):
+        paths += tio.write_trajectory(noise.apply(traj), _output(out, rel))
+    return paths + stage_perturb(cfg, out)
 
-    pert_path = _output(out, "samples/perturbations.csv")
-    tio.write_perturbations(theta, deltas, pert_path)
-    return paths + [pert_path]
+
+def stage_perturb(cfg, out):
+    """Write the perturbation table: the part of the simulate stage that
+    `trajsense perturb` runs by itself. It is not a stage of STAGES."""
+    path = _output(out, PERTURBATIONS)
+    tio.write_perturbations(cfg.policy.theta, cfg.deltas, path)
+    return [path]
 
 
 # -- build ----------------------------------------------------------------------
@@ -209,17 +223,17 @@ def stage_build(cfg, out, handoff=None):
     build_sample_sets over the training recordings, then one over the
     held-out ones, so that fit can free a gamma's training set."""
     handoff = {} if handoff is None else handoff
-    source = _trajectory(out, "trajectories/source.csv")
-    deltas = _input(out, "samples/perturbations.csv",
+    source = _trajectory(out, SOURCE)
+    deltas = _input(out, PERTURBATIONS,
                     lambda path: tio.read_perturbations(path, cfg.policy.theta))
     paths = []
     for name, rows in zip(("train", "test"), cfg.split_indices(len(deltas))):
         sets = build_sample_sets(
             source, deltas[rows],
-            (_trajectory(out, f"trajectories/sample_{i:04d}.csv") for i in rows),
+            (_trajectory(out, RECORDING.format(i)) for i in rows),
             cfg.align_method, cfg.max_lag, cfg.gamma_sweep)
         for gamma, samples in zip(cfg.gamma_sweep, sets):
-            p = _output(out, f"samples/{name}_{_gamma_tag(gamma)}.csv")
+            p = _output(out, SAMPLES.format(name, gamma))
             tio.write_samples(samples, p)
             handoff[p] = samples
             paths.append(p)
@@ -246,12 +260,11 @@ def stage_fit(cfg, out, workers=1, handoff=None):
     """Fit one model per gamma. A gamma's timesteps form one warm-started
     chain (fit_sensitivity_model), so the unit of parallel work is a gamma."""
     handoff = {} if handoff is None else handoff
-    source = _trajectory(out, "trajectories/source.csv")
+    source = _trajectory(out, SOURCE)
 
     def chains():
         for gamma in cfg.gamma_sweep:
-            samples = _input(out, f"samples/train_{_gamma_tag(gamma)}.csv",
-                             tio.read_samples, handoff)
+            samples = _input(out, SAMPLES.format("train", gamma), tio.read_samples, handoff)
             yield (samples, _model_timesteps(cfg), cfg.n_restarts, cfg.seed,
                    voxelized(source, gamma), cfg.policy.theta)
 
@@ -259,10 +272,10 @@ def stage_fit(cfg, out, workers=1, handoff=None):
     workers = min(workers, len(cfg.gamma_sweep))
     paths = []
     for gamma, model in zip(cfg.gamma_sweep, _pmap(_fit_chain, chains(), workers)):
-        model_path = _output(out, _model_rel(gamma))
+        model_path = _output(out, MODEL.format(gamma))
         model.save(model_path)
         handoff[model_path] = model
-        summary_path = _output(out, f"models/summary_{_gamma_tag(gamma)}.txt")
+        summary_path = _output(out, MODEL_SUMMARY.format(gamma))
         with open(summary_path, "w") as fh:
             fh.write("\n".join(model.summary_lines()))
         paths += [model_path, summary_path]
@@ -275,26 +288,25 @@ def stage_fit(cfg, out, workers=1, handoff=None):
 def stage_evaluate(cfg, out, handoff=None):
     results, paths = [], []
     for gamma in cfg.gamma_sweep:
-        tag = _gamma_tag(gamma)
         # the plan stage may want the model again
-        model = _input(out, _model_rel(gamma), SensitivityModel.load, handoff, keep=True)
-        test_samples = _input(out, f"samples/test_{tag}.csv", tio.read_samples, handoff)
+        model = _input(out, MODEL.format(gamma), SensitivityModel.load, handoff, keep=True)
+        test_samples = _input(out, SAMPLES.format("test", gamma), tio.read_samples, handoff)
         row, per_t, hists = evaluate(model, test_samples, label=cfg.label)
         results.append((gamma, row))
 
-        p1 = _output(out, f"metrics/per_timestep_{tag}.csv")
+        p1 = _output(out, PER_TIMESTEP.format(gamma))
         tio.write_table(p1, "t,nmse,score,cos_mean,n_test", "%d,%.10g,%.10g,%.10g,%d\r\n",
                         [(r.t, r.nmse, r.score, r.cos_mean, r.n_test) for r in per_t],
                         end="\r\n")
-        p2 = _output(out, f"metrics/cos_hist_{tag}.csv")
+        p2 = _output(out, COS_HIST.format(gamma))
         tio.write_table(p2, "t,bin_lo,bin_hi,count", "%d,%.2f,%.2f,%d\n",
                         [(t, lo, hi, count) for t in sorted(hists)
                          for lo, hi, count in zip(COS_BIN_EDGES, COS_BIN_EDGES[1:], hists[t])])
         paths += [p1, p2]
 
     best_gamma = max(results, key=lambda r: r[1].score_avg)[0]
-    summary = _output(out, "metrics/metrics.csv")
-    tio.write_table(summary, "task,gamma,mse_avg,score_avg,cos_avg,n_timesteps,selected",
+    summary = _output(out, METRICS)
+    tio.write_table(summary, ",".join(METRICS_COLUMNS),
                     "%s,%g,%.10g,%.10g,%.10g,%d,%d\n",
                     [(row.label, gamma, row.mse_avg, row.score_avg, row.cos_avg,
                       row.n_timesteps, gamma == best_gamma) for gamma, row in results])
@@ -302,20 +314,16 @@ def stage_evaluate(cfg, out, handoff=None):
 
 
 def best_gamma_of(out):
-    for line in _input(out, "metrics/metrics.csv", _read_text).strip().splitlines()[1:]:
-        parts = line.split(",")
-        if parts[-1] == "1":
-            return float(parts[1])
+    """The gamma that out's evaluate stage selected, read from METRICS by column name."""
+    rows = _input(out, METRICS, lambda path: tio.read_columns(path, ("gamma", "selected")))
+    for gamma in rows[rows[:, 1] == 1, 0]:
+        return float(gamma)
     raise DependencyError("no selected gamma in metrics summary")
-
-
-def _model_rel(gamma):
-    return f"models/model_{_gamma_tag(gamma)}.npz"
 
 
 def selected_model(out):
     """The model file, relative to out, of the gamma that out's evaluate stage selected."""
-    return _model_rel(best_gamma_of(out))
+    return MODEL.format(best_gamma_of(out))
 
 
 # -- plan ---------------------------------------------------------------------------
@@ -349,7 +357,7 @@ def stage_plan(cfg, out, handoff=None):
         return []
     model = _input(out, selected_model(out), SensitivityModel.load, handoff)
     paths = []
-    report_path = _output(out, "planning/report.txt")
+    report_path = _output(out, REPORT)
     with open(report_path, "w") as fh:
         for label, target_kp in zip(("short", "medium", "long"), cfg.plan_target_kps):
             # only the state at plan_t is read, so the target stops there
@@ -360,10 +368,7 @@ def stage_plan(cfg, out, handoff=None):
             for key in REPORT_KEYS:
                 fh.write(f"{key} = {getattr(report, key):.10g}\n")
             fh.write(f"improved = {report.improved}\n\n")
-
-            vp = _output(out, f"planning/planned_{label}.csv")
-            tio.write_trajectory(planned, vp)
-            paths += [vp, vp + ".meta"]
+            paths += tio.write_trajectory(planned, _output(out, PLANNED.format(label)))
     return paths + [report_path]
 
 
@@ -427,18 +432,16 @@ def emit_plot_data(out, kind):
         return dest
 
     if kind == "cos_histogram":
-        rel = f"metrics/cos_hist_{_gamma_tag(best_gamma_of(out))}.csv"
-        _input(out, rel, lambda path: shutil.copyfile(path, dest))
+        _input(out, COS_HIST.format(best_gamma_of(out)), lambda path: shutil.copyfile(path, dest))
         return dest
 
     if kind == "quiver":
-        source = _trajectory(out, "trajectories/source.csv")
-        n_samples = len([f for f in os.listdir(os.path.join(out, "trajectories"))
-                         if f.startswith("sample_") and f.endswith(".csv")])
+        source = _trajectory(out, SOURCE)
         steps = np.arange(0, source.n_steps + 1, max(1, source.n_steps // 20))
         src, rows = source.angles[steps], []
-        for i in range(min(3, n_samples)):
-            pert = _trajectory(out, f"trajectories/sample_{i:04d}.csv").angles[steps]
+        # the first three recordings: a run has at least four (ExperimentConfig.split_indices)
+        for i in range(3):
+            pert = _trajectory(out, RECORDING.format(i)).angles[steps]
             rows += np.column_stack([np.full(steps.size, i), steps, src, pert,
                                      pert - src]).tolist()
         tio.write_table(dest, "sample_id,t,src_x1,src_x2,src_x3,pert_x1,pert_x2,pert_x3,"
@@ -446,8 +449,8 @@ def emit_plot_data(out, kind):
         return dest
 
     if kind == "voxel_overlap":
-        a = _trajectory(out, "trajectories/source.csv")
-        b = _trajectory(out, "trajectories/sample_0000.csv")
+        a = _trajectory(out, SOURCE)
+        b = _trajectory(out, RECORDING.format(0))
         rows = []
         for gamma in (0.01, 0.04, 0.16, 0.2):
             va, vb = (voxelize_trajectory(t, gamma).angles for t in (a, b))
@@ -457,7 +460,7 @@ def emit_plot_data(out, kind):
 
     # kind == "planning"
     parser = configparser.ConfigParser()
-    _input(out, "planning/report.txt", parser.read)
+    _input(out, REPORT, lambda path: read_ini(parser, path))
     keys = ("target_kp",) + REPORT_KEYS
     tio.write_table(dest, ",".join(("scenario",) + keys), "%s" + ",%s" * len(keys) + "\n",
                     [[section] + [parser[section][k] for k in keys]

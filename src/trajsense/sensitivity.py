@@ -236,18 +236,28 @@ class SensitivityModel:
 
     @classmethod
     def load(cls, path):
-        """The model `save` wrote; a former layout is a ConfigError naming the file."""
+        """The model `save` wrote. A file that is not an .npz, one of a former
+        layout and one without an array of `save` are ConfigErrors naming
+        the file (and the array)."""
         if not os.path.isfile(path):
             raise ConfigError(f"model file not found: {path}")
-        with np.load(path) as data:
-            if "X" not in data:
-                raise ConfigError(f"{path}: no shared X; a model file of a former layout, "
-                                  "refit it (remove models/ and rerun)")
-            T, src = [int(t) for t in data["timesteps"]], data.get("src")
-            return cls(dict(zip(T, ExactGP.from_states(data["X"], data["y"], data["phi"]))),
-                       nominal_theta=data.get("nominal_theta"),
-                       delta_low=data.get("delta_low"), delta_high=data.get("delta_high"),
-                       source_angles=None if src is None else dict(zip(T, src)))
+        try:
+            with np.load(path) as npz:
+                data = dict(npz)
+        except (OSError, ValueError, EOFError, TypeError) as exc:
+            # TypeError: np.load of an .npy is one array, not a context manager
+            raise ConfigError(f"{path}: not a model .npz file: {exc}") from exc
+        if "X" not in data:
+            raise ConfigError(f"{path}: no shared X; a model file of a former layout, "
+                              "refit it (remove models/ and rerun)")
+        for key in ("timesteps", "y", "phi"):
+            if key not in data:
+                raise ConfigError(f"{path}: no {key!r} array in the model file")
+        T, src = [int(t) for t in data["timesteps"]], data.get("src")
+        return cls(dict(zip(T, ExactGP.from_states(data["X"], data["y"], data["phi"]))),
+                   nominal_theta=data.get("nominal_theta"),
+                   delta_low=data.get("delta_low"), delta_high=data.get("delta_high"),
+                   source_angles=None if src is None else dict(zip(T, src)))
 
     def summary_lines(self):
         lines = []

@@ -30,9 +30,10 @@ def voxel_center(x, gamma):
 
 
 def voxelize_trajectory(traj, gamma):
-    """Snap every angle state to its voxel center; velocities pass through."""
-    return Trajectory(traj.dt, voxel_center(traj.angles, gamma), traj.velocities.copy(),
-                      traj.torques.copy(), dict(traj.meta))
+    """Snap every angle state to its voxel center; velocities and torques
+    pass through, shared with traj, which is not written in place."""
+    return Trajectory(traj.dt, voxel_center(traj.angles, gamma), traj.velocities,
+                      traj.torques, dict(traj.meta))
 
 
 @dataclass

@@ -195,7 +195,7 @@ def test_simulate_holds_one_noisy_recording_at_a_time(tmp_path, monkeypatch):
     cfg, out = load_config(str(path)), str(tmp_path / "out")
     shifts = []
     monkeypatch.setattr(tio, "write_trajectory",
-                        lambda traj, path: shifts.append(traj.meta["temporal_shift"]))
+                        lambda traj, path: shifts.append(traj.meta["temporal_shift"]) or [path])
     recording = (2 * (cfg.n_steps + 1) + cfg.n_steps) * 3 * 8  # angles, velocities, torques
     clean_batch = (cfg.count + 1) * recording
     tracemalloc.start()
@@ -455,7 +455,7 @@ def test_metrics_and_plot_tables_match_the_hand_written_writers(finished_run, tm
 
     results = []
     for gamma in cfg.gamma_sweep:
-        tag = pipeline._gamma_tag(gamma)
+        tag = f"g{gamma:g}"
         model = SensitivityModel.load(os.path.join(out, f"models/model_{tag}.npz"))
         row, per_t, hists = evaluate(model, tio.read_samples(
             os.path.join(out, f"samples/test_{tag}.csv")), label=cfg.label)
@@ -474,7 +474,7 @@ def test_metrics_and_plot_tables_match_the_hand_written_writers(finished_run, tm
     source = tio.read_trajectory(os.path.join(trajectories, "source.csv")).angles
     first = [tio.read_trajectory(os.path.join(trajectories, f"sample_{i:04d}.csv")).angles
              for i in range(3)]
-    best = pipeline._gamma_tag(pipeline.best_gamma_of(out))
+    best = f"g{pipeline.best_gamma_of(out):g}"
     same("plots/gp_evolution.csv", lambda p: oracles.former_plot_gp_evolution(
         SensitivityModel.load(os.path.join(out, pipeline.selected_model(out))), p))
     same("plots/cos_histogram.csv",
@@ -501,7 +501,7 @@ def test_gp_evolution_matches_per_point_queries(cfg_file, tmp_path):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
 
     model = SensitivityModel.load(os.path.join(
-        out, "models", f"model_{pipeline._gamma_tag(pipeline.best_gamma_of(out))}.npz"))
+        out, "models", f"model_g{pipeline.best_gamma_of(out):g}.npz"))
     dim = int(np.argmax(model.delta_high - model.delta_low))
     grid = np.linspace(model.delta_low[dim], model.delta_high[dim], 41)
     ref = per_point_gp_evolution(model, dim, grid)
@@ -599,18 +599,29 @@ def test_a_missing_stage_input_names_the_file_and_its_stage(finished_run, tmp_pa
     assert f"{writer} stage outputs missing: {rel}" in capsys.readouterr().err
 
 
+def _lines(edit_lines):
+    """An edit of a file from edit_lines, an edit of its lines, split at \r\n."""
+    def edit(path):
+        with open(path, newline="") as fh:
+            lines = fh.read().split("\r\n")
+        edit_lines(lines)
+        with open(path, "w", newline="") as fh:
+            fh.write("\r\n".join(lines))
+    return edit
+
+
 def _cells(line, fn):
     """An edit of a CSV's lines (the header is line 1): line's cells become fn(cells)."""
     def edit(lines):
         lines[line - 1] = ",".join(fn(lines[line - 1].split(",")))
-    return edit
+    return _lines(edit)
 
 
 def _columns(fn):
     """An edit of a CSV's lines: every line's cells become fn(cells)."""
     def edit(lines):
         lines[:] = [",".join(fn(line.split(","))) if line else line for line in lines]
-    return edit
+    return _lines(edit)
 
 
 def _replace(old, new):
@@ -618,13 +629,28 @@ def _replace(old, new):
     def edit(lines):
         i = next(i for i, line in enumerate(lines) if old in line)
         lines[i] = lines[i].replace(old, new, 1)
-    return edit
+    return _lines(edit)
 
 
 def _drop_last_rows(n):
     """An edit of a CSV's lines that drops its last n rows but the terminal one."""
     def edit(lines):
         del lines[-2 - n:-2]  # lines[-1] is the "" after the last line end
+    return _lines(edit)
+
+
+def _garbage(path):
+    """An edit of a file: it holds a line of text."""
+    with open(path, "w") as fh:
+        fh.write("garbage\n")
+
+
+def _npz_without(key):
+    """An edit of an .npz file that drops its array key."""
+    def edit(path):
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != key}
+        np.savez_compressed(path, **arrays)
     return edit
 
 
@@ -703,6 +729,13 @@ def _not_a_number(line, column):
     pytest.param("build", "trajectories/sample_0003.csv", _drop_last_rows(10), 3,
                  "trajectories/sample_0003.csv: perturbed trajectory length/dt mismatch",
                  id="trajectory-truncated"),
+    # np.load's ValueError for pickled data and KeyError for a missing array
+    # ended in a traceback naming no file, exit code 1
+    pytest.param("evaluate", "models/model_g0.npz", _garbage, 2,
+                 "models/model_g0.npz: not a model .npz file", id="model-not-npz"),
+    *(pytest.param("evaluate", "models/model_g0.npz", _npz_without(key), 2,
+                   f"models/model_g0.npz: no {key!r} array in the model file",
+                   id=f"model-without-{key}") for key in ("y", "phi", "timesteps")),
 ])
 def test_a_malformed_stage_input_names_the_file_and_its_line(finished_run, tmp_path, capsys,
                                                              command, rel, edit, code,
@@ -716,15 +749,60 @@ def test_a_malformed_stage_input_names_the_file_and_its_line(finished_run, tmp_p
     cfg_file, done = finished_run
     out = str(tmp_path / "out")
     shutil.copytree(done, out)
-    path = os.path.join(out, rel)
-    with open(path, newline="") as fh:
-        lines = fh.read().split("\r\n")
-    edit(lines)
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+    edit(os.path.join(out, rel))
     capsys.readouterr()
     assert main([command, "--config", cfg_file, "--out", out]) == code
     assert message in capsys.readouterr().err
+
+
+def test_a_malformed_manifest_is_named(finished_run, tmp_path, capsys):
+    # configparser's MissingSectionHeaderError used to end in a traceback,
+    # exit code 1
+    cfg_file, done = finished_run
+    out = str(tmp_path / "out")
+    shutil.copytree(done, out)
+    _garbage(os.path.join(out, "manifest.ini"))
+    capsys.readouterr()
+    assert main(["run", "--config", cfg_file, "--out", out]) == 2
+    assert f"{os.path.join(out, 'manifest.ini')}: malformed INI file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cells: cells[:1] + ["abc"] + cells[2:],
+     "line 2, column 2: could not convert string 'abc'"),
+    (lambda cells: cells[:-1], "line 2: wrong number of cells (6, the header has 7)"),
+], ids=["gamma-cell", "missing-cell"])
+def test_a_malformed_metrics_summary_names_the_file_and_its_line(finished_run, tmp_path,
+                                                                 capsys, edit, message):
+    # the selected gamma was read as the second cell of the row whose last
+    # cell is 1: a gamma that is not a number ended in a ValueError
+    # traceback, exit code 1
+    _, done = finished_run
+    out = str(tmp_path / "out")
+    shutil.copytree(done, out)
+    path = os.path.join(out, "metrics", "metrics.csv")
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    lines[1] = ",".join(edit(lines[1].split(",")))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+    capsys.readouterr()
+    assert main(["emit-plots", "--out", out, "--kind", "gp_evolution"]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
+def test_the_metrics_summary_is_read_by_column_name(finished_run, tmp_path):
+    # best_gamma_of used to read the second and the last cell of each row
+    _, done = finished_run
+    out = str(tmp_path / "out")
+    shutil.copytree(done, out)
+    path = os.path.join(out, "metrics", "metrics.csv")
+    best = pipeline.best_gamma_of(out)
+    with open(path) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    with open(path, "w") as fh:
+        fh.write("".join(",".join(row[::-1]) + "\n" for row in rows))
+    assert pipeline.best_gamma_of(out) == best
 
 
 def test_a_recording_that_cannot_be_aligned_is_named(tmp_path, capsys):

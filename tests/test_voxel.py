@@ -84,6 +84,18 @@ def test_voxelize_idempotent_and_leaves_velocities():
     assert np.array_equal(once.velocities, traj.velocities)
 
 
+def test_voxelize_shares_velocities_and_torques_and_leaves_its_input():
+    # velocities and torques were copied on every call, though its callers
+    # read only the angles; sharing them must not write the input through
+    traj = ramp_rollout()
+    angles, meta = traj.angles.copy(), dict(traj.meta)
+    out = voxelize_trajectory(traj, 0.04)
+    assert out.velocities is traj.velocities and out.torques is traj.torques
+    out.meta["path"] = "voxelized.csv"
+    assert np.array_equal(traj.angles, angles) and traj.meta == meta
+    assert not np.shares_memory(out.angles, traj.angles)
+
+
 def test_larger_voxels_improve_noisy_overlap():
     traj = ramp_rollout()
     run1 = inject_spatial_noise(traj, np.full(3, 0.01), seed=4)
