@@ -28,7 +28,6 @@ from .sensitivity import (
 from .sim import (
     DynamicsMode,
     JointState,
-    NoiseConfig,
     Trajectory,
     inject_spatial_noise,
     inject_temporal_noise,

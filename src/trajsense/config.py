@@ -16,10 +16,10 @@ import numpy as np
 
 from . import align
 from .controllers import FAMILIES, PolicySpec
-from .errors import ConfigError, InvalidStateError
+from .errors import ConfigError
 from .gp import N_RESTARTS
 from .perturb import SCHEMES, sample_gaussian, sample_uniform
-from .sim import DYNAMICS_TAGS, START_POSE, DynamicsMode, JointState, NoiseConfig
+from .sim import DYNAMICS_TAGS, JOINT_HIGH, JOINT_LOW, START_POSE, DynamicsMode, JointState
 
 
 def parse_dims(raw, key="planner.dims"):
@@ -79,12 +79,21 @@ _SCHEMA = {
     "experiment": {"label": (_LABEL, "experiment"), "seed": (int, 0)},
     "sim": {"mode": (_one_of(DYNAMICS_TAGS), "linear"),
             "dt": (_check(float, lambda v: 0 < v < np.inf, "a positive finite step"), 0.01),
-            "damping": (float, 0.0), "gravity_gain": (float, 0.0),
+            "damping": (_check(float, lambda v: 0 <= v < np.inf, "a finite value >= 0"), 0.0),
+            "gravity_gain": (_check(float, np.isfinite, "a finite number"), 0.0),
             "n_steps": (_POSITIVE, _REQUIRED),
-            "x0_angles": (_floats, tuple(START_POSE.tolist())),
-            "temporal_shift": (int, 0), "spatial_std": (_floats, (0.0, 0.0, 0.0))},
+            "x0_angles": (_check(_floats, lambda v: len(v) == 3 and
+                                 np.all((JOINT_LOW <= v) & (v <= JOINT_HIGH)),
+                                 "3 angles within the joint limits [0, pi], [0, pi], [0, 2 pi]"),
+                          tuple(START_POSE.tolist())),
+            # the +-range each perturbed recording draws its own lag from
+            "temporal_shift": (int, 0),
+            "spatial_std": (_check(_floats, lambda v: len(v) == 3 and
+                                   all(0 <= s < np.inf for s in v), "3 finite values >= 0"),
+                            (0.0, 0.0, 0.0))},
     "policy": {"family": (_one_of(FAMILIES), _REQUIRED), "theta": (_floats, _REQUIRED),
-               "x_star": (_floats, None),
+               "x_star": (_check(_floats, lambda v: len(v) == 3 and np.all(np.isfinite(v)),
+                                 "3 finite angles"), None),
                "joints": (lambda raw: tuple(int(v) for v in raw.split(",")), None)},
     "perturbation": {"scheme": (_one_of(SCHEMES), "uniform"),
                      "count": (_POSITIVE, _REQUIRED), "ranges": (_ranges, ()),
@@ -130,54 +139,45 @@ def _read(parser):
     return values
 
 
-def _built(key, cls, *args, **kwargs):
-    """cls(*args, **kwargs), with the InvalidStateError of its own checks, or
-    the ValueError of a value of the wrong length, raised as a ConfigError
-    that names the config key at fault. A ConfigError of its own checks
-    starts with its field, so it gets key's section in front."""
-    try:
-        return cls(*args, **kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{key.split('.')[0]}.{exc}") from exc
-    except (InvalidStateError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
 class ExperimentConfig:
     """Typed view of an experiment INI file: each key's value, parsed by
-    _SCHEMA, and the objects the pipeline builds from them."""
+    _SCHEMA, the objects the pipeline builds from them, and the values
+    derived once at load: the perturbation deltas and the fit's timesteps."""
 
     def __init__(self, parser):
         v = self._values = _read(parser)
         self.label, self.seed = v["experiment.label"], v["experiment.seed"]
-        self.mode = _built("sim.damping", DynamicsMode, v["sim.mode"],
-                           damping=v["sim.damping"], gravity_gain=v["sim.gravity_gain"])
+        self.mode = DynamicsMode(v["sim.mode"], damping=v["sim.damping"],
+                                 gravity_gain=v["sim.gravity_gain"])
         self.dt, self.n_steps = v["sim.dt"], v["sim.n_steps"]
-        self.x0 = _built("sim.x0_angles", JointState, v["sim.x0_angles"], np.zeros(3))
-        self.noise = _built("sim.spatial_std", NoiseConfig,
-                            temporal_shift=v["sim.temporal_shift"],
-                            spatial_std=v["sim.spatial_std"])
+        self.x0 = JointState(v["sim.x0_angles"], np.zeros(3))
+        self.temporal_shift, self.spatial_std = v["sim.temporal_shift"], v["sim.spatial_std"]
         fixed = {key: v[f"policy.{key}"] for key in ("x_star", "joints")
                  if v[f"policy.{key}"] is not None}
-        self.policy = _built("policy.x_star", PolicySpec, v["policy.family"],
-                             v["policy.theta"], fixed)
+        try:
+            self.policy = PolicySpec(v["policy.family"], v["policy.theta"], fixed)
+        except ConfigError as exc:  # its message starts with the field at fault
+            raise ConfigError(f"policy.{exc}") from exc
         self.scheme, self.count = v["perturbation.scheme"], v["perturbation.count"]
         self.ranges = v["perturbation.ranges"]
         self.lambda_sweep = v["perturbation.lambda_sweep"]
         self.align_method, self.max_lag = v["preprocess.align"], v["preprocess.max_lag"]
         self.gamma_sweep = v["preprocess.gamma_sweep"]
-        self.stride, self.n_restarts = v["gp.stride"], v["gp.n_restarts"]
+        self.n_restarts = v["gp.n_restarts"]
         self.holdout_fraction = v["eval.holdout_fraction"]
         self.split_seed = v["eval.split_seed"]
         self.plan_t, self.plan_dims = v["planner.t_constraint"], v["planner.dims"]
         self.plan_target_kps = v["planner.target_kps"]
 
-        if abs(self.noise.temporal_shift) >= self.n_steps:  # a draw may reach +-shift
-            raise ConfigError(f"sim.temporal_shift {self.noise.temporal_shift}: need "
+        if abs(self.temporal_shift) >= self.n_steps:  # a draw may reach +-shift
+            raise ConfigError(f"sim.temporal_shift {self.temporal_shift}: need "
                               f"|temporal_shift| < n_steps ({self.n_steps})")
         if self.plan_t is not None and not 0 < self.plan_t <= self.n_steps:
             raise ConfigError(f"planner.t_constraint {self.plan_t} must be in "
                               f"1..n_steps ({self.n_steps})")
+        # the fit's grid: every stride-th step and the planner's constraint step
+        grid = set(range(0, self.n_steps + 1, v["gp.stride"]))
+        self.timesteps = tuple(sorted(grid if self.plan_t is None else grid | {self.plan_t}))
         try:  # drawn once, read-only; the draw checks its ranges, or its rate
             self.deltas = self._draw_deltas()
         except ConfigError as exc:

@@ -22,13 +22,15 @@ manifest checks each recorded file under the stage that wrote it, so a
 changed or missing file reruns from that stage.
 
 Noise handling mirrors a physical data collection: the source rollout is the
-clean reference, each perturbed recording gets its own temporal lag (drawn in
-the configured range) and spatial noise seed. The build stage reads the
-recordings one at a time through sensitivity.build_sample_sets, the training
-recordings first. The fit stage fits each gamma's timesteps in ascending
-order as one warm-started chain, so `workers` processes run whole gammas
-and, at one BLAS thread count (_pmap), the results do not depend on their
-number. Every metrics and plot table goes through io.write_table, and the
+clean reference, and under a noisy config each perturbed recording draws its
+own lag in +-sim.temporal_shift and its own seed for the Gaussian noise of
+sim.spatial_std (_recorded), which sim.inject_temporal_noise and then
+sim.inject_spatial_noise apply. The build stage reads the recordings one at
+a time through sensitivity.build_sample_sets, the training recordings first.
+The fit stage fits each gamma at the config's timesteps, in ascending order
+as one warm-started chain, so `workers` processes run whole gammas and, at
+one BLAS thread count (_pmap), the results do not depend on their number.
+Every metrics and plot table goes through io.write_table, and the
 summary is read back by the names of its columns (METRICS_COLUMNS).
 """
 
@@ -49,7 +51,7 @@ from .planner import PlanningProblem, plan, plan_and_verify, with_kp  # noqa: F4
 # benchmark/tracing.py wraps pipeline.build_samples and pipeline.fit_gp
 from .sensitivity import (COS_BIN_EDGES, SensitivityModel, build_sample_sets,  # noqa: F401
                           build_samples, evaluate, fit_gp, fit_sensitivity_model, voxelized)
-from .sim import NoiseConfig, rollout, rollout_batch
+from .sim import inject_spatial_noise, inject_temporal_noise, rollout, rollout_batch
 from .voxel import voxelize_trajectory
 
 STAGES = ("simulate", "build", "fit", "evaluate", "plan")
@@ -176,34 +178,30 @@ def _pmap(fn, items, workers):
 # -- simulate -------------------------------------------------------------------
 
 
-def _per_sample_noise(cfg, index):
-    """Each recording gets its own lag and noise seed, like separate runs."""
-    base = cfg.noise
-    if base.is_clean:
-        return NoiseConfig()
-    rng = np.random.default_rng((cfg.seed, 77, index))
-    shift = 0
-    if base.temporal_shift != 0:
-        n = abs(base.temporal_shift)
-        shift = int(rng.integers(-n, n + 1))
-    return NoiseConfig(temporal_shift=shift, spatial_std=base.spatial_std,
-                       seed=int(rng.integers(2**31)))
+def _recorded(cfg, i, traj):
+    """Perturbed recording i as a noisy config records it: lagged by its own
+    draw from +-temporal_shift (drawn only if that is not 0), then given
+    Gaussian noise of spatial_std under its own seed."""
+    rng = np.random.default_rng((cfg.seed, 77, i))
+    n = abs(cfg.temporal_shift)
+    shift = int(rng.integers(-n, n + 1)) if n else 0
+    return inject_spatial_noise(inject_temporal_noise(traj, shift), cfg.spatial_std,
+                                int(rng.integers(2**31)))
 
 
 def stage_simulate(cfg, out):
     """Roll out the source and every perturbation as one clean batch, then
-    give each recording its noise, write it and drop it, so no more than one
-    noisy recording is held at a time."""
+    write each recording, noisy under a noisy config, and drop its noisy
+    copy, so no more than one noisy recording is held at a time. The source
+    stays the clean reference."""
     deltas, theta = cfg.deltas, cfg.policy.theta
     trajs = rollout_batch(cfg.policy, np.vstack([theta, theta + deltas]), cfg.x0,
                           cfg.n_steps, cfg.dt, cfg.mode)
-
-    paths = []
-    rels = [SOURCE] + [RECORDING.format(i) for i in range(len(deltas))]
-    # the source stays the clean reference
-    noises = [NoiseConfig()] + [_per_sample_noise(cfg, i) for i in range(len(deltas))]
-    for rel, traj, noise in zip(rels, trajs, noises):
-        paths += tio.write_trajectory(noise.apply(traj), _output(out, rel))
+    noisy = cfg.temporal_shift != 0 or any(cfg.spatial_std)
+    paths = tio.write_trajectory(trajs[0], _output(out, SOURCE))
+    for i, traj in enumerate(trajs[1:]):
+        paths += tio.write_trajectory(_recorded(cfg, i, traj) if noisy else traj,
+                                      _output(out, RECORDING.format(i)))
     return paths + stage_perturb(cfg, out)
 
 
@@ -249,13 +247,6 @@ def _fit_chain(args):
                                  source=source, nominal_theta=nominal_theta)
 
 
-def _model_timesteps(cfg):
-    steps = set(range(0, cfg.n_steps + 1, cfg.stride))
-    if cfg.plan_t is not None:
-        steps.add(cfg.plan_t)
-    return sorted(steps)
-
-
 def stage_fit(cfg, out, workers=1, handoff=None):
     """Fit one model per gamma. A gamma's timesteps form one warm-started
     chain (fit_sensitivity_model), so the unit of parallel work is a gamma."""
@@ -265,7 +256,7 @@ def stage_fit(cfg, out, workers=1, handoff=None):
     def chains():
         for gamma in cfg.gamma_sweep:
             samples = _input(out, SAMPLES.format("train", gamma), tio.read_samples, handoff)
-            yield (samples, _model_timesteps(cfg), cfg.n_restarts, cfg.seed,
+            yield (samples, cfg.timesteps, cfg.n_restarts, cfg.seed,
                    voxelized(source, gamma), cfg.policy.theta)
 
     # a process per gamma at most: one gamma fits in this process

@@ -237,7 +237,8 @@ class SensitivityModel:
     @classmethod
     def load(cls, path):
         """The model `save` wrote. A file that is not an .npz, one of a former
-        layout and one without an array of `save` are ConfigErrors naming
+        layout, one without an array of `save` and one whose array is not
+        finite numbers of the shape the others imply are ConfigErrors naming
         the file (and the array)."""
         if not os.path.isfile(path):
             raise ConfigError(f"model file not found: {path}")
@@ -253,6 +254,22 @@ class SensitivityModel:
         for key in ("timesteps", "y", "phi"):
             if key not in data:
                 raise ConfigError(f"{path}: no {key!r} array in the model file")
+
+        def shape(key, ndim):
+            # a member that is no .npy loads as its raw bytes
+            a = data[key]
+            if not (isinstance(a, np.ndarray) and a.dtype.kind in "iuf" and a.ndim == ndim
+                    and np.isfinite(a).all()):
+                raise ConfigError(f"{path}: {key!r} is not an array of finite numbers "
+                                  f"with {ndim} dimensions")
+            return a.shape
+
+        (n, m), (n_t,), d = shape("X", 2), shape("timesteps", 1), shape("y", 3)[-1]
+        for key, want in (("y", (n_t, n, d)), ("phi", (n_t, d, m + 2)), ("src", (n_t, d)),
+                          ("nominal_theta", (m,)), ("delta_low", (m,)), ("delta_high", (m,))):
+            if key in data and shape(key, len(want)) != want:
+                raise ConfigError(f"{path}: {key!r} has shape {data[key].shape}, need {want} "
+                                  f"for {n_t} timesteps of X {(n, m)}")
         T, src = [int(t) for t in data["timesteps"]], data.get("src")
         return cls(dict(zip(T, ExactGP.from_states(data["X"], data["y"], data["phi"]))),
                    nominal_theta=data.get("nominal_theta"),
@@ -273,18 +290,15 @@ class SensitivityModel:
         return lines
 
 
-def fit_sensitivity_model(samples, timesteps=None, stride=1, n_restarts=N_RESTARTS, seed=0,
-                          source=None, nominal_theta=None):
-    """Fit the GP maps over a timestep grid and bundle them into a model.
+def fit_sensitivity_model(samples, timesteps, n_restarts=N_RESTARTS, seed=0, source=None,
+                          nominal_theta=None):
+    """Fit the GP maps at the given timesteps and bundle them into a model.
 
-    timesteps defaults to every stride-th step of the samples. They are fitted
-    in ascending order as one chain: each fit starts one restart from the
-    previous timestep's optimum (fit_gp's warm), since neighbouring maps are
-    close. The source trajectory, when given, stores the per-timestep nominal
-    angles the planner needs.
+    The timesteps are fitted in ascending order as one chain: each fit starts
+    one restart from the previous timestep's optimum (fit_gp's warm), since
+    neighbouring maps are close. The source trajectory, when given, stores
+    the per-timestep nominal angles the planner needs.
     """
-    if timesteps is None:
-        timesteps = range(0, samples.n_steps + 1, stride)
     models, prev = {}, None
     for t in sorted({int(t) for t in timesteps}):
         if not 0 <= t <= samples.n_steps:

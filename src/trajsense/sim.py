@@ -12,7 +12,9 @@ mechanical limit.
 
 rollout_batch is the one stepper: it advances N states as one (N, 3) array
 per step, with the torque held constant over the step, and rollout is its
-batch of one.
+batch of one. Rollouts are clean; a recording's measurement noise is added
+afterwards, its time lag by inject_temporal_noise and its per-angle Gaussian
+noise by inject_spatial_noise.
 """
 
 from dataclasses import dataclass, field
@@ -42,42 +44,6 @@ class JointState:
         self.velocities = np.asarray(self.velocities, dtype=float).reshape(3)
         if not (np.all(np.isfinite(self.angles)) and np.all(np.isfinite(self.velocities))):
             raise InvalidStateError("non-finite joint state")
-
-
-@dataclass
-class NoiseConfig:
-    """Measurement corruption applied after a clean rollout.
-
-    temporal_shift is a constant number of steps (the whole trajectory is
-    shifted in time); spatial_std is a per-joint Gaussian scale applied to
-    every recorded angle independently.
-    """
-
-    temporal_shift: int = 0
-    spatial_std: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    seed: int = 0
-
-    def __post_init__(self):
-        self.temporal_shift = int(self.temporal_shift)
-        self.spatial_std = np.asarray(self.spatial_std, dtype=float).reshape(3)
-        if np.any(self.spatial_std < 0):
-            raise InvalidStateError("spatial_std must be nonnegative")
-
-    @property
-    def is_clean(self):
-        return self.temporal_shift == 0 and not np.any(self.spatial_std > 0)
-
-    def apply(self, traj):
-        """traj as recorded under this noise: the seed goes into meta, the
-        whole trajectory shifts by temporal_shift, then every angle gets its
-        Gaussian noise. traj itself is left as it is."""
-        out = Trajectory(traj.dt, traj.angles, traj.velocities, traj.torques,
-                         dict(traj.meta, seed=self.seed))
-        if self.temporal_shift != 0:
-            out = inject_temporal_noise(out, self.temporal_shift)
-        if np.any(self.spatial_std > 0):
-            out = inject_spatial_noise(out, self.spatial_std, self.seed)
-        return out
 
 
 DYNAMICS_TAGS = ("linear", "pendulum3")
@@ -128,10 +94,6 @@ class Trajectory:
     @property
     def n_steps(self):
         return self.torques.shape[0]
-
-    def copy(self):
-        return Trajectory(self.dt, self.angles.copy(), self.velocities.copy(),
-                          self.torques.copy(), dict(self.meta))
 
 
 def _gravity_torque(angles, gravity_gain):
@@ -189,7 +151,8 @@ def rollout_batch(policy, thetas, x0, n_steps, dt, mode):
     The state is advanced as one (N, 3) array per step; each row sees the
     same floating-point operations as a rollout alone, so trajectory i equals
     rollout(policy.with_theta(thetas[i]), ...) bit for bit. The recordings
-    are clean (NoiseConfig.apply adds noise) and share the batch's arrays.
+    are clean (inject_temporal_noise and inject_spatial_noise add noise) and
+    share the batch's arrays.
     Returns a list of N Trajectories.
     """
     from .controllers import torque_at  # local import: controllers import sim types
@@ -239,17 +202,13 @@ def rollout_batch(policy, thetas, x0, n_steps, dt, mode):
 def inject_temporal_noise(traj, n):
     """Shift the recorded sequences by n steps: out[t] = in[t + n].
 
-    Boundary entries are replicated so the trajectory keeps its length.
+    Boundary entries are replicated so the trajectory keeps its length, and
+    n adds to the shift meta["temporal_shift"] records; 0 copies traj.
     """
     n = int(n)
     T = traj.n_steps
     if abs(n) >= T:
         raise InvalidShiftError(f"|shift| {abs(n)} must be < {T}")
-    if n == 0:
-        out = traj.copy()
-        out.meta["temporal_shift"] = 0
-        return out
-
     idx_states = np.clip(np.arange(T + 1) + n, 0, T)
     idx_torques = np.clip(np.arange(T) + n, 0, T - 1)
     out = Trajectory(traj.dt, traj.angles[idx_states], traj.velocities[idx_states],

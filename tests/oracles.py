@@ -8,8 +8,9 @@ sensitivities, one object per training sample,
 row-by-row csv-module writers for the file formats, hand-written rows for
 the metrics and plot tables, one GP query per point for the block queries,
 the former rollout loop, verification over the whole horizon, the former
-planner root scan and fixed-point solver, and the former per-sample
-perturbation draws. Keep this module free of trajsense
+planner root scan and fixed-point solver, the former per-sample
+perturbation draws, and the former per-recording noise of the simulate
+stage. Keep this module free of trajsense
 imports so the oracles cannot inherit a library bug.
 """
 
@@ -495,6 +496,78 @@ def former_perturbation_deltas(cfg):
     for k, lam in enumerate(cfg.lambda_sweep):
         deltas.extend(former_sample_gaussian(theta, n, lam, cfg.seed + 1 + k))
     return deltas[: cfg.count]
+
+
+# -- the former per-recording noise ---------------------------------------------------
+# The simulate stage's noise as it was drawn and applied before the config held
+# temporal_shift and spatial_std as plain values: the per-recording
+# NoiseConfig of _per_sample_noise, with NoiseConfig.apply and the two
+# injectors it called. A config is duck typed (seed, temporal_shift,
+# spatial_std) and so is a recording (dt, angles, velocities, torques, meta).
+
+FormerRecording = namedtuple("FormerRecording", "dt angles velocities torques meta")
+
+
+def _former_inject_temporal_noise(traj, n):
+    T = traj.torques.shape[0]
+    idx_states = np.clip(np.arange(T + 1) + n, 0, T)
+    idx_torques = np.clip(np.arange(T) + n, 0, T - 1)
+    meta = dict(traj.meta)
+    meta["temporal_shift"] = int(traj.meta.get("temporal_shift", 0)) + n
+    return FormerRecording(traj.dt, traj.angles[idx_states], traj.velocities[idx_states],
+                           traj.torques[idx_torques], meta)
+
+
+def _former_inject_spatial_noise(traj, spatial_std, seed):
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, 1.0, size=traj.angles.shape)
+    noise *= spatial_std
+    meta = dict(traj.meta)
+    meta["spatial_std"] = tuple(float(s) for s in spatial_std)
+    meta["seed"] = seed
+    meta["spatial_sup_deviation"] = float(np.max(np.abs(noise)))
+    return FormerRecording(traj.dt, traj.angles + noise, traj.velocities, traj.torques, meta)
+
+
+class FormerNoiseConfig:
+    def __init__(self, temporal_shift=0, spatial_std=(0.0, 0.0, 0.0), seed=0):
+        self.temporal_shift = int(temporal_shift)
+        self.spatial_std = np.asarray(spatial_std, dtype=float).reshape(3)
+        self.seed = seed
+
+    @property
+    def is_clean(self):
+        return self.temporal_shift == 0 and not np.any(self.spatial_std > 0)
+
+    def apply(self, traj):
+        out = FormerRecording(traj.dt, traj.angles, traj.velocities, traj.torques,
+                              dict(traj.meta, seed=self.seed))
+        if self.temporal_shift != 0:
+            out = _former_inject_temporal_noise(out, self.temporal_shift)
+        if np.any(self.spatial_std > 0):
+            out = _former_inject_spatial_noise(out, self.spatial_std, self.seed)
+        return out
+
+
+def _former_per_sample_noise(cfg, index):
+    base = FormerNoiseConfig(cfg.temporal_shift, cfg.spatial_std)
+    if base.is_clean:
+        return FormerNoiseConfig()
+    rng = np.random.default_rng((cfg.seed, 77, index))
+    shift = 0
+    if base.temporal_shift != 0:
+        n = abs(base.temporal_shift)
+        shift = int(rng.integers(-n, n + 1))
+    return FormerNoiseConfig(temporal_shift=shift, spatial_std=base.spatial_std,
+                             seed=int(rng.integers(2**31)))
+
+
+def former_recordings(cfg, clean):
+    """The source and every perturbed recording as the simulate stage wrote
+    them, each a FormerRecording, from the clean batch `clean`, source first."""
+    noises = [FormerNoiseConfig()] + [_former_per_sample_noise(cfg, i)
+                                      for i in range(len(clean) - 1)]
+    return [noise.apply(traj) for noise, traj in zip(noises, clean)]
 
 
 # -- hand-written metrics and plot tables --------------------------------------------

@@ -9,13 +9,14 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
 import trajsense
 from trajsense import (DynamicsMode, JointState, PolicySpec, Trajectory,
-                       inject_temporal_noise, rollout)
+                       inject_temporal_noise, rollout, rollout_batch)
 from trajsense import align, pipeline, planner
 from trajsense import config as config_mod
 from trajsense import gp as gp_mod
@@ -341,6 +342,39 @@ def test_one_gamma_fits_in_this_process(tmp_path, monkeypatch):
     assert [os.path.basename(p) for p in paths] == ["model_g0.npz", "summary_g0.txt"]
 
 
+@pytest.mark.parametrize("noise", [
+    "", "temporal_shift = 5", "spatial_std = 0.001, 0.002, 0",
+    "temporal_shift = 5\nspatial_std = 0.001, 0.001, 0.001",
+], ids=["clean", "temporal", "spatial", "both"])
+def test_simulate_writes_the_recordings_of_the_former_noise(tmp_path, noise):
+    # each recording's lag and seed used to be drawn into a NoiseConfig of its
+    # own (oracles.former_recordings); stage_simulate now draws them from the
+    # config's two values and calls the two injectors itself
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL_CFG.replace("n_steps = 200", "n_steps = 200\n" + noise))
+    cfg, out, ref = load_config(str(path)), tmp_path / "out", tmp_path / "ref"
+    pipeline.stage_simulate(cfg, str(out))
+    theta = cfg.policy.theta
+    clean = rollout_batch(cfg.policy, np.vstack([theta, theta + cfg.deltas]), cfg.x0,
+                          cfg.n_steps, cfg.dt, cfg.mode)
+    ref.mkdir()
+    names = ["source.csv"] + [f"sample_{i:04d}.csv" for i in range(cfg.count)]
+    for name, recording in zip(names, oracles.former_recordings(cfg, clean)):
+        tio.write_trajectory(Trajectory(*recording), str(ref / name))
+    written = sorted(os.listdir(out / "trajectories"))
+    assert written == sorted(os.listdir(ref)) and len(written) == 2 * (cfg.count + 1)
+    for name in written:
+        assert (out / "trajectories" / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_the_fit_grid_is_every_stride_th_step_and_the_constraint_step(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL_CFG.replace("t_constraint = 120", "t_constraint = 130"))
+    assert load_config(str(path)).timesteps == (0, 40, 80, 120, 130, 160, 200)
+    path.write_text(SMALL_CFG.replace("t_constraint = 120\n", ""))
+    assert load_config(str(path)).timesteps == (0, 40, 80, 120, 160, 200)
+
+
 def test_stage_fit_runs_the_chain_of_fit_sensitivity_model(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(SMALL_CFG.replace("n_restarts = 1", "n_restarts = 2"))
@@ -352,7 +386,7 @@ def test_stage_fit_runs_the_chain_of_fit_sensitivity_model(tmp_path):
     pipeline.stage_fit(cfg, out, 1, handoff)
     for gamma, samples in train.items():
         staged = handoff[os.path.join(out, "models", f"model_g{gamma:g}.npz")]
-        alone = fit_sensitivity_model(samples, pipeline._model_timesteps(cfg),
+        alone = fit_sensitivity_model(samples, cfg.timesteps,
                                       n_restarts=2, seed=cfg.seed)
         assert staged.timesteps == alone.timesteps
         for t in alone.timesteps:
@@ -654,6 +688,25 @@ def _npz_without(key):
     return edit
 
 
+def _npz_with(key, array):
+    """An edit of an .npz file that replaces its array key by array(old)."""
+    def edit(path):
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[key] = array(arrays[key])
+        np.savez_compressed(path, **arrays)
+    return edit
+
+
+def _npz_of_junk(path):
+    """An edit of an .npz file: each member holds bytes that are no .npy."""
+    with np.load(path) as data:
+        keys = data.files
+    with zipfile.ZipFile(path, "w") as archive:
+        for key in keys:
+            archive.writestr(key + ".npy", b"junk")
+
+
 def _not_a_number(line, column):
     """An edit of a CSV's lines: the cell at line, column (from 1) gets an x prefix."""
     return _cells(line, lambda cells: cells[:column - 1] + ["x" + cells[column - 1]]
@@ -736,6 +789,21 @@ def _not_a_number(line, column):
     *(pytest.param("evaluate", "models/model_g0.npz", _npz_without(key), 2,
                    f"models/model_g0.npz: no {key!r} array in the model file",
                    id=f"model-without-{key}") for key in ("y", "phi", "timesteps")),
+    # members that are no .npy loaded as bytes and failed with "could not
+    # convert string to float", a phi of two dimensions with an IndexError:
+    # tracebacks naming no file, exit code 1
+    pytest.param("evaluate", "models/model_g0.npz", _npz_of_junk, 2,
+                 "models/model_g0.npz: 'X' is not an array of finite numbers with 2 "
+                 "dimensions", id="model-members-junk"),
+    pytest.param("evaluate", "models/model_g0.npz", _npz_with("phi", lambda a: np.zeros((2, 3))),
+                 2, "models/model_g0.npz: 'phi' is not an array of finite numbers with 3 "
+                 "dimensions", id="model-phi-2d"),
+    pytest.param("evaluate", "models/model_g0.npz", _npz_with("phi", lambda a: a[..., 1:]), 2,
+                 "models/model_g0.npz: 'phi' has shape (6, 3, 3), need (6, 3, 4) for 6 "
+                 "timesteps of X (19, 2)", id="model-phi-shape"),
+    pytest.param("evaluate", "models/model_g0.npz", _npz_with("y", lambda a: a[:-1]), 2,
+                 "models/model_g0.npz: 'y' has shape (5, 19, 3), need (6, 19, 3)",
+                 id="model-y-timesteps"),
 ])
 def test_a_malformed_stage_input_names_the_file_and_its_line(finished_run, tmp_path, capsys,
                                                              command, rel, edit, code,
@@ -1224,6 +1292,14 @@ def test_gp_optimize_other_than_true_is_rejected(tmp_path):
     (("n_steps = 200", "n_steps = 200\ntemporal_shift = 200"), "sim.temporal_shift"),
     (("scheme = uniform", "scheme = gaussian\nlambda_sweep = 50, nan"),
      "perturbation.lambda_sweep"),
+    (("damping = 0.8", "damping = 0.8\ngravity_gain = nan"), "sim.gravity_gain"),
+    (("damping = 0.8", "damping = nan"), "sim.damping"),
+    (("damping = 0.8", "damping = inf"), "sim.damping"),
+    (("x_star = 0.3141592653589793, 2.356194490192345, 1.8325957145940461",
+      "x_star = nan, 1, 1"), "policy.x_star"),
+    (("x0_angles = 1.5707963267948966, 1.5707963267948966, 3.141592653589793",
+      "x0_angles = 4, 1, 1"), "sim.x0_angles"),
+    (("n_steps = 200", "n_steps = 200\nspatial_std = nan, 0, 0"), "sim.spatial_std"),
 ])
 def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
     # a misspelt key used to load silently and run with the key's default;
@@ -1246,7 +1322,11 @@ def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
     # trajectories. A theta of the wrong length or a joint outside 1..3 did not
     # name its key. A temporal_shift of n_steps or more failed the simulate
     # stage, exit code 3, as soon as a recording drew a shift that long, and a
-    # NaN rate drew NaN perturbations that failed it too
+    # NaN rate drew NaN perturbations that failed it too. A NaN gravity_gain
+    # ran (exit code 0), and so did a NaN spatial_std, with no noise at all; a
+    # NaN damping or x_star failed the fit stage and an infinite damping the
+    # evaluate stage, exit code 3; an x0 outside the joint limits failed the
+    # simulate stage, exit code 3, naming no key
     bad = tmp_path / "bad.ini"
     bad.write_text(SMALL_CFG.replace(*edit))
     with pytest.raises(ConfigError, match=re.escape(name)):

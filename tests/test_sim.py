@@ -4,7 +4,6 @@ import pytest
 from trajsense import (
     DynamicsMode,
     JointState,
-    NoiseConfig,
     PolicySpec,
     Trajectory,
     inject_spatial_noise,
@@ -116,9 +115,10 @@ def test_rollout_deterministic_without_noise():
 
 
 def test_rollout_deterministic_with_seeded_noise():
-    noise = NoiseConfig(temporal_shift=3, spatial_std=np.full(3, 0.01), seed=42)
-    a = noise.apply(rollout(ramp_policy(), zero_state(), 200, 0.01, LINEAR))
-    b = noise.apply(rollout(ramp_policy(), zero_state(), 200, 0.01, LINEAR))
+    def noisy(traj):
+        return inject_spatial_noise(inject_temporal_noise(traj, 3), np.full(3, 0.01), seed=42)
+    a = noisy(rollout(ramp_policy(), zero_state(), 200, 0.01, LINEAR))
+    b = noisy(rollout(ramp_policy(), zero_state(), 200, 0.01, LINEAR))
     assert np.array_equal(a.angles, b.angles)
 
 
@@ -159,6 +159,9 @@ def test_temporal_shift_zero_is_identity():
     traj = rollout(ramp_policy(), zero_state(), 100, 0.01, LINEAR)
     out = inject_temporal_noise(traj, 0)
     assert np.array_equal(out.angles, traj.angles)
+    # a zero shift keeps the recorded shift: 5 then 0 used to read 0, while
+    # 5 then 1 read 6
+    assert inject_temporal_noise(inject_temporal_noise(traj, 5), 0).meta["temporal_shift"] == 5
 
 
 def test_temporal_shift_moves_states():
@@ -238,17 +241,18 @@ def _stack(policies):
 
 
 def assert_batch_equals_single(policies, mode, n_steps, noises=None, x0=None):
-    """Each batch row, with noises[i] applied if given, against the same
-    noise applied to a rollout of policies[i] alone; returns the rows."""
+    """Each batch row, with noises[i] (a function of a Trajectory) applied if
+    given, against the same noise applied to a rollout of policies[i] alone;
+    returns the rows."""
     x0 = JointState(START_POSE, np.zeros(3)) if x0 is None else x0
     batch = rollout_batch(*_stack(policies), x0, n_steps, 0.01, mode)
     assert len(batch) == len(policies)
     if noises is not None:
-        batch = [noise.apply(traj) for noise, traj in zip(noises, batch)]
+        batch = [noise(traj) for noise, traj in zip(noises, batch)]
     for i, (traj, policy) in enumerate(zip(batch, policies)):
         single = rollout(policy, x0, n_steps, 0.01, mode)
         if noises is not None:
-            single = noises[i].apply(single)
+            single = noises[i](single)
         assert np.array_equal(traj.angles, single.angles)
         assert np.array_equal(traj.velocities, single.velocities)
         assert np.array_equal(traj.torques, single.torques)
@@ -308,11 +312,11 @@ def test_batch_equals_single_across_joint_limit_hits():
 def test_batch_equals_single_with_temporal_and_spatial_noise():
     policies = [PolicySpec("sinusoidal", [a, 0.01], {"joints": (3,)})
                 for a in (0.3, 0.45, 0.6, 0.7)]
-    noises = [NoiseConfig(),
-              NoiseConfig(temporal_shift=7, seed=3),
-              NoiseConfig(spatial_std=np.full(3, 0.005), seed=4),
-              NoiseConfig(temporal_shift=-12, spatial_std=np.array([0.01, 0.0, 0.02]),
-                          seed=5)]
+    noises = [lambda traj: traj,
+              lambda traj: inject_temporal_noise(traj, 7),
+              lambda traj: inject_spatial_noise(traj, np.full(3, 0.005), seed=4),
+              lambda traj: inject_spatial_noise(inject_temporal_noise(traj, -12),
+                                                np.array([0.01, 0.0, 0.02]), seed=5)]
     batch = assert_batch_equals_single(policies, PENDULUM, 500, noises)
     assert [t.meta["temporal_shift"] for t in batch] == [0, 7, 0, -12]
     assert batch[2].meta["spatial_sup_deviation"] > 0

@@ -5,7 +5,9 @@
 For every workload and seed, runs `benchmark/run.py --workload <w> --seed <s>
 --seconds 0` (one round) in the parent checkout and then in the change, and
 compares the two .bench_out/<w> trees file by file. Prints one line per file
-that differs or exists on one side only. A run that exits with neither 0 nor
+that differs or exists on one side only, then one summary line per workload
+and seed with the number of files compared; two empty trees count as a
+difference, so they cannot pass unnoticed. A run that exits with neither 0 nor
 1 (1 is a failed artifact check, whose tree is still compared) stops the
 comparison.
 
@@ -128,10 +130,12 @@ def manifest_explained(trees, path, explained):
 
 
 def compare(checkouts, workload, seed):
-    """Print each difference of one workload and seed; return whether any
-    of them is not explained."""
+    """Print each difference of one workload and seed, then the number of
+    files compared; return whether any difference is not explained or no
+    file was compared."""
     trees = [os.path.join(c, ".bench_out", workload) for c in checkouts]
-    found, explained, manifests = False, set(), []
+    compared = len(files(trees[0]) | files(trees[1]))
+    found, explained, manifests = compared == 0, set(), []
     for path, what in differences(*trees):
         if what == "differs" and MODEL.match(path):
             if same_predictions(checkouts, trees, path):
@@ -151,6 +155,8 @@ def compare(checkouts, workload, seed):
         else:
             what, found = "differs", True
         print(f"{workload} seed {seed}: {path} {what}", flush=True)
+    print(f"{workload} seed {seed}: {compared} files compared, "
+          f"{'not the same' if found else 'the same'}", flush=True)
     return found
 
 
