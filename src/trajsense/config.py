@@ -5,8 +5,9 @@ Every experiment is a single diffable file; all randomness is seeded from the
 per benchmark task.
 
 _SCHEMA holds every key a section may hold, with its parser and default; a key
-outside it is a typo or a removed setting. A value its parser rejects, and a
-required key left out, is a ConfigError that starts with `section.key`.
+outside it is a typo or a removed setting. A value its parser rejects, a
+required key left out, and a key given under a setting that does not read it
+(_READ_UNDER) is a ConfigError that starts with `section.key`.
 """
 
 import configparser
@@ -92,8 +93,7 @@ _SCHEMA = {
                                    all(0 <= s < np.inf for s in v), "3 finite values >= 0"),
                             (0.0, 0.0, 0.0))},
     "policy": {"family": (_one_of(FAMILIES), _REQUIRED), "theta": (_floats, _REQUIRED),
-               "x_star": (_check(_floats, lambda v: len(v) == 3 and np.all(np.isfinite(v)),
-                                 "3 finite angles"), None),
+               "x_star": (_floats, None),
                "joints": (lambda raw: tuple(int(v) for v in raw.split(",")), None)},
     "perturbation": {"scheme": (_one_of(SCHEMES), "uniform"),
                      "count": (_POSITIVE, _REQUIRED), "ranges": (_ranges, ()),
@@ -108,15 +108,22 @@ _SCHEMA = {
                                   0.2),
              "split_seed": (int, 1)},
     "planner": {"t_constraint": (int, None), "dims": (parse_dims, "all"),
-                "target_kps": (_check(_floats, lambda v: len(v) <= 3,
-                                      "at most 3 targets (short, medium, long)"), ())},
+                "target_kps": (_check(_floats, lambda v: len(v) <= 3 and np.all(np.isfinite(v)),
+                                      "at most 3 finite targets (short, medium, long)"), ())},
 }
+
+# a key read only under some settings -> (the setting that decides, the values it is read under)
+_READ_UNDER = {"sim.gravity_gain": ("sim.mode", ("pendulum3",)),
+               "perturbation.ranges": ("perturbation.scheme", ("uniform",)),
+               "perturbation.lambda_sweep": ("perturbation.scheme", ("gaussian",)),
+               "preprocess.max_lag": ("preprocess.align", ("correlation", "zero_crossing"))}
 
 
 def _read(parser):
     """{'section.key': value} for every key in _SCHEMA: its parser's value of
     the file's entry, else its default. An unknown section or key, a value
-    the parser rejects and a required key left out are ConfigErrors."""
+    the parser rejects, a required key left out and a key no setting reads
+    (_READ_UNDER, or a [planner] without t_constraint) are ConfigErrors."""
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"[{section}]: unknown config section")
@@ -136,6 +143,13 @@ def _read(parser):
                 values[name] = parse(parser.get(section, key))
             except (ValueError, configparser.Error) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
+    for name, (setting, under) in _READ_UNDER.items():
+        if parser.has_option(*name.split(".")) and values[setting] not in under:
+            raise ConfigError(f"{name}: read only under {setting} = {' or '.join(under)}, "
+                              f"not {values[setting]}")
+    if parser.has_section("planner") and values["planner.t_constraint"] is None:
+        key = next(iter(parser["planner"]), "t_constraint")
+        raise ConfigError(f"planner.{key}: a [planner] section needs planner.t_constraint")
     return values
 
 

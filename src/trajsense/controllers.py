@@ -11,7 +11,7 @@ ordering per family is
 
 The sinusoidal phase advances in radians per *timestep* (the platform logs
 are index-based), while the linear ramp uses seconds. PolicySpec checks a
-family's parameter count and joints once; the torque functions, called at
+family's parameter count and constants once; the torque functions, called at
 every step of every rollout, take them as given.
 """
 
@@ -21,16 +21,18 @@ import numpy as np
 
 from .errors import ConfigError
 
-FAMILIES = ("linear_openloop", "sinusoidal", "p_feedback", "pd_feedback")
+# family -> the fixed constants it reads
+FAMILIES = {"linear_openloop": (), "sinusoidal": ("joints",),
+            "p_feedback": ("x_star",), "pd_feedback": ("x_star",)}
 
 
 @dataclass
 class PolicySpec:
     """Controller family tag, flat parameter vector, and fixed constants.
 
-    fixed may carry 'x_star' (target angles for feedback families) and
-    'joints' (1-based driven joints for the sinusoidal family). A ConfigError
-    from these checks starts with the field at fault.
+    fixed holds only the constants FAMILIES gives the family: 'x_star' (3
+    finite target angles, feedback) or 'joints' (1-based driven joints,
+    sinusoidal). A ConfigError from these checks starts with the field at fault.
     """
 
     family: str
@@ -40,6 +42,10 @@ class PolicySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"family: unknown controller family {self.family!r}")
+        reads = FAMILIES[self.family]
+        for key in self.fixed:
+            if key not in reads:
+                raise ConfigError(f"{key}: {self.family} reads no {key}")
         self.theta = np.asarray(self.theta, dtype=float).reshape(-1)
         if not np.all(np.isfinite(self.theta)):
             raise ConfigError("theta: components must be finite")
@@ -60,8 +66,10 @@ class PolicySpec:
             if m != 2 * len(joints):
                 raise ConfigError("theta: sinusoidal needs one (amp, omega) pair per driven joint")
             self.fixed["joints"] = joints
-        if self.family in ("p_feedback", "pd_feedback"):
-            x_star = np.asarray(self.fixed.get("x_star", np.zeros(3)), dtype=float).reshape(3)
+        if "x_star" in reads:
+            x_star = np.asarray(self.fixed.get("x_star", np.zeros(3)), dtype=float).reshape(-1)
+            if x_star.size != 3 or not np.all(np.isfinite(x_star)):
+                raise ConfigError(f"x_star: need 3 finite angles, got {x_star.tolist()}")
             self.fixed["x_star"] = x_star
 
     def with_theta(self, theta):

@@ -46,8 +46,8 @@ def sample_gaussian(nominal, count, rate, seed):
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
-    if not rate > 0:  # NaN too
-        raise ConfigError(f"rate {rate:g} must be positive")
+    if not 0 < rate < np.inf:  # NaN too
+        raise ConfigError(f"rate {rate:g} must be positive and finite")
     rng = np.random.default_rng(seed)
     nominal = np.asarray(nominal, dtype=float).reshape(-1)
     norm = float(np.linalg.norm(nominal))
@@ -61,10 +61,10 @@ def sample_gaussian(nominal, count, rate, seed):
 def sample_uniform(nominal, ranges, count, seed):
     """Draw count perturbations of nominal from per-parameter uniform intervals.
 
-    ranges holds one (low, high) pair per parameter, or None to freeze that
-    parameter at its nominal value (delta 0). Returns delta_theta = theta' -
-    nominal for each draw as a (count, m) array; the draws run sample by
-    sample, parameter by parameter.
+    ranges holds one finite (low, high) pair with low < high per parameter,
+    or None to freeze that parameter at its nominal value (delta 0). Returns
+    delta_theta = theta' - nominal for each draw as a (count, m) array; the
+    draws run sample by sample, parameter by parameter.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -72,8 +72,8 @@ def sample_uniform(nominal, ranges, count, seed):
     if len(ranges) != nominal.size:
         raise ConfigError("uniform scheme needs one range (or None) per parameter")
     for r in ranges:
-        if r is not None and not r[0] < r[1]:
-            raise ConfigError(f"empty uniform interval [{r[0]}, {r[1]}]")
+        if r is not None and not -np.inf < r[0] < r[1] < np.inf:  # NaN too
+            raise ConfigError(f"uniform interval [{r[0]}, {r[1]}] must be finite and nonempty")
     rng = np.random.default_rng(seed)
     live = [i for i, r in enumerate(ranges) if r is not None]
     low, high = np.array([ranges[i] for i in live], dtype=float).reshape(-1, 2).T

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .controllers import torque_at
 from .errors import InvalidShiftError, InvalidStateError, PolicyEvalError
 
 JOINT_LOW = np.array([0.0, 0.0, 0.0])
@@ -155,8 +156,6 @@ def rollout_batch(policy, thetas, x0, n_steps, dt, mode):
     share the batch's arrays.
     Returns a list of N Trajectories.
     """
-    from .controllers import torque_at  # local import: controllers import sim types
-
     if n_steps < 1:
         raise InvalidStateError("n_steps must be >= 1")
     if not 0 < dt < np.inf:  # NaN fails too

@@ -75,6 +75,10 @@ target_kps = 0.45, 0.5, 0.55
 dims = all
 """
 
+# SMALL_CFG's uniform scheme, which a gaussian edit replaces whole: the
+# uniform ranges are read only under the uniform scheme
+UNIFORM = "scheme = uniform\ncount = 24\nranges = 0.2:0.6, ~"
+
 
 @pytest.fixture()
 def cfg_file(tmp_path):
@@ -371,7 +375,7 @@ def test_the_fit_grid_is_every_stride_th_step_and_the_constraint_step(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(SMALL_CFG.replace("t_constraint = 120", "t_constraint = 130"))
     assert load_config(str(path)).timesteps == (0, 40, 80, 120, 130, 160, 200)
-    path.write_text(SMALL_CFG.replace("t_constraint = 120\n", ""))
+    path.write_text(SMALL_CFG.split("[planner]")[0])
     assert load_config(str(path)).timesteps == (0, 40, 80, 120, 160, 200)
 
 
@@ -1261,14 +1265,14 @@ def test_gp_optimize_other_than_true_is_rejected(tmp_path):
     (("align = none", "align = correlation\nmax_lag = 150"), "preprocess.max_lag"),
     (("n_restarts = 1", "n_restarts = 0"), "gp.n_restarts"),
     (("scheme = uniform", "scheme = gaussian\nlambda_rate = 0"), "perturbation.lambda_rate"),
-    (("scheme = uniform", "scheme = gaussian\nlambda_sweep = 50, -5"),
+    ((UNIFORM, "scheme = gaussian\ncount = 24\nlambda_sweep = 50, -5"),
      "perturbation.lambda_sweep"),
     (("count = 24", "count = 1"), "eval.holdout_fraction"),
     (("count = 24", "count = 2"), "eval.holdout_fraction"),
     (("count = 24", "count = 3"), "eval.holdout_fraction"),
     (("count = 24", "count = 4"), "eval.holdout_fraction"),
     (("holdout_fraction = 0.25", "holdout_fraction = 0.95"), "eval.holdout_fraction"),
-    (("scheme = uniform\ncount = 24", "scheme = gaussian\ncount = 5\nlambda_sweep = 5, 50, 500"),
+    ((UNIFORM, "scheme = gaussian\ncount = 5\nlambda_sweep = 5, 50, 500"),
      "eval.holdout_fraction"),
     (("label = cli_small", 'label = cli "small"'), "experiment.label"),
     (("seed = 5", "seed = 5.5"), "experiment.seed"),
@@ -1281,16 +1285,16 @@ def test_gp_optimize_other_than_true_is_rejected(tmp_path):
     (("n_steps = 200", "n_steps = abc"), "sim.n_steps"),
     (("label = cli_small", "label = a%b"), "experiment.label"),
     (("family = pd_feedback\n", ""), "policy.family: missing"),
-    (("scheme = uniform", "scheme = gaussian\nlambda_sweep = 0"), "perturbation.lambda_sweep"),
+    ((UNIFORM, "scheme = gaussian\ncount = 24\nlambda_sweep = 0"), "perturbation.lambda_sweep"),
     (("scheme = uniform", "scheme = gaussian\nlambda_sweep ="), "perturbation.lambda_sweep"),
     (("scheme = uniform", "scheme = gaussian\nn_per_lambda = 8"), "perturbation.n_per_lambda"),
     (("dt = 0.01", "dt = 0"), "sim.dt"),
     (("dt = 0.01", "dt = nan"), "sim.dt"),
     (("theta = 0.4, 0.01", "theta = 0.4"), "policy.theta"),
-    (("family = pd_feedback", "family = sinusoidal\njoints = 4"), "policy.joints"),
+    ((PD_POLICY, "family = sinusoidal\ntheta = 0.4, 0.01\njoints = 4\n"), "policy.joints"),
     (("n_steps = 200", "n_steps = 200\ntemporal_shift = 300"), "sim.temporal_shift"),
     (("n_steps = 200", "n_steps = 200\ntemporal_shift = 200"), "sim.temporal_shift"),
-    (("scheme = uniform", "scheme = gaussian\nlambda_sweep = 50, nan"),
+    ((UNIFORM, "scheme = gaussian\ncount = 24\nlambda_sweep = 50, nan"),
      "perturbation.lambda_sweep"),
     (("damping = 0.8", "damping = 0.8\ngravity_gain = nan"), "sim.gravity_gain"),
     (("damping = 0.8", "damping = nan"), "sim.damping"),
@@ -1300,8 +1304,26 @@ def test_gp_optimize_other_than_true_is_rejected(tmp_path):
     (("x0_angles = 1.5707963267948966, 1.5707963267948966, 3.141592653589793",
       "x0_angles = 4, 1, 1"), "sim.x0_angles"),
     (("n_steps = 200", "n_steps = 200\nspatial_std = nan, 0, 0"), "sim.spatial_std"),
+    (("damping = 0.8", "damping = 0.8\ngravity_gain = 0.3"), "sim.gravity_gain"),
+    (("scheme = uniform", "scheme = gaussian"), "perturbation.ranges"),
+    (("ranges = 0.2:0.6, ~", "ranges = 0.2:0.6, ~\nlambda_sweep = 50"),
+     "perturbation.lambda_sweep"),
+    (("align = none", "align = none\nmax_lag = 10"), "preprocess.max_lag"),
+    (("t_constraint = 120\ntarget_kps = 0.45, 0.5, 0.55\n", ""), "planner.dims"),
+    (("t_constraint = 120\n", ""), "planner.target_kps"),
+    (("family = pd_feedback", "family = linear_openloop"), "policy.x_star"),
+    (("family = pd_feedback", "family = sinusoidal"), "policy.x_star"),
+    ((PD_POLICY, "family = linear_openloop\ntheta = 0.4, 0.01\njoints = 1\n"), "policy.joints"),
+    (("family = pd_feedback\ntheta = 0.4, 0.01", "family = p_feedback\ntheta = 0.4\njoints = 1"),
+     "policy.joints"),
+    (("family = pd_feedback", "family = pd_feedback\njoints = 1"), "policy.joints"),
+    (("t_constraint = 120\ntarget_kps = 0.45, 0.5, 0.55\ndims = all\n", ""),
+     "planner.t_constraint"),
+    (("ranges = 0.2:0.6, ~", "ranges = 0.2:inf, ~"), "perturbation.ranges"),
+    ((UNIFORM, "scheme = gaussian\ncount = 24\nlambda_sweep = inf"), "perturbation.lambda_sweep"),
+    (("target_kps = 0.45, 0.5, 0.55", "target_kps = nan, 0.5, 0.55"), "planner.target_kps"),
 ])
-def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
+def test_unknown_config_keys_are_rejected(tmp_path, capsys, edit, name):
     # a misspelt key used to load silently and run with the key's default;
     # an invalid [sim] value escaped as an InvalidStateError, exit code 3, and
     # a t_constraint past n_steps failed the fit stage, exit code 3. A negative
@@ -1326,12 +1348,22 @@ def test_unknown_config_keys_are_rejected(tmp_path, edit, name):
     # ran (exit code 0), and so did a NaN spatial_std, with no noise at all; a
     # NaN damping or x_star failed the fit stage and an infinite damping the
     # evaluate stage, exit code 3; an x0 outside the joint limits failed the
-    # simulate stage, exit code 3, naming no key
+    # simulate stage, exit code 3, naming no key. A key that its settings do
+    # not read (gravity_gain under linear dynamics, the ranges of one scheme
+    # under the other, max_lag without alignment, a [planner] without
+    # t_constraint, a policy constant its family does not use) loaded, did
+    # nothing and still changed the fingerprint. An infinite ranges bound
+    # ended in an OverflowError traceback, exit code 1; an infinite rate
+    # failed the build stage and a NaN target_kps the plan stage, exit code 3
     bad = tmp_path / "bad.ini"
-    bad.write_text(SMALL_CFG.replace(*edit))
+    text = SMALL_CFG.replace(*edit)
+    assert text != SMALL_CFG
+    bad.write_text(text)
     with pytest.raises(ConfigError, match=re.escape(name)):
         load_config(str(bad))
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {name}")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("edit", [("seed = 5", "seed = 5\nseed = 6"),

@@ -99,6 +99,21 @@ def test_policy_spec_validation():
         PolicySpec("linear_openloop", [np.nan, 0, 0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("family, theta, fixed, field", [
+    ("pd_feedback", [1.0, 0.01], {"x_star": [np.nan, 1.0, 1.0]}, "x_star"),
+    ("pd_feedback", [1.0, 0.01], {"x_star": [1.0, 1.0]}, "x_star"),
+    ("pd_feedback", [1.0, 0.01], {"x_star": np.ones(3), "joints": (3,)}, "joints"),
+    ("sinusoidal", [0.5, 0.01], {"joints": (1,), "x_star": np.ones(3)}, "x_star"),
+    ("pd_feedback", [1.0, 0.01], {"bogus": 1}, "bogus"),
+], ids=["nan-x_star", "two-x_star", "joints-on-pd", "x_star-on-sinusoidal", "unknown"])
+def test_policy_spec_rejects_a_constant_its_family_does_not_read(family, theta, fixed, field):
+    # a NaN x_star rolled out NaN angles, a 2-value one raised a bare
+    # ValueError from reshape, and a constant the family does not read was
+    # kept and did nothing
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        PolicySpec(family, theta, fixed)
+
+
 def test_p_feedback_family_dispatch():
     pol = PolicySpec("p_feedback", [0.7], {"x_star": np.ones(3)})
     x, v = np.full(3, 0.3), np.full(3, -0.1)
