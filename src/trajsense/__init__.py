@@ -12,7 +12,6 @@ from .perturb import DirectionBasis, basis_directions, sample_gaussian, sample_u
 from .planner import PlanningProblem, plan_and_verify, solve_kp
 from .sensitivity import (
     JacobianStack,
-    MetricsRow,
     SampleSet,
     SensitivityModel,
     build_jacobian_stack,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import align
 from .controllers import FAMILIES, PolicySpec
-from .errors import ConfigError
+from .errors import ConfigError, InvalidStateError
 from .gp import N_RESTARTS
 from .perturb import SCHEMES, sample_gaussian, sample_uniform
 from .sim import DYNAMICS_TAGS, JOINT_HIGH, JOINT_LOW, START_POSE, DynamicsMode, JointState
@@ -80,8 +80,7 @@ _SCHEMA = {
     "experiment": {"label": (_LABEL, "experiment"), "seed": (int, 0)},
     "sim": {"mode": (_one_of(DYNAMICS_TAGS), "linear"),
             "dt": (_check(float, lambda v: 0 < v < np.inf, "a positive finite step"), 0.01),
-            "damping": (_check(float, lambda v: 0 <= v < np.inf, "a finite value >= 0"), 0.0),
-            "gravity_gain": (_check(float, np.isfinite, "a finite number"), 0.0),
+            "damping": (float, 0.0), "gravity_gain": (float, 0.0),  # DynamicsMode checks both
             "n_steps": (_POSITIVE, _REQUIRED),
             "x0_angles": (_check(_floats, lambda v: len(v) == 3 and
                                  np.all((JOINT_LOW <= v) & (v <= JOINT_HIGH)),
@@ -161,8 +160,11 @@ class ExperimentConfig:
     def __init__(self, parser):
         v = self._values = _read(parser)
         self.label, self.seed = v["experiment.label"], v["experiment.seed"]
-        self.mode = DynamicsMode(v["sim.mode"], damping=v["sim.damping"],
-                                 gravity_gain=v["sim.gravity_gain"])
+        try:
+            self.mode = DynamicsMode(v["sim.mode"], damping=v["sim.damping"],
+                                     gravity_gain=v["sim.gravity_gain"])
+        except InvalidStateError as exc:  # its message starts with the field at fault
+            raise ConfigError(f"sim.{exc}") from exc
         self.dt, self.n_steps = v["sim.dt"], v["sim.n_steps"]
         self.x0 = JointState(v["sim.x0_angles"], np.zeros(3))
         self.temporal_shift, self.spatial_std = v["sim.temporal_shift"], v["sim.spatial_std"]

@@ -43,6 +43,7 @@ class PolicySpec:
         if self.family not in FAMILIES:
             raise ConfigError(f"family: unknown controller family {self.family!r}")
         reads = FAMILIES[self.family]
+        self.fixed = dict(self.fixed)  # normalized below, apart from the caller's dict
         for key in self.fixed:
             if key not in reads:
                 raise ConfigError(f"{key}: {self.family} reads no {key}")
@@ -73,7 +74,7 @@ class PolicySpec:
             self.fixed["x_star"] = x_star
 
     def with_theta(self, theta):
-        return PolicySpec(self.family, theta, dict(self.fixed))
+        return PolicySpec(self.family, theta, self.fixed)
 
     def policy_id(self):
         params = ",".join(f"{v:.6g}" for v in self.theta)

@@ -49,8 +49,9 @@ from .errors import ConfigError, DependencyError, StageError
 from .planner import PlanningProblem, plan, plan_and_verify, with_kp  # noqa: F401
 # build_samples and fit_gp are not called here; they are imported only because
 # benchmark/tracing.py wraps pipeline.build_samples and pipeline.fit_gp
-from .sensitivity import (COS_BIN_EDGES, SensitivityModel, build_sample_sets,  # noqa: F401
-                          build_samples, evaluate, fit_gp, fit_sensitivity_model, voxelized)
+from .sensitivity import (COS_BIN_EDGES, PER_TIMESTEP_COLUMNS, SensitivityModel,  # noqa: F401
+                          build_sample_sets, build_samples, evaluate, fit_gp,
+                          fit_sensitivity_model, voxelized)
 from .sim import inject_spatial_noise, inject_temporal_noise, rollout, rollout_batch
 from .voxel import voxelize_trajectory
 
@@ -277,31 +278,29 @@ def stage_fit(cfg, out, workers=1, handoff=None):
 
 
 def stage_evaluate(cfg, out, handoff=None):
-    results, paths = [], []
+    """Each gamma's evaluate tables, then its METRICS row: the means of the
+    nmse, score and cos_mean columns; the first maximal score_avg is selected."""
+    summary, paths = [], []
     for gamma in cfg.gamma_sweep:
         # the plan stage may want the model again
         model = _input(out, MODEL.format(gamma), SensitivityModel.load, handoff, keep=True)
         test_samples = _input(out, SAMPLES.format("test", gamma), tio.read_samples, handoff)
-        row, per_t, hists = evaluate(model, test_samples, label=cfg.label)
-        results.append((gamma, row))
-
+        per_t, hists = evaluate(model, test_samples)
+        summary.append((cfg.label, gamma, *(per_t[:, k].mean() for k in (1, 2, 3)), len(per_t)))
         p1 = _output(out, PER_TIMESTEP.format(gamma))
-        tio.write_table(p1, "t,nmse,score,cos_mean,n_test", "%d,%.10g,%.10g,%.10g,%d\r\n",
-                        [(r.t, r.nmse, r.score, r.cos_mean, r.n_test) for r in per_t],
-                        end="\r\n")
+        tio.write_table(p1, ",".join(PER_TIMESTEP_COLUMNS), "%d,%.10g,%.10g,%.10g,%d\r\n",
+                        per_t, end="\r\n")
         p2 = _output(out, COS_HIST.format(gamma))
         tio.write_table(p2, "t,bin_lo,bin_hi,count", "%d,%.2f,%.2f,%d\n",
-                        [(t, lo, hi, count) for t in sorted(hists)
-                         for lo, hi, count in zip(COS_BIN_EDGES, COS_BIN_EDGES[1:], hists[t])])
+                        [(t, lo, hi, count) for t, counts in zip(per_t[:, 0], hists)
+                         for lo, hi, count in zip(COS_BIN_EDGES, COS_BIN_EDGES[1:], counts)])
         paths += [p1, p2]
 
-    best_gamma = max(results, key=lambda r: r[1].score_avg)[0]
-    summary = _output(out, METRICS)
-    tio.write_table(summary, ",".join(METRICS_COLUMNS),
-                    "%s,%g,%.10g,%.10g,%.10g,%d,%d\n",
-                    [(row.label, gamma, row.mse_avg, row.score_avg, row.cos_avg,
-                      row.n_timesteps, gamma == best_gamma) for gamma, row in results])
-    return paths + [summary]
+    best = max(range(len(summary)), key=lambda i: summary[i][3])
+    path = _output(out, METRICS)
+    tio.write_table(path, ",".join(METRICS_COLUMNS), "%s,%g,%.10g,%.10g,%.10g,%d,%d\n",
+                    [(*row, i == best) for i, row in enumerate(summary)])
+    return paths + [path]
 
 
 def best_gamma_of(out):

@@ -11,6 +11,8 @@ SampleSets (build_sample_sets), a linear reconstruction from orthonormal
 basis probes, and GP maps per timestep that generalize to new perturbations:
 one gp.ExactGP per timestep, with a column per angle dimension, all on one X,
 queried a block of perturbations at a time through model_at(t).predict.
+evaluate scores a model on held-out samples as one array, a row per scored
+timestep (PER_TIMESTEP_COLUMNS), and that row's cosine histogram.
 """
 
 import os
@@ -326,77 +328,54 @@ def gp_score(y_true, y_pred):
     u = float(np.sum((y_true - y_pred) ** 2))
     return 1.0 - u / v
 
+
+def _cosines(P, Y):
+    """The cosine between each row of P and of Y (N, d), clipped to [-1, 1], for the
+    rows where neither norm is below _NORM_FLOOR. Dots and norms are stacked
+    matmuls, which sum as `p @ y` and np.linalg.norm do on one row."""
+    def dot(A, B):
+        return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+    norm_p, norm_y = np.sqrt(dot(P, P)), np.sqrt(dot(Y, Y))
+    defined = ~(np.minimum(norm_p, norm_y) < _NORM_FLOOR)
+    return np.clip(dot(P[defined], Y[defined]) / (norm_p[defined] * norm_y[defined]), -1.0, 1.0)
+
+
 def cosine_alignment(pred, truth):
     """Cosine of the angle between predicted and true change vectors."""
-    pred = np.asarray(pred, dtype=float).reshape(-1)
-    truth = np.asarray(truth, dtype=float).reshape(-1)
-    np_, nt = np.linalg.norm(pred), np.linalg.norm(truth)
-    if np_ < _NORM_FLOOR or nt < _NORM_FLOOR:
+    cos = _cosines(*(np.asarray(v, dtype=float).reshape(1, -1) for v in (pred, truth)))
+    if not cos.size:
         raise UndefinedAlignmentError("cosine undefined for zero vector")
-    return float(np.clip(pred @ truth / (np_ * nt), -1.0, 1.0))
+    return float(cos[0])
 
 
-@dataclass
-class MetricsRow:
-    """Time-averaged quality of a fitted model on held-out perturbations."""
-
-    label: str
-    mse_avg: float
-    score_avg: float
-    cos_avg: float
-    n_timesteps: int = 0
+# the columns of evaluate's per-timestep array, in order
+PER_TIMESTEP_COLUMNS = ("t", "nmse", "score", "cos_mean", "n_test")
 
 
-@dataclass
-class TimestepMetrics:
-    t: int
-    nmse: float
-    score: float
-    cos_mean: float
-    n_test: int
-
-
-def evaluate(model, test_samples, label=""):
-    """Score the model on held-out samples: normalized MSE, GP score, cos.
-
-    Returns (MetricsRow, per-timestep TimestepMetrics list, histogram dict
-    t -> counts of cos alignment in the bins of COS_BIN_EDGES). Timesteps whose
-    ground truth is degenerate (all-zero change, fewer than 2 test samples)
-    are skipped.
-    """
+def evaluate(model, test_samples):
+    """Score the model on held-out samples: (per_t, hists), a (k, 5) array of
+    PER_TIMESTEP_COLUMNS per scored timestep and its (k, 20) cosine counts
+    over COS_BIN_EDGES. Per dimension of variance > _VAR_FLOOR, ratio is
+    SS_res/SS_tot: nmse is its mean, score the mean of 1 - ratio. A timestep
+    with < 2 rows, no such dimension or no defined cosine is skipped."""
     if not len(test_samples):
         raise ConfigError("empty held-out set")
-    n_test = len(test_samples.delta_x)
-    rows, hists = [], {}
+    X, n_test = test_samples.delta_theta, len(test_samples.delta_x)
+    rows, hists = [], []
     for t in model.timesteps:
         if t > test_samples.n_steps or n_test < 2:
             continue
-        X = test_samples.delta_theta
         Y = test_samples.delta_x[:, t]
         P, _ = model.model_at(t).predict(X, std=False)
         var = Y.var(axis=0)
         valid = var > _VAR_FLOOR
-        if not np.any(valid):
+        cos = _cosines(P, Y)
+        if not (np.any(valid) and cos.size):
             continue
-        nmse = float(np.mean(((P - Y) ** 2).mean(axis=0)[valid] / var[valid]))
-        score = float(np.mean([gp_score(Y[:, i], P[:, i])
-                               for i in np.flatnonzero(valid)]))
-        cosines = []
-        for p_row, y_row in zip(P, Y):
-            try:
-                cosines.append(cosine_alignment(p_row, y_row))
-            except UndefinedAlignmentError:
-                continue
-        if not cosines:
-            continue
-        hists[t] = np.histogram(cosines, bins=COS_BIN_EDGES)[0]
-        rows.append(TimestepMetrics(t=int(t), nmse=nmse, score=score,
-                                    cos_mean=float(np.mean(cosines)), n_test=n_test))
+        ratio = ((P - Y) ** 2).mean(axis=0)[valid] / var[valid]
+        rows.append((t, np.mean(ratio), np.mean(1.0 - ratio), np.mean(cos), n_test))
+        hists.append(np.histogram(cos, bins=COS_BIN_EDGES)[0])
     if not rows:
         raise ConfigError("no evaluable timesteps in the held-out set")
-    row = MetricsRow(label=label,
-                     mse_avg=float(np.mean([r.nmse for r in rows])),
-                     score_avg=float(np.mean([r.score for r in rows])),
-                     cos_avg=float(np.mean([r.cos_mean for r in rows])),
-                     n_timesteps=len(rows))
-    return row, rows, hists
+    return np.array(rows, dtype=float), np.array(hists)

@@ -52,7 +52,8 @@ DYNAMICS_TAGS = ("linear", "pendulum3")
 
 @dataclass
 class DynamicsMode:
-    """Dynamics selector: 'linear' (exactly solvable) or 'pendulum3'."""
+    """Dynamics selector: 'linear' (exactly solvable) or 'pendulum3'. An
+    InvalidStateError from its checks starts with the field at fault."""
 
     tag: str = "linear"
     damping: float = 0.0
@@ -60,9 +61,11 @@ class DynamicsMode:
 
     def __post_init__(self):
         if self.tag not in DYNAMICS_TAGS:
-            raise InvalidStateError(f"unknown dynamics tag {self.tag!r}")
-        if self.damping < 0:
-            raise InvalidStateError("damping must be nonnegative")
+            raise InvalidStateError(f"tag: unknown dynamics tag {self.tag!r}")
+        if not 0 <= self.damping < np.inf:
+            raise InvalidStateError(f"damping: need a finite value >= 0, got {self.damping}")
+        if not np.isfinite(self.gravity_gain):
+            raise InvalidStateError(f"gravity_gain: need a finite number, got {self.gravity_gain}")
 
 
 @dataclass

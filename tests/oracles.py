@@ -9,8 +9,8 @@ row-by-row csv-module writers for the file formats, hand-written rows for
 the metrics and plot tables, one GP query per point for the block queries,
 the former rollout loop, verification over the whole horizon, the former
 planner root scan and fixed-point solver, the former per-sample
-perturbation draws, and the former per-recording noise of the simulate
-stage. Keep this module free of trajsense
+perturbation draws, the former per-recording noise of the simulate
+stage, and the former per-row evaluate. Keep this module free of trajsense
 imports so the oracles cannot inherit a library bug.
 """
 
@@ -570,11 +570,95 @@ def former_recordings(cfg, clean):
     return [noise.apply(traj) for noise, traj in zip(noises, clean)]
 
 
+# -- the former evaluate ---------------------------------------------------------------
+# sensitivity.evaluate before it returned one per-timestep array: R² through
+# gp_score on each scored dimension, one cosine_alignment call per held-out
+# row, and a record per timestep and per model. Its errors are ValueErrors.
+
+_NORM_FLOOR = 1e-15
+_VAR_FLOOR = 1e-24
+COS_BIN_EDGES = np.linspace(-1.0, 1.0, 21)
+MetricsRow = namedtuple("MetricsRow", "label mse_avg score_avg cos_avg n_timesteps")
+TimestepMetrics = namedtuple("TimestepMetrics", "t nmse score cos_mean n_test")
+
+
+class DegenerateScoreError(ValueError):
+    pass
+
+
+class UndefinedAlignmentError(ValueError):
+    pass
+
+
+def gp_score(y_true, y_pred):
+    """Coefficient of determination: 1 - residual SS / total SS (best is 1)."""
+    y_true = np.asarray(y_true, dtype=float).reshape(-1)
+    y_pred = np.asarray(y_pred, dtype=float).reshape(-1)
+    if y_true.size < 2:
+        raise DegenerateScoreError("need at least 2 points")
+    v = float(np.sum((y_true - y_true.mean()) ** 2))
+    if v <= 0.0:
+        raise DegenerateScoreError("zero-variance ground truth")
+    u = float(np.sum((y_true - y_pred) ** 2))
+    return 1.0 - u / v
+
+
+def cosine_alignment(pred, truth):
+    """Cosine of the angle between predicted and true change vectors."""
+    pred = np.asarray(pred, dtype=float).reshape(-1)
+    truth = np.asarray(truth, dtype=float).reshape(-1)
+    np_, nt = np.linalg.norm(pred), np.linalg.norm(truth)
+    if np_ < _NORM_FLOOR or nt < _NORM_FLOOR:
+        raise UndefinedAlignmentError("cosine undefined for zero vector")
+    return float(np.clip(pred @ truth / (np_ * nt), -1.0, 1.0))
+
+
+def former_evaluate(model, test_samples, label=""):
+    """(MetricsRow, per-timestep TimestepMetrics list, histogram dict t ->
+    counts of cos alignment in the bins of COS_BIN_EDGES)."""
+    if not len(test_samples):
+        raise ValueError("empty held-out set")
+    n_test = len(test_samples.delta_x)
+    rows, hists = [], {}
+    for t in model.timesteps:
+        if t > test_samples.n_steps or n_test < 2:
+            continue
+        X = test_samples.delta_theta
+        Y = test_samples.delta_x[:, t]
+        P, _ = model.model_at(t).predict(X, std=False)
+        var = Y.var(axis=0)
+        valid = var > _VAR_FLOOR
+        if not np.any(valid):
+            continue
+        nmse = float(np.mean(((P - Y) ** 2).mean(axis=0)[valid] / var[valid]))
+        score = float(np.mean([gp_score(Y[:, i], P[:, i])
+                               for i in np.flatnonzero(valid)]))
+        cosines = []
+        for p_row, y_row in zip(P, Y):
+            try:
+                cosines.append(cosine_alignment(p_row, y_row))
+            except UndefinedAlignmentError:
+                continue
+        if not cosines:
+            continue
+        hists[t] = np.histogram(cosines, bins=COS_BIN_EDGES)[0]
+        rows.append(TimestepMetrics(t=int(t), nmse=nmse, score=score,
+                                    cos_mean=float(np.mean(cosines)), n_test=n_test))
+    if not rows:
+        raise ValueError("no evaluable timesteps in the held-out set")
+    row = MetricsRow(label=label,
+                     mse_avg=float(np.mean([r.nmse for r in rows])),
+                     score_avg=float(np.mean([r.score for r in rows])),
+                     cos_avg=float(np.mean([r.cos_mean for r in rows])),
+                     n_timesteps=len(rows))
+    return row, rows, hists
+
+
 # -- hand-written metrics and plot tables --------------------------------------------
 # The metrics and plot CSVs as the evaluate stage and emit-plots wrote them
 # before every table went through one writer: row by row, with the csv module
-# or with f-strings. Rows, models and histograms are duck typed (MetricsRow and
-# TimestepMetrics fields; model_at(t).predict, timesteps, delta_low and
+# or with f-strings. Rows, models and histograms are duck typed (the fields
+# of former_evaluate's records; model_at(t).predict, timesteps, delta_low and
 # delta_high); voxelize(angles, gamma) stands in for the voxel grid.
 
 

@@ -26,7 +26,7 @@ from trajsense.config import load_config
 from trajsense.errors import ConfigError, DatasetError, FitError, StageError
 from trajsense.gp import ExactGP
 from trajsense.pipeline import emit_plot_data, run_pipeline
-from trajsense.sensitivity import (COS_BIN_EDGES, SensitivityModel, build_samples, evaluate,
+from trajsense.sensitivity import (COS_BIN_EDGES, SensitivityModel, build_samples,
                                    fit_sensitivity_model)
 from trajsense.sim import START_POSE
 from trajsense.voxel import voxelize_trajectory
@@ -479,7 +479,8 @@ def test_emit_plots_all_kinds(cfg_file, tmp_path):
 def test_metrics_and_plot_tables_match_the_hand_written_writers(finished_run, tmp_path):
     # every metrics table and every emit-plots kind, byte for byte against the
     # row-by-row writers the evaluate stage and emit-plots used before they
-    # shared io.write_table; quiver, voxel_overlap and planning had no test
+    # shared io.write_table, the metrics fed by the former per-row evaluate;
+    # quiver, voxel_overlap and planning had no test
     cfg_file, done = finished_run
     cfg, out = load_config(cfg_file), str(tmp_path / "out")
     shutil.copytree(done, out)
@@ -495,7 +496,7 @@ def test_metrics_and_plot_tables_match_the_hand_written_writers(finished_run, tm
     for gamma in cfg.gamma_sweep:
         tag = f"g{gamma:g}"
         model = SensitivityModel.load(os.path.join(out, f"models/model_{tag}.npz"))
-        row, per_t, hists = evaluate(model, tio.read_samples(
+        row, per_t, hists = oracles.former_evaluate(model, tio.read_samples(
             os.path.join(out, f"samples/test_{tag}.csv")), label=cfg.label)
         results.append((gamma, row))
         # the gamma's one summary row is its row of metrics.csv

@@ -114,6 +114,17 @@ def test_policy_spec_rejects_a_constant_its_family_does_not_read(family, theta, 
         PolicySpec(family, theta, fixed)
 
 
+def test_policy_spec_leaves_the_callers_constants_alone():
+    # x_star became an ndarray and joints a tuple of ints in the caller's dict
+    pd_fixed, sin_fixed = {"x_star": [0.3, 2.3, 1.8]}, {"joints": [2.0]}
+    pd = PolicySpec("pd_feedback", [0.4, 0.01], pd_fixed)
+    sin = PolicySpec("sinusoidal", [0.5, 0.01], sin_fixed)
+    assert pd_fixed == {"x_star": [0.3, 2.3, 1.8]} and sin_fixed == {"joints": [2.0]}
+    assert isinstance(pd.fixed["x_star"], np.ndarray) and sin.fixed["joints"] == (2,)
+    moved = pd.with_theta([0.5, 0.01])
+    assert moved.fixed is not pd.fixed and np.array_equal(moved.fixed["x_star"], pd.fixed["x_star"])
+
+
 def test_p_feedback_family_dispatch():
     pol = PolicySpec("p_feedback", [0.7], {"x_star": np.ones(3)})
     x, v = np.full(3, 0.3), np.full(3, -0.1)

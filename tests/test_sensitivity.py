@@ -36,7 +36,7 @@ from trajsense.errors import (
     UntrainedTimestepError,
 )
 from trajsense.gp import ExactGP, _cholesky_with_jitter
-from trajsense.sensitivity import SensitivityModel
+from trajsense.sensitivity import PER_TIMESTEP_COLUMNS, SensitivityModel
 from trajsense import io as tio
 from trajsense.sensitivity import align_recording
 from trajsense.sim import START_POSE, inject_temporal_noise, rollout_batch
@@ -679,20 +679,54 @@ def test_cosine_alignment_cases():
 def test_evaluate_perfect_model_on_identical_data():
     samples, _ = linear_map_samples(n=40, seed=8)
     model = fit_sensitivity_model(samples, timesteps=[10])
-    row, per_t, hists = evaluate(model, samples, label="self")
-    assert row.score_avg >= 1.0 - 1e-6
-    assert row.mse_avg <= 1e-10
-    assert row.cos_avg >= 1.0 - 1e-6
-    assert per_t[0].t == 10
-    assert hists[10].sum() == 40
-    assert hists[10].shape == (20,)
+    per_t, hists = evaluate(model, samples)
+    col = dict(zip(PER_TIMESTEP_COLUMNS, per_t.T))
+    assert col["score"].mean() >= 1.0 - 1e-6
+    assert col["nmse"].mean() <= 1e-10
+    assert col["cos_mean"].mean() >= 1.0 - 1e-6
+    assert col["t"][0] == 10
+    assert hists[0].sum() == 40
+    assert hists[0].shape == (20,)
 
 
 def test_evaluate_rejects_empty_heldout():
     samples, _ = linear_map_samples()
     model = fit_sensitivity_model(samples, timesteps=[10])
     with pytest.raises(ConfigError):
-        evaluate(model, SampleSet(np.empty((0, 2)), np.empty((0, 0, 3))), label="x")
+        evaluate(model, SampleSet(np.empty((0, 2)), np.empty((0, 0, 3))))
+
+
+def test_evaluate_equals_the_former_per_row_loop():
+    # held out: at t = 4 the model predicts exactly zero (all-zero training
+    # targets), so no cosine is defined and the timestep is skipped; at t = 7
+    # row 0's truth is zero; at t = 10 dimension 2 has no variance
+    rng = np.random.default_rng(3)
+    J = np.array([[0.5, -0.2], [0.1, 0.8], [-0.3, 0.4]])
+
+    def samples(n):
+        D = rng.uniform(-1, 1, size=(n, 2))
+        delta_x = np.zeros((n, 11, 3))
+        delta_x[:, 7] = np.sin(2 * D @ J.T)
+        delta_x[:, 10] = D @ J.T
+        return SampleSet(D, delta_x)
+
+    model = fit_sensitivity_model(samples(30), timesteps=[4, 7, 10])
+    test = samples(12)
+    test.delta_x[:, 4] = rng.normal(size=(12, 3))
+    test.delta_x[0, 7] = 0.0
+    test.delta_x[:, 10, 2] = 0.25
+    row, rows, former_hists = oracles.former_evaluate(model, test)
+    per_t, hists = evaluate(model, test)
+    col = dict(zip(PER_TIMESTEP_COLUMNS, per_t.T))
+    assert np.array_equal(col["t"], [7, 10]) and [r.t for r in rows] == [7, 10]
+    for name in ("nmse", "cos_mean", "n_test"):
+        assert np.array_equal(col[name], [getattr(r, name) for r in rows]), name
+    assert np.array_equal(hists, [former_hists[t] for t in (7, 10)])
+    assert hists[0].sum() == 11 and hists[1].sum() == 12
+    assert col["nmse"].mean() == row.mse_avg and col["cos_mean"].mean() == row.cos_avg
+    for mine, former in [*zip(col["score"], [r.score for r in rows]),
+                         (col["score"].mean(), row.score_avg)]:
+        assert abs(mine - former) <= 1e-14 * max(1.0, abs(former))
 
 
 def test_alignment_improves_with_time_under_startup_jitter():
@@ -722,8 +756,8 @@ def test_alignment_improves_with_time_under_startup_jitter():
                                           {"joints": (1,)}),
                                JointState(START_POSE, np.zeros(3)), T, DT, mode))
                    for d, _ in test]
-    _, per_t, _ = evaluate(model, build_samples(source, clean_pairs))
-    n = len(per_t)
-    early = np.median([r.cos_mean for r in per_t[: max(1, n // 5)]])
-    late = np.median([r.cos_mean for r in per_t[-max(1, n // 5):]])
+    per_t, _ = evaluate(model, build_samples(source, clean_pairs))
+    n, cos_mean = len(per_t), per_t[:, PER_TIMESTEP_COLUMNS.index("cos_mean")]
+    early = np.median(cos_mean[: max(1, n // 5)])
+    late = np.median(cos_mean[-max(1, n // 5):])
     assert late >= early

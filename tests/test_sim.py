@@ -60,6 +60,18 @@ def test_nonfinite_inputs_rejected():
         JointState(np.array([np.nan, 0, 0]), np.zeros(3))
 
 
+@pytest.mark.parametrize("fields, field", [
+    ({"damping": -0.8}, "damping"), ({"damping": np.nan}, "damping"),
+    ({"damping": np.inf}, "damping"), ({"gravity_gain": np.nan}, "gravity_gain"),
+    ({"gravity_gain": -np.inf}, "gravity_gain"),
+])
+def test_dynamics_mode_rejects_a_bad_constant(fields, field):
+    # a NaN damping or gravity gain rolled out NaN angles without an error
+    for tag in ("linear", "pendulum3"):
+        with pytest.raises(InvalidStateError, match=f"^{field}: "):
+            DynamicsMode(tag, **fields)
+
+
 def test_step_rejects_nonpositive_dt():
     with pytest.raises(InvalidStateError):
         rollout(constant_torque(np.zeros(3)), zero_state(), 1, 0.0, LINEAR)
