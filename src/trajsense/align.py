@@ -48,19 +48,17 @@ class NoiseClass:
     residual_l1: float
 
 
-def _check_compatible(ref, other):
-    if ref.dt != other.dt:
-        raise ConfigError("trajectories must share dt")
-    if ref.angles.shape != other.angles.shape:
-        raise ConfigError("trajectories must share length and dimension")
-
-
-def _check_window(ref, other, max_lag):
-    """_check_compatible, and a lag window that leaves each lag an overlap
-    longer than half the trajectory."""
-    _check_compatible(ref, other)
-    if not 1 <= max_lag < ref.n_steps / 2:
-        raise ConfigError("max_lag must satisfy 1 <= max_lag < T/2")
+def _check_pair(ref, other, max_lag=None):
+    """A ConfigError naming both recordings (by meta["path"]) unless they
+    share dt and angle shape and, with a max_lag, 1 <= max_lag < T/2, so
+    that each lag leaves an overlap longer than half the trajectory."""
+    a, b = (f"{traj.meta.get('path', name)} ({traj.n_steps} steps, dt {traj.dt})"
+            for traj, name in ((ref, "reference"), (other, "other")))
+    if ref.dt != other.dt or ref.angles.shape != other.angles.shape:
+        raise ConfigError(f"{a} and {b} must share dt, length and dimension")
+    if max_lag is not None and not 1 <= max_lag < ref.n_steps / 2:
+        raise ConfigError(f"max_lag must satisfy 1 <= max_lag < T/2 = {ref.n_steps / 2:g}, "
+                          f"got {max_lag} for {a} and {b}")
 
 
 def _overlap(other, ref, tau):
@@ -142,7 +140,7 @@ def estimate_delay(ref, other, max_lag=DEFAULT_MAX_LAG):
     between the shifted other and ref; ties break toward the smallest |tau|.
     inject_temporal_noise(other, tau_star) then best aligns other with ref.
     """
-    _check_window(ref, other, max_lag)
+    _check_pair(ref, other, max_lag)
     corrs = _lag_correlations(ref, other, max_lag)
     tau, peak = _pick_peak(corrs, max_lag)
     return DelayEstimate(tau_star=int(tau), correlation_peak=float(peak), method="correlation")
@@ -165,7 +163,7 @@ def align_zero_crossing(ref, other):
     moves other's landmark onto ref's; raises LandmarkMissingError when
     either trajectory never crosses.
     """
-    _check_compatible(ref, other)
+    _check_pair(ref, other)
     c_ref = _first_zero_crossing(ref.velocities[:, 0])
     c_other = _first_zero_crossing(other.velocities[:, 0])
     if c_ref is None or c_other is None:
@@ -191,7 +189,7 @@ def classify_noise(ref, other, epsilon, max_lag=DEFAULT_MAX_LAG):
     residual at or below epsilon; otherwise no shift explains the difference
     and the noise is spatial.
     """
-    _check_window(ref, other, max_lag)
+    _check_pair(ref, other, max_lag)
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
     residuals = [shift_residual(ref, other, tau) for tau in range(-max_lag, max_lag + 1)]

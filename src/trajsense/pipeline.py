@@ -243,9 +243,7 @@ def stage_build(cfg, out, handoff=None):
 
 
 def _fit_chain(args):
-    samples, timesteps, n_restarts, seed, source, nominal_theta = args
-    return fit_sensitivity_model(samples, timesteps, n_restarts=n_restarts, seed=seed,
-                                 source=source, nominal_theta=nominal_theta)
+    return fit_sensitivity_model(*args)
 
 
 def stage_fit(cfg, out, workers=1, handoff=None):
@@ -257,8 +255,8 @@ def stage_fit(cfg, out, workers=1, handoff=None):
     def chains():
         for gamma in cfg.gamma_sweep:
             samples = _input(out, SAMPLES.format("train", gamma), tio.read_samples, handoff)
-            yield (samples, cfg.timesteps, cfg.n_restarts, cfg.seed,
-                   voxelized(source, gamma), cfg.policy.theta)
+            yield (samples, cfg.timesteps, voxelized(source, gamma), cfg.policy.theta,
+                   cfg.n_restarts, cfg.seed)
 
     # a process per gamma at most: one gamma fits in this process
     workers = min(workers, len(cfg.gamma_sweep))
@@ -331,10 +329,9 @@ def plan_target(cfg, model, t, x_target, dims):
     (PlanReport, planned Trajectory). A model trained around another
     nominal theta than cfg's is a ConfigError naming both."""
     theta = cfg.policy.theta
-    nominal = model.nominal_theta
-    if nominal is not None and not np.array_equal(nominal, theta):
+    if not np.array_equal(model.nominal_theta, theta):
         raise ConfigError(f"policy.theta {theta.tolist()} differs from the model's "
-                          f"nominal_theta {nominal.tolist()}")
+                          f"nominal_theta {model.nominal_theta.tolist()}")
     problem = PlanningProblem(
         source_kp=float(theta[0]), fixed_kd=float(theta[1]) if theta.size > 1 else 0.0,
         t_constraint=t, x_target_t=x_target,

@@ -10,7 +10,9 @@ Three views of the same map are provided: the raw differences as dense
 SampleSets (build_sample_sets), a linear reconstruction from orthonormal
 basis probes, and GP maps per timestep that generalize to new perturbations:
 one gp.ExactGP per timestep, with a column per angle dimension, all on one X,
-queried a block of perturbations at a time through model_at(t).predict.
+queried a block of perturbations at a time through model_at(t).predict. A
+SensitivityModel always carries the nominal theta its maps perturb and the
+source angles at its timesteps, and reads its trained range from that X.
 evaluate scores a model on held-out samples as one array, a row per scored
 timestep (PER_TIMESTEP_COLUMNS), and that row's cosine histogram.
 """
@@ -151,16 +153,17 @@ def build_jacobian_stack(rollout_fn, basis, timesteps=None):
     return JacobianStack(matrices=matrices, basis=basis)
 
 
-def reconstruct_linear(stack, basis, delta_theta, t):
+def reconstruct_linear(stack, delta_theta, t):
     """Directional derivative along an arbitrary delta_theta at timestep t.
 
-    Computes matrices[t] @ (Lambda^T delta_theta): exact when the dynamics
-    are linear in the parameters, first-order accurate otherwise.
+    Computes matrices[t] @ (Lambda^T delta_theta), with the Lambda of the
+    basis the stack was probed along: exact when the dynamics are linear in
+    the parameters, first-order accurate otherwise.
     """
     if t not in stack.matrices:
         raise UntrainedTimestepError(f"no basis probe at timestep {t}")
     delta_theta = np.asarray(delta_theta, dtype=float).reshape(-1)
-    return stack.matrices[t] @ (basis.Lambda.T @ delta_theta)
+    return stack.matrices[t] @ (stack.basis.Lambda.T @ delta_theta)
 
 
 # -- per-timestep GP maps -----------------------------------------------------
@@ -174,11 +177,14 @@ def fit_gp(samples, t, n_restarts=N_RESTARTS, seed=0, warm=None):
     nothing, which anchors the small-perturbation behavior exactly. warm, the
     map of another timestep fitted on the same samples, lends each
     dimension's optimum as a warm start; a degenerate (flat) dimension lends
-    none. A dimension that cannot be fitted raises FitError naming the
-    timestep and the dimension.
+    none. Fewer than 2 samples or a t outside 0..n_steps is an
+    InsufficientDataError; a dimension that cannot be fitted raises FitError
+    naming the timestep and the dimension.
     """
-    if len(samples.delta_x) < 2 or not 0 <= t <= samples.n_steps:
+    if len(samples.delta_x) < 2:
         raise InsufficientDataError(f"need >= 2 samples at timestep {t}")
+    if not 0 <= t <= samples.n_steps:
+        raise InsufficientDataError(f"timestep {t} is outside 0..{samples.n_steps}")
     dtheta, dx = samples.delta_theta, samples.delta_x[:, t]
     X = np.vstack([np.zeros((1, dtheta.shape[1])), dtheta])
     Y = np.vstack([np.zeros((1, dx.shape[1])), dx])
@@ -192,20 +198,23 @@ def fit_gp(samples, t, n_restarts=N_RESTARTS, seed=0, warm=None):
 
 class SensitivityModel:
     """The per-timestep GP maps, t -> ExactGP with a column per angle
-    dimension, the source angles at those timesteps, t -> (d,), which the
-    planner needs, and training metadata."""
+    dimension, all on one X; the source angles at those timesteps, t -> (d,),
+    which the planner needs; and the nominal theta the maps perturb. The
+    trained range delta_low..delta_high is X's without its pinned origin
+    (row 0). A map on another X is a DatasetError naming its timestep."""
 
-    def __init__(self, models, nominal_theta=None, delta_low=None, delta_high=None,
-                 source_angles=None):
+    def __init__(self, models, source_angles, nominal_theta):
         self.models = dict(models)
-        self.source_angles = dict(source_angles or {})
-        self.nominal_theta = None if nominal_theta is None else np.asarray(nominal_theta, float)
-        self.delta_low = None if delta_low is None else np.asarray(delta_low, float)
-        self.delta_high = None if delta_high is None else np.asarray(delta_high, float)
-
-    @property
-    def timesteps(self):
-        return sorted(self.models)
+        self.timesteps = sorted(self.models)
+        if not self.timesteps:
+            raise DatasetError("a sensitivity model needs a map at one timestep at least")
+        X = self.models[self.timesteps[0]].state()[0]
+        for t in self.timesteps:
+            if not np.array_equal(self.models[t].state()[0], X):
+                raise DatasetError(f"timestep {t}: training inputs are not the shared X")
+        self.delta_low, self.delta_high = X[1:].min(axis=0), X[1:].max(axis=0)
+        self.source_angles = dict(source_angles)
+        self.nominal_theta = np.asarray(nominal_theta, dtype=float)
 
     def model_at(self, t):
         if t not in self.models:
@@ -214,34 +223,25 @@ class SensitivityModel:
 
     def source_angles_at(self, t):
         self.model_at(t)
-        if t not in self.source_angles:
-            raise UntrainedTimestepError(f"no source state stored at timestep {t}")
         return self.source_angles[t]
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path):
         """One .npz (README: File formats) with the X all maps share stored
-        once; a map on other inputs is a DatasetError naming its timestep."""
+        once."""
         Xs, ys, phis = zip(*(self.models[t].state() for t in self.timesteps))
-        for t, X in zip(self.timesteps, Xs):
-            if not np.array_equal(X, Xs[0]):
-                raise DatasetError(f"timestep {t}: training inputs are not the shared X")
-        arrays = {"timesteps": np.array(self.timesteps, dtype=int), "X": Xs[0],
-                  "y": np.array(ys), "phi": np.array(phis)}
-        if self.source_angles:
-            arrays["src"] = np.array([self.source_angles[t] for t in self.timesteps])
-        for key in ("nominal_theta", "delta_low", "delta_high"):
-            if getattr(self, key) is not None:
-                arrays[key] = getattr(self, key)
-        np.savez_compressed(path, **arrays)
+        np.savez_compressed(path, timesteps=np.array(self.timesteps, dtype=int), X=Xs[0],
+                            y=np.array(ys), phi=np.array(phis),
+                            src=np.array([self.source_angles[t] for t in self.timesteps]),
+                            nominal_theta=self.nominal_theta)
 
     @classmethod
     def load(cls, path):
-        """The model `save` wrote. A file that is not an .npz, one of a former
-        layout, one without an array of `save` and one whose array is not
-        finite numbers of the shape the others imply are ConfigErrors naming
-        the file (and the array)."""
+        """The model `save` wrote. A file that is not an .npz, one without an
+        array of `save` and one whose array is not finite numbers of the shape
+        the others imply are ConfigErrors naming the file (and the array);
+        other arrays in the file are not read."""
         if not os.path.isfile(path):
             raise ConfigError(f"model file not found: {path}")
         try:
@@ -250,12 +250,10 @@ class SensitivityModel:
         except (OSError, ValueError, EOFError, TypeError) as exc:
             # TypeError: np.load of an .npy is one array, not a context manager
             raise ConfigError(f"{path}: not a model .npz file: {exc}") from exc
-        if "X" not in data:
-            raise ConfigError(f"{path}: no shared X; a model file of a former layout, "
-                              "refit it (remove models/ and rerun)")
-        for key in ("timesteps", "y", "phi"):
+        for key in ("timesteps", "X", "y", "phi", "src", "nominal_theta"):
             if key not in data:
-                raise ConfigError(f"{path}: no {key!r} array in the model file")
+                raise ConfigError(f"{path}: no {key!r} array in the model file; refit it "
+                                  "(remove the run's models/ and rerun)")
 
         def shape(key, ndim):
             # a member that is no .npy loads as its raw bytes
@@ -268,15 +266,13 @@ class SensitivityModel:
 
         (n, m), (n_t,), d = shape("X", 2), shape("timesteps", 1), shape("y", 3)[-1]
         for key, want in (("y", (n_t, n, d)), ("phi", (n_t, d, m + 2)), ("src", (n_t, d)),
-                          ("nominal_theta", (m,)), ("delta_low", (m,)), ("delta_high", (m,))):
-            if key in data and shape(key, len(want)) != want:
+                          ("nominal_theta", (m,))):
+            if shape(key, len(want)) != want:
                 raise ConfigError(f"{path}: {key!r} has shape {data[key].shape}, need {want} "
                                   f"for {n_t} timesteps of X {(n, m)}")
-        T, src = [int(t) for t in data["timesteps"]], data.get("src")
+        T = [int(t) for t in data["timesteps"]]
         return cls(dict(zip(T, ExactGP.from_states(data["X"], data["y"], data["phi"]))),
-                   nominal_theta=data.get("nominal_theta"),
-                   delta_low=data.get("delta_low"), delta_high=data.get("delta_high"),
-                   source_angles=None if src is None else dict(zip(T, src)))
+                   dict(zip(T, data["src"])), data["nominal_theta"])
 
     def summary_lines(self):
         lines = []
@@ -292,25 +288,19 @@ class SensitivityModel:
         return lines
 
 
-def fit_sensitivity_model(samples, timesteps, n_restarts=N_RESTARTS, seed=0, source=None,
-                          nominal_theta=None):
-    """Fit the GP maps at the given timesteps and bundle them into a model.
+def fit_sensitivity_model(samples, timesteps, source, nominal_theta, n_restarts=N_RESTARTS,
+                          seed=0):
+    """Fit the GP maps at the given timesteps into a model around nominal_theta
+    that stores the source trajectory's angles at those timesteps.
 
     The timesteps are fitted in ascending order as one chain: each fit starts
     one restart from the previous timestep's optimum (fit_gp's warm), since
-    neighbouring maps are close. The source trajectory, when given, stores
-    the per-timestep nominal angles the planner needs.
+    neighbouring maps are close.
     """
     models, prev = {}, None
     for t in sorted({int(t) for t in timesteps}):
-        if not 0 <= t <= samples.n_steps:
-            raise ConfigError(f"no samples at requested timestep {t}")
         prev = models[t] = fit_gp(samples, t, n_restarts=n_restarts, seed=seed, warm=prev)
-    return SensitivityModel(models, nominal_theta=nominal_theta,
-                            delta_low=samples.delta_theta.min(axis=0),
-                            delta_high=samples.delta_theta.max(axis=0),
-                            source_angles=None if source is None
-                            else {t: source.angles[t] for t in models})
+    return SensitivityModel(models, {t: source.angles[t] for t in models}, nominal_theta)
 
 
 # -- metrics ------------------------------------------------------------------

@@ -199,8 +199,7 @@ def csv_write_perturbations(nominal, deltas, path):
 
 def per_point_predict_curve(model, problem, deltas, dims):
     """The (deltas.size, len(dims)) curve, one single-row query per gain in `deltas`."""
-    m = model.nominal_theta.size if model.nominal_theta is not None else \
-        model.delta_low.size
+    m = model.nominal_theta.size
     curve = np.empty((deltas.size, len(dims)))
     for i, d in enumerate(deltas):
         dq = np.zeros(m)

@@ -4,6 +4,7 @@ nowhere else."""
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_criterion_2_reconstruction_first_order():
         u /= np.linalg.norm(u)
         for scale, bucket in ((0.12, coarse), (0.06, fine)):
             truth = run(scale * u)[t_check] - base[t_check]
-            recon = reconstruct_linear(stack, basis, scale * u, t_check)
+            recon = reconstruct_linear(stack, scale * u, t_check)
             bucket.append(np.linalg.norm(recon - truth))
     ratio = np.mean(coarse) / np.mean(fine)
     elapsed = time.perf_counter() - start
@@ -146,7 +147,7 @@ split_seed = 3
 
 
 def _best_metrics_row(out):
-    lines = open(os.path.join(out, "metrics", "metrics.csv")).read().splitlines()
+    lines = Path(out, "metrics", "metrics.csv").read_text().splitlines()
     for line in lines[1:]:
         parts = line.split(",")
         if parts[-1] == "1":
@@ -339,8 +340,8 @@ def test_criterion_8_run_determinism(tmp_path):
     identical = True
     metric_dir = os.path.join(out1, "metrics")
     for name in sorted(os.listdir(metric_dir)):
-        a = open(os.path.join(out1, "metrics", name), "rb").read()
-        b = open(os.path.join(out2, "metrics", name), "rb").read()
+        a = Path(out1, "metrics", name).read_bytes()
+        b = Path(out2, "metrics", name).read_bytes()
         if a != b:
             identical = False
     _report(8, identical,

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from trajsense.errors import ConfigError, DatasetError, FitError, StageError
 from trajsense.gp import ExactGP
 from trajsense.pipeline import emit_plot_data, run_pipeline
 from trajsense.sensitivity import (COS_BIN_EDGES, SensitivityModel, build_samples,
-                                   fit_sensitivity_model)
+                                   fit_sensitivity_model, voxelized)
 from trajsense.sim import START_POSE
 from trajsense.voxel import voxelize_trajectory
 
@@ -105,8 +106,8 @@ def test_pipeline_reruns_are_byte_identical(cfg_file, tmp_path):
     run_pipeline(load_config(cfg_file), out2)
     for rel in ("metrics/metrics.csv", "metrics/per_timestep_g0.csv", "samples/train_g0.csv",
                 "planning/report.txt"):
-        a = open(os.path.join(out1, rel), "rb").read()
-        b = open(os.path.join(out2, rel), "rb").read()
+        a = Path(out1, rel).read_bytes()
+        b = Path(out2, rel).read_bytes()
         assert a == b, rel
 
 
@@ -229,8 +230,8 @@ def test_perturb_writes_the_perturbations_simulate_writes(tmp_path, edits):
     assert main(["perturb", "--config", str(path), "--out", alone]) == 0
     assert main(["simulate", "--config", str(path), "--out", simulated]) == 0
     rel = os.path.join("samples", "perturbations.csv")
-    written = open(os.path.join(alone, rel), "rb").read()
-    assert written == open(os.path.join(simulated, rel), "rb").read()
+    written = Path(alone, rel).read_bytes()
+    assert written == Path(simulated, rel).read_bytes()
     assert written.count(b"\r\n") == 1 + 24
 
 
@@ -264,8 +265,8 @@ def test_run_with_a_seed_flag_equals_a_config_with_that_seed(tmp_path):
     assert main(["run", "--config", str(seeded), "--out", b]) == 0
     dirs = ("trajectories", "samples", "models", "metrics", "planning")
     assert _tree(a, *dirs) == _tree(b, *dirs)
-    assert open(os.path.join(a, "manifest.ini")).read() == \
-        open(os.path.join(b, "manifest.ini")).read()
+    assert Path(a, "manifest.ini").read_text() == \
+        Path(b, "manifest.ini").read_text()
     assert pipeline.Manifest(a).stages != {}
     c = str(tmp_path / "c")
     assert main(["run", "--config", str(flagged), "--out", c]) == 0
@@ -311,8 +312,8 @@ def test_workers_do_not_change_results(tmp_path):
     out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
     run_pipeline(load_config(str(path)), out1, workers=1)
     run_pipeline(load_config(str(path)), out2, workers=2)
-    a = open(os.path.join(out1, "metrics", "metrics.csv")).read()
-    b = open(os.path.join(out2, "metrics", "metrics.csv")).read()
+    a = Path(out1, "metrics", "metrics.csv").read_text()
+    b = Path(out2, "metrics", "metrics.csv").read_text()
     assert a == b
     models = {k: v for k, v in _tree(out1, "models").items() if k.endswith(".npz")}
     assert len(models) == 2
@@ -388,10 +389,11 @@ def test_stage_fit_runs_the_chain_of_fit_sensitivity_model(tmp_path):
     train = {g: handoff[os.path.join(out, "samples", f"train_g{g:g}.csv")]
              for g in cfg.gamma_sweep}
     pipeline.stage_fit(cfg, out, 1, handoff)
+    source = tio.read_trajectory(os.path.join(out, pipeline.SOURCE))
     for gamma, samples in train.items():
         staged = handoff[os.path.join(out, "models", f"model_g{gamma:g}.npz")]
-        alone = fit_sensitivity_model(samples, cfg.timesteps,
-                                      n_restarts=2, seed=cfg.seed)
+        alone = fit_sensitivity_model(samples, cfg.timesteps, voxelized(source, gamma),
+                                      cfg.policy.theta, n_restarts=2, seed=cfg.seed)
         assert staged.timesteps == alone.timesteps
         for t in alone.timesteps:
             assert np.array_equal(staged.model_at(t).state()[2],
@@ -438,7 +440,7 @@ def test_build_aligns_each_recording_once(tmp_path, monkeypatch, method, policy,
             ref = str(tmp_path / "ref.csv")
             tio.write_samples(build_samples(source, [pairs[i] for i in idx],
                                             cfg.align_method, cfg.max_lag, gamma), ref)
-            expected[f"{name}_g{gamma:g}.csv"] = open(ref, "rb").read()
+            expected[f"{name}_g{gamma:g}.csv"] = Path(ref).read_bytes()
 
     calls = {"estimate_delay": [], "align_zero_crossing": []}
     for fn in calls:
@@ -452,7 +454,7 @@ def test_build_aligns_each_recording_once(tmp_path, monkeypatch, method, policy,
         assert sorted(seen) == (raw if fn in aligners else []), fn
     assert sorted(os.path.basename(p) for p in paths) == sorted(expected)
     for p in paths:
-        assert open(p, "rb").read() == expected[os.path.basename(p)], p
+        assert Path(p).read_bytes() == expected[os.path.basename(p)], p
 
     # a recording of the wrong length is a dataset error before any alignment
     short = tio.read_trajectory(os.path.join(traj_dir, "sample_0003.csv"))
@@ -473,7 +475,7 @@ def test_emit_plots_all_kinds(cfg_file, tmp_path):
                  "planning"):
         path = os.path.join(out, "plots", f"{kind}.csv")
         assert os.path.exists(path)
-        assert len(open(path).read().splitlines()) > 1
+        assert len(Path(path).read_text().splitlines()) > 1
 
 
 def test_metrics_and_plot_tables_match_the_hand_written_writers(finished_run, tmp_path):
@@ -489,7 +491,7 @@ def test_metrics_and_plot_tables_match_the_hand_written_writers(finished_run, tm
 
     def same(rel, write):
         write(str(ref / "table.csv"))
-        assert open(os.path.join(out, rel), "rb").read() == \
+        assert Path(out, rel).read_bytes() == \
             (ref / "table.csv").read_bytes(), rel
 
     results = []
@@ -793,7 +795,8 @@ def _not_a_number(line, column):
                  "models/model_g0.npz: not a model .npz file", id="model-not-npz"),
     *(pytest.param("evaluate", "models/model_g0.npz", _npz_without(key), 2,
                    f"models/model_g0.npz: no {key!r} array in the model file",
-                   id=f"model-without-{key}") for key in ("y", "phi", "timesteps")),
+                   id=f"model-without-{key}")
+      for key in ("y", "phi", "timesteps", "src", "nominal_theta")),
     # members that are no .npy loaded as bytes and failed with "could not
     # convert string to float", a phi of two dimensions with an IndexError:
     # tracebacks naming no file, exit code 1
@@ -922,7 +925,7 @@ def test_a_changed_or_missing_perturbations_file_reruns_from_simulate(cfg_file, 
     cfg, out = load_config(cfg_file), str(tmp_path / "out")
     run_pipeline(cfg, out)
     path = os.path.join(out, "samples", "perturbations.csv")
-    written = open(path).read()
+    written = Path(path).read_text()
     ran = []
     record = pipeline.Manifest.record
     monkeypatch.setattr(pipeline.Manifest, "record", lambda self, stage, *rest: (
@@ -935,7 +938,7 @@ def test_a_changed_or_missing_perturbations_file_reruns_from_simulate(cfg_file, 
             os.remove(path)
         run_pipeline(cfg, out)
         assert ran == list(pipeline.STAGES), change
-        assert open(path).read() == written
+        assert Path(path).read_text() == written
         ran.clear()
         run_pipeline(cfg, out)
         assert ran == [], change
@@ -1018,6 +1021,35 @@ def test_align_methods_report_one_lag(tmp_path, capsys):
     assert main(["align", ref_path, other_path, "--method", "zero_crossing",
                  "--max-lag", "400"]) == 2
     assert "config error: max_lag must satisfy" in capsys.readouterr().err
+
+
+def _two_recordings(tmp_path, n_ref, n_other):
+    """Paths of two sinusoidal recordings of n_ref and n_other steps."""
+    paths = []
+    for name, n in (("ref.csv", n_ref), ("other.csv", n_other)):
+        traj = rollout(PolicySpec("sinusoidal", [0.4, 0.05]),
+                       JointState(START_POSE, np.zeros(3)), n, 0.01,
+                       DynamicsMode("linear", damping=0.8))
+        paths.append(str(tmp_path / name))
+        tio.write_trajectory(traj, paths[-1])
+    return paths
+
+
+def test_align_names_both_recordings_of_another_length(tmp_path, capsys):
+    # the message named neither recording nor either length
+    ref, other = _two_recordings(tmp_path, 500, 150)
+    assert main(["align", ref, other]) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: {ref} (500 steps, dt 0.01) and {other} (150 steps, dt 0.01) "
+            "must share dt, length and dimension") in err
+
+
+def test_align_names_max_lag_and_its_bound(tmp_path, capsys):
+    ref, other = _two_recordings(tmp_path, 300, 300)
+    assert main(["align", ref, other, "--max-lag", "5000"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: max_lag must satisfy 1 <= max_lag < T/2 = 150, got 5000" in err
+    assert f"{ref} (300 steps, dt 0.01) and {other} (300 steps, dt 0.01)" in err
 
 
 def test_align_zero_crossing_falls_back_to_correlation(tmp_path, capsys):
@@ -1185,9 +1217,9 @@ def test_plan_subcommand_matches_the_plan_stage(tmp_path, capsys, dims):
         assert capsys.readouterr().out.splitlines() == \
             [f"{k} = {report[label][k]}" for k in keys], label
         for suffix in ("", ".meta"):
-            planned = open(plan_dir / f"planned.csv{suffix}", "rb").read()
+            planned = Path(plan_dir / f"planned.csv{suffix}").read_bytes()
             staged = os.path.join(out, "planning", f"planned_{label}.csv{suffix}")
-            assert planned == open(staged, "rb").read(), (label, suffix)
+            assert planned == Path(staged).read_bytes(), (label, suffix)
 
 
 def test_each_planned_gain_is_rolled_out_once(cfg_file, tmp_path, monkeypatch):
@@ -1383,7 +1415,7 @@ def test_a_malformed_ini_file_is_named(tmp_path, capsys, edit):
 def test_readme_names_every_config_key():
     # each key is a line of the example block under its section, or is named
     # as `section.key` in the text around it
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = Path(os.path.dirname(__file__), "..", "README.md").read_text()
     text = readme.split("### Config format")[1].split("\n## ")[0]
     block = configparser.ConfigParser(inline_comment_prefixes=(";",))
     block.read_string(text.split("```ini\n")[1].split("```")[0])
@@ -1395,7 +1427,7 @@ def test_readme_names_every_config_key():
 
 def test_readme_library_imports_resolve():
     # every name of every `from trajsense... import ...` in a python block
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = Path(os.path.dirname(__file__), "..", "README.md").read_text()
     blocks = [part.split("```")[0] for part in readme.split("```python\n")[1:]]
     imports = [node for block in blocks for node in ast.walk(ast.parse(block))
                if isinstance(node, ast.ImportFrom) and node.module.startswith("trajsense")]
@@ -1406,7 +1438,7 @@ def test_readme_library_imports_resolve():
 
 
 def test_readme_config_block_loads(tmp_path):
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = Path(os.path.dirname(__file__), "..", "README.md").read_text()
     block = readme.split("### Config format")[1].split("```ini\n")[1].split("```")[0]
     path = tmp_path / "readme.ini"
     path.write_text(block)

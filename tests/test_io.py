@@ -1,5 +1,6 @@
 import builtins
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def test_the_sidecar_carries_the_trajectorys_own_dt(tmp_path):
     traj.meta["dt"] = 0.5
     path = str(tmp_path / "traj.csv")
     tio.write_trajectory(traj, path)
-    assert "dt = 0.01\n" in open(path + ".meta").read().splitlines(keepends=True)
+    assert "dt = 0.01\n" in Path(path + ".meta").read_text().splitlines(keepends=True)
     back = tio.read_trajectory(path)
     assert back.dt == 0.01 and "dt" not in back.meta
     assert "dt" not in sample_traj().meta
@@ -65,7 +66,7 @@ def test_trajectory_header_schema(tmp_path):
     traj = sample_traj()
     path = str(tmp_path / "traj.csv")
     tio.write_trajectory(traj, path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "t,x1,x2,x3,v1,v2,v3,u1,u2,u3"
     assert len(lines) == 1 + traj.n_steps + 1
     assert lines[-1].endswith(",,,")  # terminal state carries no torque
@@ -122,8 +123,8 @@ def test_trajectory_writer_matches_rowwise_csv_bytes(tmp_path):
         new, ref = str(tmp_path / "new.csv"), str(tmp_path / "ref.csv")
         tio.write_trajectory(traj, new)
         oracles.csv_write_trajectory(traj, ref)
-        data = open(new, "rb").read()
-        assert data == open(ref, "rb").read()
+        data = Path(new).read_bytes()
+        assert data == Path(ref).read_bytes()
         assert data.endswith(b",,,\r\n")
         assert data.count(b"\r\n") == data.count(b"\n") == traj.n_steps + 2
         back = tio.read_trajectory(new)
@@ -164,8 +165,8 @@ def test_sample_writer_matches_rowwise_csv_bytes(tmp_path):
         tio.write_samples(samples, new)
         oracles.csv_write_samples(oracles.object_samples(samples.delta_theta,
                                                          samples.delta_x), ref)
-        data = open(new, "rb").read()
-        assert data == open(ref, "rb").read()
+        data = Path(new).read_bytes()
+        assert data == Path(ref).read_bytes()
         if samples.delta_theta is edge:
             assert b",-0," in data and b",0.30000000000000004," in data
             assert data.count(b",inf\r\n") == 2 * 6
@@ -271,14 +272,14 @@ def test_perturbation_writer_matches_rowwise_csv_bytes(tmp_path):
     new, ref = str(tmp_path / "new.csv"), str(tmp_path / "ref.csv")
     tio.write_perturbations(nominal, deltas, new)
     oracles.csv_write_perturbations(nominal, deltas, ref)
-    assert open(new, "rb").read() == open(ref, "rb").read()
+    assert Path(new).read_bytes() == Path(ref).read_bytes()
     back = tio.read_perturbations(new, nominal)
     assert len(back) == len(deltas)
     for d, b in zip(deltas, back):
         assert np.array_equal(b, np.array([float(f"{v:.17g}") for v in nominal + d]) - nominal)
     tio.write_perturbations(nominal, [], new)
     oracles.csv_write_perturbations(nominal, [], ref)
-    assert open(new, "rb").read() == open(ref, "rb").read()
+    assert Path(new).read_bytes() == Path(ref).read_bytes()
     assert tio.read_perturbations(new, nominal).shape == (0, 2)
 
 
