@@ -187,11 +187,12 @@ def classify_noise(ref, other, epsilon, max_lag=DEFAULT_MAX_LAG):
 
     Temporal means some lag within the window brings the per-element L1
     residual at or below epsilon; otherwise no shift explains the difference
-    and the noise is spatial.
+    and the noise is spatial. An epsilon that is not finite and positive is a
+    ConfigError: NaN would call every pair spatial, inf every pair temporal.
     """
     _check_pair(ref, other, max_lag)
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:  # NaN fails too
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
     residuals = [shift_residual(ref, other, tau) for tau in range(-max_lag, max_lag + 1)]
     best = float(min(residuals))
     kind = "temporal" if best <= epsilon else "spatial"

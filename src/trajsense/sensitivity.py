@@ -201,20 +201,31 @@ class SensitivityModel:
     dimension, all on one X; the source angles at those timesteps, t -> (d,),
     which the planner needs; and the nominal theta the maps perturb. The
     trained range delta_low..delta_high is X's without its pinned origin
-    (row 0). A map on another X is a DatasetError naming its timestep."""
+    (row 0). A map on another X, a timestep without source angles, and source
+    angles or a nominal theta of a shape other than the maps' (d,) and (m,)
+    are DatasetErrors naming the timestep or the array."""
 
     def __init__(self, models, source_angles, nominal_theta):
         self.models = dict(models)
         self.timesteps = sorted(self.models)
         if not self.timesteps:
             raise DatasetError("a sensitivity model needs a map at one timestep at least")
-        X = self.models[self.timesteps[0]].state()[0]
+        X, Y, _ = self.models[self.timesteps[0]].state()
         for t in self.timesteps:
             if not np.array_equal(self.models[t].state()[0], X):
                 raise DatasetError(f"timestep {t}: training inputs are not the shared X")
         self.delta_low, self.delta_high = X[1:].min(axis=0), X[1:].max(axis=0)
-        self.source_angles = dict(source_angles)
+        self.source_angles = {t: np.asarray(a, dtype=float) for t, a in source_angles.items()}
+        for t in self.timesteps:
+            if t not in self.source_angles:
+                raise DatasetError(f"timestep {t}: no source angles")
+            if self.source_angles[t].shape != Y.shape[1:]:
+                raise DatasetError(f"timestep {t}: source angles of shape "
+                                   f"{self.source_angles[t].shape}, need {Y.shape[1:]}")
         self.nominal_theta = np.asarray(nominal_theta, dtype=float)
+        if self.nominal_theta.shape != X.shape[1:]:
+            raise DatasetError(f"nominal_theta has shape {self.nominal_theta.shape}, "
+                               f"need {X.shape[1:]}")
 
     def model_at(self, t):
         if t not in self.models:

@@ -10,18 +10,23 @@ Angles are clamped to the platform's joint limits ([0, pi], [0, pi],
 [0, 2*pi]) with the velocity zeroed at the stop, which mimics a hard
 mechanical limit.
 
-rollout_batch is the one stepper: it advances N states as one (N, 3) array
-per step, with the torque held constant over the step, and rollout is its
-batch of one. Rollouts are clean; a recording's measurement noise is added
-afterwards, its time lag by inject_temporal_noise and its per-angle Gaussian
-noise by inject_spatial_noise.
+rollout_batch steps N rollouts in lockstep, with the torque held constant
+over each step, and rollout is its batch of one. It has two steppers, picked
+from N alone: N > 1 states advance as one (N, 3) array per step
+(_step_arrays), and a single state advances as Python floats (_step_floats),
+which saves numpy's per-call cost on arrays of 3. Both perform the same
+floating-point operations in the same order, so a trajectory is the same bit
+for bit whichever stepper made it. Rollouts are clean; a recording's
+measurement noise is added afterwards, its time lag by inject_temporal_noise
+and its per-angle Gaussian noise by inject_spatial_noise.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import torque_at
+from .controllers import float_torque, torque_at
 from .errors import InvalidShiftError, InvalidStateError, PolicyEvalError
 
 JOINT_LOW = np.array([0.0, 0.0, 0.0])
@@ -139,6 +144,49 @@ def _step_arrays(angles, velocities, u, dt, mode):
     return clamped, new_v
 
 
+def _clip(a, lo, hi):
+    """np.clip of one float: NaN passes through and a tie returns the bound,
+    so -0.0 against a 0.0 stop becomes 0.0 (max() would keep -0.0)."""
+    a = lo if a <= lo else a
+    return hi if a >= hi else a
+
+
+_LIMITS = tuple(zip(JOINT_LOW.tolist(), JOINT_HIGH.tolist()))
+
+
+def _step_floats(x, v, u, dt, mode, decay):
+    """_step_arrays for one state held as Python floats: angles x, velocities
+    v and the clipped torque u are sequences of 3 floats; decay is
+    np.exp(-damping * dt), which the damped linear mode reads, computed once
+    per rollout (math.exp differs from it in the last bit on some inputs).
+    Each float operation is the one _step_arrays performs, in the same order.
+    Returns the new (x, v) sequences.
+    """
+    c = mode.damping
+    if mode.tag == "linear":
+        if c == 0.0:
+            new_v = [vi + ui * dt for vi, ui in zip(v, u)]
+            new_x = [xi + vi * dt + 0.5 * ui * dt * dt for xi, vi, ui in zip(x, v, u)]
+        else:
+            drift = [ui / c for ui in u]
+            new_v = [vi * decay + di * (1.0 - decay) for vi, di in zip(v, drift)]
+            new_x = [xi + di * dt + (vi - di) * (1.0 - decay) / c
+                     for xi, vi, di in zip(x, v, drift)]
+    else:
+        # the angles are clamped or NaN, never infinite, so math.sin cannot raise
+        g = mode.gravity_gain
+        a01 = x[0] + x[1]
+        s0, s1, s2 = math.sin(x[0]), math.sin(a01), math.sin(a01 + x[2])
+        gravity = (g * (s0 + s1 + s2), g * (s1 + s2), g * s2)
+        new_v = [vi + dt * (ui - c * vi - gi) for vi, ui, gi in zip(v, u, gravity)]
+        new_x = [xi + dt * vi for xi, vi in zip(x, new_v)]
+    (x0, x1, x2), ((lo0, hi0), (lo1, hi1), (lo2, hi2)) = new_x, _LIMITS
+    if lo0 < x0 < hi0 and lo1 < x1 < hi1 and lo2 < x2 < hi2:
+        return new_x, new_v  # no joint at or past a stop: the clip changes nothing
+    clamped = [_clip(xi, lo, hi) for xi, (lo, hi) in zip(new_x, _LIMITS)]
+    return clamped, [0.0 if ci != xi else vi for ci, xi, vi in zip(clamped, new_x, new_v)]
+
+
 def rollout(policy, x0, n_steps, dt, mode):
     """Roll the policy out for n_steps and return the recorded Trajectory.
 
@@ -148,17 +196,9 @@ def rollout(policy, x0, n_steps, dt, mode):
     return rollout_batch(policy, policy.theta[None], x0, n_steps, dt, mode)[0]
 
 
-def rollout_batch(policy, thetas, x0, n_steps, dt, mode):
-    """Roll the policy out in lockstep from the same x0 once per row of the
-    (N, m) parameter stack thetas.
-
-    The state is advanced as one (N, 3) array per step; each row sees the
-    same floating-point operations as a rollout alone, so trajectory i equals
-    rollout(policy.with_theta(thetas[i]), ...) bit for bit. The recordings
-    are clean (inject_temporal_noise and inject_spatial_noise add noise) and
-    share the batch's arrays.
-    Returns a list of N Trajectories.
-    """
+def _checked_inputs(policy, thetas, x0, n_steps, dt):
+    """The (N, m) parameter stack and x0's angles and velocities as float
+    arrays, after the checks both steppers need before their first step."""
     if n_steps < 1:
         raise InvalidStateError("n_steps must be >= 1")
     if not 0 < dt < np.inf:  # NaN fails too
@@ -171,10 +211,19 @@ def rollout_batch(policy, thetas, x0, n_steps, dt, mode):
     x0_angles = np.asarray(x0.angles, dtype=float)
     if np.any(x0_angles < JOINT_LOW) or np.any(x0_angles > JOINT_HIGH):
         raise InvalidStateError("initial angles outside joint limits")
+    return thetas, x0_angles, np.asarray(x0.velocities, dtype=float)
 
+
+def _controller_failed(exc, k):
+    return PolicyEvalError(f"controller failed at step {k}: {exc}", timestep=k)
+
+
+def _rollout_arrays(policy, thetas, x0_angles, x0_velocities, n_steps, dt, mode):
+    """The (N, T+1, 3) angles and velocities and (N, T, 3) torques of the N
+    rollouts, stepped as (N, 3) arrays."""
     n = thetas.shape[0]
     x = np.tile(x0_angles, (n, 1))
-    v = np.tile(np.asarray(x0.velocities, dtype=float), (n, 1))
+    v = np.tile(x0_velocities, (n, 1))
     # recording-major storage: angles[i] is recording i's contiguous (T+1, 3)
     angles = np.empty((n, n_steps + 1, 3))
     velocities = np.empty((n, n_steps + 1, 3))
@@ -185,13 +234,51 @@ def rollout_batch(policy, thetas, x0, n_steps, dt, mode):
         try:
             u = torque_at(policy, k, k * dt, x, v, theta=thetas)
         except Exception as exc:  # noqa: BLE001 - wrap with timestep context
-            raise PolicyEvalError(f"controller failed at step {k}: {exc}", timestep=k) from exc
+            raise _controller_failed(exc, k) from exc
         u = u.clip(-TORQUE_CAP, TORQUE_CAP)
         torques[:, k] = u
         x, v = _step_arrays(x, v, u, dt, mode)
         angles[:, k + 1] = x
         velocities[:, k + 1] = v
+    return angles, velocities, torques
 
+
+def _rollout_floats(policy, thetas, x0_angles, x0_velocities, n_steps, dt, mode):
+    """_rollout_arrays for a stack of one row, stepped on Python floats; the
+    arrays are built once, after the last step."""
+    torque = float_torque(policy, thetas[0])
+    decay = float(np.exp(-mode.damping * dt))
+    x, v = x0_angles.tolist(), x0_velocities.tolist()
+    xs, vs, us = list(x), list(v), []
+    for k in range(n_steps):
+        try:
+            u = torque(k, k * dt, x, v)
+        except Exception as exc:  # noqa: BLE001 - wrap with timestep context
+            raise _controller_failed(exc, k) from exc
+        u = [_clip(ui, -TORQUE_CAP, TORQUE_CAP) for ui in u]
+        us += u
+        x, v = _step_floats(x, v, u, dt, mode, decay)
+        xs += x
+        vs += v
+    return (np.array(xs).reshape(1, n_steps + 1, 3), np.array(vs).reshape(1, n_steps + 1, 3),
+            np.array(us).reshape(1, n_steps, 3))
+
+
+def rollout_batch(policy, thetas, x0, n_steps, dt, mode):
+    """Roll the policy out in lockstep from the same x0 once per row of the
+    (N, m) parameter stack thetas.
+
+    N > 1 states are advanced as one (N, 3) array per step, and one state as
+    Python floats; each row sees the same floating-point operations as a
+    rollout alone, so trajectory i equals rollout(policy.with_theta(thetas[i]),
+    ...) bit for bit. The recordings are clean (inject_temporal_noise and
+    inject_spatial_noise add noise) and share the batch's arrays.
+    Returns a list of N Trajectories.
+    """
+    thetas, x0_angles, x0_velocities = _checked_inputs(policy, thetas, x0, n_steps, dt)
+    stepper = _rollout_floats if thetas.shape[0] == 1 else _rollout_arrays
+    angles, velocities, torques = stepper(policy, thetas, x0_angles, x0_velocities, n_steps,
+                                          dt, mode)
     return [Trajectory(dt, angles[i], velocities[i], torques[i], meta={
                 "policy_id": policy.with_theta(theta).policy_id(),
                 "seed": 0,

@@ -191,6 +191,8 @@ def test_heavy_spatial_noise_classified_spatial():
 
 
 def test_classify_rejects_nonpositive_epsilon():
+    # nan called every pair spatial and inf every pair temporal
     ref = wavy_traj()
-    with pytest.raises(ConfigError):
-        classify_noise(ref, ref, epsilon=0.0)
+    for epsilon in (0.0, -0.01, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+            classify_noise(ref, ref, epsilon=epsilon)

@@ -989,6 +989,15 @@ def test_align_subcommand(tmp_path, capsys):
     assert "kind = temporal" in report
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_align_rejects_an_epsilon_that_is_not_finite(tmp_path, capsys, epsilon):
+    # nan printed kind = spatial and inf kind = temporal for any pair
+    ref, other = _two_recordings(tmp_path, 300, 300)
+    assert main(["align", ref, other, "--epsilon", epsilon]) == 2
+    assert (f"config error: epsilon must be positive and finite, got {epsilon}"
+            in capsys.readouterr().err)
+
+
 def test_align_names_a_constant_trajectory(tmp_path, capsys):
     # the error used to name neither file: "error: trajectory is constant;
     # correlation undefined"

@@ -683,6 +683,20 @@ def test_model_save_rejects_maps_on_other_inputs():
         SensitivityModel({}, {}, np.zeros(2))
 
 
+@pytest.mark.parametrize("source_angles, nominal, message", [
+    ({}, np.zeros(2), "^timestep 10: no source angles$"),
+    ({10: np.zeros(7)}, np.zeros(2), r"^timestep 10: source angles of shape \(7,\), need \(3,\)$"),
+    ({10: np.zeros(3)}, np.zeros(5), r"^nominal_theta has shape \(5,\), need \(2,\)$"),
+], ids=["missing-timestep", "source-shape", "nominal-shape"])
+def test_a_model_names_source_angles_or_a_nominal_that_do_not_fit_its_maps(
+        source_angles, nominal, message):
+    # a missing timestep raised a bare KeyError in source_angles_at, and the
+    # misshapen arrays were saved into a file that load rejects
+    gp = fit_gp(linear_map_samples(n=40, seed=7)[0], t=10)
+    with pytest.raises(DatasetError, match=message):
+        SensitivityModel({10: gp}, source_angles, nominal)
+
+
 def _with_frozen_column(samples):
     """samples with a third parameter that no recording perturbs."""
     frozen = np.column_stack([samples.delta_theta, np.zeros(len(samples.delta_theta))])

@@ -11,7 +11,7 @@ from trajsense import (
     rollout,
     rollout_batch,
 )
-from trajsense import controllers
+from trajsense import controllers, sim
 from trajsense.errors import InvalidShiftError, InvalidStateError, PolicyEvalError
 from trajsense.sim import JOINT_HIGH, JOINT_LOW, START_POSE, TORQUE_CAP, _step_arrays
 
@@ -28,6 +28,17 @@ def zero_state(angles=(0.5, 0.5, 0.5)):
 def constant_torque(u):
     # a linear_openloop ramp of zero slope holds the torque u at every step
     return PolicySpec("linear_openloop", np.concatenate([np.zeros(3), u]))
+
+
+def _count_calls(monkeypatch, module, names):
+    """A dict counting the calls of each named function of module from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def test_zero_torque_zero_velocity_is_fixed_point():
@@ -81,14 +92,13 @@ def test_step_rejects_nonpositive_dt():
 def test_rollout_rejects_a_bad_dt_before_the_first_step(monkeypatch, dt):
     # 0 and -0.01 ran every step before Trajectory raised; nan gave an all-NaN
     # recording and inf a recording, both without an error
-    calls = []
-    real = controllers.torque_at
-    monkeypatch.setattr(controllers, "torque_at",
-                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    calls = _count_calls(monkeypatch, sim, ("_step_floats", "_step_arrays"))
+    policy = constant_torque(np.zeros(3))
     for mode in (LINEAR, DynamicsMode("pendulum3", damping=0.8, gravity_gain=0.3)):
-        with pytest.raises(InvalidStateError, match="dt must be positive and finite"):
-            rollout(constant_torque(np.zeros(3)), zero_state(), 20000, dt, mode)
-    assert calls == []
+        for thetas in (policy.theta[None], np.stack([policy.theta] * 2)):
+            with pytest.raises(InvalidStateError, match="dt must be positive and finite"):
+                rollout_batch(policy, thetas, zero_state(), 20000, dt, mode)
+    assert calls == {"_step_floats": 0, "_step_arrays": 0}
     with pytest.raises(InvalidStateError, match="dt must be positive and finite"):
         Trajectory(dt, np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
 
@@ -252,6 +262,10 @@ def _stack(policies):
     return policies[0], np.stack([p.theta for p in policies])
 
 
+def _bits_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def assert_batch_equals_single(policies, mode, n_steps, noises=None, x0=None):
     """Each batch row, with noises[i] (a function of a Trajectory) applied if
     given, against the same noise applied to a rollout of policies[i] alone;
@@ -265,9 +279,9 @@ def assert_batch_equals_single(policies, mode, n_steps, noises=None, x0=None):
         single = rollout(policy, x0, n_steps, 0.01, mode)
         if noises is not None:
             single = noises[i](single)
-        assert np.array_equal(traj.angles, single.angles)
-        assert np.array_equal(traj.velocities, single.velocities)
-        assert np.array_equal(traj.torques, single.torques)
+        assert _bits_equal(traj.angles, single.angles)
+        assert _bits_equal(traj.velocities, single.velocities)
+        assert _bits_equal(traj.torques, single.torques)
         assert traj.meta == single.meta
     return batch
 
@@ -308,7 +322,8 @@ def test_rollout_equals_stepping_one_state():
 def test_batch_equals_single_in_linear_mode_with_and_without_damping():
     policies = [PolicySpec("pd_feedback", [kp, 0.01], {"x_star": X_STAR})
                 for kp in np.linspace(0.1, 1.5, 6)]
-    for damping in (0.0, 0.5):
+    # at damping 1.0, math.exp(-0.01) differs from np.exp(-0.01) in the last bit
+    for damping in (0.0, 0.5, 1.0):
         assert_batch_equals_single(policies, DynamicsMode("linear", damping=damping), 600)
 
 
@@ -343,10 +358,6 @@ def test_batch_rejects_a_stack_of_the_wrong_width():
                    np.array([[1.0, np.nan]])):
         with pytest.raises(InvalidStateError):
             rollout_batch(pd, thetas, x0, 10, 0.01, LINEAR)
-
-
-def _bits_equal(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 # Every family pushes a joint into a stop and drives some torque to exactly
@@ -391,23 +402,52 @@ def test_former_loop_cases_reach_signed_zeros():
     assert np.signbit(traj.angles[0, 0]) and not np.signbit(traj.angles[1, 0])
 
 
+def test_an_infinite_phase_gives_the_same_nans_on_both_steppers():
+    # omega * k overflows from k = 2: np.sin gives NaN there, where math.sin
+    # raises; the NaNs then reach every joint through the gravity torque
+    policies = [PolicySpec("sinusoidal", [0.5, w], {"joints": (2,)}) for w in (1e308, 0.01)]
+    x0 = JointState(START_POSE, np.zeros(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = rollout_batch(*_stack(policies), x0, 50, 0.01, PENDULUM)[0]
+        single = rollout(policies[0], x0, 50, 0.01, PENDULUM)
+    for name in ("angles", "velocities", "torques"):
+        a, b = getattr(row, name), getattr(single, name)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+    assert np.isnan(single.torques[2:, 1]).all() and np.isnan(single.angles[-1]).all()
+
+
 def test_controller_failure_names_the_step(monkeypatch):
-    real = controllers.pd_feedback
-
-    def failing(angles, velocities, theta, x_star):
-        if failing.calls == 7:
-            raise FloatingPointError("boom")
-        failing.calls += 1
-        return real(angles, velocities, theta, x_star)
-
-    failing.calls = 0
-    monkeypatch.setattr(controllers, "pd_feedback", failing)
+    # two rows take the array form of the torque, one row its float form
     policy = PolicySpec("pd_feedback", [0.5, 0.01], {"x_star": X_STAR})
-    with pytest.raises(PolicyEvalError) as info:
-        rollout_batch(policy, [[0.5, 0.01], [1.0, 0.01]], JointState(START_POSE, np.zeros(3)),
-                      20, 0.01, LINEAR)
-    assert info.value.timestep == 7
-    assert "step 7" in str(info.value)
+    for name, thetas in (("pd_feedback", [[0.5, 0.01], [1.0, 0.01]]),
+                         ("pd_feedback_floats", [[0.5, 0.01]])):
+        real = getattr(controllers, name)
+
+        def failing(angles, velocities, theta, x_star, _real=real):
+            if failing.calls == 7:
+                raise FloatingPointError("boom")
+            failing.calls += 1
+            return _real(angles, velocities, theta, x_star)
+
+        failing.calls = 0
+        monkeypatch.setattr(controllers, name, failing)
+        with pytest.raises(PolicyEvalError) as info:
+            rollout_batch(policy, thetas, JointState(START_POSE, np.zeros(3)), 20, 0.01,
+                          LINEAR)
+        assert info.value.timestep == 7, name
+        assert "step 7" in str(info.value)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+def test_one_row_steps_floats_and_more_rows_step_arrays(monkeypatch):
+    # the stepper is picked from the number of rows alone
+    calls = _count_calls(monkeypatch, sim, ("_step_floats", "_step_arrays", "torque_at"))
+    policy = PolicySpec("pd_feedback", [0.5, 0.01], {"x_star": X_STAR})
+    x0 = JointState(START_POSE, np.zeros(3))
+    rollout(policy, x0, 20, 0.01, PENDULUM)
+    assert calls == {"_step_floats": 20, "_step_arrays": 0, "torque_at": 0}
+    rollout_batch(policy, [[0.5, 0.01], [1.0, 0.01]], x0, 20, 0.01, PENDULUM)
+    assert calls == {"_step_floats": 20, "_step_arrays": 20, "torque_at": 20}
 
 
 # -- exact pendulum3 sensitivities -------------------------------------------------
