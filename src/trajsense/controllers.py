@@ -14,12 +14,12 @@ are index-based), while the linear ramp uses seconds. PolicySpec checks a
 family's parameter count and constants once; the torque functions, called at
 every step of every rollout, take them as given.
 
-Each family's torque has an array form, for one parameter vector or an (N, m)
-stack, and a float form for one parameter vector held as Python floats,
-which performs the same floating-point operations in the same order.
+Each family's torque takes one parameter vector or an (N, m) stack. The P/PD
+servo also has a float form, pd_feedback_floats, for one parameter vector
+held as Python floats, which performs the same floating-point operations in
+the same order; the simulator steps the planner's rollouts with it.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,12 +96,6 @@ def linear_openloop(t, theta):
     return theta[..., :3] * t + theta[..., 3:]
 
 
-def linear_openloop_floats(t, theta):
-    """linear_openloop of one theta, a sequence of 6 floats: the 3 torques."""
-    w1, w2, w3, b1, b2, b3 = theta
-    return [w1 * t + b1, w2 * t + b2, w3 * t + b3]
-
-
 def sinusoidal(t, theta, joints):
     """Sinusoidal drive amp*sin(omega*t) on the given joints, zero elsewhere.
 
@@ -113,20 +107,6 @@ def sinusoidal(t, theta, joints):
     u = np.zeros(theta.shape[:-2] + (3,))
     for k, j in enumerate(joints):
         u[..., j - 1] = theta[..., k, 0] * np.sin(theta[..., k, 1] * t)
-    return u
-
-
-def sinusoidal_floats(t, theta, joints):
-    """sinusoidal of one theta, a sequence of 2k floats: the 3 torques.
-
-    math.sin gives np.sin's float64 result on a finite phase; an infinite
-    phase, on which math.sin raises, takes np.sin's NaN and its warning.
-    """
-    u = [0.0, 0.0, 0.0]
-    for k, j in enumerate(joints):
-        phase = theta[2 * k + 1] * t
-        u[j - 1] = theta[2 * k] * (math.sin(phase) if math.isfinite(phase)
-                                   else float(np.sin(phase)))
     return u
 
 
@@ -164,19 +144,3 @@ def torque_at(policy, step_index, t_seconds, angles, velocities, theta=None):
     if policy.family == "sinusoidal":
         return sinusoidal(step_index, theta, policy.fixed["joints"])
     return pd_feedback(angles, velocities, theta, policy.fixed["x_star"])
-
-
-def float_torque(policy, theta):
-    """torque_at on Python floats for one parameter vector theta of the
-    policy's family: a function (step_index, t_seconds, angles, velocities),
-    the state as sequences of 3 floats, that returns the list of 3 torques.
-    """
-    theta = [float(v) for v in theta]
-    if policy.family == "linear_openloop":
-        return lambda k, t, angles, velocities: linear_openloop_floats(t, theta)
-    if policy.family == "sinusoidal":
-        joints = policy.fixed["joints"]
-        return lambda k, t, angles, velocities: sinusoidal_floats(k, theta, joints)
-    x_star = policy.fixed["x_star"].tolist()
-    return lambda k, t, angles, velocities: pd_feedback_floats(angles, velocities, theta,
-                                                               x_star)

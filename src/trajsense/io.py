@@ -13,7 +13,8 @@ recording at a time, and every other table by write_table: a header line,
 then one % template per row. Every reader first counts the cells of each
 line after the header in one pass over the bytes (_check_lines), then reads
 the rows as whole numpy blocks. A row with the wrong number of cells, or a
-cell that is not a number, is a ConfigError naming the file and its line.
+cell that is not a finite number, is a ConfigError naming the file and its
+line.
 """
 
 import os
@@ -88,11 +89,12 @@ def _header(fh):
 _LOADTXT_CELL = re.compile(r"(.*?) at row (\d+), column (\d+)")
 
 
-def _loadtxt(source, path, first_line, **kw):
+def _loadtxt(source, path, first_line, usecols=None, **kw):
     """np.loadtxt of comma-separated rows that start at line first_line of
-    path; a cell it cannot read is a ConfigError naming the file and the line."""
+    path; a cell it cannot read, or one that is nan or infinite, is a
+    ConfigError naming the file, the line and the column."""
     try:
-        return np.loadtxt(source, delimiter=",", ndmin=2, **kw)
+        data = np.loadtxt(source, delimiter=",", ndmin=2, usecols=usecols, **kw)
     except ValueError as exc:
         found = _LOADTXT_CELL.match(str(exc))
         if found is None:
@@ -100,6 +102,12 @@ def _loadtxt(source, path, first_line, **kw):
         what, row, column = found.groups()
         raise ConfigError(f"{path}: line {first_line + int(row)}, column {column}: "
                           f"{what}") from exc
+    if not np.isfinite(data).all():
+        row, j = np.argwhere(~np.isfinite(data))[0]
+        column = j + 1 if usecols is None else list(usecols)[j] + 1
+        raise ConfigError(f"{path}: line {first_line + row}, column {column}: "
+                          f"{float(data[row, j])} is not a finite number")
+    return data
 
 
 def _check_cells(path, number, cells, width):

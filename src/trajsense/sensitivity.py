@@ -251,8 +251,9 @@ class SensitivityModel:
     def load(cls, path):
         """The model `save` wrote. A file that is not an .npz, one without an
         array of `save` and one whose array is not finite numbers of the shape
-        the others imply are ConfigErrors naming the file (and the array);
-        other arrays in the file are not read."""
+        the others imply are ConfigErrors naming the file (and the array), as
+        are timesteps that are not one or more distinct non-negative
+        integers; other arrays in the file are not read."""
         if not os.path.isfile(path):
             raise ConfigError(f"model file not found: {path}")
         try:
@@ -281,7 +282,10 @@ class SensitivityModel:
             if shape(key, len(want)) != want:
                 raise ConfigError(f"{path}: {key!r} has shape {data[key].shape}, need {want} "
                                   f"for {n_t} timesteps of X {(n, m)}")
-        T = [int(t) for t in data["timesteps"]]
+        T = data["timesteps"].tolist()
+        if not T or data["timesteps"].dtype.kind not in "iu" or min(T) < 0 or len(set(T)) < n_t:
+            raise ConfigError(f"{path}: 'timesteps' must be distinct non-negative integers, "
+                              f"one at least, got {T}")
         return cls(dict(zip(T, ExactGP.from_states(data["X"], data["y"], data["phi"]))),
                    dict(zip(T, data["src"])), data["nominal_theta"])
 

@@ -11,10 +11,10 @@ Angles are clamped to the platform's joint limits ([0, pi], [0, pi],
 mechanical limit.
 
 rollout_batch steps N rollouts in lockstep, with the torque held constant
-over each step, and rollout is its batch of one. It has two steppers, picked
-from N alone: N > 1 states advance as one (N, 3) array per step
-(_step_arrays), and a single state advances as Python floats (_step_floats),
-which saves numpy's per-call cost on arrays of 3. Both perform the same
+over each step, and rollout is its batch of one. States advance as one (N, 3)
+array per step (_step_arrays), except the planner's rollout, one row of a P/PD
+servo on pendulum3, which advances as Python floats (_step_floats) and so
+saves numpy's per-call cost on arrays of 3. Both perform the same
 floating-point operations in the same order, so a trajectory is the same bit
 for bit whichever stepper made it. Rollouts are clean; a recording's
 measurement noise is added afterwards, its time lag by inject_temporal_noise
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import float_torque, torque_at
+from .controllers import pd_feedback_floats, torque_at
 from .errors import InvalidShiftError, InvalidStateError, PolicyEvalError
 
 JOINT_LOW = np.array([0.0, 0.0, 0.0])
@@ -154,32 +154,19 @@ def _clip(a, lo, hi):
 _LIMITS = tuple(zip(JOINT_LOW.tolist(), JOINT_HIGH.tolist()))
 
 
-def _step_floats(x, v, u, dt, mode, decay):
-    """_step_arrays for one state held as Python floats: angles x, velocities
-    v and the clipped torque u are sequences of 3 floats; decay is
-    np.exp(-damping * dt), which the damped linear mode reads, computed once
-    per rollout (math.exp differs from it in the last bit on some inputs).
-    Each float operation is the one _step_arrays performs, in the same order.
+def _step_floats(x, v, u, dt, mode):
+    """_step_arrays for one pendulum3 state held as Python floats: angles x,
+    velocities v and the clipped torque u are sequences of 3 floats. Each
+    float operation is the one _step_arrays performs, in the same order.
     Returns the new (x, v) sequences.
     """
-    c = mode.damping
-    if mode.tag == "linear":
-        if c == 0.0:
-            new_v = [vi + ui * dt for vi, ui in zip(v, u)]
-            new_x = [xi + vi * dt + 0.5 * ui * dt * dt for xi, vi, ui in zip(x, v, u)]
-        else:
-            drift = [ui / c for ui in u]
-            new_v = [vi * decay + di * (1.0 - decay) for vi, di in zip(v, drift)]
-            new_x = [xi + di * dt + (vi - di) * (1.0 - decay) / c
-                     for xi, vi, di in zip(x, v, drift)]
-    else:
-        # the angles are clamped or NaN, never infinite, so math.sin cannot raise
-        g = mode.gravity_gain
-        a01 = x[0] + x[1]
-        s0, s1, s2 = math.sin(x[0]), math.sin(a01), math.sin(a01 + x[2])
-        gravity = (g * (s0 + s1 + s2), g * (s1 + s2), g * s2)
-        new_v = [vi + dt * (ui - c * vi - gi) for vi, ui, gi in zip(v, u, gravity)]
-        new_x = [xi + dt * vi for xi, vi in zip(x, new_v)]
+    # the angles are clamped or NaN, never infinite, so math.sin cannot raise
+    c, g = mode.damping, mode.gravity_gain
+    a01 = x[0] + x[1]
+    s0, s1, s2 = math.sin(x[0]), math.sin(a01), math.sin(a01 + x[2])
+    gravity = (g * (s0 + s1 + s2), g * (s1 + s2), g * s2)
+    new_v = [vi + dt * (ui - c * vi - gi) for vi, ui, gi in zip(v, u, gravity)]
+    new_x = [xi + dt * vi for xi, vi in zip(x, new_v)]
     (x0, x1, x2), ((lo0, hi0), (lo1, hi1), (lo2, hi2)) = new_x, _LIMITS
     if lo0 < x0 < hi0 and lo1 < x1 < hi1 and lo2 < x2 < hi2:
         return new_x, new_v  # no joint at or past a stop: the clip changes nothing
@@ -244,20 +231,19 @@ def _rollout_arrays(policy, thetas, x0_angles, x0_velocities, n_steps, dt, mode)
 
 
 def _rollout_floats(policy, thetas, x0_angles, x0_velocities, n_steps, dt, mode):
-    """_rollout_arrays for a stack of one row, stepped on Python floats; the
-    arrays are built once, after the last step."""
-    torque = float_torque(policy, thetas[0])
-    decay = float(np.exp(-mode.damping * dt))
+    """_rollout_arrays for one row of a P/PD servo on pendulum3, stepped on
+    Python floats; the arrays are built once, after the last step."""
+    theta, x_star = thetas[0].tolist(), policy.fixed["x_star"].tolist()
     x, v = x0_angles.tolist(), x0_velocities.tolist()
     xs, vs, us = list(x), list(v), []
     for k in range(n_steps):
         try:
-            u = torque(k, k * dt, x, v)
+            u = pd_feedback_floats(x, v, theta, x_star)
         except Exception as exc:  # noqa: BLE001 - wrap with timestep context
             raise _controller_failed(exc, k) from exc
         u = [_clip(ui, -TORQUE_CAP, TORQUE_CAP) for ui in u]
         us += u
-        x, v = _step_floats(x, v, u, dt, mode, decay)
+        x, v = _step_floats(x, v, u, dt, mode)
         xs += x
         vs += v
     return (np.array(xs).reshape(1, n_steps + 1, 3), np.array(vs).reshape(1, n_steps + 1, 3),
@@ -268,15 +254,18 @@ def rollout_batch(policy, thetas, x0, n_steps, dt, mode):
     """Roll the policy out in lockstep from the same x0 once per row of the
     (N, m) parameter stack thetas.
 
-    N > 1 states are advanced as one (N, 3) array per step, and one state as
-    Python floats; each row sees the same floating-point operations as a
-    rollout alone, so trajectory i equals rollout(policy.with_theta(thetas[i]),
-    ...) bit for bit. The recordings are clean (inject_temporal_noise and
-    inject_spatial_noise add noise) and share the batch's arrays.
+    The states advance as one (N, 3) array per step, or as Python floats for
+    one row of a P/PD servo on pendulum3; each row sees the same
+    floating-point operations as a rollout alone, so trajectory i equals
+    rollout(policy.with_theta(thetas[i]), ...) bit for bit. The recordings
+    are clean (inject_temporal_noise and inject_spatial_noise add noise) and
+    share the batch's arrays.
     Returns a list of N Trajectories.
     """
     thetas, x0_angles, x0_velocities = _checked_inputs(policy, thetas, x0, n_steps, dt)
-    stepper = _rollout_floats if thetas.shape[0] == 1 else _rollout_arrays
+    one_servo = (thetas.shape[0] == 1 and mode.tag == "pendulum3"
+                 and policy.family in ("p_feedback", "pd_feedback"))
+    stepper = _rollout_floats if one_servo else _rollout_arrays
     angles, velocities, torques = stepper(policy, thetas, x0_angles, x0_velocities, n_steps,
                                           dt, mode)
     return [Trajectory(dt, angles[i], velocities[i], torques[i], meta={

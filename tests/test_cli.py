@@ -720,6 +720,11 @@ def _not_a_number(line, column):
                   + cells[column:])
 
 
+def _cell(line, column, value):
+    """An edit of a CSV's lines: the cell at line, column (from 1) becomes value."""
+    return _cells(line, lambda cells: cells[:column - 1] + [value] + cells[column:])
+
+
 @pytest.mark.parametrize("command, rel, edit, code, message", [
     pytest.param("build", "trajectories/sample_0003.csv", _not_a_number(9, 2), 2,
                  "trajectories/sample_0003.csv: line 9, column 2: could not convert "
@@ -740,6 +745,17 @@ def _not_a_number(line, column):
                  "trajectories/sample_0003.csv: line 202: wrong number of cells (11, the "
                  "header has 10)",
                  id="trajectory-terminal-extra-cell"),
+    # nan and inf cells were read as numbers: an inf theta gave inf samples that
+    # evaluate scored (exit code 0), nan angles failed the GP fit naming no file
+    pytest.param("build", "trajectories/sample_0003.csv", _cell(42, 2, "nan"), 2,
+                 "trajectories/sample_0003.csv: line 42, column 2: nan is not a finite "
+                 "number", id="trajectory-nan"),
+    pytest.param("build", "samples/perturbations.csv", _cell(4, 2, "inf"), 2,
+                 "samples/perturbations.csv: line 4, column 2: inf is not a finite number",
+                 id="perturbations-inf"),
+    pytest.param("evaluate", "samples/test_g0.csv", _cell(30, 5, "nan"), 2,
+                 "samples/test_g0.csv: line 30, column 5: nan is not a finite number",
+                 id="samples-nan"),
     pytest.param("build", "samples/perturbations.csv", _not_a_number(4, 2), 2,
                  "samples/perturbations.csv: line 4, column 2: could not convert "
                  "string 'x", id="perturbations-cell"),
@@ -812,6 +828,16 @@ def _not_a_number(line, column):
     pytest.param("evaluate", "models/model_g0.npz", _npz_with("y", lambda a: a[:-1]), 2,
                  "models/model_g0.npz: 'y' has shape (5, 19, 3), need (6, 19, 3)",
                  id="model-y-timesteps"),
+    # a repeated timestep loaded as one map with the second one's source
+    # angles, and 10.7 loaded as timestep 10
+    pytest.param("evaluate", "models/model_g0.npz",
+                 _npz_with("timesteps", lambda a: np.r_[a[:1], a[:-1]]), 2,
+                 "models/model_g0.npz: 'timesteps' must be distinct non-negative integers",
+                 id="model-timesteps-repeated"),
+    pytest.param("evaluate", "models/model_g0.npz",
+                 _npz_with("timesteps", lambda a: a + 0.7), 2,
+                 "models/model_g0.npz: 'timesteps' must be distinct non-negative integers",
+                 id="model-timesteps-float"),
 ])
 def test_a_malformed_stage_input_names_the_file_and_its_line(finished_run, tmp_path, capsys,
                                                              command, rel, edit, code,

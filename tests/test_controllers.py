@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from trajsense.controllers import (PolicySpec, float_torque, linear_openloop, pd_feedback,
-                                  sinusoidal, torque_at)
+from trajsense.controllers import (PolicySpec, linear_openloop, pd_feedback,
+                                  pd_feedback_floats, sinusoidal, torque_at)
 from trajsense.errors import ConfigError
 
 W_NOMINAL = np.array([1e-5, 1e-4, -1e-5])
@@ -147,18 +147,20 @@ def test_dispatch_matches_family_functions():
 
 
 def test_float_torque_is_torque_at_bit_for_bit():
-    # the float form of each family performs torque_at's operations, so even
-    # the signs of zero torques agree
+    # the float form of the P/PD servo performs torque_at's operations, so
+    # even the signs of zero torques agree
     rng = np.random.default_rng(3)
     x_star = np.array([-0.0, 1.0, 2.5])
-    for policy in (PolicySpec("linear_openloop", [-0.0, 0.2, 1e-3, 0.0, -1.5, 0.3]),
-                   PolicySpec("sinusoidal", [0.5, 0.01, -2.0, 0.3], {"joints": (3, 1)}),
-                   PolicySpec("p_feedback", [0.7], {"x_star": x_star}),
+    for policy in (PolicySpec("p_feedback", [0.7], {"x_star": x_star}),
                    PolicySpec("pd_feedback", [1.3, -0.0], {"x_star": x_star})):
-        torque = float_torque(policy, policy.theta)
+        theta, star = policy.theta.tolist(), x_star.tolist()
+        negative_zeros = 0
         for k in range(200):
+            # every pairing of signed zeros in one joint's angle and velocity
             x, v = rng.normal(size=3), rng.normal(size=3)
-            x[k % 3], v[k % 3] = -0.0, 0.0
+            x[k % 3], v[k % 3] = (-0.0, 0.0)[k % 2], (0.0, -0.0)[k // 2 % 2]
             a = torque_at(policy, k, k * 0.01, x, v)
-            b = np.array(torque(k, k * 0.01, x.tolist(), v.tolist()))
+            b = np.array(pd_feedback_floats(x.tolist(), v.tolist(), theta, star))
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), (policy.family, k)
+            negative_zeros += np.sum((a == 0.0) & np.signbit(a))
+        assert negative_zeros > 0, policy.family

@@ -671,6 +671,20 @@ def test_model_load_reads_no_former_range_arrays(tmp_path):
     assert np.array_equal(loaded.delta_high, model.delta_high)
 
 
+def test_model_load_rejects_a_file_without_timesteps(tmp_path):
+    # a file whose per-timestep arrays are all empty raised the model's
+    # DatasetError, which names no file
+    samples, _ = linear_map_samples(n=40, seed=7)
+    model = fit_sensitivity_model(samples, [0, 10], zero_source(samples), np.zeros(2))
+    model.save(tmp_path / "model.npz")
+    with np.load(tmp_path / "model.npz") as data:
+        arrays = {k: data[k] if k in ("X", "nominal_theta") else data[k][:0]
+                  for k in data.files}
+    np.savez_compressed(tmp_path / "empty.npz", **arrays)
+    with pytest.raises(ConfigError, match="empty.npz: 'timesteps' must be distinct"):
+        SensitivityModel.load(tmp_path / "empty.npz")
+
+
 def test_model_save_rejects_maps_on_other_inputs():
     # the model checks its one X when it is built, before anything is saved
     a, _ = linear_map_samples(n=40, seed=7)

@@ -92,8 +92,9 @@ def test_step_rejects_nonpositive_dt():
 def test_rollout_rejects_a_bad_dt_before_the_first_step(monkeypatch, dt):
     # 0 and -0.01 ran every step before Trajectory raised; nan gave an all-NaN
     # recording and inf a recording, both without an error
+    # a PD servo: one row of it on pendulum3 would step floats
     calls = _count_calls(monkeypatch, sim, ("_step_floats", "_step_arrays"))
-    policy = constant_torque(np.zeros(3))
+    policy = PolicySpec("pd_feedback", [0.5, 0.01], {"x_star": np.ones(3)})
     for mode in (LINEAR, DynamicsMode("pendulum3", damping=0.8, gravity_gain=0.3)):
         for thetas in (policy.theta[None], np.stack([policy.theta] * 2)):
             with pytest.raises(InvalidStateError, match="dt must be positive and finite"):
@@ -402,9 +403,9 @@ def test_former_loop_cases_reach_signed_zeros():
     assert np.signbit(traj.angles[0, 0]) and not np.signbit(traj.angles[1, 0])
 
 
-def test_an_infinite_phase_gives_the_same_nans_on_both_steppers():
-    # omega * k overflows from k = 2: np.sin gives NaN there, where math.sin
-    # raises; the NaNs then reach every joint through the gravity torque
+def test_an_infinite_phase_gives_the_same_nans_in_a_batch_row_and_a_single_rollout():
+    # omega * k overflows from k = 2 and np.sin gives NaN there; the NaNs then
+    # reach every joint through the gravity torque
     policies = [PolicySpec("sinusoidal", [0.5, w], {"joints": (2,)}) for w in (1e308, 0.01)]
     x0 = JointState(START_POSE, np.zeros(3))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -417,11 +418,13 @@ def test_an_infinite_phase_gives_the_same_nans_on_both_steppers():
 
 
 def test_controller_failure_names_the_step(monkeypatch):
-    # two rows take the array form of the torque, one row its float form
+    # two rows take the array form of the torque; one row of a PD servo on
+    # pendulum3 takes its float form, which sim calls by its own name
     policy = PolicySpec("pd_feedback", [0.5, 0.01], {"x_star": X_STAR})
-    for name, thetas in (("pd_feedback", [[0.5, 0.01], [1.0, 0.01]]),
-                         ("pd_feedback_floats", [[0.5, 0.01]])):
-        real = getattr(controllers, name)
+    for module, name, thetas, mode in (
+            (controllers, "pd_feedback", [[0.5, 0.01], [1.0, 0.01]], LINEAR),
+            (sim, "pd_feedback_floats", [[0.5, 0.01]], PENDULUM)):
+        real = getattr(module, name)
 
         def failing(angles, velocities, theta, x_star, _real=real):
             if failing.calls == 7:
@@ -430,24 +433,35 @@ def test_controller_failure_names_the_step(monkeypatch):
             return _real(angles, velocities, theta, x_star)
 
         failing.calls = 0
-        monkeypatch.setattr(controllers, name, failing)
+        monkeypatch.setattr(module, name, failing)
         with pytest.raises(PolicyEvalError) as info:
             rollout_batch(policy, thetas, JointState(START_POSE, np.zeros(3)), 20, 0.01,
-                          LINEAR)
+                          mode)
+        assert failing.calls == 7, name
         assert info.value.timestep == 7, name
         assert "step 7" in str(info.value)
         assert isinstance(info.value.__cause__, FloatingPointError)
 
 
 def test_one_row_steps_floats_and_more_rows_step_arrays(monkeypatch):
-    # the stepper is picked from the number of rows alone
+    # only one row of a P/PD servo on pendulum3 steps floats; a second row,
+    # another family or linear mode steps arrays
     calls = _count_calls(monkeypatch, sim, ("_step_floats", "_step_arrays", "torque_at"))
-    policy = PolicySpec("pd_feedback", [0.5, 0.01], {"x_star": X_STAR})
     x0 = JointState(START_POSE, np.zeros(3))
-    rollout(policy, x0, 20, 0.01, PENDULUM)
-    assert calls == {"_step_floats": 20, "_step_arrays": 0, "torque_at": 0}
-    rollout_batch(policy, [[0.5, 0.01], [1.0, 0.01]], x0, 20, 0.01, PENDULUM)
-    assert calls == {"_step_floats": 20, "_step_arrays": 20, "torque_at": 20}
+    pd = PolicySpec("pd_feedback", [0.5, 0.01], {"x_star": X_STAR})
+    p = PolicySpec("p_feedback", [0.5], {"x_star": X_STAR})
+    sine = PolicySpec("sinusoidal", [0.5, 0.01], {"joints": (2,)})
+    for policy, thetas, mode, floats in (
+            (pd, [[0.5, 0.01]], PENDULUM, True),
+            (p, [[0.5]], PENDULUM, True),
+            (pd, [[0.5, 0.01], [1.0, 0.01]], PENDULUM, False),
+            (sine, [[0.5, 0.01]], PENDULUM, False),
+            (pd, [[0.5, 0.01]], LINEAR, False)):
+        before = dict(calls)
+        rollout_batch(policy, thetas, x0, 20, 0.01, mode)
+        steps = {"_step_floats": 20 * floats, "_step_arrays": 20 * (not floats),
+                 "torque_at": 20 * (not floats)}
+        assert {k: calls[k] - before[k] for k in calls} == steps, (policy.family, mode.tag)
 
 
 # -- exact pendulum3 sensitivities -------------------------------------------------
